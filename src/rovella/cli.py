@@ -218,7 +218,12 @@ def _tail_fit(n: np.ndarray, counts: np.ndarray, total: int, min_survivors: int 
             "points": int(mask.sum())}
 
 
-def cmd_hyperbolic_tails(cfg: dict, args) -> tuple[list[str], int]:
+def _tail_table(cfg: dict, args):
+    """Shared run of `hyperbolic-tails` and `bad-set-tails`.
+
+    Returns (resolved constants, table, output directory, exit code); the
+    code is EXIT_NUMERIC when more than SINGULAR_EPIDEMIC of the orbits died.
+    """
     family = resolve_family(cfg)
     hcfg = resolve_hyperbolic(cfg, family)
     table = hyperbolic.tail_statistics(
@@ -230,18 +235,28 @@ def cmd_hyperbolic_tails(cfg: dict, args) -> tuple[list[str], int]:
         n_max=args.n_max,
         workers=args.workers,
     )
-    out_dir = Path(cfg["output"]["directory"])
+    simulated = table.total + table.singular_hits
+    code = EXIT_NUMERIC if table.singular_hits > SINGULAR_EPIDEMIC * simulated else EXIT_OK
+    return hcfg, table, Path(cfg["output"]["directory"]), code
+
+
+def _write_survivors(path: Path, table: hyperbolic.TailTable, counts: np.ndarray) -> None:
+    write_csv(
+        path,
+        ["n", "survivors", "total", "fraction"],
+        [(int(n), int(c), table.total, c / table.total) for n, c in zip(table.n, counts)],
+    )
+
+
+def cmd_hyperbolic_tails(cfg: dict, args) -> tuple[list[str], int]:
+    hcfg, table, out_dir, code = _tail_table(cfg, args)
     names = []
     for stem, counts in (
         ("hyperbolic_tails", table.h_survivors),
         ("hyperbolic_return_tails", table.hstar_survivors),
     ):
         path = out_dir / f"{stem}.csv"
-        write_csv(
-            path,
-            ["n", "survivors", "total", "fraction"],
-            [(int(n), int(c), table.total, c / table.total) for n, c in zip(table.n, counts)],
-        )
+        _write_survivors(path, table, counts)
         names.append(path.name)
     fits = {
         "first_hyperbolic": _tail_fit(table.n, table.h_survivors, table.total),
@@ -252,32 +267,13 @@ def cmd_hyperbolic_tails(cfg: dict, args) -> tuple[list[str], int]:
     fit_path = out_dir / "hyperbolic_tails_fits.json"
     write_json(fit_path, fits)
     names.append(fit_path.name)
-    code = EXIT_NUMERIC if table.singular_hits > SINGULAR_EPIDEMIC * table.total else EXIT_OK
     return names, code
 
 
 def cmd_bad_set_tails(cfg: dict, args) -> tuple[list[str], int]:
-    family = resolve_family(cfg)
-    hcfg = resolve_hyperbolic(cfg, family)
-    table = hyperbolic.tail_statistics(
-        family,
-        cfg["noise"]["seed"],
-        cfg["noise"]["eps"],
-        hcfg,
-        samples=args.samples,
-        n_max=args.n_max,
-        workers=args.workers,
-    )
-    out_dir = Path(cfg["output"]["directory"])
+    hcfg, table, out_dir, code = _tail_table(cfg, args)
     path = out_dir / "bad_set_tails.csv"
-    write_csv(
-        path,
-        ["n", "survivors", "total", "fraction"],
-        [
-            (int(n), int(c), table.total, c / table.total)
-            for n, c in zip(table.n, table.bad_members)
-        ],
-    )
+    _write_survivors(path, table, table.bad_members)
     fit_path = out_dir / "bad_set_tails_fit.json"
     write_json(
         fit_path,
@@ -286,7 +282,6 @@ def cmd_bad_set_tails(cfg: dict, args) -> tuple[list[str], int]:
             "constants": {"delta": hcfg.delta, "c": hcfg.c, "c_prime": hcfg.c_prime},
         },
     )
-    code = EXIT_NUMERIC if table.singular_hits > SINGULAR_EPIDEMIC * table.total else EXIT_OK
     return [path.name, fit_path.name], code
 
 

@@ -14,16 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BranchStraddle, NotHyperbolic, ParamError
-from .map_core import (
-    MapFamily,
-    _deriv_unchecked,
-    _second_unchecked,
-    _value_unchecked,
-    critical_neighborhoods,
-)
+from .errors import BranchStraddle, NotHyperbolic, ParamError, SingularHit
+from .map_core import MapFamily, _unchecked, critical_neighborhoods, unperturbed_orbit
 from .noise import NoiseStream, ensemble_noise
-from .orbit import OrbitTrace, ensemble_orbits, iterate, return_depths_array
+from .orbit import OrbitTrace, ensemble_orbits, ensemble_start, iterate, step
 from .numerics import bisect_increasing
 
 
@@ -39,10 +33,10 @@ def pliss_times(a, c1: float, c2: float, big_a: float) -> list[int]:
     """
     if not (big_a >= c2 > c1):
         raise ParamError(f"need A >= c2 > c1, got A={big_a}, c2={c2}, c1={c1}")
-    a = np.asarray(a, dtype=float)
-    prefix = np.concatenate([[0.0], np.cumsum(a - c1)])
-    run_max = np.maximum.accumulate(prefix[:-1])
-    return list(np.flatnonzero(prefix[1:] > run_max) + 1)
+    # sum(a[k:n]) > c1 (n - k) is the hyperbolic-time condition for the
+    # depths -a under the threshold -c1.
+    flags = _hyperbolic_flags(-np.asarray(a, dtype=float), -c1)
+    return list(np.flatnonzero(flags) + 1)
 
 
 def pliss_count_bound(a, c1: float, c2: float, big_a: float) -> float:
@@ -120,7 +114,7 @@ def fit_expansion_rate(
     in_outer[:, 0] = False  # segments must start outside
     hit = in_outer.any(axis=1)
     first = np.argmax(in_outer, axis=1)
-    ok = hit & (first >= n_min)
+    ok = hit & (first >= n_min) & ens.alive
     if ok.sum() < 50:
         raise ParamError(
             f"only {int(ok.sum())} escape events at delta={delta}; "
@@ -199,10 +193,12 @@ class HyperbolicReport:
 
 
 def _hyperbolic_flags(depths: np.ndarray, c_prime: float) -> np.ndarray:
-    """flags[n-1] for n = 1..len(depths): strict running-max reduction."""
-    prefix = np.concatenate([[0.0], np.cumsum(c_prime - depths.astype(float))])
-    run_max = np.maximum.accumulate(prefix[:-1])
-    return prefix[1:] > run_max
+    """flags[..., n-1] for n = 1..depths.shape[-1]: n is a hyperbolic time of
+    the depth sequence along the last axis (strict running-max reduction)."""
+    gains = np.cumsum(c_prime - depths.astype(float), axis=-1)
+    prefix = np.concatenate([np.zeros(gains.shape[:-1] + (1,)), gains], axis=-1)
+    run_max = np.maximum.accumulate(prefix[..., :-1], axis=-1)
+    return prefix[..., 1:] > run_max
 
 
 def hyperbolic_times(trace: OrbitTrace, cfg: HyperbolicConfig) -> HyperbolicReport:
@@ -272,19 +268,6 @@ class BindingReport:
     worst_margin: float = math.inf
 
 
-def _deterministic_orbit(family: MapFamily, v: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    pts = np.empty(n + 1)
-    logd = np.zeros(n + 1)
-    x = float(v)
-    for j in range(n + 1):
-        pts[j] = x
-        if j == n:
-            break
-        logd[j + 1] = logd[j] + math.log(float(_deriv_unchecked(family, 0.0, np.float64(x))))
-        x = float(_value_unchecked(family, 0.0, np.float64(x)))
-    return pts, logd
-
-
 def binding_period_check(
     family: MapFamily,
     stream: NoiseStream,
@@ -307,7 +290,9 @@ def binding_period_check(
         raise ParamError("binding periods are anchored off the singularity")
     if n_steps == 0:
         return BindingReport(passed=True, samples=sample, steps=0)
-    v_pts, v_logd = _deterministic_orbit(family, v, n_steps)
+    v_pts, v_logd = unperturbed_orbit(family, v, n_steps)
+    if len(v_pts) <= n_steps:
+        raise SingularHit(f"the orbit of v={v} hits the singularity at step {len(v_pts) - 1}")
     offsets = np.linspace(-eps, eps, sample) if eps > 0 else np.zeros(sample)
     ts = ensemble_noise(stream.master_seed, eps, sample, n_steps, start=0)
     y = np.clip(v + offsets, -1.0, 1.0)
@@ -315,17 +300,18 @@ def binding_period_check(
     logd = np.zeros(sample)
     worst = math.inf
     for j in range(n_steps):
+        # A dead shadow (NaN) fails the check it first reaches.
         m1 = np.abs(v_pts[j]) - 2.0 * np.abs(y - v_pts[j])
-        if m1.min() < 0:
+        if not m1.min() >= 0:
             return BindingReport(False, sample, n_steps, (int(m1.argmin()), j, "shadow"), float(m1.min()))
-        logd = logd + np.log(_deriv_unchecked(family, ts[:, j], y))
-        y = _value_unchecked(family, ts[:, j], y)
+        y, _, log_dt = step(family, ts[:, j], y, 1.0)  # depths unused
+        logd = logd + log_dt
         ratio = logd - v_logd[j + 1]
         m2 = 1.0 - np.abs(ratio)
-        if m2.min() < 0:
+        if not m2.min() >= 0:
             return BindingReport(False, sample, n_steps, (int(m2.argmin()), j, "derivative"), float(m2.min()))
         m3 = c_bind * eps * math.exp(v_logd[j + 1]) - np.abs(y - v_pts[j + 1])
-        if m3.min() < 0:
+        if not m3.min() >= 0:
             return BindingReport(False, sample, n_steps, (int(m3.argmin()), j, "distance"), float(m3.min()))
         worst = min(worst, float(m1.min()), float(m2.min()), float(m3.min()))
     return BindingReport(passed=True, samples=sample, steps=n_steps, worst_margin=worst)
@@ -346,7 +332,7 @@ def binding_window(
     """
     if eps <= 0:
         return cap, float("inf")
-    pts, logd = _deterministic_orbit(family, v, cap)
+    pts, logd = unperturbed_orbit(family, v, cap)
     a_terms = np.exp(logd[:-1]) / np.abs(pts[:-1])
     w_terms = np.exp(-logd)
     a_cum = np.cumsum(a_terms)
@@ -366,7 +352,7 @@ def critical_reciprocal_sum(family: MapFamily, cap: int = 2000, tol: float = 1e-
     worst = 0.0
     converged = True
     for v0 in (-1.0, 1.0):
-        pts, logd = _deterministic_orbit(family, v0, cap)
+        pts, logd = unperturbed_orbit(family, v0, cap)
         terms = np.exp(-logd)
         worst = max(worst, float(terms.sum()))
         converged &= bool(terms[-1] < tol)
@@ -417,12 +403,12 @@ def preferred_binding_period(
 
     best: PreferredBinding | None = None
     for side, v0 in (("pos", -1.0), ("neg", 1.0)):
-        pts, logd = _deterministic_orbit(family, v0, cap + 1)
+        pts, logd = unperturbed_orbit(family, v0, cap + 1)
         with np.errstate(over="ignore"):
             a_cum = np.cumsum(np.exp(logd[:-1]) / np.abs(pts[:-1]))
         outside = ~hood.contains(pts)
         all_outside = np.concatenate([[True], np.cumprod(outside[:-1]).astype(bool)])
-        for m in range(1, cap):
+        for m in range(1, min(cap, len(pts) - 1)):
             if a_cum[m - 1] > theta / delta:
                 break
             if not all_outside[m]:
@@ -471,7 +457,7 @@ def distortion_estimate(
         return 0.0
     xs = np.linspace(lo, hi, points)
     xs = xs[xs != 0.0]
-    ratio = np.abs(_second_unchecked(family, t, xs)) / _deriv_unchecked(family, t, xs)
+    ratio = np.abs(_unchecked(family, "second", t, xs)) / _unchecked(family, "deriv", t, xs)
     return float(ratio.max() * (hi - lo))
 
 
@@ -481,14 +467,14 @@ def _invert_step(
     """Preimage of [lo, hi] under the monotone branch on the given side."""
     tiny = 1e-300
     if side > 0:
-        img_lo, img_hi = -1.0, float(_value_unchecked(family, t, np.float64(1.0)))
+        img_lo, img_hi = -1.0, float(_unchecked(family, "value", t, np.float64(1.0)))
         a, b = tiny, 1.0
     else:
-        img_lo, img_hi = float(_value_unchecked(family, t, np.float64(-1.0))), 1.0
+        img_lo, img_hi = float(_unchecked(family, "value", t, np.float64(-1.0))), 1.0
         a, b = -1.0, -tiny
 
     def f(x: np.ndarray) -> np.ndarray:
-        return _value_unchecked(family, t, np.where(x == 0.0, side * tiny, x))
+        return _unchecked(family, "value", t, np.where(x == 0.0, side * tiny, x))
 
     x_lo = (side * tiny if side > 0 else -1.0) if lo <= img_lo else float(
         bisect_increasing(f, np.float64(lo), a, b, xtol=1e-16, ftol=1e-13)
@@ -545,24 +531,23 @@ def markov_neighborhood(
     monotone = True
     dist_total = 0.0
     for k in range(n):
-        if np.sign(ys).min() != np.sign(ys).max() or np.any(ys == 0.0):
+        if not (np.all(ys > 0) or np.all(ys < 0)):
             raise BranchStraddle(f"samples split across the singularity at step {k}")
         if np.sign(ys[0]) != math.copysign(1.0, pts[k]):
             single = False
         t_k = stream.get(k)
         dist_total += distortion_estimate(family, t_k, float(ys.min()), float(ys.max()))
-        cum_logs.append(cum_logs[-1] + np.log(_deriv_unchecked(family, t_k, ys)))
-        ys = _value_unchecked(family, t_k, ys)
-        if np.any(np.diff(ys) <= 0):
+        ys, _, log_dt = step(family, t_k, ys, cfg.delta)
+        cum_logs.append(cum_logs[-1] + log_dt)
+        if not np.all(np.diff(ys) > 0):
             monotone = False
     total = cum_logs[-1]
-    exp_margin = math.inf
-    for k in range(n):
-        tail = total - cum_logs[k]
-        margin = float(tail.min()) - (
-            math.log(cfg.prefactor) + cfg.lambda_prime * (n - k) / 2.0
-        )
-        exp_margin = min(exp_margin, margin)
+    margins = [
+        float((total - cum_logs[k]).min())
+        - (math.log(cfg.prefactor) + cfg.lambda_prime * (n - k) / 2.0)
+        for k in range(n)
+    ]
+    exp_margin = float(np.min(margins))  # unlike min(), keeps a NaN (dead sample)
 
     cert = NeighborhoodCertificate(
         interval=(a, b),
@@ -589,6 +574,9 @@ class TailTable:
 
     Row n (1-based) counts orbits with first hyperbolic time > n, first
     hyperbolic return > n, and membership in the depth-sum bad set at n.
+    Orbits that die within the horizon (see `orbit.step`) enter no count and
+    not `total`; they are counted in `singular_hits`, so total +
+    singular_hits is the number of orbits simulated.
     """
 
     n: np.ndarray
@@ -611,45 +599,30 @@ def _tail_chunk(
     n_max: int,
     index_lo: int,
     index_hi: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    count = index_hi - index_lo
-    ts = ensemble_noise(master_seed, eps, count, n_max + 1, start=-1, sample_offset=index_lo)
-    if eps > 0:
-        x = ts[:, 0] / eps
-    else:
-        x = ensemble_noise(master_seed, 1.0, count, 1, start=-1, sample_offset=index_lo)[:, 0]
-    x = np.where(x == 0.0, 0.5, x)
-    ts = ts[:, 1:]
-
-    depths = np.empty((count, n_max), dtype=np.int64)
-    in_base = np.empty((count, n_max + 1), dtype=bool)
-    hits = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """Survivor and bad-set counts of orbits index_lo..index_hi-1, then the
+    number of live orbits and of dead ones."""
+    x, ts = ensemble_start(master_seed, eps, index_hi - index_lo, n_max, index_lo)
+    depths = np.empty(ts.shape, dtype=np.int64)
+    in_base = np.empty((x.size, n_max + 1), dtype=bool)
     in_base[:, 0] = cfg.in_base(x)
     for k in range(n_max):
-        t = ts[:, k]
-        depths[:, k] = return_depths_array(family, t, x, cfg.delta)
-        x = _value_unchecked(family, t, x)
-        bad = x == 0.0
-        if bad.any():
-            hits += int(bad.sum())
-            x = np.where(bad, 0.5, x)
+        x, depths[:, k], _ = step(family, ts[:, k], x, cfg.delta)
         in_base[:, k + 1] = cfg.in_base(x)
+    alive = ~np.isnan(x)
+    live = int(alive.sum())
 
-    prefix = np.concatenate(
-        [np.zeros((count, 1)), np.cumsum(cfg.c_prime - depths.astype(float), axis=1)], axis=1
-    )
-    run_max = np.maximum.accumulate(prefix[:, :-1], axis=1)
-    hyp = prefix[:, 1:] > run_max  # (count, n_max), column n-1 <-> time n
+    hyp = _hyperbolic_flags(depths, cfg.c_prime) & alive[:, None]  # column n-1 <-> time n
     hyp_ret = hyp & in_base[:, 1:]
 
     def survivors(flags: np.ndarray) -> np.ndarray:
-        # survivors[n-1] = # rows with no flagged time <= n
+        # survivors[n-1] = # live rows with no flagged time <= n
         any_by_n = np.cumsum(flags, axis=1) > 0
-        return count - any_by_n.sum(axis=0)
+        return live - any_by_n.sum(axis=0)
 
     cum_r = np.cumsum(depths, axis=1)
-    bad_members = (cum_r >= cfg.c * np.arange(1, n_max + 1)).sum(axis=0)
-    return survivors(hyp), survivors(hyp_ret), bad_members, hits
+    bad_members = ((cum_r >= cfg.c * np.arange(1, n_max + 1)) & alive[:, None]).sum(axis=0)
+    return survivors(hyp), survivors(hyp_ret), bad_members, live, x.size - live
 
 
 def tail_statistics(
@@ -666,7 +639,7 @@ def tail_statistics(
 
     Work is split into fixed-size chunks whose results are summed in index
     order, so the table is independent of the worker count. Starting points
-    are uniform on (-1, 1), one stream per orbit index.
+    are uniform on (-1, 1), one stream per orbit index (`orbit.ensemble_start`).
     """
     bounds = [(lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)]
     args = [(family, master_seed, eps, cfg, n_max, lo, hi) for lo, hi in bounds]
@@ -680,12 +653,11 @@ def tail_statistics(
     h = np.sum([p[0] for p in parts], axis=0)
     hstar = np.sum([p[1] for p in parts], axis=0)
     bad = np.sum([p[2] for p in parts], axis=0)
-    hits = sum(p[3] for p in parts)
     return TailTable(
         n=np.arange(1, n_max + 1),
         h_survivors=h,
         hstar_survivors=hstar,
         bad_members=bad,
-        total=samples,
-        singular_hits=hits,
+        total=sum(p[3] for p in parts),
+        singular_hits=sum(p[4] for p in parts),
     )

@@ -184,62 +184,39 @@ def _check_domain(family: MapFamily, t: ArrayLike, x: ArrayLike) -> None:
         raise DomainError("x outside [-1, 1]")
 
 
-def _value_unchecked(family: MapFamily, t: ArrayLike, x: ArrayLike) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x > 0
-    if out.ndim == 0:
-        b = family.branch_pos if pos else family.branch_neg
-        return np.asarray(b.value(t, x), dtype=float)
-    t_arr = np.broadcast_to(np.asarray(t, dtype=float), x.shape)
-    out[pos] = family.branch_pos.value(t_arr[pos], x[pos])
-    out[~pos] = family.branch_neg.value(t_arr[~pos], x[~pos])
-    return out
-
-
-def _deriv_unchecked(family: MapFamily, t: ArrayLike, x: ArrayLike) -> np.ndarray:
+def _unchecked(family: MapFamily, part: str, t: ArrayLike, x: ArrayLike) -> np.ndarray:
+    """Branch dispatch: `part` ("value", "deriv" or "second") of the branch
+    holding each x, without domain checks. x <= 0 and NaN go to the negative
+    branch, so NaN rows stay NaN for the built-in families."""
     x = np.asarray(x, dtype=float)
     pos = x > 0
     if x.ndim == 0:
         b = family.branch_pos if pos else family.branch_neg
-        return np.asarray(b.deriv(t, x), dtype=float)
+        return np.asarray(getattr(b, part)(t, x), dtype=float)
     out = np.empty_like(x)
     t_arr = np.broadcast_to(np.asarray(t, dtype=float), x.shape)
-    out[pos] = family.branch_pos.deriv(t_arr[pos], x[pos])
-    out[~pos] = family.branch_neg.deriv(t_arr[~pos], x[~pos])
-    return out
-
-
-def _second_unchecked(family: MapFamily, t: ArrayLike, x: ArrayLike) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    pos = x > 0
-    if x.ndim == 0:
-        b = family.branch_pos if pos else family.branch_neg
-        return np.asarray(b.second(t, x), dtype=float)
-    out = np.empty_like(x)
-    t_arr = np.broadcast_to(np.asarray(t, dtype=float), x.shape)
-    out[pos] = family.branch_pos.second(t_arr[pos], x[pos])
-    out[~pos] = family.branch_neg.second(t_arr[~pos], x[~pos])
+    out[pos] = getattr(family.branch_pos, part)(t_arr[pos], x[pos])
+    out[~pos] = getattr(family.branch_neg, part)(t_arr[~pos], x[~pos])
     return out
 
 
 def evaluate(family: MapFamily, t: ArrayLike, x: ArrayLike) -> ArrayLike:
     """T_t(x). Raises DomainError at x = 0 or when |t| > eps_max."""
     _check_domain(family, t, x)
-    out = _value_unchecked(family, t, x)
+    out = _unchecked(family, "value", t, x)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def derivative(family: MapFamily, t: ArrayLike, x: ArrayLike) -> ArrayLike:
     """DT_t(x) > 0 away from the singularity."""
     _check_domain(family, t, x)
-    out = _deriv_unchecked(family, t, x)
+    out = _unchecked(family, "deriv", t, x)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def second_derivative(family: MapFamily, t: ArrayLike, x: ArrayLike) -> ArrayLike:
     _check_domain(family, t, x)
-    out = _second_unchecked(family, t, x)
+    out = _unchecked(family, "second", t, x)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -252,12 +229,12 @@ def schwarzian(family: MapFamily, t: ArrayLike, x: ArrayLike) -> ArrayLike:
     """
     _check_domain(family, t, x)
     x_arr = np.asarray(x, dtype=float)
-    d1 = _deriv_unchecked(family, t, x_arr)
-    d2 = _second_unchecked(family, t, x_arr)
+    d1 = _unchecked(family, "deriv", t, x_arr)
+    d2 = _unchecked(family, "second", t, x_arr)
     h = 1e-6 * np.maximum(np.abs(x_arr), 1e-3)
     h = np.minimum(h, np.abs(x_arr) / 4.0)  # stay on one side of the singularity
     d3 = (
-        _second_unchecked(family, t, x_arr + h) - _second_unchecked(family, t, x_arr - h)
+        _unchecked(family, "second", t, x_arr + h) - _unchecked(family, "second", t, x_arr - h)
     ) / (2.0 * h)
     ratio = d2 / d1
     out = d3 / d1 - 1.5 * ratio**2
@@ -301,8 +278,8 @@ def critical_neighborhoods(
         raise ValueError("delta must be positive")
     t = float(t)
     _check_domain(family, t, 1.0)
-    top_pos = float(_value_unchecked(family, t, np.float64(1.0)))
-    bot_neg = float(_value_unchecked(family, t, np.float64(-1.0)))
+    top_pos = float(_unchecked(family, "value", t, np.float64(1.0)))
+    bot_neg = float(_unchecked(family, "value", t, np.float64(-1.0)))
     if -1.0 + delta > top_pos:
         raise DeltaTooLarge(f"B_delta(-1) with delta={delta} exits the positive branch image")
     if 1.0 - delta < bot_neg:
@@ -311,10 +288,10 @@ def critical_neighborhoods(
     tiny = np.finfo(float).tiny
 
     def f_pos(x: np.ndarray) -> np.ndarray:
-        return _value_unchecked(family, t, np.maximum(x, tiny))
+        return _unchecked(family, "value", t, np.maximum(x, tiny))
 
     def f_neg(x: np.ndarray) -> np.ndarray:
-        return _value_unchecked(family, t, np.minimum(x, -tiny))
+        return _unchecked(family, "value", t, np.minimum(x, -tiny))
 
     pos_hi = float(
         bisect_increasing(f_pos, np.float64(-1.0 + delta), tiny, 1.0, xtol=1e-15, ftol=1e-12)
@@ -322,8 +299,8 @@ def critical_neighborhoods(
     neg_lo = float(
         bisect_increasing(f_neg, np.float64(1.0 - delta), -1.0, -tiny, xtol=1e-15, ftol=1e-12)
     )
-    res_pos = abs(float(_value_unchecked(family, t, np.float64(pos_hi))) - (-1.0 + delta))
-    res_neg = abs(float(_value_unchecked(family, t, np.float64(neg_lo))) - (1.0 - delta))
+    res_pos = abs(float(_unchecked(family, "value", t, np.float64(pos_hi))) - (-1.0 + delta))
+    res_neg = abs(float(_unchecked(family, "value", t, np.float64(neg_lo))) - (1.0 - delta))
     if max(res_pos, res_neg) > 1e-10:
         raise DeltaTooLarge(
             f"endpoint residual {max(res_pos, res_neg):.3e} after root-finding; "
@@ -396,25 +373,23 @@ class ConditionReport:
         )
 
 
-def _critical_orbit(family: MapFamily, side: str, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit of a critical value under T_0 with the derivative cocycle.
+def unperturbed_orbit(family: MapFamily, v: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit of v under T_0 with the derivative cocycle.
 
-    side "pos" starts at the right-hand critical value -1 (the limit of T at
-    0+), side "neg" at +1. Returns (points v_0..v_n, cumulative log DT^k at
-    v_0 for k = 0..n).
+    Returns (points v_0..v_n, cumulative log DT^k at v_0 for k = 0..n). An
+    orbit that rounds onto the singularity ends there: both arrays stop at
+    the first point equal to 0. The critical orbits start at the one-sided
+    critical values: -1 (the limit of T at 0+) and +1.
     """
-    v = -1.0 if side == "pos" else 1.0
     pts = np.empty(n + 1)
     logd = np.zeros(n + 1)
     pts[0] = v
     for k in range(n):
-        logd[k + 1] = logd[k] + np.log(float(_deriv_unchecked(family, 0.0, np.float64(v))))
-        v = float(_value_unchecked(family, 0.0, np.float64(v)))
+        logd[k + 1] = logd[k] + np.log(float(_unchecked(family, "deriv", 0.0, np.float64(v))))
+        v = float(_unchecked(family, "value", 0.0, np.float64(v)))
         pts[k + 1] = v
         if v == 0.0:
-            pts = pts[: k + 2]
-            logd = logd[: k + 2]
-            break
+            return pts[: k + 2], logd[: k + 2]
     return pts, logd
 
 
@@ -434,8 +409,8 @@ def verify_conditions(family: MapFamily, grid: GridSpec | None = None) -> Condit
     shrink = np.geomspace(grid.x_min, 1e-4, 32)
     gaps = []
     for t in (0.0, family.eps_max, -family.eps_max):
-        gaps.append(np.abs(_value_unchecked(family, t, shrink) - (-1.0)).max())
-        gaps.append(np.abs(_value_unchecked(family, t, -shrink) - 1.0).max())
+        gaps.append(np.abs(_unchecked(family, "value", t, shrink) - (-1.0)).max())
+        gaps.append(np.abs(_unchecked(family, "value", t, -shrink) - 1.0).max())
     c1_gap = float(max(gaps))
     c1_ok = c1_gap <= grid.limit_tol
 
@@ -446,13 +421,13 @@ def verify_conditions(family: MapFamily, grid: GridSpec | None = None) -> Condit
     c3_max = -np.inf
     range_ok = True
     for t in ts:
-        d = _deriv_unchecked(family, t, xs)
+        d = _unchecked(family, "deriv", t, xs)
         monotone_ok &= bool(np.all(d > 0))
         ratio = d / np.abs(xs) ** (family.s - 1.0)
         envelope_lo = min(envelope_lo, float(ratio.min()))
         envelope_hi = max(envelope_hi, float(ratio.max()))
         c3_max = max(c3_max, float(np.max(schwarzian(family, t, xs))))
-        vals = _value_unchecked(family, t, xs)
+        vals = _unchecked(family, "value", t, xs)
         range_ok &= bool(np.all(np.abs(vals) <= 1.0 + 1e-15))
     envelope_ok = (
         family.k1 <= envelope_lo + 1e-9 and envelope_hi <= family.k2 + 1e-9
@@ -464,8 +439,8 @@ def verify_conditions(family: MapFamily, grid: GridSpec | None = None) -> Condit
     r2_alpha = 0.0
     sum_partial = 0.0
     sum_terms = 0
-    for side in ("pos", "neg"):
-        pts, logd = _critical_orbit(family, side, n)
+    for v0 in (-1.0, 1.0):
+        pts, logd = unperturbed_orbit(family, v0, n)
         m = len(pts) - 1
         if m >= 1:
             rates = logd[1:] / np.arange(1, m + 1)
@@ -483,9 +458,7 @@ def verify_conditions(family: MapFamily, grid: GridSpec | None = None) -> Condit
 
     # R3: density of the critical orbits in I, reported via the largest gap
     # left by the union of both orbits.
-    pts_all = np.concatenate(
-        [_critical_orbit(family, "pos", max(n, 200))[0], _critical_orbit(family, "neg", max(n, 200))[0]]
-    )
+    pts_all = np.concatenate([unperturbed_orbit(family, v0, max(n, 200))[0] for v0 in (-1.0, 1.0)])
     pts_sorted = np.sort(np.concatenate([pts_all, [-1.0, 1.0]]))
     r3_max_gap = float(np.max(np.diff(pts_sorted)))
     r3_ok = r3_max_gap < 0.05
@@ -495,7 +468,7 @@ def verify_conditions(family: MapFamily, grid: GridSpec | None = None) -> Condit
     t_lip_ok = True
     for i in range(len(ts) - 1):
         gap = np.abs(
-            _value_unchecked(family, ts[i + 1], xs) - _value_unchecked(family, ts[i], xs)
+            _unchecked(family, "value", ts[i + 1], xs) - _unchecked(family, "value", ts[i], xs)
         ).max()
         t_lip_ok &= bool(gap <= abs(ts[i + 1] - ts[i]) + 1e-12)
     rng = np.random.default_rng(0)
@@ -505,8 +478,8 @@ def verify_conditions(family: MapFamily, grid: GridSpec | None = None) -> Condit
     ya[ya == 0.0] = xa[ya == 0.0]
     adm_c = 0.0
     for t in (0.0, family.eps_max):
-        da = _deriv_unchecked(family, t, xa)
-        db = _deriv_unchecked(family, t, ya)
+        da = _unchecked(family, "deriv", t, xa)
+        db = _unchecked(family, "deriv", t, ya)
         mod = np.abs(np.log(da / db)) * np.abs(xa) / np.maximum(np.abs(xa - ya), 1e-300)
         adm_c = max(adm_c, float(mod.max()))
 

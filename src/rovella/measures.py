@@ -18,9 +18,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InsufficientData
-from .map_core import MapFamily, _value_unchecked
+from .map_core import MapFamily, _unchecked
 from .noise import NoiseStream
 from .numerics import bisect_increasing, linear_fit
+from .orbit import step_values
 
 
 @dataclass(frozen=True)
@@ -90,18 +91,18 @@ def ulam_row_operator(family: MapFamily, t: float, grid: UniformGrid) -> sp.csr_
         if side > 0:
             x_lo, x_hi = 0.0, 1.0
             img_lo = -1.0
-            img_hi = float(_value_unchecked(family, t, np.float64(1.0)))
+            img_hi = float(_unchecked(family, "value", t, np.float64(1.0)))
             bracket = (1e-300, 1.0)
         else:
             x_lo, x_hi = -1.0, 0.0
-            img_lo = float(_value_unchecked(family, t, np.float64(-1.0)))
+            img_lo = float(_unchecked(family, "value", t, np.float64(-1.0)))
             img_hi = 1.0
             bracket = (-1.0, -1e-300)
 
         interior = edges[(edges > img_lo + 1e-15) & (edges < img_hi - 1e-15)]
 
         def f(x: np.ndarray) -> np.ndarray:
-            return _value_unchecked(family, t, np.where(x == 0.0, side * 1e-300, x))
+            return _unchecked(family, "value", t, np.where(x == 0.0, side * 1e-300, x))
 
         cuts = (
             bisect_increasing(f, interior, bracket[0], bracket[1], xtol=0.0, ftol=1e-14)
@@ -333,23 +334,28 @@ def _mc_correlation(
     direction: str,
     samples: int,
 ) -> np.ndarray:
-    # Antithetic uniform starts in the far past; every sample follows the
-    # same quenched noise path, so the ensemble approximates the sample
-    # measure of this omega, not an average over noise.
+    """Monte Carlo correlation series.
+
+    Antithetic uniform starts in the far past; every sample follows the
+    same quenched noise path, so the ensemble approximates the sample
+    measure of this omega, not an average over noise. A sample that dies
+    (see `orbit.step_values`) leaves every mean: the estimator averages
+    over the samples alive at the end of the run.
+    """
     half = (np.arange(samples // 2) + 0.5) / (samples // 2)
     starts = np.concatenate([2.0 * half - 1.0, 1.0 - 2.0 * half])
-    starts = starts[starts != 0.0]
+    x = starts[starts != 0.0]
     origin = -m_past if direction == "forward" else -(m_past + n_max)
-    x = starts.copy()
     for j in range(origin, origin + m_past):
-        x = _value_unchecked(family, stream.get(j), x)
-        x[x == 0.0] = 0.5
+        x = step_values(family, stream.get(j), x)
 
-    snaps = [x.copy()]
+    snaps = [x]
     for j in range(origin + m_past, origin + m_past + n_max):
-        x = _value_unchecked(family, stream.get(j), x)
-        x[x == 0.0] = 0.5
-        snaps.append(x.copy())
+        x = step_values(family, stream.get(j), x)
+        snaps.append(x)
+    alive = ~np.isnan(x)
+    for i, snap in enumerate(snaps):
+        snaps[i] = snap[alive]
 
     out = np.empty(n_max + 1)
     if direction == "forward":

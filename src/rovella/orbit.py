@@ -7,18 +7,12 @@ raw product.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapExceeded, DomainError, EmptyIntersection, SingularHit
-from .map_core import (
-    MapFamily,
-    _deriv_unchecked,
-    _value_unchecked,
-    critical_neighborhoods,
-)
+from .map_core import ArrayLike, MapFamily, _unchecked, critical_neighborhoods
 from .noise import NoiseStream, ensemble_noise
 from .numerics import bisect_increasing_scalar
 
@@ -49,39 +43,68 @@ class OrbitTrace:
 def return_depth(family: MapFamily, t: float, x: float, delta: float) -> int:
     """Least r >= 0 with DT_t(x) * |x| >= e^{-r} * delta.
 
-    r = 0 is the common case away from the singularity; the closed-form
-    ceiling is nudged by a direct scan so exact-boundary cases follow the
-    definition rather than floating-point rounding.
+    r = 0 is the common case away from the singularity. The scalar form of
+    `return_depths_array`; raises DomainError where the depth is undefined.
     """
     if x == 0.0:
         raise DomainError("return depth undefined at the singularity")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    prod = float(_deriv_unchecked(family, t, np.float64(x))) * abs(x)
-    if prod >= delta:
-        return 0
-    r = max(0, math.ceil(math.log(delta / prod)))
-    while r > 0 and prod >= math.exp(-(r - 1)) * delta:
-        r -= 1
-    while prod < math.exp(-r) * delta:
-        r += 1
+    r = int(return_depths_array(family, t, np.array([x]), delta)[0])
+    if r < 0:
+        raise DomainError(f"DT * |x| is not a positive finite number at x={x}")
+    return r
+
+
+def _depths(prod: np.ndarray, delta: float) -> np.ndarray:
+    """Return depths of DT * |x| values; -1 where prod is not in (0, inf)."""
+    r = np.where((prod > 0) & (prod < np.inf), 0, -1)
+    near = (prod > 0) & (prod < delta)
+    p = prod[near]
+    rn = np.maximum(np.ceil(np.log(delta / p)), 0.0).astype(np.int64)
+    # The closed-form ceiling is nudged so exact-boundary cases follow the
+    # definition rather than floating-point rounding.
+    rn[(rn > 0) & (p >= np.exp(-(rn - 1.0)) * delta)] -= 1
+    rn[p < np.exp(-rn.astype(float)) * delta] += 1
+    r[near] = rn
     return r
 
 
 def return_depths_array(
     family: MapFamily, t: np.ndarray, x: np.ndarray, delta: float
 ) -> np.ndarray:
-    """Vectorized return depths; same convention as `return_depth`."""
-    prod = _deriv_unchecked(family, t, x) * np.abs(x)
-    with np.errstate(divide="ignore"):
-        raw = np.ceil(np.log(delta / prod))
-    r = np.where(prod >= delta, 0, np.maximum(raw, 0.0)).astype(np.int64)
-    # Resolve ties at the e^{-r} boundary exactly as the scalar scan does.
-    down = (r > 0) & (prod >= np.exp(-(r - 1.0)) * delta)
-    r[down] -= 1
-    up = prod < np.exp(-r.astype(float)) * delta
-    r[up] += 1
-    return r
+    """Vectorized return depths; same convention as `return_depth`, with -1
+    where DT_t(x) * |x| is not a positive finite number."""
+    x = np.asarray(x, dtype=float)
+    return _depths(_unchecked(family, "deriv", t, x) * np.abs(x), delta)
+
+
+def step_values(family: MapFamily, t: ArrayLike, x: np.ndarray) -> np.ndarray:
+    """T_t applied to an array of rows. A row whose image rounds to 0 is
+    dead: it becomes NaN and stays NaN from then on."""
+    y = _unchecked(family, "value", t, x)
+    y[y == 0.0] = np.nan
+    return y
+
+
+def step(
+    family: MapFamily, t: ArrayLike, x: np.ndarray, delta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One orbit step for an array of rows: (x_next, depth, log_dt).
+
+    depth is the return depth at x and log_dt = log DT_t(x), both from one
+    evaluation of DT. Besides the rows `step_values` kills, a row where
+    DT_t(x) * |x| is not a positive finite number (depth -1) is dead too. A
+    dead row's x_next and log_dt are NaN, so cocycle sums carry the mark.
+    """
+    dt = _unchecked(family, "deriv", t, x)
+    depth = _depths(dt * np.abs(x), delta)
+    x_next = step_values(family, t, x)
+    x_next[depth < 0] = np.nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_dt = np.log(dt)
+    log_dt[np.isnan(x_next)] = np.nan
+    return x_next, depth, log_dt
 
 
 def iterate(
@@ -93,8 +116,9 @@ def iterate(
 ) -> OrbitTrace:
     """Generate T_omega^i(x0) for i = 0..n with all bookkeeping fields.
 
-    Raises SingularHit if some iterate rounds to exactly 0 (the trace is not
-    returned truncated: orbits through the singular point are meaningless).
+    Raises SingularHit if the orbit dies (see `step`) before step n, or if
+    the depth at the last point is undefined: orbits through the singular
+    point are meaningless, so no truncated trace is returned.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -103,29 +127,25 @@ def iterate(
     hood = critical_neighborhoods(family, 0.0, delta)
     ts = stream.values(0, n + 1)
     points = np.empty(n + 1)
-    log_der = np.empty(n + 1)
+    log_der = np.zeros(n + 1)
     depths = np.empty(n + 1, dtype=np.int64)
-    visits = np.empty(n + 1, dtype=bool)
-    x = float(x0)
-    log_der[0] = 0.0
+    x = np.array([float(x0)])
     for i in range(n + 1):
-        points[i] = x
-        depths[i] = return_depth(family, float(ts[i]), x, delta)
-        visits[i] = hood.contains(x)
-        if i == n:
-            break
-        d = float(_deriv_unchecked(family, float(ts[i]), np.float64(x)))
-        log_der[i + 1] = log_der[i] + math.log(d)
-        x = float(_value_unchecked(family, float(ts[i]), np.float64(x)))
-        if x == 0.0:
-            raise SingularHit(f"orbit hit the singularity at step {i + 1}")
+        points[i] = x[0]
+        x_next, depth, log_dt = step(family, ts[i], x, delta)
+        if depth[0] < 0 or (i < n and np.isnan(x_next[0])):
+            raise SingularHit(f"orbit died at step {i + 1}: image 0 or DT * |x| not positive")
+        depths[i] = depth[0]
+        if i < n:
+            log_der[i + 1] = log_der[i] + log_dt[0]
+            x = x_next
     return OrbitTrace(
         x0=float(x0),
         delta=float(delta),
         points=points,
         log_der=log_der,
         depths=depths,
-        visits=visits,
+        visits=hood.contains(points),
     )
 
 
@@ -185,7 +205,7 @@ class BranchPartition:
 def orbit_value(family: MapFamily, stream: NoiseStream, x: float, k: int) -> float:
     """T_omega^k(x), raising SingularHit if an iterate rounds to 0."""
     for i in range(k):
-        x = float(_value_unchecked(family, stream.get(i), np.float64(x)))
+        x = float(_unchecked(family, "value", stream.get(i), np.float64(x)))
         if x == 0.0:
             raise SingularHit(f"orbit hit the singularity at step {i + 1}")
     return x
@@ -216,8 +236,8 @@ def branch_partition(
     t0 = stream.get(0)
     # Level 1: cuts at {-1, 0, 1}; images are one-sided limits at the cuts.
     branches = [
-        BranchInterval(-1.0, 0.0, float(_value_unchecked(family, t0, np.float64(-1.0))), 1.0),
-        BranchInterval(0.0, 1.0, -1.0, float(_value_unchecked(family, t0, np.float64(1.0)))),
+        BranchInterval(-1.0, 0.0, float(_unchecked(family, "value", t0, np.float64(-1.0))), 1.0),
+        BranchInterval(0.0, 1.0, -1.0, float(_unchecked(family, "value", t0, np.float64(1.0)))),
     ]
     cuts = [-1.0, 0.0, 1.0]
 
@@ -239,24 +259,24 @@ def branch_partition(
                 new_cuts.append(c)
                 new_branches.append(
                     BranchInterval(
-                        br.left, c, float(_value_unchecked(family, tk, np.float64(u))), 1.0
+                        br.left, c, float(_unchecked(family, "value", tk, np.float64(u))), 1.0
                     )
                 )
                 new_branches.append(
                     BranchInterval(
-                        c, br.right, -1.0, float(_value_unchecked(family, tk, np.float64(v)))
+                        c, br.right, -1.0, float(_unchecked(family, "value", tk, np.float64(v)))
                     )
                 )
             else:
                 iu = (
                     -1.0
                     if u == 0.0
-                    else float(_value_unchecked(family, tk, np.float64(u)))
+                    else float(_unchecked(family, "value", tk, np.float64(u)))
                 )
                 iv = (
                     1.0
                     if v == 0.0
-                    else float(_value_unchecked(family, tk, np.float64(v)))
+                    else float(_unchecked(family, "value", tk, np.float64(v)))
                 )
                 new_branches.append(BranchInterval(br.left, br.right, iu, iv))
         branches = new_branches
@@ -310,7 +330,9 @@ class EnsembleOrbits:
     """Vectorized ensemble of random orbits sharing a master seed.
 
     Row i uses the stream seeded by derive_seed(master_seed, i); results are
-    independent of any worker partitioning of the rows.
+    independent of any worker partitioning of the rows. A dead row (see
+    `step`) is NaN in points and log_der from its death on, and counted in
+    `singular_hits`; `alive` masks it out of every statistic.
     """
 
     master_seed: int
@@ -321,6 +343,28 @@ class EnsembleOrbits:
     log_der: np.ndarray  # (samples, n+1)
     depths: np.ndarray  # (samples, n)
     singular_hits: int = 0
+
+    @property
+    def alive(self) -> np.ndarray:
+        return ~np.isnan(self.log_der[:, -1])
+
+
+def ensemble_start(
+    master_seed: int, eps: float, count: int, n: int, sample_offset: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Starting points and n steps of noise for orbits sample_offset + 0..count-1.
+
+    Starting points are uniform on (-1, 1), drawn from each orbit's own
+    stream at noise index -1, which leaves indices >= 0 for the dynamics.
+    Returns (x0 of shape (count,), noise of shape (count, n)).
+    """
+    ts = ensemble_noise(master_seed, eps, count, n + 1, start=-1, sample_offset=sample_offset)
+    if eps > 0:
+        x = ts[:, 0] / eps
+    else:
+        # Degenerate noise still needs spread starting points.
+        x = ensemble_noise(master_seed, 1.0, count, 1, start=-1, sample_offset=sample_offset)[:, 0]
+    return x, ts[:, 1:]
 
 
 def ensemble_orbits(
@@ -335,42 +379,26 @@ def ensemble_orbits(
 ) -> EnsembleOrbits:
     """Simulate `samples` random orbits for n steps, fully vectorized.
 
-    Starting points default to uniform draws on (-1, 1) from each orbit's own
-    stream (noise index -1, leaving indices >= 0 for the dynamics). Orbits
-    that round onto the singularity are frozen at a harmless off-singularity
-    point and counted in `singular_hits`.
+    Starting points default to `ensemble_start`. Orbits that die (round onto
+    the singularity, or reach a point where DT * |x| is not positive) are
+    masked: NaN from their death on, and counted in `singular_hits`.
     """
-    ts = ensemble_noise(master_seed, eps, samples, n + 1, start=-1)
-    if x0 is None:
-        x = ts[:, 0] / eps if eps > 0 else np.zeros(samples)
-        if eps == 0:
-            # Degenerate noise still needs spread starting points.
-            x = ensemble_noise(master_seed, 1.0, samples, 1, start=-1)[:, 0]
-        x = np.where(x == 0.0, 0.5, x)
-    else:
+    x, ts = ensemble_start(master_seed, eps, samples, n)
+    if x0 is not None:
         x = np.asarray(x0, dtype=float).copy()
         if x.shape != (samples,):
             raise ValueError("x0 must have shape (samples,)")
-    ts = ts[:, 1:]
     x_start = x.copy()
 
     points = np.empty((samples, n + 1)) if keep_points else None
     log_der = np.empty((samples, n + 1))
     depths = np.empty((samples, n), dtype=np.int64)
     log_der[:, 0] = 0.0
-    hits = 0
     for k in range(n):
         if keep_points:
             points[:, k] = x
-        t = ts[:, k]
-        depths[:, k] = return_depths_array(family, t, x, delta)
-        d = _deriv_unchecked(family, t, x)
-        log_der[:, k + 1] = log_der[:, k] + np.log(d)
-        x = _value_unchecked(family, t, x)
-        bad = x == 0.0
-        if bad.any():
-            hits += int(bad.sum())
-            x = np.where(bad, 0.5, x)
+        x, depths[:, k], log_dt = step(family, ts[:, k], x, delta)
+        log_der[:, k + 1] = log_der[:, k] + log_dt
     if keep_points:
         points[:, n] = x
     return EnsembleOrbits(
@@ -381,5 +409,5 @@ def ensemble_orbits(
         points=points,
         log_der=log_der,
         depths=depths,
-        singular_hits=hits,
+        singular_hits=int(np.isnan(x).sum()),
     )

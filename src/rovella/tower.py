@@ -21,11 +21,11 @@ from functools import reduce
 import numpy as np
 
 from .errors import CapExceeded, InvalidState
-from .hyperbolic import HyperbolicConfig
-from .map_core import MapFamily, _deriv_unchecked, _value_unchecked
+from .hyperbolic import HyperbolicConfig, _hyperbolic_flags
+from .map_core import MapFamily, _unchecked
 from .noise import NoiseStream, shift as shift_stream
 from .numerics import bisect_increasing, linear_fit
-from .orbit import orbit_value, return_depths_array
+from .orbit import orbit_value, step, step_values
 
 BOUNDARY_MARGIN = 1e-9
 MARKOV_TOL = 1e-10
@@ -124,7 +124,7 @@ def _pull_back_endpoints(
         b = np.where(side > 0, 1.0, -1e-300)
 
         def f(x: np.ndarray) -> np.ndarray:
-            return _value_unchecked(family, t_j, x)
+            return _unchecked(family, "value", t_j, x)
 
         lo = bisect_increasing(f, lo, a, b, xtol=0.0, ftol=1e-13, max_iter=110)
         hi = bisect_increasing(f, hi, a, b, xtol=0.0, ftol=1e-13, max_iter=110)
@@ -174,33 +174,24 @@ def _candidate_scan(
     t_path: np.ndarray,
     seeds: np.ndarray,
     n_max: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Simulate seeds under the shared noise path.
 
-    Returns (signs, points, candidate) where candidate[i, k-1] marks step k
-    as a hyperbolic time of seed i with the image inside the base.
+    Returns (signs, candidate) where candidate[i, k-1] marks step k as a
+    hyperbolic time of seed i with the image inside the base. A seed that
+    dies within the horizon (see `orbit.step`) yields no candidate.
     """
     count = seeds.size
-    x = seeds.copy()
+    x = seeds
     signs = np.empty((count, n_max), dtype=np.int8)
-    points = np.empty((count, n_max + 1))
+    in_base = np.empty((count, n_max), dtype=bool)
     depths = np.empty((count, n_max), dtype=np.int64)
-    points[:, 0] = x
     for k in range(n_max):
         signs[:, k] = np.where(x > 0, 1, -1)
-        depths[:, k] = return_depths_array(family, t_path[k], x, cfg.delta)
-        x = _value_unchecked(family, t_path[k], x)
-        x[x == 0.0] = np.nan  # dead seed; candidates beyond this point dropped
-        points[:, k + 1] = x
-    prefix = np.concatenate(
-        [np.zeros((count, 1)), np.cumsum(cfg.c_prime - depths.astype(float), axis=1)],
-        axis=1,
-    )
-    run_max = np.maximum.accumulate(prefix[:, :-1], axis=1)
-    hyperbolic = prefix[:, 1:] > run_max
-    with np.errstate(invalid="ignore"):
-        candidate = hyperbolic & (np.abs(points[:, 1:]) < radius) & ~np.isnan(points[:, 1:])
-    return signs, points, candidate
+        x, depths[:, k], _ = step(family, t_path[k], x, cfg.delta)
+        in_base[:, k] = np.abs(x) < radius
+    candidate = _hyperbolic_flags(depths, cfg.c_prime) & in_base & ~np.isnan(x)[:, None]
+    return signs, candidate
 
 
 def _level_elements(
@@ -244,12 +235,12 @@ def _level_elements(
     # Forward residual of both endpoints, batched.
     w = np.concatenate([lo[ok], hi[ok]])
     for j in range(k):
-        w = _value_unchecked(family, float(t_path[j]), w)
+        w = step_values(family, float(t_path[j]), w)
     m = int(ok.sum())
     res = np.maximum(np.abs(w[:m] + radius), np.abs(w[m:] - radius))
     verified = []
     for idx, (a, b, r) in enumerate(zip(lo[ok], hi[ok], res)):
-        if r > MARKOV_TOL:
+        if not r <= MARKOV_TOL:  # a NaN residual (dead endpoint) fails too
             continue
         key = fresh_keys[int(np.flatnonzero(ok)[idx])]
         verified.append(
@@ -324,7 +315,7 @@ def build_return_partition(
             seeds = np.concatenate(chunks)
             if seeds.size == 0:
                 break
-        signs, points, candidate = _candidate_scan(family, cfg, radius, t_path, seeds, n_max)
+        signs, candidate = _candidate_scan(family, cfg, radius, t_path, seeds, n_max)
         added = 0
         for k in range(1, n_max + 1):
             rows = np.flatnonzero(candidate[:, k - 1])
@@ -389,7 +380,9 @@ def verify_markov(partition: ReturnPartition, samples: int = 100) -> dict:
     """Independent re-check of every element: monotone interior, image onto base.
 
     Returns the worst endpoint residual and the count of monotonicity
-    violations across `samples` interior points per element.
+    violations across `samples` interior points per element. A sample that
+    dies on the way (see `orbit.step_values`) makes the residual NaN and the
+    element non-monotone, so it fails both checks.
     """
     fam, strm = partition.family, partition.stream
     worst = 0.0
@@ -397,14 +390,14 @@ def verify_markov(partition: ReturnPartition, samples: int = 100) -> dict:
     for e in partition.elements:
         xs = np.linspace(e.left, e.right, samples)
         for k in range(e.tau):
-            xs = _value_unchecked(fam, strm.get(k), xs)
-        if np.any(np.diff(xs) <= 0):
+            xs = step_values(fam, strm.get(k), xs)
+        if not np.all(np.diff(xs) > 0):
             non_monotone += 1
-        worst = max(
+        worst = float(np.max([
             worst,
             abs(xs[0] - (-partition.base_radius)),
             abs(xs[-1] - partition.base_radius),
-        )
+        ]))
     return {"max_residual": worst, "non_monotone": non_monotone, "elements": len(partition.elements)}
 
 
@@ -671,25 +664,24 @@ def certify_axioms(
     ratios: list[float] = []
     consistent = True
     checked = 0
+    half_fracs = 0.5 * np.array([0.8, 0.4, 0.2, 0.1, 0.05])
     for e in elements:
         w = e.width
         mid = e.left + 0.5 * w
-        for frac in (0.8, 0.4, 0.2, 0.1, 0.05):
-            x, y = mid - 0.5 * frac * w, mid + 0.5 * frac * w
-            logd = 0.0
-            xx, yy = x, y
-            for k in range(e.tau):
-                t_k = strm.get(k)
-                logd += math.log(
-                    float(_deriv_unchecked(fam, t_k, np.float64(xx)))
-                ) - math.log(float(_deriv_unchecked(fam, t_k, np.float64(yy))))
-                xx = float(_value_unchecked(fam, t_k, np.float64(xx)))
-                yy = float(_value_unchecked(fam, t_k, np.float64(yy)))
-            sep_img, exact = _separation_time(cache, xx, yy, e.tau)
+        x_pts, y_pts = mid - half_fracs * w, mid + half_fracs * w
+        m = half_fracs.size
+        images = np.concatenate([x_pts, y_pts])
+        logd = np.zeros(m)
+        for k in range(e.tau):
+            images, _, log_dt = step(fam, strm.get(k), images, cfg.delta)
+            logd += log_dt[:m] - log_dt[m:]
+        # A dead pair is NaN, lands in no element and so is censored.
+        for x, y, xx, yy, ld in zip(x_pts, y_pts, images[:m], images[m:], logd):
+            sep_img, exact = _separation_time(cache, float(xx), float(yy), e.tau)
             if not exact:
                 continue
             seps.append(sep_img)
-            ratios.append(abs(math.exp(logd) - 1.0))
+            ratios.append(abs(math.exp(ld) - 1.0))
             # C1 recursion: separation of the base pair equals tau plus the
             # separation of the images.
             sep_base, exact_base = _separation_time(cache, x, y, 0, max_returns=4)

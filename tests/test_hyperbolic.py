@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_hyperbolic_flags
+from conftest import brute_force_hyperbolic_flags, dying_ensemble
 from rovella import hyperbolic as hyp
 from rovella import map_core as mc
 from rovella import noise, orbit
@@ -277,3 +277,30 @@ class TestTailStatistics:
         assert np.all(np.diff(tab.h_survivors) <= 0)
         assert np.all(np.diff(tab.hstar_survivors) <= 0)
         assert np.all(tab.hstar_survivors >= tab.h_survivors)
+
+    def test_spawn_pool_matches_serial(self, fam, hyp_cfg):
+        one = hyp.tail_statistics(fam, 1, 0.01, hyp_cfg, samples=3000, n_max=30, chunk=1000)
+        two = hyp.tail_statistics(
+            fam, 1, 0.01, hyp_cfg, samples=3000, n_max=30, workers=2, chunk=1000
+        )
+        for key in ("n", "h_survivors", "hstar_survivors", "bad_members"):
+            assert np.array_equal(getattr(one, key), getattr(two, key))
+        assert (one.total, one.singular_hits) == (two.total, two.singular_hits)
+
+    def test_dead_orbit_leaves_every_count(self, fam, hyp_cfg, monkeypatch):
+        samples, x0 = dying_ensemble(fam, 1, 0.01, 30)
+        real_start = orbit.ensemble_start
+
+        def start(master_seed, eps, count, n, sample_offset=0):
+            _, ts = real_start(master_seed, eps, count, n, sample_offset)
+            return x0[sample_offset : sample_offset + count].copy(), ts
+
+        monkeypatch.setattr(hyp, "ensemble_start", start)
+        dead = hyp.tail_statistics(
+            fam, 1, 0.01, hyp_cfg, samples=samples, n_max=30, chunk=samples // 2 + 1
+        )
+        monkeypatch.undo()
+        rest = hyp.tail_statistics(fam, 1, 0.01, hyp_cfg, samples=samples - 1, n_max=30)
+        assert (dead.total, dead.singular_hits) == (samples - 1, 1)
+        for key in ("h_survivors", "hstar_survivors", "bad_members"):
+            assert np.array_equal(getattr(dead, key), getattr(rest, key))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,46 @@ class TestQuenchedCorrelation:
         assert f.rate is not None and b.rate is not None
         assert f.rate > 0 and b.rate > 0
         assert abs(f.rate - b.rate) <= 0.35 * max(f.rate, b.rate)
+
+    def test_monte_carlo_drops_dead_sample(self, fam, noisy_stream):
+        # A family that sends one starting point exactly onto the singularity:
+        # the estimator must average over the other samples, computed here
+        # by a per-sample loop.
+        samples, m_past, n_max = 200, 10, 12
+        half = (np.arange(samples // 2) + 0.5) / (samples // 2)
+        starts = np.concatenate([2.0 * half - 1.0, 1.0 - 2.0 * half])
+        x_dead = float(starts.max())
+        inner = fam.branch_pos.value
+
+        def value(t, x):
+            return np.where(np.asarray(x) == x_dead, 0.0, inner(t, x))
+
+        killer = dataclasses.replace(
+            fam, branch_pos=dataclasses.replace(fam.branch_pos, value=value)
+        )
+        paths = []
+        for x in starts:
+            path = []
+            for j in range(-m_past, n_max):
+                x = mc.evaluate(killer, noisy_stream.get(j), x)
+                if x == 0.0:
+                    break
+                if j >= -1:
+                    path.append(x)
+            else:
+                paths.append(path)
+        assert len(paths) == samples - 2  # the antithetic grid holds x_dead twice
+        snaps = np.ascontiguousarray(np.array(paths).T)
+        psi0 = np.sign(snaps[0])
+        expected = [
+            abs((snaps[n] * psi0).mean() - snaps[n].mean() * psi0.mean())
+            for n in range(n_max + 1)
+        ]
+        series = ms.quenched_correlation(
+            killer, noisy_stream, lambda x: x, np.sign, n_max,
+            method="monte_carlo", m_past=m_past, mc_samples=samples,
+        )
+        np.testing.assert_allclose(series.values, expected, rtol=1e-12, atol=1e-15)
 
     def test_ulam_decay_positive_rate(self, fam, noisy_stream):
         series = ms.quenched_correlation(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dying_ensemble, reference_orbits
 from rovella import map_core as mc
 from rovella import noise, orbit
 from rovella.errors import CapExceeded, DomainError, EmptyIntersection, SingularHit
@@ -238,3 +239,75 @@ class TestEnsembleOrbits:
         x0 = np.array([0.3, -0.4, 0.9])
         ens = orbit.ensemble_orbits(fam, 1, 0.0, 5, 3, 0.05, x0=x0)
         assert np.array_equal(ens.points[:, 0], x0)
+
+
+class TestStepKernel:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", ["fam", "table_fam"])
+    def test_matches_reference_loop(self, family, request):
+        fam = request.getfixturevalue(family)
+        samples, n, eps, delta = 12, 40, 0.01, 0.05
+        ens = orbit.ensemble_orbits(fam, 7, eps, n, samples, delta)
+        rows = np.array(
+            [noise.stream(noise.derive_seed(7, i), eps).values(-1, n + 1) for i in range(samples)]
+        )
+        pts, log_der, depths = reference_orbits(fam, rows[:, 0] / eps, rows[:, 1:], delta)
+        assert np.array_equal(ens.points, pts, equal_nan=True)
+        assert np.array_equal(ens.log_der, log_der, equal_nan=True)
+        assert np.array_equal(ens.depths, depths)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", ["fam", "table_fam"])
+    def test_dead_rows_match_reference_loop(self, family, request, fam):
+        # Row 0 starts where the table's PCHIP extrapolation gives DT < 0;
+        # the last row's first image is exactly 0 for the fixture's noise.
+        tab = request.getfixturevalue(family)
+        samples, x0 = dying_ensemble(fam, 3, 0.01, 10)
+        x0[0] = 1e-8
+        ens = orbit.ensemble_orbits(tab, 3, 0.01, 10, samples, 0.05, x0=x0)
+        _, ts = orbit.ensemble_start(3, 0.01, samples, 10)
+        pts, log_der, depths = reference_orbits(tab, x0, ts, 0.05)
+        assert np.array_equal(ens.points, pts, equal_nan=True)
+        assert np.array_equal(ens.log_der, log_der, equal_nan=True)
+        assert np.array_equal(ens.depths, depths)
+        assert ens.singular_hits == int((~ens.alive).sum())
+
+    @pytest.mark.filterwarnings("error")
+    def test_nonpositive_derivative_is_dead(self, table_fam):
+        # Below the first node (|x| < ~3e-7) the spline's DT is negative:
+        # the depth is undefined (-1), not a cast NaN.
+        xs = np.array([1e-8, -1e-8, 0.5])
+        assert list(orbit.return_depths_array(table_fam, 0.0, xs, 0.01)) == [-1, -1, 0]
+        x_next, depth, log_dt = orbit.step(table_fam, 0.0, xs, 0.01)
+        assert np.isnan(x_next[:2]).all() and np.isnan(log_dt[:2]).all()
+        assert x_next[2] == mc.evaluate(table_fam, 0.0, 0.5)
+        with pytest.raises(DomainError):
+            orbit.return_depth(table_fam, 0.0, 1e-8, 0.01)
+        with pytest.raises(SingularHit):
+            orbit.iterate(table_fam, noise.stream(1, 0.0), 1e-8, 3, 0.01)
+
+    def test_dead_rows_stay_dead(self, fam):
+        x = np.array([np.nan, 0.3])
+        x_next, depth, log_dt = orbit.step(fam, 0.0, x, 0.01)
+        assert np.isnan(x_next[0]) and depth[0] == -1 and np.isnan(log_dt[0])
+        assert np.isnan(orbit.step_values(fam, 0.0, x)[0])
+
+
+class TestSingularHits:
+    def test_ensemble_masks_and_counts(self, fam):
+        samples, x0 = dying_ensemble(fam, 1, 0.01, 20)
+        ens = orbit.ensemble_orbits(fam, 1, 0.01, 20, samples, 0.05, x0=x0)
+        assert ens.singular_hits == 1
+        assert list(np.flatnonzero(~ens.alive)) == [samples - 1]
+        assert np.isnan(ens.points[-1, 1:]).all() and np.isnan(ens.log_der[-1, 1:]).all()
+        # The other rows are the ensemble without the dead one.
+        rest = orbit.ensemble_orbits(fam, 1, 0.01, 20, samples - 1, 0.05, x0=x0[:-1])
+        assert np.array_equal(ens.points[:-1], rest.points)
+        assert np.array_equal(ens.log_der[:-1], rest.log_der)
+        assert rest.singular_hits == 0 and rest.alive.all()
+
+    def test_iterate_raises(self, fam):
+        samples, x0 = dying_ensemble(fam, 1, 0.01, 2)
+        strm = noise.stream(noise.derive_seed(1, samples - 1), 0.01)
+        with pytest.raises(SingularHit):
+            orbit.iterate(fam, strm, x0[-1], 2, 0.05)

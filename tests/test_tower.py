@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from conftest import zero_preimage
 from rovella import hyperbolic as hyp
 from rovella import map_core as mc
 from rovella import noise, orbit, tower
@@ -80,6 +82,36 @@ class TestBuild:
         mk = tower.verify_markov(part)
         assert mk["non_monotone"] == 0
         assert mk["max_residual"] <= 1e-9
+
+    def test_markov_recheck_fails_dead_sample(self, fam, part):
+        # After a sound element, one whose right endpoint maps exactly onto
+        # the singularity: its NaN residual must not hide behind max().
+        seed = next(s for s in range(1, 100) if zero_preimage(fam, noise.stream(s, 0.01).get(0)))
+        strm = noise.stream(seed, 0.01)
+        x_dead = zero_preimage(fam, strm.get(0))
+        sound = part.elements[0]
+        dead = tower.PartitionElement(x_dead - 1e-3, x_dead, 1, "dead", 0.0)
+        bad = dataclasses.replace(part, stream=strm, elements=[sound, dead])
+        mk = tower.verify_markov(bad)
+        assert not mk["max_residual"] <= 1e-9
+        assert mk["non_monotone"] >= 1
+
+    def test_level_elements_reject_dead_endpoints(self, fam, noisy_stream, hyp_cfg, monkeypatch):
+        radius = hyp_cfg.delta0 / 2.0
+        t_path = noisy_stream.values(0, 8)
+        seeds = np.linspace(-radius, radius, 2001)[1:-1]
+        seeds = seeds[seeds != 0.0]
+        signs, candidate = tower._candidate_scan(fam, hyp_cfg, radius, t_path, seeds, 8)
+        k = int(np.flatnonzero(candidate.any(axis=0))[0]) + 1
+        rows = np.flatnonzero(candidate[:, k - 1])
+        sound, seen, _ = tower._level_elements(fam, hyp_cfg, radius, t_path, signs, rows, k, set())
+        assert sound
+        # Every forward image dies: each residual is NaN and must fail.
+        monkeypatch.setattr(tower, "step_values", lambda f, t, x: np.full_like(x, np.nan))
+        dead, seen_dead, rejects = tower._level_elements(
+            fam, hyp_cfg, radius, t_path, signs, rows, k, set()
+        )
+        assert dead == [] and seen_dead == seen and rejects == seen
 
     def test_locate(self, part):
         e = part.elements[len(part.elements) // 2]
