@@ -315,6 +315,7 @@ def cmd_build_partition(cfg: dict, args) -> tuple[list[str], int]:
         "base_measure": part.base_measure,
         "gcd_return_times": tower._gcd_all([e.tau for e in part.elements]),
         "max_markov_residual": max((e.residual for e in part.elements), default=0.0),
+        "dead_seeds": part.dead_seeds,
         "tail_measure": {str(n): v for n, v in tails},
         "constants": {"delta": hcfg.delta, "delta0": hcfg.delta0, "c": hcfg.c,
                       "c_prime": hcfg.c_prime, "kappa": hcfg.kappa},
@@ -358,6 +359,9 @@ def cmd_correlation(cfg: dict, args) -> tuple[list[str], int]:
         ["forward", "backward"] if mcfg["direction"] == "both" else [mcfg["direction"]]
     )
     out_dir = Path(cfg["output"]["directory"])
+    grid = measures.UniformGrid(mcfg["grid_m"])
+    # Both directions push through the same operators; build each once.
+    cache = measures.OperatorCache(family, strm, grid) if mcfg["method"] == "ulam" else None
     rows = []
     fits = {}
     for direction in directions:
@@ -368,10 +372,11 @@ def cmd_correlation(cfg: dict, args) -> tuple[list[str], int]:
             psi,
             mcfg["n_max"],
             method=mcfg["method"],
-            grid=measures.UniformGrid(mcfg["grid_m"]),
+            grid=grid,
             m_past=mcfg["m_past"],
             direction=direction,
             burn_in=mcfg["burn_in"],
+            cache=cache,
         )
         rows.extend((n, series.values[n], direction) for n in range(mcfg["n_max"] + 1))
         fits[direction] = (

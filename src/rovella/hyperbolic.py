@@ -15,10 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BranchStraddle, NotHyperbolic, ParamError, SingularHit
-from .map_core import MapFamily, _unchecked, critical_neighborhoods, unperturbed_orbit
+from .map_core import (
+    _BRANCH_EDGE,
+    MapFamily,
+    _unchecked,
+    critical_neighborhoods,
+    invert_branch,
+    unperturbed_orbit,
+)
 from .noise import NoiseStream, ensemble_noise
 from .orbit import OrbitTrace, ensemble_orbits, ensemble_start, iterate, step
-from .numerics import bisect_increasing
 
 
 # -- combinatorics -----------------------------------------------------------
@@ -464,27 +470,19 @@ def distortion_estimate(
 def _invert_step(
     family: MapFamily, t: float, lo: float, hi: float, side: float
 ) -> tuple[float, float]:
-    """Preimage of [lo, hi] under the monotone branch on the given side."""
-    tiny = 1e-300
+    """Preimage of [lo, hi] under the monotone branch on the given side; a
+    bound past the branch image maps to the matching branch endpoint."""
     if side > 0:
         img_lo, img_hi = -1.0, float(_unchecked(family, "value", t, np.float64(1.0)))
-        a, b = tiny, 1.0
+        x_min, x_max = _BRANCH_EDGE, 1.0
     else:
         img_lo, img_hi = float(_unchecked(family, "value", t, np.float64(-1.0))), 1.0
-        a, b = -1.0, -tiny
+        x_min, x_max = -1.0, -_BRANCH_EDGE
 
-    def f(x: np.ndarray) -> np.ndarray:
-        return _unchecked(family, "value", t, np.where(x == 0.0, side * tiny, x))
+    def inv(y: float) -> float:
+        return float(invert_branch(family, t, y, side, xtol=1e-16, ftol=1e-13))
 
-    x_lo = (side * tiny if side > 0 else -1.0) if lo <= img_lo else float(
-        bisect_increasing(f, np.float64(lo), a, b, xtol=1e-16, ftol=1e-13)
-    )
-    x_hi = (1.0 if side > 0 else -side * tiny) if hi >= img_hi else float(
-        bisect_increasing(f, np.float64(hi), a, b, xtol=1e-16, ftol=1e-13)
-    )
-    if side < 0 and hi >= img_hi:
-        x_hi = -tiny
-    return x_lo, x_hi
+    return (x_min if lo <= img_lo else inv(lo)), (x_max if hi >= img_hi else inv(hi))
 
 
 def markov_neighborhood(

@@ -8,9 +8,10 @@ The built-in fixture family
 
     T_t(x) = sign(x) * ((2 - |t|) * |x|^s - 1)
 
-has closed-form derivatives and Schwarzian, the boundary points +-1 fixed at
-t = 0, and fails the critical-orbit density condition (the orbit of the
-critical values is a fixed point); `verify_conditions` reports that honestly.
+has closed-form derivatives, Schwarzian and branch inverses, the boundary
+points +-1 fixed at t = 0, and fails the critical-orbit density condition
+(the orbit of the critical values is a fixed point); `verify_conditions`
+reports that honestly.
 """
 
 from __future__ import annotations
@@ -26,14 +27,24 @@ from .numerics import bisect_increasing, linear_fit
 ArrayLike = float | np.ndarray
 BranchFn = Callable[[ArrayLike, ArrayLike], ArrayLike]
 
+# Innermost point of each branch domain: [1e-300, 1] and [-1, -1e-300].
+_BRANCH_EDGE = 1e-300
+
 
 @dataclass(frozen=True)
 class Branch:
-    """One monotone branch with value and two x-derivatives, numpy-vectorized."""
+    """One monotone branch with value and two x-derivatives, numpy-vectorized.
+
+    `inverse`, when given, is the exact inverse (t, y) -> x of `value` on the
+    branch domain [1e-300, 1] (positive branch) or [-1, -1e-300] (negative
+    branch): a target outside the image maps to the nearest domain endpoint.
+    Without it `invert_branch` falls back to bisection on `value`.
+    """
 
     value: BranchFn
     deriv: BranchFn
     second: BranchFn
+    inverse: BranchFn | None = None
 
 
 @dataclass(frozen=True)
@@ -65,9 +76,10 @@ class MapFamily:
 class _FixtureBranchFn:
     """Picklable branch callable for the power-law fixture.
 
-    kind 0/1/2 selects value / first / second x-derivative; sign picks the
-    branch side. Picklability matters: families ride along to worker
-    processes in ensemble runs.
+    kind 0/1/2 selects value / first / second x-derivative and kind 3 the
+    inverse x = sign ((1 + sign y) / (2 - |t|))^(1/s), clamped to the branch
+    domain; sign picks the branch side. Picklability matters: families ride
+    along to worker processes in ensemble runs.
     """
 
     s: float
@@ -81,25 +93,24 @@ class _FixtureBranchFn:
             return np.clip(self.sign * (amp * np.power(ax, self.s) - 1.0), -1.0, 1.0)
         if self.kind == 1:
             return amp * self.s * np.power(ax, self.s - 1.0)
+        if self.kind == 3:
+            # Here x is the target y; 1 + sign y < 0 lies outside the image.
+            root = np.power(np.maximum(1.0 + ax, 0.0) / amp, 1.0 / self.s)
+            return self.sign * np.clip(root, _BRANCH_EDGE, 1.0)
         return self.sign * amp * self.s * (self.s - 1.0) * np.power(ax, self.s - 2.0)
 
 
 def fixture_family(s: float = 2.0, eps_max: float = 0.1) -> MapFamily:
-    """Closed-form family T_t(x) = sign(x)((2-|t|)|x|^s - 1), clipped to I."""
+    """Closed-form family T_t(x) = sign(x)((2-|t|)|x|^s - 1), clipped to I,
+    with closed-form branch inverses."""
     # Envelope constants for DT_t(x) = (2-|t|) s |x|^(s-1) over |t| <= eps_max.
     k1 = (2.0 - eps_max) * s
     k2 = 2.0 * s
     return MapFamily(
         s=s,
         eps_max=eps_max,
-        branch_pos=Branch(
-            _FixtureBranchFn(s, 1.0, 0), _FixtureBranchFn(s, 1.0, 1), _FixtureBranchFn(s, 1.0, 2)
-        ),
-        branch_neg=Branch(
-            _FixtureBranchFn(s, -1.0, 0),
-            _FixtureBranchFn(s, -1.0, 1),
-            _FixtureBranchFn(s, -1.0, 2),
-        ),
+        branch_pos=Branch(*(_FixtureBranchFn(s, 1.0, kind) for kind in range(4))),
+        branch_neg=Branch(*(_FixtureBranchFn(s, -1.0, kind) for kind in range(4))),
         k1=k1,
         k2=k2,
         label=f"fixture(s={s:g})",
@@ -197,6 +208,47 @@ def _unchecked(family: MapFamily, part: str, t: ArrayLike, x: ArrayLike) -> np.n
     t_arr = np.broadcast_to(np.asarray(t, dtype=float), x.shape)
     out[pos] = getattr(family.branch_pos, part)(t_arr[pos], x[pos])
     out[~pos] = getattr(family.branch_neg, part)(t_arr[~pos], x[~pos])
+    return out
+
+
+def invert_branch(
+    family: MapFamily,
+    t: ArrayLike,
+    y: ArrayLike,
+    side: ArrayLike,
+    *,
+    xtol: float = 0.0,
+    ftol: float | None = None,
+    max_iter: int = 200,
+) -> np.ndarray:
+    """x on the branch of `side` (+1 or -1, per row or shared) with T_t(x) = y.
+
+    Uses `Branch.inverse` when both branches supply one. Otherwise bisects
+    `value` over the branch domain [1e-300, 1] or [-1, -1e-300] with the
+    given tolerances (see `numerics.bisect_increasing`). Either way a target
+    outside the branch image maps to the nearest domain endpoint.
+    """
+    y = np.asarray(y, dtype=float)
+    side = np.asarray(side, dtype=float)
+    inv_pos, inv_neg = family.branch_pos.inverse, family.branch_neg.inverse
+    if inv_pos is None or inv_neg is None:
+        pos = np.broadcast_to(side > 0, y.shape)
+        return bisect_increasing(
+            lambda x: _unchecked(family, "value", t, x),
+            y,
+            np.where(pos, _BRANCH_EDGE, -1.0),
+            np.where(pos, 1.0, -_BRANCH_EDGE),
+            xtol=xtol,
+            ftol=ftol,
+            max_iter=max_iter,
+        )
+    if side.ndim == 0:
+        return np.asarray((inv_pos if side > 0 else inv_neg)(t, y), dtype=float)
+    pos = side > 0
+    out = np.empty(y.shape)
+    t_arr = np.broadcast_to(np.asarray(t, dtype=float), y.shape)
+    out[pos] = inv_pos(t_arr[pos], y[pos])
+    out[~pos] = inv_neg(t_arr[~pos], y[~pos])
     return out
 
 

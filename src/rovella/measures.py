@@ -18,9 +18,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InsufficientData
-from .map_core import MapFamily, _unchecked
+from .map_core import MapFamily, _unchecked, invert_branch
 from .noise import NoiseStream
-from .numerics import bisect_increasing, linear_fit
+from .numerics import linear_fit
 from .orbit import step_values
 
 
@@ -76,8 +76,9 @@ def ulam_row_operator(family: MapFamily, t: float, grid: UniformGrid) -> sp.csr_
     into cell j under the fiber map at parameter t.
 
     Exact for monotone branches: the preimages of all cell boundaries are
-    found by vectorized bisection on each branch, and an interval sweep
-    splits every cell at those breakpoints. Each row sums to 1 up to
+    found on each branch by `map_core.invert_branch` (the family's own
+    inverse, or bisection to the floating-point floor), and an interval
+    sweep splits every cell at those breakpoints. Each row sums to 1 up to
     accumulation roundoff.
     """
     m = grid.m
@@ -92,23 +93,13 @@ def ulam_row_operator(family: MapFamily, t: float, grid: UniformGrid) -> sp.csr_
             x_lo, x_hi = 0.0, 1.0
             img_lo = -1.0
             img_hi = float(_unchecked(family, "value", t, np.float64(1.0)))
-            bracket = (1e-300, 1.0)
         else:
             x_lo, x_hi = -1.0, 0.0
             img_lo = float(_unchecked(family, "value", t, np.float64(-1.0)))
             img_hi = 1.0
-            bracket = (-1.0, -1e-300)
 
         interior = edges[(edges > img_lo + 1e-15) & (edges < img_hi - 1e-15)]
-
-        def f(x: np.ndarray) -> np.ndarray:
-            return _unchecked(family, "value", t, np.where(x == 0.0, side * 1e-300, x))
-
-        cuts = (
-            bisect_increasing(f, interior, bracket[0], bracket[1], xtol=0.0, ftol=1e-14)
-            if interior.size
-            else np.empty(0)
-        )
+        cuts = invert_branch(family, t, interior, side, xtol=0.0, ftol=1e-14)
         # Image cell of the first elementary interval on this side.
         j_start = min(int(np.searchsorted(edges, img_lo, side="right")) - 1, m - 1)
         j_start = max(j_start, 0)
@@ -243,22 +234,25 @@ def quenched_correlation(
     direction: str = "forward",
     burn_in: int = 5,
     mc_samples: int = 100_000,
+    cache: OperatorCache | None = None,
 ) -> CorrelationSeries:
     """Quenched correlation series |cor(phi o T^n, psi)| for n = 0..n_max.
 
     Ulam method: integrals against pullback densities, with the time-n
     observable integrated via the pushforward of the signed measure psi d mu,
-    so constant phi or psi cancels exactly. Monte Carlo method: ensembles
-    initialized in the far past of the same stream (antithetic uniform
-    starts); same estimator algebra.
+    so constant phi or psi cancels exactly. A supplied `cache` (same family,
+    stream and grid) lends its operators, so several directions build each
+    one once. Monte Carlo method: ensembles initialized in the far past of
+    the same stream (antithetic uniform starts); same estimator algebra.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be forward or backward")
     if method == "ulam":
-        grid = grid or UniformGrid(2**11)
-        values = _ulam_correlation(
-            family, stream, phi, psi, n_max, grid, m_past, direction
-        )
+        if cache is None:
+            cache = OperatorCache(family, stream, grid or UniformGrid(2**11))
+        elif (cache.family, cache.stream, cache.grid) != (family, stream, grid or cache.grid):
+            raise ValueError("operator cache was built for another family, stream or grid")
+        values = _ulam_correlation(phi, psi, n_max, cache, m_past, direction)
     elif method == "monte_carlo":
         values = _mc_correlation(
             family, stream, phi, psi, n_max, m_past, direction, mc_samples
@@ -277,16 +271,9 @@ def quenched_correlation(
 
 
 def _ulam_correlation(
-    family: MapFamily,
-    stream: NoiseStream,
-    phi,
-    psi,
-    n_max: int,
-    grid: UniformGrid,
-    m_past: int,
-    direction: str,
+    phi, psi, n_max: int, cache: OperatorCache, m_past: int, direction: str
 ) -> np.ndarray:
-    cache = OperatorCache(family, stream, grid)
+    family, stream, grid = cache.family, cache.stream, cache.grid
     centers = grid.centers
     phi_c = np.asarray(phi(centers), dtype=float)
     psi_c = np.asarray(psi(centers), dtype=float)

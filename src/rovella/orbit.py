@@ -56,6 +56,20 @@ def return_depth(family: MapFamily, t: float, x: float, delta: float) -> int:
     return r
 
 
+def _depth_scalar(prod: float, delta: float) -> int:
+    """`_depths` for one DT * |x| value, with the same floating-point steps."""
+    if not 0.0 < prod < np.inf:
+        return -1
+    if prod >= delta:
+        return 0
+    r = max(int(np.ceil(np.log(delta / prod))), 0)
+    if r > 0 and prod >= np.exp(-(r - 1.0)) * delta:
+        r -= 1
+    if prod < np.exp(-float(r)) * delta:
+        r += 1
+    return r
+
+
 def _depths(prod: np.ndarray, delta: float) -> np.ndarray:
     """Return depths of DT * |x| values; -1 where prod is not in (0, inf)."""
     r = np.where((prod > 0) & (prod < np.inf), 0, -1)
@@ -96,8 +110,16 @@ def step(
     evaluation of DT. Besides the rows `step_values` kills, a row where
     DT_t(x) * |x| is not a positive finite number (depth -1) is dead too. A
     dead row's x_next and log_dt are NaN, so cocycle sums carry the mark.
+    A 0-d x takes a scalar path with the same arithmetic and returns
+    (float, int, float).
     """
     dt = _unchecked(family, "deriv", t, x)
+    if dt.ndim == 0:
+        depth = _depth_scalar(float(dt * np.abs(x)), delta)
+        y = float(_unchecked(family, "value", t, x))
+        if depth < 0 or y == 0.0:
+            return np.nan, depth, np.nan
+        return y, depth, float(np.log(dt))
     depth = _depths(dt * np.abs(x), delta)
     x_next = step_values(family, t, x)
     x_next[depth < 0] = np.nan
@@ -129,15 +151,15 @@ def iterate(
     points = np.empty(n + 1)
     log_der = np.zeros(n + 1)
     depths = np.empty(n + 1, dtype=np.int64)
-    x = np.array([float(x0)])
+    x = float(x0)
     for i in range(n + 1):
-        points[i] = x[0]
+        points[i] = x
         x_next, depth, log_dt = step(family, ts[i], x, delta)
-        if depth[0] < 0 or (i < n and np.isnan(x_next[0])):
+        if depth < 0 or (i < n and np.isnan(x_next)):
             raise SingularHit(f"orbit died at step {i + 1}: image 0 or DT * |x| not positive")
-        depths[i] = depth[0]
+        depths[i] = depth
         if i < n:
-            log_der[i + 1] = log_der[i] + log_dt[0]
+            log_der[i + 1] = log_der[i] + log_dt
             x = x_next
     return OrbitTrace(
         x0=float(x0),

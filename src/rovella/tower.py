@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import CapExceeded, InvalidState
 from .hyperbolic import HyperbolicConfig, _hyperbolic_flags
-from .map_core import MapFamily, _unchecked
+from .map_core import MapFamily, invert_branch
 from .noise import NoiseStream, shift as shift_stream
-from .numerics import bisect_increasing, linear_fit
+from .numerics import linear_fit
 from .orbit import orbit_value, step, step_values
 
 BOUNDARY_MARGIN = 1e-9
@@ -66,6 +66,7 @@ class ReturnPartition:
     seed_grid: int
     candidates_seen: int = 0
     candidates_rejected: int = 0
+    dead_seeds: int = 0  # seed orbits that died within the horizon, all passes
     time_origin: int = 0  # absolute time of this partition's noise origin
 
     def __post_init__(self) -> None:
@@ -111,8 +112,10 @@ def _pull_back_endpoints(
     """Invert [lo0, hi0] through k monotone steps for a batch of candidates.
 
     sides[c, j] is the sign of candidate c's orbit at step j; all candidates
-    share the same noise path. Bisection runs to the floating-point floor so
-    the forward residual stays near the expansion-amplified ulp scale.
+    share the same noise path. Each step is one `map_core.invert_branch`
+    call per endpoint: the family's exact inverse when it has one, else
+    bisection to the floating-point floor. Either way the forward residual
+    stays near the expansion-amplified ulp scale.
     """
     count = sides.shape[0]
     lo = np.full(count, lo0)
@@ -120,14 +123,8 @@ def _pull_back_endpoints(
     for j in range(k - 1, -1, -1):
         t_j = float(t_path[j])
         side = sides[:, j]
-        a = np.where(side > 0, 1e-300, -1.0)
-        b = np.where(side > 0, 1.0, -1e-300)
-
-        def f(x: np.ndarray) -> np.ndarray:
-            return _unchecked(family, "value", t_j, x)
-
-        lo = bisect_increasing(f, lo, a, b, xtol=0.0, ftol=1e-13, max_iter=110)
-        hi = bisect_increasing(f, hi, a, b, xtol=0.0, ftol=1e-13, max_iter=110)
+        lo = invert_branch(family, t_j, lo, side, xtol=0.0, ftol=1e-13, max_iter=110)
+        hi = invert_branch(family, t_j, hi, side, xtol=0.0, ftol=1e-13, max_iter=110)
     return lo, hi
 
 
@@ -174,12 +171,13 @@ def _candidate_scan(
     t_path: np.ndarray,
     seeds: np.ndarray,
     n_max: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Simulate seeds under the shared noise path.
 
-    Returns (signs, candidate) where candidate[i, k-1] marks step k as a
-    hyperbolic time of seed i with the image inside the base. A seed that
-    dies within the horizon (see `orbit.step`) yields no candidate.
+    Returns (signs, candidate, dead) where candidate[i, k-1] marks step k as
+    a hyperbolic time of seed i with the image inside the base. A seed that
+    dies within the horizon (see `orbit.step`) yields no candidate; `dead`
+    counts those seeds.
     """
     count = seeds.size
     x = seeds
@@ -190,8 +188,9 @@ def _candidate_scan(
         signs[:, k] = np.where(x > 0, 1, -1)
         x, depths[:, k], _ = step(family, t_path[k], x, cfg.delta)
         in_base[:, k] = np.abs(x) < radius
-    candidate = _hyperbolic_flags(depths, cfg.c_prime) & in_base & ~np.isnan(x)[:, None]
-    return signs, candidate
+    alive = ~np.isnan(x)
+    candidate = _hyperbolic_flags(depths, cfg.c_prime) & in_base & alive[:, None]
+    return signs, candidate, int(count - alive.sum())
 
 
 def _level_elements(
@@ -302,6 +301,7 @@ def build_return_partition(
     admitted = _Admitted()
     candidates_seen = 0
     rejected = 0
+    dead_seeds = 0
 
     for pass_no in range(refine_passes + 1):
         if pass_no > 0:
@@ -315,7 +315,8 @@ def build_return_partition(
             seeds = np.concatenate(chunks)
             if seeds.size == 0:
                 break
-        signs, candidate = _candidate_scan(family, cfg, radius, t_path, seeds, n_max)
+        signs, candidate, dead = _candidate_scan(family, cfg, radius, t_path, seeds, n_max)
+        dead_seeds += dead
         added = 0
         for k in range(1, n_max + 1):
             rows = np.flatnonzero(candidate[:, k - 1])
@@ -373,6 +374,7 @@ def build_return_partition(
         seed_grid=seed_grid,
         candidates_seen=candidates_seen,
         candidates_rejected=rejected,
+        dead_seeds=dead_seeds,
     )
 
 

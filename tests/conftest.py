@@ -73,6 +73,23 @@ def table_fam():
     )
 
 
+@pytest.fixture(scope="session")
+def fam_lin():
+    """Piecewise-linear doubling family built from three callables per
+    branch, with no inverse; it sends 0.75 -> 0.5 -> exactly 0."""
+    pos = map_core.Branch(
+        value=lambda t, x: 2.0 * np.asarray(x, dtype=float) - 1.0,
+        deriv=lambda t, x: np.full_like(np.asarray(x, dtype=float), 2.0),
+        second=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
+    )
+    neg = map_core.Branch(
+        value=lambda t, x: 2.0 * np.asarray(x, dtype=float) + 1.0,
+        deriv=lambda t, x: np.full_like(np.asarray(x, dtype=float), 2.0),
+        second=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
+    )
+    return map_core.MapFamily(s=1.5, eps_max=0.1, branch_pos=pos, branch_neg=neg, k1=1.0, k2=4.0)
+
+
 def zero_preimage(fam, t: float, span: int = 4000):
     """A float x > 0 whose fixture image T_t(x) rounds to exactly 0, or None.
 
@@ -128,3 +145,15 @@ def reference_orbits(fam, x0, ts, delta):
             points[i, k + 1] = x
             log_der[i, k + 1] = log_der[i, k] + np.log(dt)
     return points, log_der, depths
+
+
+def without_inverse(fam):
+    """The same family with `Branch.inverse` dropped, so `invert_branch`
+    takes the bisection fallback."""
+    import dataclasses
+
+    return dataclasses.replace(
+        fam,
+        branch_pos=dataclasses.replace(fam.branch_pos, inverse=None),
+        branch_neg=dataclasses.replace(fam.branch_neg, inverse=None),
+    )

@@ -153,6 +153,7 @@ class TestArtifacts:
         summary = json.loads((tmp_path / "partition_summary.json").read_text())
         assert summary["elements"] == len(lines) - 1
         assert summary["max_markov_residual"] <= 1e-9
+        assert summary["dead_seeds"] == 0
 
     def test_certify_tower_artifacts(self, tmp_path):
         assert run([

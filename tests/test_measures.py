@@ -180,6 +180,25 @@ class TestQuenchedCorrelation:
         )
         np.testing.assert_allclose(series.values, expected, rtol=1e-12, atol=1e-15)
 
+    def test_shared_cache_matches_separate_builds(self, fam, noisy_stream):
+        grid = ms.UniformGrid(128)
+        args = (fam, noisy_stream, lambda x: x, np.sign, 12)
+        cache = ms.OperatorCache(fam, noisy_stream, grid)
+        for direction in ("forward", "backward"):
+            alone = ms.quenched_correlation(*args, grid=grid, m_past=20, direction=direction)
+            shared = ms.quenched_correlation(
+                *args, grid=grid, m_past=20, direction=direction, cache=cache
+            )
+            assert shared.values.tobytes() == alone.values.tobytes()
+        # Forward uses indices -20..11, backward -32..-1: 44 distinct operators.
+        assert sorted(cache._ops) == list(range(-32, 12))
+        with pytest.raises(ValueError):
+            ms.quenched_correlation(*args, grid=ms.UniformGrid(64), cache=cache)
+        with pytest.raises(ValueError):
+            ms.quenched_correlation(
+                fam, noise.stream(2, 0.01), lambda x: x, np.sign, 12, cache=cache
+            )
+
     def test_ulam_decay_positive_rate(self, fam, noisy_stream):
         series = ms.quenched_correlation(
             fam, noisy_stream, lambda x: x, np.sign, 30,

@@ -39,21 +39,8 @@ class TestIterate:
         hood = mc.critical_neighborhoods(fam, 0.0, 0.1)
         assert np.array_equal(tr.visits, hood.contains(tr.points))
 
-    def test_singular_hit(self, quiet_stream):
+    def test_singular_hit(self, fam_lin, quiet_stream):
         # piecewise-linear map sending 0.75 -> 0.5 -> exactly 0
-        pos = mc.Branch(
-            value=lambda t, x: 2.0 * np.asarray(x, dtype=float) - 1.0,
-            deriv=lambda t, x: np.full_like(np.asarray(x, dtype=float), 2.0),
-            second=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-        )
-        neg = mc.Branch(
-            value=lambda t, x: 2.0 * np.asarray(x, dtype=float) + 1.0,
-            deriv=lambda t, x: np.full_like(np.asarray(x, dtype=float), 2.0),
-            second=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-        )
-        fam_lin = mc.MapFamily(
-            s=1.5, eps_max=0.1, branch_pos=pos, branch_neg=neg, k1=1.0, k2=4.0
-        )
         with pytest.raises(SingularHit):
             orbit.iterate(fam_lin, quiet_stream, 0.75, 3, 0.1)
 
@@ -285,6 +272,25 @@ class TestStepKernel:
             orbit.return_depth(table_fam, 0.0, 1e-8, 0.01)
         with pytest.raises(SingularHit):
             orbit.iterate(table_fam, noise.stream(1, 0.0), 1e-8, 3, 0.01)
+
+    @pytest.mark.parametrize("family", ["fam", "table_fam"])
+    def test_iterate_scalar_path_matches_reference_loop(self, family, request):
+        fam = request.getfixturevalue(family)
+        n, delta = 60, 0.05
+        for seed, x0 in ((1, 0.4), (2, -0.73), (3, 0.011)):
+            strm = noise.stream(seed, 0.01)
+            tr = orbit.iterate(fam, strm, x0, n, delta)
+            pts, log_der, depths = reference_orbits(
+                fam, np.array([x0]), strm.values(0, n)[None, :], delta
+            )
+            assert np.array_equal(tr.points, pts[0])
+            assert np.array_equal(tr.log_der, log_der[0])
+            assert np.array_equal(tr.depths[:n], depths[0])
+            last = orbit.return_depths_array(fam, strm.get(n), tr.points[n:], delta)
+            assert tr.depths[n] == last[0]
+        x_next, depth, log_dt = orbit.step(fam, 0.003, np.float64(0.4), delta)
+        ref = orbit.step(fam, 0.003, np.array([0.4]), delta)
+        assert (x_next, depth, log_dt) == (ref[0][0], ref[1][0], ref[2][0])
 
     def test_dead_rows_stay_dead(self, fam):
         x = np.array([np.nan, 0.3])

@@ -78,6 +78,15 @@ class TestBuild:
         with pytest.raises(CapExceeded):
             tower.build_return_partition(fam, noisy_stream, hyp_cfg, 100)
 
+    def test_dead_seeds_counted(self, table_fam, part, noisy_stream, hyp_cfg):
+        # The log-spaced grid starts at radius * 1e-6 = 5e-8, below the
+        # table's first node, where the spline's DT < 0 kills the seed.
+        tab = tower.build_return_partition(table_fam, noisy_stream, hyp_cfg, 8, seed_grid=512)
+        radius = hyp_cfg.delta0 / 2.0
+        below = np.geomspace(radius * 1e-6, radius * (1.0 - 1e-9), 512) < 3e-7
+        assert tab.dead_seeds >= 2 * int(below.sum()) > 0
+        assert part.dead_seeds == 0
+
     def test_markov_recheck(self, part):
         mk = tower.verify_markov(part)
         assert mk["non_monotone"] == 0
@@ -101,7 +110,7 @@ class TestBuild:
         t_path = noisy_stream.values(0, 8)
         seeds = np.linspace(-radius, radius, 2001)[1:-1]
         seeds = seeds[seeds != 0.0]
-        signs, candidate = tower._candidate_scan(fam, hyp_cfg, radius, t_path, seeds, 8)
+        signs, candidate, _ = tower._candidate_scan(fam, hyp_cfg, radius, t_path, seeds, 8)
         k = int(np.flatnonzero(candidate.any(axis=0))[0]) + 1
         rows = np.flatnonzero(candidate[:, k - 1])
         sound, seen, _ = tower._level_elements(fam, hyp_cfg, radius, t_path, signs, rows, k, set())
