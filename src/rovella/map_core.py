@@ -35,10 +35,13 @@ _BRANCH_EDGE = 1e-300
 class Branch:
     """One monotone branch with value and two x-derivatives, numpy-vectorized.
 
-    `inverse`, when given, is the exact inverse (t, y) -> x of `value` on the
+    `inverse`, when given, is the inverse (t, y) -> x of `value` on the
     branch domain [1e-300, 1] (positive branch) or [-1, -1e-300] (negative
     branch): a target outside the image maps to the nearest domain endpoint.
-    Without it `invert_branch` falls back to bisection on `value`.
+    It is exact for closed forms and exact up to 2 ulp for splines (where a
+    branch is nearly flat, up to the rounding of the spline's cubic over
+    its slope). It may return NaN for a target it leaves to bisection.
+    Without it `invert_branch` bisects `value` for every target.
     """
 
     value: BranchFn
@@ -120,7 +123,14 @@ def fixture_family(s: float = 2.0, eps_max: float = 0.1) -> MapFamily:
 @dataclass(frozen=True)
 class _ShearBranchFn:
     """Picklable branch callable for tabulated families under the shear
-    perturbation T_t = T_0 + t (1 - T_0^2)."""
+    perturbation T_t = T_0 + t (1 - T_0^2).
+
+    kind 0/1/2 selects value / first / second x-derivative and kind 3 the
+    inverse `_shear_spline_inverse`, which comes back NaN for targets whose
+    spline value lies outside the node values: below the first node the
+    extrapolated spline is not monotone, so `invert_branch` bisects those
+    rows.
+    """
 
     spline: object
     d1: object
@@ -128,6 +138,8 @@ class _ShearBranchFn:
     kind: int
 
     def __call__(self, t: ArrayLike, x: ArrayLike) -> ArrayLike:
+        if self.kind == 3:
+            return _shear_spline_inverse(self.spline, t, x)
         base = self.spline(x)
         t_arr = np.asarray(t)
         if self.kind == 0:
@@ -135,6 +147,62 @@ class _ShearBranchFn:
         if self.kind == 1:
             return self.d1(x) * (1.0 - 2.0 * t_arr * base)
         return self.d2(x) * (1.0 - 2.0 * t_arr * base) - 2.0 * t_arr * self.d1(x) ** 2
+
+
+# Safeguarded Newton needs about 5 steps; the cap only bounds rows that
+# keep bisecting (each bisection halves the bracket).
+_NEWTON_CAP = 100
+
+
+def _shear_spline_inverse(spline, t: ArrayLike, y: ArrayLike) -> np.ndarray:
+    """x with spline(x) + t (1 - spline(x)^2) = y for a monotone cubic
+    `PPoly` spline, clamped to the branch domain; NaN where the spline value
+    p of the target lies outside the node values.
+
+    The stable root p = 2 (y - t) / (1 + sqrt(1 - 4 t (y - t))), exact at
+    t = 0, undoes the shear and picks the piece by the node values. On that
+    piece a bracketed Newton iteration starts at the secant and bisects when
+    a step leaves the bracket or the slope is not positive. Its residual is
+    summed so that rounding falls on the small terms, not on terms of size
+    1: the result is within 2 ulp of the exact root of the cubic, plus a few
+    roundings of the cubic's rise from its left knot over the slope, which
+    only matter where the branch is nearly flat. A row stops once its step
+    is at most 2 ulp or lands on its bracket end, so its result does not
+    depend on the other rows.
+    """
+    y = np.asarray(y, dtype=float)
+    t = np.asarray(t, dtype=float)
+    u = y - t
+    with np.errstate(invalid="ignore"):  # no real p: NaN, left to bisection
+        p = 2.0 * u / (1.0 + np.sqrt(1.0 - 4.0 * t * u))
+    knots, c = spline.x, spline.c
+    nodes = np.append(c[3], spline(knots[-1]))
+    active = np.array((p >= nodes[0]) & (p <= nodes[-1]))
+    i = np.clip(np.searchsorted(nodes, p, side="right") - 1, 0, knots.size - 2)
+    c0, c1, c2, c3 = c[0, i], c[1, i], c[2, i], c[3, i]
+    left = knots[i]
+    a, b = left, knots[i + 1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        x = np.where(active, a + (p - c3) / (nodes[i + 1] - c3) * (b - a), np.nan)
+        for _ in range(_NEWTON_CAP):
+            h = x - left
+            d = h * (c2 + h * (c1 + h * c0))  # spline(x) - c3
+            f = ((c3 - y) + d) + t * (((1.0 - c3) - d) * ((1.0 + c3) + d))
+            slope = (c2 + h * (2.0 * c1 + 3.0 * c0 * h)) * (1.0 - 2.0 * t * (c3 + d))
+            below = f < 0.0
+            a = np.where(below, x, a)
+            b = np.where(below, b, x)
+            step = x - f / slope
+            step = np.where((slope > 0.0) & (step >= a) & (step <= b), step, 0.5 * (a + b))
+            # np.spacing is negative for x < 0. A step onto a bracket end
+            # means the rounded residual changes sign there: nothing to gain.
+            done = (np.abs(step - x) <= 2.0 * np.abs(np.spacing(x))) | (step == a) | (step == b)
+            x = np.where(active, step, x)
+            active &= ~done
+            if not active.any():
+                break
+    lo, hi = (_BRANCH_EDGE, 1.0) if knots[-1] > 0 else (-1.0, -_BRANCH_EDGE)
+    return np.clip(x, lo, hi)
 
 
 def table_family(
@@ -154,6 +222,10 @@ def table_family(
     one-sided limits at the singularity, satisfies |d/dt| <= 1, and preserves
     monotonicity for |t| < 1/2. The singularity order and envelope constants
     are declared, not inferred; `verify_conditions` checks them.
+
+    Each branch carries its inverse (`_shear_spline_inverse`) for targets
+    inside the node values. Outside them, where PCHIP extrapolation is not
+    monotone, `invert_branch` bisects.
     """
     from scipy.interpolate import PchipInterpolator
 
@@ -165,11 +237,7 @@ def table_family(
         spline = PchipInterpolator(xs, ys, extrapolate=True)
         d1 = spline.derivative(1)
         d2 = spline.derivative(2)
-        return Branch(
-            _ShearBranchFn(spline, d1, d2, 0),
-            _ShearBranchFn(spline, d1, d2, 1),
-            _ShearBranchFn(spline, d1, d2, 2),
-        )
+        return Branch(*(_ShearBranchFn(spline, d1, d2, kind) for kind in range(4)))
 
     if eps_max >= 0.5:
         raise ValueError("shear perturbations require eps_max < 1/2")
@@ -223,32 +291,42 @@ def invert_branch(
 ) -> np.ndarray:
     """x on the branch of `side` (+1 or -1, per row or shared) with T_t(x) = y.
 
-    Uses `Branch.inverse` when both branches supply one. Otherwise bisects
+    Uses `Branch.inverse` when both branches supply one. Otherwise, and for
+    the rows of a finite target where the inverse returns NaN, bisects
     `value` over the branch domain [1e-300, 1] or [-1, -1e-300] with the
-    given tolerances (see `numerics.bisect_increasing`). Either way a target
-    outside the branch image maps to the nearest domain endpoint.
+    given tolerances (see `numerics.bisect_increasing`); a row's bisection
+    result does not depend on the other rows. Either way a target outside
+    the branch image maps to the nearest domain endpoint: exactly for a
+    closed-form inverse, within 2^-max_iter for a bisected row.
     """
     y = np.asarray(y, dtype=float)
     side = np.asarray(side, dtype=float)
-    inv_pos, inv_neg = family.branch_pos.inverse, family.branch_neg.inverse
-    if inv_pos is None or inv_neg is None:
-        pos = np.broadcast_to(side > 0, y.shape)
+    pos = np.broadcast_to(side > 0, y.shape)
+
+    def bisect(t_rows: ArrayLike, y_rows: np.ndarray, pos_rows: np.ndarray) -> np.ndarray:
         return bisect_increasing(
-            lambda x: _unchecked(family, "value", t, x),
-            y,
-            np.where(pos, _BRANCH_EDGE, -1.0),
-            np.where(pos, 1.0, -_BRANCH_EDGE),
+            lambda x: _unchecked(family, "value", t_rows, x),
+            y_rows,
+            np.where(pos_rows, _BRANCH_EDGE, -1.0),
+            np.where(pos_rows, 1.0, -_BRANCH_EDGE),
             xtol=xtol,
             ftol=ftol,
             max_iter=max_iter,
         )
-    if side.ndim == 0:
-        return np.asarray((inv_pos if side > 0 else inv_neg)(t, y), dtype=float)
-    pos = side > 0
-    out = np.empty(y.shape)
+
+    inv_pos, inv_neg = family.branch_pos.inverse, family.branch_neg.inverse
+    if inv_pos is None or inv_neg is None:
+        return bisect(t, y, pos)
     t_arr = np.broadcast_to(np.asarray(t, dtype=float), y.shape)
-    out[pos] = inv_pos(t_arr[pos], y[pos])
-    out[~pos] = inv_neg(t_arr[~pos], y[~pos])
+    if side.ndim == 0:
+        out = np.array((inv_pos if side > 0 else inv_neg)(t, y), dtype=float)
+    else:
+        out = np.empty(y.shape)
+        out[pos] = inv_pos(t_arr[pos], y[pos])
+        out[~pos] = inv_neg(t_arr[~pos], y[~pos])
+    redo = np.isnan(out) & np.isfinite(y)
+    if redo.any():
+        out[redo] = bisect(t_arr[redo], y[redo], pos[redo])
     return out
 
 

@@ -113,7 +113,7 @@ def _pull_back_endpoints(
 
     sides[c, j] is the sign of candidate c's orbit at step j; all candidates
     share the same noise path. Each step is one `map_core.invert_branch`
-    call per endpoint: the family's exact inverse when it has one, else
+    call per endpoint: the family's inverse when it has one, else
     bisection to the floating-point floor. Either way the forward residual
     stays near the expansion-amplified ulp scale.
     """

@@ -1,5 +1,10 @@
-"""Branch inverses: the fixture's closed form against the bisection fallback
-that tabulated and hand-built families use."""
+"""Branch inverses: the fixture's closed form and the tabulated family's
+spline inverse against the bisection fallback that hand-built families use,
+and the spline inverse against 30-digit roots."""
+
+import dataclasses
+import functools
+import pickle
 
 import numpy as np
 import pytest
@@ -10,20 +15,32 @@ from rovella import measures as ms
 from rovella import tower
 
 
-def _image(fam, t, side):
-    """(lo, hi) image of the branch on `side` at parameter t."""
+def _image(fam, t, side, first_node=None):
+    """(lo, hi) image of the branch on `side` at parameter t; with
+    `first_node`, the image of the branch from that node outward."""
     if side > 0:
-        return -1.0, float(mc.evaluate(fam, t, 1.0))
-    return float(mc.evaluate(fam, t, -1.0)), 1.0
+        lo = -1.0 if first_node is None else float(mc.evaluate(fam, t, first_node))
+        return lo, float(mc.evaluate(fam, t, 1.0))
+    hi = 1.0 if first_node is None else float(mc.evaluate(fam, t, -first_node))
+    return float(mc.evaluate(fam, t, -1.0)), hi
 
 
-@pytest.mark.parametrize("family", ["fam", "fam3"])
+# First node of each family: closed forms have none; the table family's
+# spline extrapolates below its first node 1e-6 and is not monotone there.
+FIRST_NODE = {"fam": None, "fam3": None, "table_fam": 1e-6}
+
+
+@pytest.mark.parametrize("family", list(FIRST_NODE))
 class TestClosedForm:
+    """The `Branch.inverse` contract: the fixture's closed form and the
+    table family's spline inverse."""
+
     def test_round_trip(self, family, request):
         fam = request.getfixturevalue(family)
+        first_node = FIRST_NODE[family]
         for t in np.linspace(-fam.eps_max, fam.eps_max, 9):
             for side in (1.0, -1.0):
-                lo, hi = _image(fam, t, side)
+                lo, hi = _image(fam, t, side, first_node)
                 ys = np.linspace(lo, hi, 1001)  # image endpoints included
                 xs = mc.invert_branch(fam, t, ys, side)
                 assert np.all(np.sign(xs) == side)
@@ -39,11 +56,16 @@ class TestClosedForm:
                 lo, hi = _image(fam, t, side)
                 ys = np.array([lo - 0.5, lo - 1e-12, hi + 1e-12, hi + 0.5])
                 xs = mc.invert_branch(fam, t, ys, side)
-                left, right = (1e-300, 1.0) if side > 0 else (-1.0, -1e-300)
-                assert list(xs) == [left, left, right, right]
+                ends = [1e-300, 1e-300, 1.0, 1.0] if side > 0 else [-1.0, -1.0, -1e-300, -1e-300]
                 # Bisection stops within 2^-200 of the inner endpoint.
                 ref = mc.invert_branch(slow, t, ys, side, xtol=0.0, ftol=1e-14)
                 assert np.allclose(xs, ref, rtol=1e-15, atol=1e-59)
+                if FIRST_NODE[family] is None:
+                    assert list(xs) == ends
+                else:
+                    # Outside the node values the table family bisects.
+                    assert xs.tobytes() == ref.tobytes()
+                    assert np.allclose(xs, ends, rtol=1e-15, atol=1e-59)
 
     def test_mixed_sides_per_row(self, family, request):
         fam = request.getfixturevalue(family)
@@ -74,34 +96,44 @@ class TestUlamOperator:
             assert np.abs(np.asarray(mat.sum(axis=1)).ravel() - 1.0).max() <= 1e-12
 
 
+def _compare_pullbacks(fam, stream, cfg, n_max=16):
+    """Pull back the base through every candidate's branches with `fam`'s
+    inverse and with bisection: endpoints agree within 1e-13, and at every
+    return time the largest forward residual of the inverse is no larger.
+    Returns the number of candidates compared."""
+    radius = cfg.delta0 / 2.0
+    t_path = stream.values(0, n_max)
+    half = np.geomspace(radius * 1e-6, radius * (1.0 - 1e-9), 2048)
+    seeds = np.concatenate([-half[::-1], half])
+    signs, candidate, _ = tower._candidate_scan(fam, cfg, radius, t_path, seeds, n_max)
+    slow = without_inverse(fam)
+    compared = 0
+    for k in range(1, n_max + 1):
+        rows = np.flatnonzero(candidate[:, k - 1])
+        if rows.size == 0:
+            continue
+        sides = signs[rows, :k]
+        ends = {}
+        for name, f in (("fast", fam), ("slow", slow)):
+            lo, hi = tower._pull_back_endpoints(f, t_path, sides, k, -radius, radius)
+            w = np.concatenate([lo, hi])
+            for j in range(k):
+                w = mc._unchecked(fam, "value", float(t_path[j]), w)
+            res = np.maximum(np.abs(w[: rows.size] + radius), np.abs(w[rows.size:] - radius))
+            ends[name] = (lo, hi, res)
+        assert np.abs(ends["fast"][0] - ends["slow"][0]).max() <= 1e-13
+        assert np.abs(ends["fast"][1] - ends["slow"][1]).max() <= 1e-13
+        assert ends["fast"][2].max() <= ends["slow"][2].max()
+        compared += rows.size
+    return compared
+
+
 class TestPullback:
     def test_closed_form_matches_bisection(self, fam, noisy_stream, hyp_cfg):
-        radius = hyp_cfg.delta0 / 2.0
-        n_max = 16
-        t_path = noisy_stream.values(0, n_max)
-        half = np.geomspace(radius * 1e-6, radius * (1.0 - 1e-9), 2048)
-        seeds = np.concatenate([-half[::-1], half])
-        signs, candidate, _ = tower._candidate_scan(fam, hyp_cfg, radius, t_path, seeds, n_max)
-        slow = without_inverse(fam)
-        compared = 0
-        for k in range(1, n_max + 1):
-            rows = np.flatnonzero(candidate[:, k - 1])
-            if rows.size == 0:
-                continue
-            sides = signs[rows, :k]
-            ends = {}
-            for name, f in (("fast", fam), ("slow", slow)):
-                lo, hi = tower._pull_back_endpoints(f, t_path, sides, k, -radius, radius)
-                w = np.concatenate([lo, hi])
-                for j in range(k):
-                    w = mc._unchecked(fam, "value", float(t_path[j]), w)
-                res = np.maximum(np.abs(w[: rows.size] + radius), np.abs(w[rows.size:] - radius))
-                ends[name] = (lo, hi, res)
-            assert np.abs(ends["fast"][0] - ends["slow"][0]).max() <= 1e-13
-            assert np.abs(ends["fast"][1] - ends["slow"][1]).max() <= 1e-13
-            assert ends["fast"][2].max() <= ends["slow"][2].max()
-            compared += rows.size
-        assert compared > 200
+        assert _compare_pullbacks(fam, noisy_stream, hyp_cfg) > 200
+
+    def test_table_family_matches_bisection(self, table_fam, noisy_stream, hyp_cfg):
+        assert _compare_pullbacks(table_fam, noisy_stream, hyp_cfg) > 200
 
 
 class TestFallback:
@@ -118,7 +150,8 @@ class TestFallback:
 
 
 class TestFastPathGuard:
-    """The fixture never bisects; a tabulated family still does."""
+    """The fixture and the table family never bisect on targets inside the
+    node range; a family without an inverse still does."""
 
     class Bisected(Exception):
         pass
@@ -136,8 +169,138 @@ class TestFastPathGuard:
         part = tower.build_return_partition(fam, noisy_stream, hyp_cfg, 8, seed_grid=256)
         assert part.elements
 
-    def test_table_family_reaches_bisection(self, table_fam, noisy_stream, hyp_cfg, no_bisection):
+    def test_table_family_runs_without_bisection(
+        self, table_fam, noisy_stream, hyp_cfg, no_bisection
+    ):
+        mat = ms.ulam_row_operator(table_fam, 0.01, ms.UniformGrid(256))
+        assert np.abs(np.asarray(mat.sum(axis=1)).ravel() - 1.0).max() <= 1e-12
+        part = tower.build_return_partition(table_fam, noisy_stream, hyp_cfg, 8, seed_grid=256)
+        assert part.elements
+
+    def test_three_callable_family_reaches_bisection(self, fam_lin, no_bisection):
         with pytest.raises(self.Bisected):
-            ms.ulam_row_operator(table_fam, 0.01, ms.UniformGrid(256))
+            ms.ulam_row_operator(fam_lin, 0.0, ms.UniformGrid(64))
         with pytest.raises(self.Bisected):
-            tower.build_return_partition(table_fam, noisy_stream, hyp_cfg, 8, seed_grid=256)
+            tower._pull_back_endpoints(fam_lin, np.zeros(2), np.ones((3, 2)), 2, -0.05, 0.05)
+
+
+def _exact_inverse(spline, t, y):
+    """30-digit root of spline(x) + t (1 - spline(x)^2) = y on the spline
+    piece that holds the target, rounded to a double (mpmath, per row)."""
+    mp = pytest.importorskip("mpmath")
+    knots, c = spline.x, spline.c
+    out = np.empty(np.shape(y))
+    with mp.workdps(30):
+        nodes = [mp.mpf(v) for v in np.append(c[3], spline(knots[-1]))]
+        for k, (tk, yk) in enumerate(np.broadcast(t, y)):
+            tm, ym = mp.mpf(tk), mp.mpf(yk)
+            p = 2 * (ym - tm) / (1 + mp.sqrt(1 - 4 * tm * (ym - tm)))
+            i = min(max(int(np.searchsorted(nodes, p, side="right")) - 1, 0), knots.size - 2)
+            c0, c1, c2, c3 = (mp.mpf(v) for v in c[:, i])
+            left = mp.mpf(knots[i])
+
+            def residual(x):
+                h = x - left
+                b = c3 + h * (c2 + h * (c1 + h * c0))
+                return b + tm * (1 - b * b) - ym
+
+            bracket = (left, mp.mpf(knots[i + 1]))
+            out.flat[k] = float(mp.findroot(residual, bracket, solver="anderson"))
+    return out
+
+
+def _with_exact_inverse(fam):
+    """`fam` with each spline inverse replaced by `_exact_inverse`."""
+    return dataclasses.replace(
+        fam,
+        **{
+            name: dataclasses.replace(
+                branch, inverse=functools.partial(_exact_inverse, branch.inverse.spline)
+            )
+            for name, branch in (("branch_pos", fam.branch_pos), ("branch_neg", fam.branch_neg))
+        },
+    )
+
+
+class TestTableInverse:
+    """The table family's spline inverse against 30-digit roots of the same
+    sheared cubics, its end pieces, and its pickling.
+
+    Bisection on the branch values stops where the rounded spline sum
+    changes sign, up to about 2e-15 from those roots at the cuts of an Ulam
+    grid of m = 2048 (and further where the branch is flatter), so its Ulam
+    entries differ from exact-root ones by up to about 2e-12; the
+    comparison with it allows for that.
+    """
+
+    @pytest.mark.parametrize("t", [-0.1, 0.0, 0.07])
+    def test_roots_match_exact(self, table_fam, t):
+        exact_fam = _with_exact_inverse(table_fam)
+        for side in (1.0, -1.0):
+            lo, hi = _image(table_fam, t, side, 1e-6)
+            # Evenly spread targets plus the ill-conditioned ends of the image.
+            near = np.geomspace(1e-11, 1e-2, 20)
+            ys = np.concatenate([np.linspace(lo, hi, 101)[1:-1], lo + near, hi - near])
+            fast = mc.invert_branch(table_fam, t, ys, side)
+            exact = mc.invert_branch(exact_fam, t, ys, side)
+            # 2 ulp, plus a few roundings of the cubic's rise from its left
+            # knot over the slope, which dominate where the branch is flat.
+            branch = table_fam.branch_pos if side > 0 else table_fam.branch_neg
+            knots = branch.inverse.spline.x
+            piece = np.clip(np.searchsorted(knots, exact, side="right") - 1, 0, knots.size - 2)
+            value = mc.evaluate
+            rise = np.abs(value(table_fam, t, exact) - value(table_fam, t, knots[piece]))
+            slope = mc.derivative(table_fam, t, exact)
+            bound = 2 * np.abs(np.spacing(exact)) + 4 * 2.0**-52 * rise / slope
+            assert np.all(np.abs(fast - exact) <= bound)
+
+    @pytest.mark.parametrize("t", [-0.1, 0.1])
+    def test_ulam_matches_exact_roots(self, table_fam, t):
+        grid = ms.UniformGrid(2048)
+        fast = ms.ulam_row_operator(table_fam, t, grid)
+        exact = ms.ulam_row_operator(_with_exact_inverse(table_fam), t, grid)
+        slow = ms.ulam_row_operator(without_inverse(table_fam), t, grid)
+        # 2 ulp of a cut near 1 over h = 2/2048.
+        assert abs(fast - exact).max() <= 2.5e-13
+        assert abs(fast - slow).max() <= abs(slow - exact).max() + 2.5e-13
+        for mat in (fast, slow):
+            assert np.abs(np.asarray(mat.sum(axis=1)).ravel() - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("t", [-0.1, 0.0, 0.07])
+    def test_below_first_node_matches_bisection(self, table_fam, t):
+        """Targets in (T_t(+-1e-300), T_t(+-x_first)) lie below the node
+        values, where the extrapolated spline is not monotone: they are
+        bisected row by row, byte-equal to the family without an inverse,
+        also when they share a call with rows the spline inverse solves."""
+        slow = without_inverse(table_fam)
+        for side in (1.0, -1.0):
+            inner = float(mc.evaluate(table_fam, t, side * 1e-300))
+            first = float(mc.evaluate(table_fam, t, side * 1e-6))
+            ends = np.linspace(inner, first, 41)[1:-1]
+            inverse = (table_fam.branch_pos if side > 0 else table_fam.branch_neg).inverse
+            assert np.isnan(inverse(t, ends)).all()
+            ys = np.concatenate([ends, np.linspace(-0.9, 0.9, 39)])
+            for tol in ({}, {"xtol": 0.0, "ftol": 1e-13, "max_iter": 110}):
+                fast = mc.invert_branch(table_fam, t, ys, side, **tol)[: ends.size]
+                assert fast.tobytes() == mc.invert_branch(slow, t, ends, side, **tol).tobytes()
+            for y in ends[::8]:
+                fast = mc.invert_branch(table_fam, t, y, side, xtol=1e-16, ftol=1e-13)
+                assert fast == mc.invert_branch(slow, t, y, side, xtol=1e-16, ftol=1e-13)
+
+    def test_rows_do_not_depend_on_the_batch(self, table_fam):
+        """Each row stops on its own test, so a row's root is the same alone
+        as among rows that take more Newton steps."""
+        edges = ms.UniformGrid(2048).edges
+        ys = edges[(edges > -1.0 + 1e-9) & (edges < 1.0 - 1e-9)]
+        for side in (1.0, -1.0):
+            batch = mc.invert_branch(table_fam, -0.1, ys, side)
+            alone = [mc.invert_branch(table_fam, -0.1, y, side) for y in ys]
+            assert batch.tobytes() == np.array(alone).tobytes()
+
+    def test_pickle_round_trip_inverts_identically(self, table_fam):
+        clone = pickle.loads(pickle.dumps(table_fam))
+        ys = np.concatenate([np.linspace(-1.0, 1.0, 301), [-1.0 + 1.5e-12, 1.0 - 1.5e-12]])
+        sides = np.where(np.arange(ys.size) % 2 == 0, 1.0, -1.0)
+        for t in (-0.1, 0.03):
+            fast = mc.invert_branch(table_fam, t, ys, sides)
+            assert mc.invert_branch(clone, t, ys, sides).tobytes() == fast.tobytes()
