@@ -40,7 +40,6 @@ from .hyperbolic import (
     config_for_family,
     first_hyperbolic_return,
     fit_expansion_rate,
-    hyperbolic_return_times,
     hyperbolic_times,
     markov_neighborhood,
     pliss_times,

@@ -23,8 +23,8 @@ from .map_core import (
     invert_branch,
     unperturbed_orbit,
 )
-from .noise import NoiseStream, ensemble_noise
-from .orbit import OrbitTrace, ensemble_orbits, ensemble_start, iterate, step
+from .noise import NoiseStream, ensemble_keys, ensemble_noise, keyed_draws
+from .orbit import OrbitTrace, ensemble_start, iterate, start_points, step
 
 
 # -- combinatorics -----------------------------------------------------------
@@ -43,12 +43,6 @@ def pliss_times(a, c1: float, c2: float, big_a: float) -> list[int]:
     # depths -a under the threshold -c1.
     flags = _hyperbolic_flags(-np.asarray(a, dtype=float), -c1)
     return list(np.flatnonzero(flags) + 1)
-
-
-def pliss_count_bound(a, c1: float, c2: float, big_a: float) -> float:
-    """theta * n lower bound promised when sum(a) > c2 * n."""
-    n = len(a)
-    return (c2 - c1) / (big_a - c1) * n
 
 
 # -- configuration -----------------------------------------------------------
@@ -107,27 +101,36 @@ def fit_expansion_rate(
 ) -> float:
     """Empirical expansion exponent from escape-orbit events.
 
-    An event is an orbit segment that stays out of the critical preimage
-    neighborhood at radius delta until first entering the one at 2 * delta at
-    step n >= n_min; its rate is log DT^n / n. The exponent is fitted as a
-    low percentile so downstream constants hold for essentially all events.
+    An event is an orbit's first entry, at a step n >= n_min, into the
+    critical preimage neighborhood at radius 2 * delta (the starting point is
+    not tested), with the orbit alive through that entry (see `orbit.step`);
+    its rate is log DT^n / n. The exponent is fitted as a low percentile so
+    downstream constants hold for essentially all events. Each orbit is
+    stepped, with its noise drawn per step, only until its first entry, its
+    death or step n_cap, so the cost is the number of steps to those events
+    rather than samples * n_cap.
     """
-    inner = critical_neighborhoods(family, 0.0, delta)
     outer = critical_neighborhoods(family, 0.0, 2.0 * delta)
-    ens = ensemble_orbits(family, master_seed, eps, n_cap, samples, delta)
-    pts = ens.points
-    in_outer = ((pts > 0) & (pts <= outer.pos_hi)) | ((pts < 0) & (pts >= outer.neg_lo))
-    in_outer[:, 0] = False  # segments must start outside
-    hit = in_outer.any(axis=1)
-    first = np.argmax(in_outer, axis=1)
-    ok = hit & (first >= n_min) & ens.alive
-    if ok.sum() < 50:
+    keys = ensemble_keys(master_seed, samples)
+    x = start_points(keys, eps)
+    log_der = np.zeros(samples)
+    rates = [np.empty(0)]
+    for n in range(1, n_cap + 1):
+        if keys.size == 0:
+            break
+        x, _, log_dt = step(family, keyed_draws(keys, eps, n - 1), x, delta)
+        log_der = log_der + log_dt
+        entered = outer.contains(x)
+        if n >= n_min:
+            rates.append(log_der[entered] / n)
+        searching = ~entered & ~np.isnan(x)
+        keys, x, log_der = keys[searching], x[searching], log_der[searching]
+    rates = np.concatenate(rates)
+    if rates.size < 50:
         raise ParamError(
-            f"only {int(ok.sum())} escape events at delta={delta}; "
+            f"only {rates.size} escape events at delta={delta}; "
             "increase samples or n_cap"
         )
-    rows = np.flatnonzero(ok)
-    rates = ens.log_der[rows, first[rows]] / first[rows]
     kappa = float(np.percentile(rates, percentile))
     if kappa <= 0:
         raise ParamError(f"fitted expansion exponent {kappa} is not positive")
@@ -250,10 +253,6 @@ def bad_set_membership(trace: OrbitTrace, cfg: HyperbolicConfig, n: int) -> bool
     if n < 1 or n > len(trace):
         raise ValueError("n out of range for this trace")
     return bool(trace.depths[:n].sum() >= cfg.c * n)
-
-
-def hyperbolic_return_times(trace: OrbitTrace, cfg: HyperbolicConfig) -> list[int]:
-    return hyperbolic_times(trace, cfg).return_times
 
 
 def first_hyperbolic_return(trace: OrbitTrace, cfg: HyperbolicConfig) -> int | None:

@@ -164,15 +164,6 @@ def equivariant_density(
     return DensityVector(grid=grid, weights=masses / grid.h)
 
 
-def pullback_residual(
-    family: MapFamily, stream: NoiseStream, m_past: int, grid: UniformGrid
-) -> float:
-    """L1 distance between pullback depths m_past and 2 m_past (Cauchy check)."""
-    d1 = equivariant_density(family, stream, m_past, grid)
-    d2 = equivariant_density(family, stream, 2 * m_past, grid)
-    return float(np.abs(d1.masses() - d2.masses()).sum())
-
-
 @dataclass
 class CorrelationSeries:
     """Absolute correlation values C_n with an exponential fit.

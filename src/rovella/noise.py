@@ -81,15 +81,8 @@ class NoiseStream:
 
     def values(self, start: int, count: int) -> np.ndarray:
         """Draws at indices start, ..., start+count-1 (vectorized)."""
-        idx = (np.arange(start, start + count, dtype=np.int64) + self.origin_offset).astype(
-            np.uint64
-        )
-        h0 = _splitmix64_np(
-            np.full(idx.shape, (self.master_seed & _MASK) ^ _STREAM_SALT, dtype=np.uint64)
-        )
-        h = _splitmix64_np(h0 ^ idx)
-        unit = (h >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
-        return self.eps * (2.0 * unit - 1.0)
+        key = _splitmix64_np(np.array([(self.master_seed & _MASK) ^ _STREAM_SALT], np.uint64))
+        return keyed_draws(key, self.eps, np.arange(start, start + count) + self.origin_offset)
 
 
 def stream(master_seed: int, eps: float) -> NoiseStream:
@@ -102,6 +95,28 @@ def stream(master_seed: int, eps: float) -> NoiseStream:
 def shift(s: NoiseStream, k: int) -> NoiseStream:
     """Shifted view: shift(s, k).get(i) == s.get(i + k)."""
     return NoiseStream(master_seed=s.master_seed, eps=s.eps, origin_offset=s.origin_offset + k)
+
+
+def ensemble_keys(master_seed: int, n_samples: int, sample_offset: int = 0) -> np.ndarray:
+    """Stream keys of orbits sample_offset..sample_offset+n_samples-1.
+
+    Key i is the first `_hash_pair` round (the stream-salt round) of the
+    stream seeded by derive_seed(master_seed, sample_offset + i), so
+    `keyed_draws` of key i at index k reproduces that stream's get(k).
+    """
+    base = _splitmix64_np(np.full(n_samples, (master_seed & _MASK) ^ _DERIVE_SALT, np.uint64))
+    ids = np.arange(sample_offset, sample_offset + n_samples, dtype=np.int64).astype(np.uint64)
+    seeds = _splitmix64_np(base ^ ids)
+    return _splitmix64_np(seeds ^ np.uint64(_STREAM_SALT))
+
+
+def keyed_draws(keys: np.ndarray, eps: float, index) -> np.ndarray:
+    """Draws on [-eps, eps] of the streams with these keys at noise index
+    `index`: an integer, or an integer array broadcast against keys."""
+    idx = np.asarray(index, dtype=np.int64).astype(np.uint64)
+    h = _splitmix64_np(keys ^ idx)  # the second _hash_pair round
+    unit = (h >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+    return eps * (2.0 * unit - 1.0)
 
 
 def ensemble_noise(
@@ -118,12 +133,5 @@ def ensemble_noise(
     Row i reproduces NoiseStream(derive_seed(master_seed, sample_offset + i),
     eps) exactly, so chunked ensembles agree with whole ones row for row.
     """
-    base = _splitmix64_np(np.full(n_samples, (master_seed & _MASK) ^ _DERIVE_SALT, np.uint64))
-    ids = np.arange(sample_offset, sample_offset + n_samples, dtype=np.int64).astype(np.uint64)
-    seeds = _splitmix64_np(base ^ ids)
-    idx = np.arange(start, start + n_steps, dtype=np.int64).astype(np.uint64)
-    # _hash_pair inlined: first round mixes the per-orbit seed, second the index.
-    h0 = _splitmix64_np(seeds ^ np.uint64(_STREAM_SALT))
-    h = _splitmix64_np(h0[:, None] ^ idx[None, :])
-    unit = (h >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
-    return eps * (2.0 * unit - 1.0)
+    keys = ensemble_keys(master_seed, n_samples, sample_offset)
+    return keyed_draws(keys[:, None], eps, np.arange(start, start + n_steps))

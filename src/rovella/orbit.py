@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import CapExceeded, DomainError, EmptyIntersection, SingularHit
 from .map_core import ArrayLike, MapFamily, _unchecked, critical_neighborhoods
-from .noise import NoiseStream, ensemble_noise
+from .noise import NoiseStream, ensemble_keys, keyed_draws
 from .numerics import bisect_increasing_scalar
 
 
@@ -371,22 +371,23 @@ class EnsembleOrbits:
         return ~np.isnan(self.log_der[:, -1])
 
 
+def start_points(keys: np.ndarray, eps: float) -> np.ndarray:
+    """Starting points uniform on (-1, 1) for the streams with these keys
+    (`noise.ensemble_keys`), drawn at noise index -1, which leaves indices
+    >= 0 for the dynamics."""
+    if eps > 0:
+        return keyed_draws(keys, eps, -1) / eps
+    # Degenerate noise still needs spread starting points.
+    return keyed_draws(keys, 1.0, -1)
+
+
 def ensemble_start(
     master_seed: int, eps: float, count: int, n: int, sample_offset: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Starting points and n steps of noise for orbits sample_offset + 0..count-1.
-
-    Starting points are uniform on (-1, 1), drawn from each orbit's own
-    stream at noise index -1, which leaves indices >= 0 for the dynamics.
-    Returns (x0 of shape (count,), noise of shape (count, n)).
-    """
-    ts = ensemble_noise(master_seed, eps, count, n + 1, start=-1, sample_offset=sample_offset)
-    if eps > 0:
-        x = ts[:, 0] / eps
-    else:
-        # Degenerate noise still needs spread starting points.
-        x = ensemble_noise(master_seed, 1.0, count, 1, start=-1, sample_offset=sample_offset)[:, 0]
-    return x, ts[:, 1:]
+    """Starting points (`start_points`) and n steps of noise for orbits
+    sample_offset + 0..count-1: (x0 of shape (count,), noise of shape (count, n))."""
+    keys = ensemble_keys(master_seed, count, sample_offset)
+    return start_points(keys, eps), keyed_draws(keys[:, None], eps, np.arange(n))
 
 
 def ensemble_orbits(

@@ -147,6 +147,30 @@ def reference_orbits(fam, x0, ts, delta):
     return points, log_der, depths
 
 
+def reference_escape_rates(fam, seed, eps, delta, samples, n_cap, x0=None):
+    """Escape-event rates log DT^n / n by the whole-matrix rule on
+    `reference_orbits`, independent of the fit's retirement loop.
+
+    Every row runs all n_cap steps (from `x0` when given). A row's event is
+    its first entry at a step n >= 5 (the fit's default n_min) into the
+    critical preimage neighborhood at radius 2 * delta, the starting point
+    not tested. A dead row is NaN from its death on, so it can enter only
+    while alive; a later death does not remove its event.
+    """
+    from rovella import orbit
+
+    x_start, ts = orbit.ensemble_start(seed, eps, samples, n_cap)
+    if x0 is not None:
+        x_start = x0
+    points, log_der, _ = reference_orbits(fam, x_start, ts, delta)
+    outer = map_core.critical_neighborhoods(fam, 0.0, 2.0 * delta)
+    inside = outer.contains(points)
+    inside[:, 0] = False
+    first = np.argmax(inside, axis=1)
+    rows = np.flatnonzero(inside.any(axis=1) & (first >= 5))
+    return log_der[rows, first[rows]] / first[rows]
+
+
 def without_inverse(fam):
     """The same family with `Branch.inverse` dropped, so `invert_branch`
     takes the bisection fallback."""

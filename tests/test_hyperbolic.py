@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_hyperbolic_flags, dying_ensemble
+from conftest import brute_force_hyperbolic_flags, dying_ensemble, reference_escape_rates
 from rovella import hyperbolic as hyp
 from rovella import map_core as mc
 from rovella import noise, orbit
@@ -174,6 +174,70 @@ class TestConfig:
 
     def test_kappa_fit_positive(self, kappa_fixture):
         assert 0.3 < kappa_fixture < 1.5
+
+
+class TestExpansionFit:
+    """`fit_expansion_rate` retires each orbit at its first entry or death;
+    the whole-matrix rule of `conftest.reference_escape_rates` is the oracle."""
+
+    @pytest.mark.parametrize("name", ["fam", "fam3", "table_fam"])
+    @pytest.mark.parametrize("seed", [1, 2, 4])
+    def test_matches_whole_matrix_reference(self, name, seed, request):
+        family = request.getfixturevalue(name)
+        rates = reference_escape_rates(family, seed, 0.01, 0.01, samples=200, n_cap=50)
+        assert rates.size >= 50
+        for percentile in (1.0, 50.0):
+            expect = np.percentile(rates, percentile)
+            kw = dict(samples=200, n_cap=50, percentile=percentile)
+            if expect > 0:
+                assert hyp.fit_expansion_rate(family, seed, 0.01, 0.01, **kw) == expect
+            else:  # the s = 3 fixture's low tail at seeds 1 and 2
+                with pytest.raises(ParamError, match=f"exponent {float(expect)!r} is not"):
+                    hyp.fit_expansion_rate(family, seed, 0.01, 0.01, **kw)
+
+    def test_death_after_first_entry_keeps_event(self, fam_lin, monkeypatch):
+        # Doubling map: row 0 enters (0, 0.01] at step 5 (x = 2^-7), then
+        # runs -1 + 2^-6, ..., -0.5 and dies at step 12, before n_cap.
+        x0, _ = orbit.ensemble_start(1, 0.01, 20, 20)
+        x0[0] = 0.968994140625
+        rates = reference_escape_rates(fam_lin, 1, 0.01, 0.01, samples=20, n_cap=20, x0=x0)
+        monkeypatch.setattr(hyp, "start_points", lambda keys, eps: x0.copy())
+        with pytest.raises(ParamError, match=f"only {rates.size} escape events"):
+            hyp.fit_expansion_rate(fam_lin, 1, 0.01, 0.01, samples=20, n_cap=20)
+        rest = reference_escape_rates(fam_lin, 1, 0.01, 0.01, samples=19, n_cap=20, x0=x0[1:])
+        assert rates.size == rest.size + 1
+
+    def test_death_before_first_entry_gives_no_event(self, fam, monkeypatch):
+        samples, x0 = dying_ensemble(fam, 1, 0.01, 40)
+        rates = reference_escape_rates(fam, 1, 0.01, 0.01, samples=samples, n_cap=40, x0=x0)
+        monkeypatch.setattr(hyp, "start_points", lambda keys, eps: x0.copy())
+        with pytest.raises(ParamError, match=f"only {rates.size} escape events"):
+            hyp.fit_expansion_rate(fam, 1, 0.01, 0.01, samples=samples, n_cap=40)
+        monkeypatch.undo()
+        with pytest.raises(ParamError, match=f"only {rates.size} escape events"):
+            hyp.fit_expansion_rate(fam, 1, 0.01, 0.01, samples=samples - 1, n_cap=40)
+
+    def test_steps_each_row_only_to_entry_or_death(self, fam, monkeypatch):
+        """Work-count guard: the rows handed to `step` total the steps each
+        orbit takes to its first entry, its death or n_cap."""
+        n_cap, delta = 400, 0.01
+        ens = orbit.ensemble_orbits(fam, 1, 0.01, n_cap, 4000, delta)
+        outer = mc.critical_neighborhoods(fam, 0.0, 2.0 * delta)
+        ended = outer.contains(ens.points) | np.isnan(ens.points)
+        ended[:, 0] = False
+        ended[:, n_cap] = True
+        expect = int(np.argmax(ended, axis=1).sum())
+        rows = []
+        real_step = hyp.step
+
+        def counting_step(family, t, x, dlt):
+            rows.append(x.size)
+            return real_step(family, t, x, dlt)
+
+        monkeypatch.setattr(hyp, "step", counting_step)
+        hyp.fit_expansion_rate(fam, 1, 0.01, delta, samples=4000, n_cap=n_cap)
+        assert sum(rows) == expect
+        assert expect < 4000 * n_cap // 20
 
 
 class TestBindingPeriods:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from rovella import noise
+from rovella import noise, orbit
 
 
 class TestDeterminism:
@@ -77,12 +77,34 @@ class TestMarginals:
 
 
 class TestEnsemble:
-    def test_rows_reproduce_derived_streams(self):
-        mat = noise.ensemble_noise(11, 0.02, 6, 9, start=-3)
+    @pytest.mark.parametrize("offset", [0, 6])
+    def test_rows_reproduce_derived_streams(self, offset):
+        mat = noise.ensemble_noise(11, 0.02, 6, 9, start=-3, sample_offset=offset)
         for i in range(6):
-            s = noise.stream(noise.derive_seed(11, i), 0.02)
+            s = noise.stream(noise.derive_seed(11, offset + i), 0.02)
             expect = [s.get(k) for k in range(-3, 6)]
             assert np.array_equal(mat[i], expect)
+
+    @pytest.mark.parametrize("offset", [0, 6])
+    def test_keyed_draws_match_columns(self, offset):
+        """Draws of a subset of keys at one index (-1 included) are the
+        matching entries of the noise matrix."""
+        mat = noise.ensemble_noise(11, 0.02, 6, 9, start=-3, sample_offset=offset)
+        subset = np.array([0, 2, 3, 5])
+        keys = noise.ensemble_keys(11, 6, offset)[subset]
+        for j, index in enumerate(range(-3, 6)):
+            assert np.array_equal(noise.keyed_draws(keys, 0.02, index), mat[subset, j])
+
+    @pytest.mark.parametrize("eps", [0.0, 0.02])
+    def test_start_points_from_index_minus_one(self, eps):
+        subset = np.array([1, 4, 5])
+        keys = noise.ensemble_keys(11, 6, 6)[subset]
+        col = noise.ensemble_noise(11, eps or 1.0, 6, 1, start=-1, sample_offset=6)[subset, 0]
+        expect = col / eps if eps > 0 else col
+        assert np.array_equal(orbit.start_points(keys, eps), expect)
+        x0, ts = orbit.ensemble_start(11, eps, 6, 4, sample_offset=6)
+        assert np.array_equal(x0[subset], expect)
+        assert np.array_equal(ts, noise.ensemble_noise(11, eps, 6, 4, sample_offset=6))
 
     def test_sample_offset_consistency(self):
         full = noise.ensemble_noise(11, 0.02, 10, 5)
