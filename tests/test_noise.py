@@ -77,13 +77,19 @@ class TestMarginals:
 
 
 class TestEnsemble:
-    @pytest.mark.parametrize("offset", [0, 6])
-    def test_rows_reproduce_derived_streams(self, offset):
+    @staticmethod
+    def _check_rows_reproduce_derived_streams(offset):
         mat = noise.ensemble_noise(11, 0.02, 6, 9, start=-3, sample_offset=offset)
         for i in range(6):
             s = noise.stream(noise.derive_seed(11, offset + i), 0.02)
             expect = [s.get(k) for k in range(-3, 6)]
             assert np.array_equal(mat[i], expect)
+
+    def test_rows_reproduce_derived_streams(self):
+        self._check_rows_reproduce_derived_streams(0)
+
+    def test_rows_reproduce_derived_streams_with_offset(self):
+        self._check_rows_reproduce_derived_streams(6)
 
     @pytest.mark.parametrize("offset", [0, 6])
     def test_keyed_draws_match_columns(self, offset):
