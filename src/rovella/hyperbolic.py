@@ -133,7 +133,10 @@ def fit_expansion_rate(
         )
     kappa = float(np.percentile(rates, percentile))
     if kappa <= 0:
-        raise ParamError(f"fitted expansion exponent {kappa} is not positive")
+        raise ParamError(
+            f"fitted expansion exponent {kappa} is not positive; "
+            "give kappa explicitly (config hyperbolic.kappa) to skip the fit"
+        )
     return kappa
 
 

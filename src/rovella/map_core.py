@@ -42,6 +42,12 @@ class Branch:
     branch is nearly flat, up to the rounding of the spline's cubic over
     its slope). It may return NaN for a target it leaves to bisection.
     Without it `invert_branch` bisects `value` for every target.
+
+    Callables are elementwise: each output entry depends only on the (t, x)
+    pair at its position, so a call on a whole array equals calls on its
+    parts. A callable that both branches of a family share must take both
+    signs of x (x > 0 on the positive side, x <= 0 and NaN on the negative
+    one); `_unchecked` then calls it once on the whole array.
     """
 
     value: BranchFn
@@ -77,43 +83,83 @@ class MapFamily:
 
 @dataclass(frozen=True)
 class _FixtureBranchFn:
-    """Picklable branch callable for the power-law fixture.
+    """Picklable value / derivative callable of the power-law fixture,
+    shared by both branches.
 
-    kind 0/1/2 selects value / first / second x-derivative and kind 3 the
-    inverse x = sign ((1 + sign y) / (2 - |t|))^(1/s), clamped to the branch
-    domain; sign picks the branch side. Picklability matters: families ride
-    along to worker processes in ensemble runs.
+    kind 0/1/2 selects value / first / second x-derivative. The side comes
+    from x by the dispatch convention of `_unchecked`: x > 0 is the positive
+    branch, x <= 0 and NaN the negative one. The side enters only through
+    exact multiplications by +-1, so one call on a whole array gives the
+    same bytes as one call per branch on its rows (signed zeros included).
+    Array calls work in place to keep the temporaries few. Picklability
+    matters: families ride along to worker processes in ensemble runs, and
+    pickling keeps the one object shared.
     """
 
     s: float
-    sign: float
     kind: int
 
     def __call__(self, t: ArrayLike, x: ArrayLike) -> ArrayLike:
         amp = 2.0 - np.abs(t)
-        ax = self.sign * np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            sign = 1.0 if x > 0 else -1.0
+            ax = sign * x
+            if self.kind == 0:
+                # Builtin clamp: np.clip costs microseconds on a scalar.
+                return min(max(sign * (amp * np.power(ax, self.s) - 1.0), -1.0), 1.0)
+            if self.kind == 1:
+                return amp * self.s * np.power(ax, self.s - 1.0)
+            return sign * amp * self.s * (self.s - 1.0) * np.power(ax, self.s - 2.0)
+        # The 0-d formulas, reordered only where multiplication commutes.
+        sign = np.where(x > 0, 1.0, -1.0)
+        out = np.multiply(sign, x)
+        np.power(out, self.s - self.kind, out=out)
         if self.kind == 0:
-            return np.clip(self.sign * (amp * np.power(ax, self.s) - 1.0), -1.0, 1.0)
+            out *= amp
+            out -= 1.0
+            out *= sign
+            return np.clip(out, -1.0, 1.0, out=out)
         if self.kind == 1:
-            return amp * self.s * np.power(ax, self.s - 1.0)
-        if self.kind == 3:
-            # Here x is the target y; 1 + sign y < 0 lies outside the image.
-            root = np.power(np.maximum(1.0 + ax, 0.0) / amp, 1.0 / self.s)
-            return self.sign * np.clip(root, _BRANCH_EDGE, 1.0)
-        return self.sign * amp * self.s * (self.s - 1.0) * np.power(ax, self.s - 2.0)
+            out *= amp * self.s
+            return out
+        out *= amp * self.s * (self.s - 1.0)
+        out *= sign
+        return out
+
+
+@dataclass(frozen=True)
+class _FixtureInverse:
+    """Picklable inverse x = sign ((1 + sign y) / (2 - |t|))^(1/s) of the
+    fixture's branch on side `sign`, clamped to the branch domain."""
+
+    s: float
+    sign: float
+
+    def __call__(self, t: ArrayLike, y: ArrayLike) -> ArrayLike:
+        ay = self.sign * np.asarray(y, dtype=float)
+        # 1 + sign y < 0 lies outside the image.
+        root = np.power(np.maximum(1.0 + ay, 0.0) / (2.0 - np.abs(t)), 1.0 / self.s)
+        return self.sign * np.clip(root, _BRANCH_EDGE, 1.0)
 
 
 def fixture_family(s: float = 2.0, eps_max: float = 0.1) -> MapFamily:
     """Closed-form family T_t(x) = sign(x)((2-|t|)|x|^s - 1), clipped to I,
-    with closed-form branch inverses."""
+    with closed-form branch inverses.
+
+    Both branches hold the same value and derivative callables, which
+    `_unchecked` calls once on a whole array; each branch has its own
+    inverse, since `invert_branch` picks the side itself.
+    """
     # Envelope constants for DT_t(x) = (2-|t|) s |x|^(s-1) over |t| <= eps_max.
     k1 = (2.0 - eps_max) * s
     k2 = 2.0 * s
+    shared = [_FixtureBranchFn(s, kind) for kind in range(3)]
     return MapFamily(
         s=s,
         eps_max=eps_max,
-        branch_pos=Branch(*(_FixtureBranchFn(s, 1.0, kind) for kind in range(4))),
-        branch_neg=Branch(*(_FixtureBranchFn(s, -1.0, kind) for kind in range(4))),
+        branch_pos=Branch(*shared, inverse=_FixtureInverse(s, 1.0)),
+        branch_neg=Branch(*shared, inverse=_FixtureInverse(s, -1.0)),
         k1=k1,
         k2=k2,
         label=f"fixture(s={s:g})",
@@ -266,16 +312,25 @@ def _check_domain(family: MapFamily, t: ArrayLike, x: ArrayLike) -> None:
 def _unchecked(family: MapFamily, part: str, t: ArrayLike, x: ArrayLike) -> np.ndarray:
     """Branch dispatch: `part` ("value", "deriv" or "second") of the branch
     holding each x, without domain checks. x <= 0 and NaN go to the negative
-    branch, so NaN rows stay NaN for the built-in families."""
+    branch, so NaN rows stay NaN for the built-in families.
+
+    A 0-d x calls its branch's callable. For an array, a callable that both
+    branches share is called once on the whole of x, since callables are
+    elementwise; otherwise each branch gets its own rows, gathered by sign.
+    """
     x = np.asarray(x, dtype=float)
-    pos = x > 0
     if x.ndim == 0:
-        b = family.branch_pos if pos else family.branch_neg
+        b = family.branch_pos if x > 0 else family.branch_neg
         return np.asarray(getattr(b, part)(t, x), dtype=float)
+    fn_pos, fn_neg = getattr(family.branch_pos, part), getattr(family.branch_neg, part)
+    t = np.asarray(t, dtype=float)
+    if fn_pos is fn_neg:
+        return np.asarray(fn_pos(t, x), dtype=float)
+    pos = x > 0
     out = np.empty_like(x)
-    t_arr = np.broadcast_to(np.asarray(t, dtype=float), x.shape)
-    out[pos] = getattr(family.branch_pos, part)(t_arr[pos], x[pos])
-    out[~pos] = getattr(family.branch_neg, part)(t_arr[~pos], x[~pos])
+    t_arr = np.broadcast_to(t, x.shape)
+    out[pos] = fn_pos(t_arr[pos], x[pos])
+    out[~pos] = fn_neg(t_arr[~pos], x[~pos])
     return out
 
 

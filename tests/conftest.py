@@ -181,3 +181,32 @@ def without_inverse(fam):
         branch_pos=dataclasses.replace(fam.branch_pos, inverse=None),
         branch_neg=dataclasses.replace(fam.branch_neg, inverse=None),
     )
+
+
+def split_dispatch(fam):
+    """The same family with each branch's value and derivative callables
+    wrapped in a function of its own, so no callable is shared and
+    `map_core._unchecked` gathers each branch's rows by sign."""
+    import dataclasses
+
+    def own(fn):
+        return lambda t, x: fn(t, x)
+
+    def split(branch):
+        return dataclasses.replace(
+            branch, value=own(branch.value), deriv=own(branch.deriv), second=own(branch.second)
+        )
+
+    return dataclasses.replace(
+        fam, branch_pos=split(fam.branch_pos), branch_neg=split(fam.branch_neg)
+    )
+
+
+def assert_same_bytes(a, b):
+    """Equal shapes, NaN in the same positions and the other entries equal
+    as bytes (so -0.0 differs from 0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert a[~nan].tobytes() == b[~nan].tobytes()

@@ -36,6 +36,19 @@ class TestValidation:
         ])
         assert code == cli.EXIT_VALIDATION
 
+    def test_s3_kappa_fit_failure_names_override(self, tmp_path, capsys):
+        # At the defaults the s = 3 fixture's 1st-percentile escape rate is
+        # negative; an explicit kappa skips the fit.
+        cfg = tmp_path / "cfg.json"
+        args = ["hyperbolic-tails", "--samples", "200", "--n-max", "10", "--config", str(cfg)]
+        cfg.write_text(json.dumps({"family": {"kind": "fixture", "s": 3.0}}))
+        assert run([*args, "--out", str(tmp_path / "fit")]) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "exponent -0.1396886" in err and "hyperbolic.kappa" in err
+        cfg.write_text(json.dumps({"family": {"kind": "fixture", "s": 3.0},
+                                   "hyperbolic": {"kappa": 0.7}}))
+        assert run([*args, "--out", str(tmp_path / "given")]) == 0
+
     def test_missing_config_file(self, tmp_path):
         code = run([
             "simulate-orbit", "--x0", "0.5", "--n", "5",
