@@ -14,17 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BranchStraddle, NotHyperbolic, ParamError, SingularHit
-from .map_core import (
-    _BRANCH_EDGE,
-    MapFamily,
-    _unchecked,
-    critical_neighborhoods,
-    invert_branch,
-    unperturbed_orbit,
-)
+from .errors import BranchStraddle, DeltaTooLarge, NotHyperbolic, ParamError, SingularHit
+from .map_core import MapFamily, _unchecked, critical_neighborhoods, unperturbed_orbit
 from .noise import NoiseStream, ensemble_keys, ensemble_noise, keyed_draws
-from .orbit import OrbitTrace, ensemble_start, iterate, start_points, step
+from .orbit import OrbitTrace, ensemble_start, iterate, pull_back, start_points, step
 
 
 # -- combinatorics -----------------------------------------------------------
@@ -406,7 +399,7 @@ def preferred_binding_period(
         theta = (0.9 / (4.0 * math.e)) / (4.0 * w0)
     try:
         hood = critical_neighborhoods(family, 0.0, big_l * delta)
-    except Exception:
+    except DeltaTooLarge:
         return PreferredBinding(False, None, None, None, theta, {"reason": "L*delta too large"})
 
     best: PreferredBinding | None = None
@@ -469,24 +462,6 @@ def distortion_estimate(
     return float(ratio.max() * (hi - lo))
 
 
-def _invert_step(
-    family: MapFamily, t: float, lo: float, hi: float, side: float
-) -> tuple[float, float]:
-    """Preimage of [lo, hi] under the monotone branch on the given side; a
-    bound past the branch image maps to the matching branch endpoint."""
-    if side > 0:
-        img_lo, img_hi = -1.0, float(_unchecked(family, "value", t, np.float64(1.0)))
-        x_min, x_max = _BRANCH_EDGE, 1.0
-    else:
-        img_lo, img_hi = float(_unchecked(family, "value", t, np.float64(-1.0))), 1.0
-        x_min, x_max = -1.0, -_BRANCH_EDGE
-
-    def inv(y: float) -> float:
-        return float(invert_branch(family, t, y, side, xtol=1e-16, ftol=1e-13))
-
-    return (x_min if lo <= img_lo else inv(lo)), (x_max if hi >= img_hi else inv(hi))
-
-
 def markov_neighborhood(
     family: MapFamily,
     stream: NoiseStream,
@@ -510,11 +485,8 @@ def markov_neighborhood(
 
     pts = trace.points
     radius = cfg.delta0 * math.exp(-cfg.lambda_prime * n / 2.0) / cfg.prefactor
-    lo, hi = pts[n] - cfg.delta0, pts[n] + cfg.delta0
-    for k in range(n - 1, -1, -1):
-        lo = max(lo, -1.0)
-        hi = min(hi, 1.0)
-        lo, hi = _invert_step(family, stream.get(k), lo, hi, math.copysign(1.0, pts[k]))
+    ball = np.array([pts[n] - cfg.delta0, pts[n] + cfg.delta0])
+    lo, hi = pull_back(family, stream.values(0, n), np.sign(pts[:n]), ball).tolist()
     a = max(lo, x - radius)
     b = min(hi, x + radius)
     if not (a < x < b):

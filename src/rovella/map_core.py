@@ -455,9 +455,9 @@ def critical_neighborhoods(
     """Solve for the preimages of [-1, -1+delta] and [1-delta, 1] near x = 0.
 
     The positive branch increases from -1 (at 0+) to T_t(1), the negative one
-    from T_t(-1) to 1 (at 0-); bisection on each needs no derivative near the
-    flat region. Raises DeltaTooLarge when the target value exits the branch
-    image.
+    from T_t(-1) to 1 (at 0-); each endpoint is one `invert_branch` call.
+    Raises DeltaTooLarge when the target value exits the branch image or the
+    endpoint residual exceeds 1e-10.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -470,20 +470,9 @@ def critical_neighborhoods(
     if 1.0 - delta < bot_neg:
         raise DeltaTooLarge(f"B_delta(+1) with delta={delta} exits the negative branch image")
 
-    tiny = np.finfo(float).tiny
-
-    def f_pos(x: np.ndarray) -> np.ndarray:
-        return _unchecked(family, "value", t, np.maximum(x, tiny))
-
-    def f_neg(x: np.ndarray) -> np.ndarray:
-        return _unchecked(family, "value", t, np.minimum(x, -tiny))
-
-    pos_hi = float(
-        bisect_increasing(f_pos, np.float64(-1.0 + delta), tiny, 1.0, xtol=1e-15, ftol=1e-12)
-    )
-    neg_lo = float(
-        bisect_increasing(f_neg, np.float64(1.0 - delta), -1.0, -tiny, xtol=1e-15, ftol=1e-12)
-    )
+    pos_hi, neg_lo = invert_branch(
+        family, t, np.array([-1.0 + delta, 1.0 - delta]), np.array([1.0, -1.0])
+    ).tolist()
     res_pos = abs(float(_unchecked(family, "value", t, np.float64(pos_hi))) - (-1.0 + delta))
     res_neg = abs(float(_unchecked(family, "value", t, np.float64(neg_lo))) - (1.0 - delta))
     if max(res_pos, res_neg) > 1e-10:

@@ -45,29 +45,6 @@ def bisect_increasing(
     return 0.5 * (a + b)
 
 
-def bisect_increasing_scalar(
-    f: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-    *,
-    xtol: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
-    a, b = float(lo), float(hi)
-    for _ in range(max_iter):
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        if f(mid) < target:
-            a = mid
-        else:
-            b = mid
-        if b - a <= xtol:
-            break
-    return 0.5 * (a + b)
-
-
 def linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least-squares line y ~ a + b x; returns (a, b, r_squared).
 

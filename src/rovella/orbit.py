@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceeded, DomainError, EmptyIntersection, SingularHit
-from .map_core import ArrayLike, MapFamily, _unchecked, critical_neighborhoods
+from .map_core import ArrayLike, MapFamily, _unchecked, critical_neighborhoods, invert_branch
 from .noise import NoiseStream, ensemble_keys, keyed_draws
-from .numerics import bisect_increasing_scalar
 
 
 @dataclass
@@ -184,14 +183,40 @@ def expansion_sum(trace: OrbitTrace, n: int) -> float:
     )
 
 
+def pull_back(
+    family: MapFamily, t_path: np.ndarray, sides: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """Preimage of each target y under T_{t_path[k-1]} o ... o T_{t_path[0]}
+    along a branch itinerary: sides[..., j] is the sign (+1 or -1) of the
+    branch at step j, per row (shape (rows, k)) or shared (shape (k,)).
+
+    All rows share the noise path. Each step is one `map_core.invert_branch`
+    call, so a target past a branch image maps to that branch's domain
+    endpoint; bisected rows run to the floating-point floor (xtol 0,
+    ftol 1e-13, 110 halvings). A row's result does not depend on the others.
+    """
+    sides = np.asarray(sides)
+    x = np.asarray(y, dtype=float)
+    for j in range(sides.shape[-1] - 1, -1, -1):
+        x = invert_branch(
+            family, float(t_path[j]), x, sides[..., j], xtol=0.0, ftol=1e-13, max_iter=110
+        )
+    return x
+
+
 @dataclass(frozen=True)
 class BranchInterval:
-    """A maximal open interval on which the n-step composition is monotone."""
+    """A maximal open interval on which the n-step composition is monotone.
+
+    sides[j] is the sign (+1 or -1) of T_omega^j on the interval for j < n:
+    the itinerary along which `pull_back` inverts the composition.
+    """
 
     left: float
     right: float
     image_left: float
     image_right: float
+    sides: tuple[int, ...]
 
 
 @dataclass
@@ -200,8 +225,8 @@ class BranchPartition:
 
     cut_points holds +-1, 0 and every preimage of 0 under the first k < n
     steps; branches are the open intervals between consecutive cuts, each
-    carrying its image interval. Points within 1e-12 of a cut are rejected
-    from queries: the discontinuity is honest, not interpolated.
+    carrying its image interval and itinerary. Points within 1e-12 of a cut
+    are rejected from queries: the discontinuity is honest, not interpolated.
     """
 
     family: MapFamily
@@ -233,82 +258,54 @@ def orbit_value(family: MapFamily, stream: NoiseStream, x: float, k: int) -> flo
     return x
 
 
-def _safe_orbit_value(family: MapFamily, stream: NoiseStream, x: float, k: int) -> float:
-    try:
-        return orbit_value(family, stream, x, k)
-    except SingularHit:
-        return orbit_value(family, stream, np.nextafter(x, 2.0), k)
-
-
 def branch_partition(
     family: MapFamily, stream: NoiseStream, n: int, cap: int = 40
 ) -> BranchPartition:
     """Branch structure of the n-step composition by iterated refinement.
 
     Each branch of the k-step composition is monotone increasing; if its
-    image straddles 0 the branch splits at the bisected preimage and the two
-    halves pick up image limits +-1 on the freshly cut side. Branch count is
-    at most 2^n, so n is capped.
+    image straddles 0 the branch splits at the preimage of 0 along its
+    itinerary (one `pull_back` for all such branches of a level), and the
+    two halves pick up image limits +-1 on the freshly cut side. Branch
+    count is at most 2^n, so n is capped.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds branch refinement cap {cap}")
 
-    t0 = stream.get(0)
-    # Level 1: cuts at {-1, 0, 1}; images are one-sided limits at the cuts.
-    branches = [
-        BranchInterval(-1.0, 0.0, float(_unchecked(family, "value", t0, np.float64(-1.0))), 1.0),
-        BranchInterval(0.0, 1.0, -1.0, float(_unchecked(family, "value", t0, np.float64(1.0)))),
-    ]
-    cuts = [-1.0, 0.0, 1.0]
+    t_path = stream.values(0, n)
 
-    for k in range(1, n):
-        tk = stream.get(k)
+    def image(k: int, y: float, limit: float) -> float:
+        # T_k at an image end; the one-sided limit where that end is 0.
+        return limit if y == 0.0 else float(_unchecked(family, "value", t_path[k], np.float64(y)))
+
+    # Level 0 is all of I, whose image straddles 0: its empty itinerary
+    # pulls 0 back to the cut 0. Images are one-sided limits at the cuts.
+    branches = [BranchInterval(-1.0, 1.0, -1.0, 1.0, ())]
+    cuts = [-1.0, 1.0]
+    for k in range(n):
+        # T_omega^k crosses the singularity inside the straddling branches.
+        straddle = [i for i, br in enumerate(branches) if br.image_left < 0.0 < br.image_right]
+        sides = [branches[i].sides for i in straddle]
+        zeros = pull_back(family, t_path, sides, np.zeros(len(sides)))
+        cut_at = dict(zip(straddle, zeros.tolist()))
+        cuts.extend(cut_at.values())
         new_branches: list[BranchInterval] = []
-        new_cuts: list[float] = []
-        for br in branches:
-            u, v = br.image_left, br.image_right
-            if u < 0.0 < v:
-                # T_omega^k crosses the singularity inside this branch.
-                c = bisect_increasing_scalar(
-                    lambda x: _safe_orbit_value(family, stream, x, k),
-                    0.0,
-                    br.left,
-                    br.right,
-                    xtol=1e-13,
-                )
-                new_cuts.append(c)
-                new_branches.append(
-                    BranchInterval(
-                        br.left, c, float(_unchecked(family, "value", tk, np.float64(u))), 1.0
-                    )
-                )
-                new_branches.append(
-                    BranchInterval(
-                        c, br.right, -1.0, float(_unchecked(family, "value", tk, np.float64(v)))
-                    )
-                )
+        for i, br in enumerate(branches):
+            iu, iv = image(k, br.image_left, -1.0), image(k, br.image_right, 1.0)
+            if i in cut_at:
+                c = cut_at[i]
+                new_branches.append(BranchInterval(br.left, c, iu, 1.0, br.sides + (-1,)))
+                new_branches.append(BranchInterval(c, br.right, -1.0, iv, br.sides + (1,)))
             else:
-                iu = (
-                    -1.0
-                    if u == 0.0
-                    else float(_unchecked(family, "value", tk, np.float64(u)))
-                )
-                iv = (
-                    1.0
-                    if v == 0.0
-                    else float(_unchecked(family, "value", tk, np.float64(v)))
-                )
-                new_branches.append(BranchInterval(br.left, br.right, iu, iv))
+                side = 1 if br.image_left >= 0.0 else -1
+                new_branches.append(BranchInterval(br.left, br.right, iu, iv, br.sides + (side,)))
         branches = new_branches
-        cuts.extend(new_cuts)
 
-    cuts_arr = np.array(sorted(cuts))
-    part = BranchPartition(
-        family=family, stream=stream, n=n, cut_points=cuts_arr, branches=branches
+    return BranchPartition(
+        family=family, stream=stream, n=n, cut_points=np.array(sorted(cuts)), branches=branches
     )
-    return part
 
 
 def preimage_in_branch(
@@ -316,7 +313,8 @@ def preimage_in_branch(
     branch: BranchInterval,
     target: tuple[float, float],
 ) -> tuple[float, float]:
-    """Interval J inside the branch with T_omega^n(J) = target, by bisection.
+    """Interval J inside the branch with T_omega^n(J) = target, by `pull_back`
+    along the branch's itinerary.
 
     Raises EmptyIntersection when the target misses the branch image; targets
     reaching past the image are clipped to it, so the returned endpoints map
@@ -328,23 +326,9 @@ def preimage_in_branch(
     u, v = branch.image_left, branch.image_right
     if hi < u or lo > v:
         raise EmptyIntersection(f"target {target} misses branch image ({u}, {v})")
-    lo_c, hi_c = max(lo, u), min(hi, v)
-    fam, strm, n = partition.family, partition.stream, partition.n
-
-    def f(x: float) -> float:
-        return _safe_orbit_value(fam, strm, x, n)
-
-    a = (
-        branch.left
-        if lo_c <= u
-        else bisect_increasing_scalar(f, lo_c, branch.left, branch.right, xtol=1e-13)
-    )
-    b = (
-        branch.right
-        if hi_c >= v
-        else bisect_increasing_scalar(f, hi_c, branch.left, branch.right, xtol=1e-13)
-    )
-    return a, b
+    t_path = partition.stream.values(0, partition.n)
+    a, b = pull_back(partition.family, t_path, branch.sides, np.array([lo, hi]))
+    return (branch.left if lo <= u else float(a)), (branch.right if hi >= v else float(b))
 
 
 @dataclass

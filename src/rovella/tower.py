@@ -22,10 +22,10 @@ import numpy as np
 
 from .errors import CapExceeded, InvalidState
 from .hyperbolic import HyperbolicConfig, _hyperbolic_flags
-from .map_core import MapFamily, invert_branch
+from .map_core import MapFamily
 from .noise import NoiseStream, shift as shift_stream
 from .numerics import linear_fit
-from .orbit import orbit_value, step, step_values
+from .orbit import orbit_value, pull_back, step, step_values
 
 BOUNDARY_MARGIN = 1e-9
 MARKOV_TOL = 1e-10
@@ -99,33 +99,6 @@ def tail_measure(partition: ReturnPartition, n: int) -> float:
         raise ValueError("n out of range for this partition")
     covered = sum(e.width for e in partition.elements if e.tau <= n)
     return partition.base_measure - covered
-
-
-def _pull_back_endpoints(
-    family: MapFamily,
-    t_path: np.ndarray,
-    sides: np.ndarray,
-    k: int,
-    lo0: float,
-    hi0: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Invert [lo0, hi0] through k monotone steps for a batch of candidates.
-
-    sides[c, j] is the sign of candidate c's orbit at step j; all candidates
-    share the same noise path. Each step is one `map_core.invert_branch`
-    call per endpoint: the family's inverse when it has one, else
-    bisection to the floating-point floor. Either way the forward residual
-    stays near the expansion-amplified ulp scale.
-    """
-    count = sides.shape[0]
-    lo = np.full(count, lo0)
-    hi = np.full(count, hi0)
-    for j in range(k - 1, -1, -1):
-        t_j = float(t_path[j])
-        side = sides[:, j]
-        lo = invert_branch(family, t_j, lo, side, xtol=0.0, ftol=1e-13, max_iter=110)
-        hi = invert_branch(family, t_j, hi, side, xtol=0.0, ftol=1e-13, max_iter=110)
-    return lo, hi
 
 
 class _Admitted:
@@ -221,7 +194,10 @@ def _level_elements(
         return [], 0, 0
     fresh_rows = np.asarray(fresh_rows)
 
-    lo, hi = _pull_back_endpoints(family, t_path, signs[fresh_rows, :k], k, -radius, radius)
+    sides = signs[fresh_rows, :k]
+    lo, hi = pull_back(
+        family, t_path, np.vstack([sides, sides]), np.repeat([-radius, radius], len(sides))
+    ).reshape(2, -1)
     radius_cap = cfg.delta0 * math.exp(-cfg.lambda_prime * k / 2.0) / cfg.prefactor
     same_side = (np.sign(lo) == np.sign(hi)) & (lo != 0.0) & (hi != 0.0) & (lo < hi)
     inside = (

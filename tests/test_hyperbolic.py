@@ -280,6 +280,12 @@ class TestBindingPeriods:
         pb = hyp.preferred_binding_period(fam, 0.05)
         assert not pb.found
 
+    @pytest.mark.parametrize("delta", [-0.01, 0.0])
+    def test_preferred_binding_rejects_nonpositive_delta(self, fam, delta):
+        # only DeltaTooLarge means "L*delta too large"; a bad delta raises
+        with pytest.raises(ValueError):
+            hyp.preferred_binding_period(fam, delta)
+
 
 class TestMarkovNeighborhood:
     def test_single_step_far_from_singularity(self, fam, noisy_stream, hyp_cfg):

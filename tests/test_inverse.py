@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from conftest import without_inverse
+from rovella import hyperbolic as hyp
 from rovella import map_core as mc
 from rovella import measures as ms
-from rovella import tower
+from rovella import orbit, tower
 
 
 def _image(fam, t, side, first_node=None):
@@ -115,7 +116,8 @@ def _compare_pullbacks(fam, stream, cfg, n_max=16):
         sides = signs[rows, :k]
         ends = {}
         for name, f in (("fast", fam), ("slow", slow)):
-            lo, hi = tower._pull_back_endpoints(f, t_path, sides, k, -radius, radius)
+            lo = orbit.pull_back(f, t_path, sides, np.full(rows.size, -radius))
+            hi = orbit.pull_back(f, t_path, sides, np.full(rows.size, radius))
             w = np.concatenate([lo, hi])
             for j in range(k):
                 w = mc._unchecked(fam, "value", float(t_path[j]), w)
@@ -151,7 +153,10 @@ class TestFallback:
 
 class TestFastPathGuard:
     """The fixture and the table family never bisect on targets inside the
-    node range; a family without an inverse still does."""
+    node range; a family without an inverse still does. The table family's
+    Markov neighborhoods are left out: their pullback sends targets past a
+    branch image to the domain end, and those targets lie outside the node
+    values, so they bisect."""
 
     class Bisected(Exception):
         pass
@@ -163,11 +168,26 @@ class TestFastPathGuard:
 
         monkeypatch.setattr(mc, "bisect_increasing", refuse)
 
+    @staticmethod
+    def _inversions(family, stream):
+        """Critical neighborhoods, a branch partition and a preimage in it."""
+        hood = mc.critical_neighborhoods(family, 0.03, 0.01)
+        assert 0.0 < hood.pos_hi and hood.neg_lo < 0.0
+        bp = orbit.branch_partition(family, stream, 6)
+        br = bp.branches[len(bp.branches) // 3]
+        mid = 0.5 * (br.image_left + br.image_right)
+        w = br.image_right - br.image_left
+        a, b = orbit.preimage_in_branch(bp, br, (mid - 0.2 * w, mid + 0.2 * w))
+        assert br.left < a < b < br.right
+
     def test_fixture_runs_without_bisection(self, fam, noisy_stream, hyp_cfg, no_bisection):
         mat = ms.ulam_row_operator(fam, 0.01, ms.UniformGrid(256))
         assert np.abs(np.asarray(mat.sum(axis=1)).ravel() - 1.0).max() <= 1e-12
         part = tower.build_return_partition(fam, noisy_stream, hyp_cfg, 8, seed_grid=256)
         assert part.elements
+        self._inversions(fam, noisy_stream)
+        (a, b), _ = hyp.markov_neighborhood(fam, noisy_stream, 0.5, 4, hyp_cfg)
+        assert a < 0.5 < b
 
     def test_table_family_runs_without_bisection(
         self, table_fam, noisy_stream, hyp_cfg, no_bisection
@@ -176,12 +196,13 @@ class TestFastPathGuard:
         assert np.abs(np.asarray(mat.sum(axis=1)).ravel() - 1.0).max() <= 1e-12
         part = tower.build_return_partition(table_fam, noisy_stream, hyp_cfg, 8, seed_grid=256)
         assert part.elements
+        self._inversions(table_fam, noisy_stream)
 
     def test_three_callable_family_reaches_bisection(self, fam_lin, no_bisection):
         with pytest.raises(self.Bisected):
             ms.ulam_row_operator(fam_lin, 0.0, ms.UniformGrid(64))
         with pytest.raises(self.Bisected):
-            tower._pull_back_endpoints(fam_lin, np.zeros(2), np.ones((3, 2)), 2, -0.05, 0.05)
+            orbit.pull_back(fam_lin, np.zeros(2), np.ones((3, 2)), np.full(3, 0.05))
 
 
 def _exact_inverse(spline, t, y):

@@ -129,7 +129,7 @@ class TestBranchPartition:
     def test_two_step_cuts(self, fam, quiet_stream):
         bp = orbit.branch_partition(fam, quiet_stream, 2)
         assert len(bp.branches) == 4
-        # bisection oracle: T(x) = 0 at |x| = 1/sqrt(2)
+        # T(x) = 0 at |x| = 1/sqrt(2)
         assert bp.cut_points[1] == pytest.approx(-INV_SQRT2, abs=1e-12)
         assert bp.cut_points[3] == pytest.approx(INV_SQRT2, abs=1e-12)
 
@@ -137,9 +137,11 @@ class TestBranchPartition:
         bp = orbit.branch_partition(fam, quiet_stream, 3)
         assert len(bp.branches) == 8
 
-    def test_sign_scan_oracle(self, fam, noisy_stream):
+    @pytest.mark.parametrize("family", ["fam", "table_fam"])
+    def test_sign_scan_oracle(self, family, noisy_stream, request):
         # uniform grid scan: monotone inside every branch, a cut between
         # consecutive branches
+        fam = request.getfixturevalue(family)
         n = 5
         bp = orbit.branch_partition(fam, noisy_stream, n)
         xs = np.linspace(-1 + 1e-9, 1 - 1e-9, 200_001)
@@ -152,15 +154,40 @@ class TestBranchPartition:
         assert np.all(diffs[same_branch] > 0)
 
     def test_images_match_orbit_limits(self, fam, noisy_stream):
-        # probe 1e-11 inside the branch: past the cut's own bisection
-        # uncertainty (~1e-14 in x), and DT^4 <= 256 keeps the image within
-        # ~3e-9 of the one-sided limit
+        # probe 1e-11 inside the branch: far past the cut's own error (about
+        # 1e-15 in x), and DT^4 <= 256 keeps the image within ~3e-9 of the
+        # one-sided limit
         bp = orbit.branch_partition(fam, noisy_stream, 4)
         for br in bp.branches:
             val_l = orbit.orbit_value(fam, noisy_stream, br.left + 1e-11, 4)
             val_r = orbit.orbit_value(fam, noisy_stream, br.right - 1e-11, 4)
             assert val_l == pytest.approx(br.image_left, abs=1e-8)
             assert val_r == pytest.approx(br.image_right, abs=1e-8)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_cuts_match_exact_preimages(self, fam, seed):
+        """Each cut is the preimage of 0 along the itinerary its two
+        neighbouring branches share: within 1e-15 of the 40-digit root of
+        the fixture composite (s = 2) at the same noise values."""
+        mp = pytest.importorskip("mpmath")
+        stream = noise.stream(seed, 0.01)
+        bp = orbit.branch_partition(fam, stream, 8)
+        ts = stream.values(0, 8)
+        cuts = bp.cut_points[1:-1]
+        assert len(cuts) == len(bp.branches) - 1 > 100
+        with mp.workdps(40):
+            for left, right in zip(bp.branches[:-1], bp.branches[1:]):
+                c = left.right
+                assert c == right.left
+                if c == 0.0:
+                    continue
+                # The itinerary up to the step whose image crosses 0.
+                k = next(j for j, (a, b) in enumerate(zip(left.sides, right.sides)) if a != b)
+                x = mp.mpf(0)
+                for j in range(k - 1, -1, -1):
+                    side = left.sides[j]
+                    x = side * mp.sqrt((1 + side * x) / (2 - abs(mp.mpf(ts[j]))))
+                assert abs(c - x) <= 1e-15
 
     def test_cap(self, fam, quiet_stream):
         with pytest.raises(CapExceeded):
@@ -195,7 +222,9 @@ class TestPreimageInBranch:
         inner = orbit.preimage_in_branch(bp, br, (mid - 0.1 * w, mid + 0.1 * w))
         assert outer[0] <= inner[0] <= inner[1] <= outer[1]
 
-    def test_roundtrip_endpoints(self, fam, noisy_stream):
+    @pytest.mark.parametrize("family", ["fam", "table_fam"])
+    def test_roundtrip_endpoints(self, family, noisy_stream, request):
+        fam = request.getfixturevalue(family)
         bp = orbit.branch_partition(fam, noisy_stream, 3)
         br = bp.branches[2]
         mid = 0.5 * (br.image_left + br.image_right)
