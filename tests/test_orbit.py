@@ -179,8 +179,6 @@ class TestBranchPartition:
             for left, right in zip(bp.branches[:-1], bp.branches[1:]):
                 c = left.right
                 assert c == right.left
-                if c == 0.0:
-                    continue
                 # The itinerary up to the step whose image crosses 0.
                 k = next(j for j, (a, b) in enumerate(zip(left.sides, right.sides)) if a != b)
                 x = mp.mpf(0)
