@@ -548,6 +548,13 @@ class _ArgsShim:
         return None
 
 
+def _workers_ok(workers: int) -> bool:
+    if workers >= 1:
+        return True
+    print(f"error: workers must be at least 1, got {workers}", file=sys.stderr)
+    return False
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -558,23 +565,27 @@ def main(argv: list[str] | None = None) -> int:
         cfg = manifest["config"]
         if args.out is not None:
             cfg = _merge(cfg, {"output": {"directory": args.out}})
+        workers = args.workers if args.workers is not None else manifest.get("workers", 1)
         try:
             validate_config(cfg)
         except ValidationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
+        if not _workers_ok(workers):
+            return EXIT_VALIDATION
         shim = _ArgsShim(manifest["command"], manifest.get("command_args", {}))
-        workers = args.workers if args.workers is not None else manifest.get("workers", 1)
         shim.workers = workers
         return _run(manifest["command"], cfg, shim, workers)
 
+    if not _workers_ok(args.workers):
+        return EXIT_VALIDATION
     try:
         cfg = load_config(args.config, _overrides_from_args(args))
     except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        return _run(args.command, cfg, args, getattr(args, "workers", 1))
+        return _run(args.command, cfg, args, args.workers)
     except RovellaError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -10,6 +10,7 @@ Markov.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import BranchStraddle, DeltaTooLarge, NotHyperbolic, ParamError, SingularHit
 from .map_core import MapFamily, _unchecked, critical_neighborhoods, unperturbed_orbit
 from .noise import NoiseStream, ensemble_keys, ensemble_noise, keyed_draws
-from .orbit import OrbitTrace, ensemble_start, iterate, pull_back, start_points, step
+from .orbit import OrbitTrace, iterate, pull_back, start_points, step
 
 
 # -- combinatorics -----------------------------------------------------------
@@ -197,13 +198,30 @@ class HyperbolicReport:
     horizon: int
 
 
-def _hyperbolic_flags(depths: np.ndarray, c_prime: float) -> np.ndarray:
+def _hyperbolic_flags(
+    depths: np.ndarray,
+    c_prime: float,
+    state: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """flags[..., n-1] for n = 1..depths.shape[-1]: n is a hyperbolic time of
-    the depth sequence along the last axis (strict running-max reduction)."""
-    gains = np.cumsum(c_prime - depths.astype(float), axis=-1)
-    prefix = np.concatenate([np.zeros(gains.shape[:-1] + (1,)), gains], axis=-1)
-    run_max = np.maximum.accumulate(prefix[..., :-1], axis=-1)
-    return prefix[..., 1:] > run_max
+    the depth sequence along the last axis (strict running-max reduction).
+
+    The reduction runs a prefix sum of (c_prime - depth) and flags a step
+    whose sum beats every earlier one, the empty prefix 0 included. `state`
+    is the carried (prefix sum, running max) per row, of shape
+    depths.shape[:-1], both zero at the start of a sequence; it is updated in
+    place, so feeding a sequence block by block gives the flags of one call.
+    """
+    increments = c_prime - np.asarray(depths).astype(float)
+    if state is None:
+        state = np.zeros(increments.shape[:-1]), np.zeros(increments.shape[:-1])
+    gain, run_max = state
+    flags = np.empty(increments.shape, dtype=bool)
+    for j in range(increments.shape[-1]):
+        gain += increments[..., j]
+        np.greater(gain, run_max, out=flags[..., j])
+        np.maximum(run_max, gain, out=run_max)
+    return flags
 
 
 def hyperbolic_times(trace: OrbitTrace, cfg: HyperbolicConfig) -> HyperbolicReport:
@@ -573,28 +591,37 @@ def _tail_chunk(
     index_hi: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Survivor and bad-set counts of orbits index_lo..index_hi-1, then the
-    number of live orbits and of dead ones."""
-    x, ts = ensemble_start(master_seed, eps, index_hi - index_lo, n_max, index_lo)
-    depths = np.empty(ts.shape, dtype=np.int64)
-    in_base = np.empty((x.size, n_max + 1), dtype=bool)
-    in_base[:, 0] = cfg.in_base(x)
+    number of live orbits and of dead ones.
+
+    The orbits are streamed: noise is drawn one step at a time and each row
+    keeps only its point, the carried hyperbolic-time reduction, its depth
+    sum and its first hyperbolic time and return. Bad-set flags are kept per
+    step, because an orbit that dies later leaves every count.
+    """
+    keys = ensemble_keys(master_seed, index_hi - index_lo, index_lo)
+    x = start_points(keys, eps)
+    rows = x.size
+    state = np.zeros(rows), np.zeros(rows)
+    depth_sum = np.zeros(rows, dtype=np.int64)
+    first_h = np.full(rows, n_max)  # step index of the first time; n_max: none yet
+    first_ret = np.full(rows, n_max)
+    bad = np.empty((rows, n_max), dtype=bool)
     for k in range(n_max):
-        x, depths[:, k], _ = step(family, ts[:, k], x, cfg.delta)
-        in_base[:, k + 1] = cfg.in_base(x)
+        x, depth, _ = step(family, keyed_draws(keys, eps, k), x, cfg.delta)
+        hyp = _hyperbolic_flags(depth[:, None], cfg.c_prime, state)[:, 0]  # time k + 1
+        first_h[hyp & (first_h > k)] = k
+        first_ret[hyp & cfg.in_base(x) & (first_ret > k)] = k
+        depth_sum += depth
+        np.greater_equal(depth_sum, cfg.c * (k + 1), out=bad[:, k])
     alive = ~np.isnan(x)
     live = int(alive.sum())
 
-    hyp = _hyperbolic_flags(depths, cfg.c_prime) & alive[:, None]  # column n-1 <-> time n
-    hyp_ret = hyp & in_base[:, 1:]
-
-    def survivors(flags: np.ndarray) -> np.ndarray:
+    def survivors(first: np.ndarray) -> np.ndarray:
         # survivors[n-1] = # live rows with no flagged time <= n
-        any_by_n = np.cumsum(flags, axis=1) > 0
-        return live - any_by_n.sum(axis=0)
+        return live - np.cumsum(np.bincount(first[alive], minlength=n_max + 1)[:n_max])
 
-    cum_r = np.cumsum(depths, axis=1)
-    bad_members = ((cum_r >= cfg.c * np.arange(1, n_max + 1)) & alive[:, None]).sum(axis=0)
-    return survivors(hyp), survivors(hyp_ret), bad_members, live, x.size - live
+    bad_members = bad.sum(axis=0, where=alive[:, None])
+    return survivors(first_h), survivors(first_ret), bad_members, live, rows - live
 
 
 def tail_statistics(
@@ -610,18 +637,22 @@ def tail_statistics(
     """Ensemble survival curves for h, h-star and bad-set membership.
 
     Work is split into fixed-size chunks whose results are summed in index
-    order, so the table is independent of the worker count. Starting points
-    are uniform on (-1, 1), one stream per orbit index (`orbit.ensemble_start`).
+    order, so the table is independent of the worker count. With workers > 1
+    the chunks run on a pool of threads (numpy releases the GIL in its array
+    loops); each chunk streams its orbits in memory linear in its rows.
+    Starting points are uniform on (-1, 1), one stream per orbit index
+    (`orbit.start_points`).
     """
     bounds = [(lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)]
-    args = [(family, master_seed, eps, cfg, n_max, lo, hi) for lo, hi in bounds]
-    if workers > 1 and len(args) > 1:
-        import multiprocessing as mp
 
-        with mp.get_context("spawn").Pool(workers) as pool:
-            parts = pool.starmap(_tail_chunk, args)
+    def run(bound: tuple[int, int]):
+        return _tail_chunk(family, master_seed, eps, cfg, n_max, *bound)
+
+    if workers > 1 and len(bounds) > 1:
+        with ThreadPoolExecutor(min(workers, len(bounds))) as pool:
+            parts = list(pool.map(run, bounds))
     else:
-        parts = [_tail_chunk(*a) for a in args]
+        parts = [run(b) for b in bounds]
     h = np.sum([p[0] for p in parts], axis=0)
     hstar = np.sum([p[1] for p in parts], axis=0)
     bad = np.sum([p[2] for p in parts], axis=0)

@@ -61,7 +61,7 @@ class MapFamily:
     """One-parameter admissible family of contracting Lorenz maps.
 
     Immutable after construction; all operations are pure functions of their
-    arguments, so instances are safe to share across workers.
+    arguments, so instances are safe to share across worker threads.
     """
 
     s: float
@@ -91,9 +91,9 @@ class _FixtureBranchFn:
     branch, x <= 0 and NaN the negative one. The side enters only through
     exact multiplications by +-1, so one call on a whole array gives the
     same bytes as one call per branch on its rows (signed zeros included).
-    Array calls work in place to keep the temporaries few. Picklability
-    matters: families ride along to worker processes in ensemble runs, and
-    pickling keeps the one object shared.
+    Array calls work in place on arrays they allocate, which keeps the
+    temporaries few and lets threads share one instance. Pickling keeps the
+    one object shared by both branches.
     """
 
     s: float

@@ -12,16 +12,18 @@ which makes the constant-observable cancellation exact up to roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InsufficientData
 from .map_core import MapFamily, _unchecked, invert_branch
 from .noise import NoiseStream
 from .numerics import linear_fit
 from .orbit import step_values
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,8 @@ def ulam_row_operator(family: MapFamily, t: float, grid: UniformGrid) -> sp.csr_
     sweep splits every cell at those breakpoints. Each row sums to 1 up to
     accumulation roundoff.
     """
+    import scipy.sparse as sp  # here, so that importing rovella does not load it
+
     m = grid.m
     edges = grid.edges
     h = grid.h

@@ -2,9 +2,10 @@
 
 Values are counter-based: draw(i) is a pure hash of (master_seed, i), so
 negative indices (needed by backward correlations and the pullback of
-equivariant densities) cost the same as positive ones, draws are independent
-of access order, and ensembles can fan out across workers without sharing
-generator state.
+equivariant densities) cost the same as positive ones, and draws are
+independent of access order. An ensemble can therefore draw its noise one
+step at a time (`keyed_draws` on the orbits' keys) and split its orbits into
+chunks on worker threads without sharing generator state.
 """
 
 from __future__ import annotations

@@ -116,6 +116,41 @@ def dying_ensemble(fam, seed, eps, n):
     raise AssertionError("no zero preimage found")
 
 
+def plant_start_points(monkeypatch, seed, x0):
+    """Patch `hyperbolic.start_points` so that orbit i of the ensemble with
+    this master seed starts at x0[i], in whichever chunk it runs."""
+    from rovella import hyperbolic
+
+    keys = noise.ensemble_keys(seed, len(x0))
+    row = {int(k): i for i, k in enumerate(keys)}
+    x0 = np.asarray(x0, dtype=float)
+    monkeypatch.setattr(
+        hyperbolic, "start_points", lambda k, eps: x0[[row[int(v)] for v in k]]
+    )
+
+
+def reference_tail_table(fam, seed, eps, cfg, samples, n_max, x0=None):
+    """(h_survivors, hstar_survivors, bad_members, total, singular_hits) by
+    the whole-matrix rule, independent of the streamed chunks and of the
+    running-max reduction: `ensemble_orbits` (from x0 when given), then
+    `brute_force_hyperbolic_flags` row by row. Rows that die within the
+    horizon leave every count."""
+    from rovella import orbit
+
+    ens = orbit.ensemble_orbits(fam, seed, eps, n_max, samples, cfg.delta, x0=x0)
+    alive = ens.alive
+    live = int(alive.sum())
+    hyp = np.array([brute_force_hyperbolic_flags(d, cfg.c_prime) for d in ens.depths])
+    hyp &= alive[:, None]
+    ret = hyp & cfg.in_base(ens.points[:, 1:])
+    bad = (np.cumsum(ens.depths, axis=1) >= cfg.c * np.arange(1, n_max + 1)) & alive[:, None]
+
+    def survivors(flags):
+        return live - (np.cumsum(flags, axis=1) > 0).sum(axis=0)
+
+    return survivors(hyp), survivors(ret), bad.sum(axis=0), live, samples - live
+
+
 def reference_orbits(fam, x0, ts, delta):
     """Per-row scalar loop of the stepping rule, independent of `orbit.step`.
 

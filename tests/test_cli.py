@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +51,24 @@ class TestValidation:
         cfg.write_text(json.dumps({"family": {"kind": "fixture", "s": 3.0},
                                    "hyperbolic": {"kappa": 0.7}}))
         assert run([*args, "--out", str(tmp_path / "given")]) == 0
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one(self, tmp_path, capsys, workers):
+        tails = ["hyperbolic-tails", "--samples", "200", "--n-max", "10", "--workers", workers]
+        assert run([*tails, "--out", str(tmp_path / "tails")]) == cli.EXIT_VALIDATION
+        assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not (tmp_path / "tails").exists()
+
+        assert run(["simulate-orbit", "--x0", "0.4", "--n", "5", "--out", str(tmp_path / "a")]) == 0
+        manifest = tmp_path / "a" / "manifest-simulate-orbit.json"
+        redo = ["rerun", "--manifest", str(manifest), "--out", str(tmp_path / "b")]
+        assert run([*redo, "--workers", workers]) == cli.EXIT_VALIDATION
+        assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+        # A manifest that recorded such a count is refused too.
+        payload = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**payload, "workers": int(workers)}))
+        assert run(redo) == cli.EXIT_VALIDATION
+        assert not (tmp_path / "b").exists()
 
     def test_missing_config_file(self, tmp_path):
         code = run([
@@ -189,6 +210,7 @@ class TestArtifacts:
         assert manifest["artifacts"] == ["orbit.csv"]
         assert len(manifest["config_hash"]) == 64
         assert "numpy" in manifest["versions"]
+        assert "scipy" in manifest["versions"]
 
 
 class TestConfigMerge:
@@ -203,3 +225,17 @@ class TestConfigMerge:
         assert (a / "orbit.csv").read_bytes() == (b / "orbit.csv").read_bytes()
         manifest = json.loads((a / "manifest-simulate-orbit.json").read_text())
         assert manifest["config"]["noise"]["seed"] == 7
+
+
+def test_cli_import_leaves_scipy_submodules_unloaded():
+    # scipy.sparse serves only Ulam operators and scipy.interpolate only
+    # tabulated families; a command that needs neither does not pay for them.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, rovella.cli; "
+        "print(sorted(m for m in ('scipy.sparse', 'scipy.interpolate') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -12,7 +12,7 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import assert_same_bytes, dying_ensemble, split_dispatch
+from conftest import assert_same_bytes, dying_ensemble, plant_start_points, split_dispatch
 from rovella import hyperbolic as hyp
 from rovella import map_core as mc
 from rovella import measures, noise, orbit
@@ -56,13 +56,7 @@ def test_ensemble_orbits_shared_matches_split(fam):
 
 def test_tail_statistics_shared_matches_split(fam, hyp_cfg, monkeypatch):
     samples, x0 = dying_ensemble(fam, 1, 0.01, 30)
-    real_start = orbit.ensemble_start
-
-    def start(master_seed, eps, count, n, sample_offset=0):
-        _, ts = real_start(master_seed, eps, count, n, sample_offset)
-        return x0[sample_offset : sample_offset + count].copy(), ts
-
-    monkeypatch.setattr(hyp, "ensemble_start", start)
+    plant_start_points(monkeypatch, 1, x0)
     tables = [
         hyp.tail_statistics(family, 1, 0.01, hyp_cfg, samples=samples, n_max=30, chunk=7)
         for family in (fam, split_dispatch(fam))

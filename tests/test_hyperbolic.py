@@ -1,11 +1,21 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import brute_force_hyperbolic_flags, dying_ensemble, reference_escape_rates
+from conftest import (
+    assert_same_bytes,
+    brute_force_hyperbolic_flags,
+    dying_ensemble,
+    plant_start_points,
+    reference_escape_rates,
+    reference_tail_table,
+)
 from rovella import hyperbolic as hyp
 from rovella import map_core as mc
 from rovella import noise, orbit
@@ -76,6 +86,28 @@ class TestHyperbolicTimes:
         fast = hyp._hyperbolic_flags(depths, c_prime)
         brute = brute_force_hyperbolic_flags(depths, c_prime)
         assert np.array_equal(fast, brute)
+
+    @given(
+        depths=hnp.arrays(
+            np.int64, st.tuples(st.integers(1, 4), st.integers(1, 60)), elements=st.integers(-1, 8)
+        ),
+        cuts=st.lists(st.integers(0, 60), max_size=6),
+        c_prime=st.floats(min_value=0.05, max_value=3.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_carried_state_matches_one_call(self, depths, cuts, c_prime):
+        rows, n = depths.shape
+        whole = hyp._hyperbolic_flags(depths, c_prime)
+        state = np.zeros(rows), np.zeros(rows)
+        edges = sorted({0, n, *(c for c in cuts if c < n)})
+        blocks = [
+            hyp._hyperbolic_flags(depths[:, a:b], c_prime, state)
+            for a, b in zip(edges, edges[1:])
+        ]
+        assert np.array_equal(np.concatenate(blocks, axis=1), whole)
+        prefix = np.cumsum(c_prime - depths, axis=1)
+        assert state[0].tobytes() == prefix[:, -1].tobytes()
+        assert np.array_equal(state[1], np.maximum(prefix.max(axis=1), 0.0))
 
     def test_report_fields(self, fam, noisy_stream, hyp_cfg):
         trace = orbit.iterate(fam, noisy_stream, 0.77, 120, hyp_cfg.delta)
@@ -348,7 +380,7 @@ class TestTailStatistics:
         assert np.all(np.diff(tab.hstar_survivors) <= 0)
         assert np.all(tab.hstar_survivors >= tab.h_survivors)
 
-    def test_spawn_pool_matches_serial(self, fam, hyp_cfg):
+    def test_thread_pool_matches_serial(self, fam, hyp_cfg):
         one = hyp.tail_statistics(fam, 1, 0.01, hyp_cfg, samples=3000, n_max=30, chunk=1000)
         two = hyp.tail_statistics(
             fam, 1, 0.01, hyp_cfg, samples=3000, n_max=30, workers=2, chunk=1000
@@ -357,15 +389,25 @@ class TestTailStatistics:
             assert np.array_equal(getattr(one, key), getattr(two, key))
         assert (one.total, one.singular_hits) == (two.total, two.singular_hits)
 
+    def test_thread_pool_under_fast_switching(self, fam, hyp_cfg):
+        # More threads than cores, switching every microsecond: a chunk that
+        # shared mutable state with another would lose updates.
+        serial = hyp.tail_statistics(fam, 1, 0.01, hyp_cfg, samples=3000, n_max=30, chunk=250)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = hyp.tail_statistics(
+                fam, 1, 0.01, hyp_cfg, samples=3000, n_max=30, workers=8, chunk=250
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        for key in ("h_survivors", "hstar_survivors", "bad_members"):
+            assert np.array_equal(getattr(serial, key), getattr(pooled, key))
+        assert (serial.total, serial.singular_hits) == (pooled.total, pooled.singular_hits)
+
     def test_dead_orbit_leaves_every_count(self, fam, hyp_cfg, monkeypatch):
         samples, x0 = dying_ensemble(fam, 1, 0.01, 30)
-        real_start = orbit.ensemble_start
-
-        def start(master_seed, eps, count, n, sample_offset=0):
-            _, ts = real_start(master_seed, eps, count, n, sample_offset)
-            return x0[sample_offset : sample_offset + count].copy(), ts
-
-        monkeypatch.setattr(hyp, "ensemble_start", start)
+        plant_start_points(monkeypatch, 1, x0)
         dead = hyp.tail_statistics(
             fam, 1, 0.01, hyp_cfg, samples=samples, n_max=30, chunk=samples // 2 + 1
         )
@@ -374,3 +416,42 @@ class TestTailStatistics:
         assert (dead.total, dead.singular_hits) == (samples - 1, 1)
         for key in ("h_survivors", "hstar_survivors", "bad_members"):
             assert np.array_equal(getattr(dead, key), getattr(rest, key))
+
+    @pytest.mark.parametrize("family", ["fam", "table_fam", "fam_lin"])
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_stream_matches_whole_matrix_reference(
+        self, family, workers, fam, hyp_cfg, monkeypatch, request
+    ):
+        # Planted rows that die: the fixture's first image exactly 0; a table
+        # start below the first node, where DT < 0; on the linear family a
+        # start whose depth 2 puts it in the bad set for five steps before it
+        # reaches 0 at step 10, and one that reaches 0 at step 2.
+        samples, x0 = dying_ensemble(fam, 1, 0.01, 30)
+        if family == "table_fam":
+            x0[-1] = 1e-8
+        elif family == "fam_lin":
+            x0[0], x0[-1] = 0.75, 2.0**-10
+        family = request.getfixturevalue(family)
+        expect = reference_tail_table(family, 1, 0.01, hyp_cfg, samples, 30, x0)
+        assert expect[4] == (2 if x0[0] == 0.75 else 1)
+        plant_start_points(monkeypatch, 1, x0)
+        table = hyp.tail_statistics(
+            family, 1, 0.01, hyp_cfg, samples=samples, n_max=30, workers=workers,
+            chunk=samples // 3 + 1,
+        )
+        got = (table.h_survivors, table.hstar_survivors, table.bad_members)
+        for a, b in zip(got, expect):
+            assert a.dtype == b.dtype
+            assert_same_bytes(a, b)
+        assert (table.total, table.singular_hits) == expect[3:]
+
+    def test_stream_memory_is_linear_in_rows(self, fam, hyp_cfg):
+        # A (rows, n_max) float matrix alone is 9.6 MB at this size.
+        hyp.tail_statistics(fam, 1, 0.01, hyp_cfg, samples=100, n_max=60)
+        tracemalloc.start()
+        try:
+            hyp.tail_statistics(fam, 1, 0.01, hyp_cfg, samples=20_000, n_max=60)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
