@@ -74,7 +74,6 @@ from .tower import (
     certify_axioms,
     sample_tower_orbits,
     tail_measure,
-    tower_orbit,
     tower_step,
     verify_markov,
 )

@@ -573,17 +573,16 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_VALIDATION
         if not _workers_ok(workers):
             return EXIT_VALIDATION
-        shim = _ArgsShim(manifest["command"], manifest.get("command_args", {}))
-        shim.workers = workers
-        return _run(manifest["command"], cfg, shim, workers)
-
-    if not _workers_ok(args.workers):
-        return EXIT_VALIDATION
-    try:
-        cfg = load_config(args.config, _overrides_from_args(args))
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        args = _ArgsShim(manifest["command"], manifest.get("command_args", {}))
+        args.workers = workers
+    else:
+        if not _workers_ok(args.workers):
+            return EXIT_VALIDATION
+        try:
+            cfg = load_config(args.config, _overrides_from_args(args))
+        except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
     try:
         return _run(args.command, cfg, args, args.workers)
     except RovellaError as exc:

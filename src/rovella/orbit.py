@@ -249,15 +249,6 @@ class BranchPartition:
         return self.branches[idx]
 
 
-def orbit_value(family: MapFamily, stream: NoiseStream, x: float, k: int) -> float:
-    """T_omega^k(x), raising SingularHit if an iterate rounds to 0."""
-    for i in range(k):
-        x = float(_unchecked(family, "value", stream.get(i), np.float64(x)))
-        if x == 0.0:
-            raise SingularHit(f"orbit hit the singularity at step {i + 1}")
-    return x
-
-
 def branch_partition(
     family: MapFamily, stream: NoiseStream, n: int, cap: int = 40
 ) -> BranchPartition:

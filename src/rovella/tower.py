@@ -20,12 +20,12 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import CapExceeded, InvalidState
+from .errors import CapExceeded, InvalidState, SingularHit
 from .hyperbolic import HyperbolicConfig, _hyperbolic_flags
-from .map_core import MapFamily
+from .map_core import ArrayLike, MapFamily
 from .noise import NoiseStream, shift as shift_stream
 from .numerics import linear_fit
-from .orbit import orbit_value, pull_back, step, step_values
+from .orbit import pull_back, step, step_values
 
 BOUNDARY_MARGIN = 1e-9
 MARKOV_TOL = 1e-10
@@ -70,7 +70,10 @@ class ReturnPartition:
     time_origin: int = 0  # absolute time of this partition's noise origin
 
     def __post_init__(self) -> None:
+        # A trailing sentinel answers index -1: no right end, return time 0.
         self._lefts = np.array([e.left for e in self.elements])
+        self._rights = np.array([*(e.right for e in self.elements), -np.inf])
+        self._taus = np.array([*(e.tau for e in self.elements), 0], dtype=np.int64)
 
     @property
     def base_measure(self) -> float:
@@ -80,13 +83,11 @@ class ReturnPartition:
     def return_times(self) -> list[int]:
         return sorted({e.tau for e in self.elements})
 
-    def locate(self, x: float) -> int | None:
-        """Index of the element containing x, or None in the uncovered part."""
-        idx = int(np.searchsorted(self._lefts, x, side="right")) - 1
-        if idx < 0:
-            return None
-        e = self.elements[idx]
-        return idx if e.left <= x <= e.right else None
+    def locate(self, x: ArrayLike) -> np.ndarray:
+        """Index of the element holding each x; -1 in the uncovered part and at NaN."""
+        x = np.asarray(x, dtype=float)
+        idx = np.searchsorted(self._lefts, x, side="right") - 1
+        return np.where(x <= self._rights[idx], idx, -1)
 
 
 def _gcd_all(values) -> int:
@@ -109,14 +110,9 @@ class _Admitted:
         self._lefts: list[float] = []
 
     def covered(self, x: np.ndarray) -> np.ndarray:
-        if not self.elements:
-            return np.zeros(x.shape, dtype=bool)
-        pos = np.searchsorted(self._lefts, x, side="right") - 1
-        ok = pos >= 0
-        rights = np.array([e.right for e in self.elements])
-        out = np.zeros(x.shape, dtype=bool)
-        out[ok] = x[ok] <= rights[pos[ok]]
-        return out
+        # Position -1 reads the -inf sentinel, as in ReturnPartition.locate.
+        rights = np.array([*(e.right for e in self.elements), -np.inf])
+        return x <= rights[np.searchsorted(self._lefts, x, side="right") - 1]
 
     def try_admit(self, e: PartitionElement) -> bool:
         pos = bisect.bisect_right(self._lefts, e.left)
@@ -321,17 +317,12 @@ def build_return_partition(
     # smallest-time elements are admitted unconditionally, so marking after
     # the fact selects the same elements that seeding first would have.
     elements = admitted.elements
-    seeded_taus: list[int] = []
-    for e in sorted(elements, key=lambda e: (e.tau, e.left)):
-        if e.tau in seeded_taus:
-            continue
-        seeded_taus.append(e.tau)
-        if len(seeded_taus) >= 4 and _gcd_all(seeded_taus) == 1:
-            break
     chosen: dict[int, PartitionElement] = {}
     for e in sorted(elements, key=lambda e: (e.tau, e.left)):
-        if e.tau in seeded_taus and e.tau not in chosen:
+        if e.tau not in chosen:
             chosen[e.tau] = e
+            if len(chosen) >= 4 and _gcd_all(list(chosen)) == 1:
+                break
     marked = {id(e) for e in chosen.values()}
     elements = [
         PartitionElement(e.left, e.right, e.tau, e.branch_id, e.residual, seeded=id(e) in marked)
@@ -405,7 +396,8 @@ def tower_step(partition: ReturnPartition, state: TowerState) -> TowerState:
     tower orbits therefore reproduce direct orbits. The new element is looked
     up in this partition; a landing in the uncovered part yields element -1,
     from which further steps raise InvalidState (rebuild the partition for
-    the shifted stream to continue honestly; see PartitionCache).
+    the shifted stream to continue honestly; see PartitionCache). A return
+    image that dies (see `orbit.step_values`) raises SingularHit.
     """
     if state.element < 0 or state.element >= len(partition.elements):
         raise InvalidState(f"element index {state.element} not in partition")
@@ -414,16 +406,15 @@ def tower_step(partition: ReturnPartition, state: TowerState) -> TowerState:
         raise InvalidState(f"x={state.x} outside element [{e.left}, {e.right}]")
     if state.level + 1 < e.tau:
         return TowerState(state.element, state.level + 1, state.x, state.base_time)
-    x_new = orbit_value(
-        partition.family,
-        shift_stream(partition.stream, state.base_time - partition.time_origin),
-        state.x,
-        e.tau,
-    )
+    x, start = np.float64(state.x), state.base_time - partition.time_origin
+    for k in range(start, start + e.tau):
+        x = step_values(partition.family, partition.stream.get(k), x)
+    x_new = float(x)
+    if math.isnan(x_new):
+        raise SingularHit(f"the return image of x={state.x} hit the singularity")
     if abs(x_new) > partition.base_radius + 1e-9:
         raise InvalidState(f"return image {x_new} left the base")
-    idx = partition.locate(x_new)
-    return TowerState(idx if idx is not None else -1, 0, x_new, state.base_time + e.tau)
+    return TowerState(int(partition.locate(x_new)), 0, x_new, state.base_time + e.tau)
 
 
 class PartitionCache:
@@ -468,42 +459,66 @@ class PartitionCache:
         return self._cache[time_shift]
 
 
-def _walk(cache: PartitionCache, state: TowerState, steps: int) -> list[TowerState] | None:
-    """Tower steps with omega-correct element lookups; None on a stalled
-    return (landing in the uncovered part of the shifted partition)."""
-    part = cache.get(state.base_time)
-    states = [state]
-    for _ in range(steps):
-        nxt = tower_step(part, state)
-        if nxt.base_time != state.base_time:
-            part = cache.get(nxt.base_time)
-            idx = part.locate(nxt.x)
-            if idx is None:
-                return None
-            nxt = TowerState(idx, 0, nxt.x, nxt.base_time)
-        state = nxt
-        states.append(state)
-    return states
+def _return_map(
+    cache: PartitionCache, x: np.ndarray, base_time: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One tower return for each row (x, base_time): (element, image,
+    base_time + tau). Each row is located in `cache.get(base_time)` and
+    stepped by `step_values` on its own noise; a row in no element, a dead
+    (NaN) row included, gets element -1 and return time 0."""
+    element = np.empty(x.shape, dtype=np.int64)
+    tau = np.empty(x.shape, dtype=np.int64)
+    for b in np.unique(base_time):
+        rows = base_time == b
+        part = cache.get(int(b))
+        element[rows] = part.locate(x[rows])
+        tau[rows] = part._taus[element[rows]]
+    t_path = cache.stream.values(0, int((base_time + tau).max(initial=0)))
+    image = x.copy()
+    for k in range(int(tau.max(initial=0))):
+        live = np.flatnonzero(tau > k)
+        image[live] = step_values(cache.family, t_path[base_time[live] + k], image[live])
+    outside = np.abs(image[element >= 0]) > cache.cfg.delta0 / 2.0 + 1e-9
+    if outside.any():
+        raise InvalidState(f"return image {image[element >= 0][outside][0]} left the base")
+    return element, image, base_time + tau
 
 
-def tower_orbit(
-    cache: PartitionCache, state: TowerState, steps: int
-) -> tuple[list[TowerState], list[float]]:
-    """Iterate the tower with omega-correct element lookups after returns.
-
-    Returns the visited states and the projection to the interval at each of
-    the `steps` + 1 times (projection of the initial state included). Raises
-    InvalidState if a return lands in the uncovered part of the shifted
-    partition, which is the honest failure mode of a finite-horizon build.
-    """
-    states = _walk(cache, state, steps)
-    if states is None:
-        raise InvalidState("a return landed in the uncovered part of the shifted partition")
-    projections = [
-        orbit_value(cache.family, shift_stream(cache.stream, s.base_time), s.x, s.level)
-        for s in states
-    ]
-    return states, projections
+def _walks(
+    cache: PartitionCache, x0: np.ndarray, steps: int, needed: int
+) -> tuple[list[list[TowerState]], int]:
+    """The first `needed` complete `steps`-step tower walks from x0 at base
+    time 0, and the number of rows up to the last of them (all rows if
+    fewer complete). `_return_map` runs on all rows until each stalls (a
+    return up to time `steps` lands in no element) or passes `steps`. An
+    uncached partition is built only for the first row still walking, and
+    only while fewer than `needed` rows before it are complete, so the
+    cache gets the keys that walking the rows one at a time gives it."""
+    x = np.array(x0, dtype=float)
+    base_time = np.zeros(x.size, dtype=np.int64)
+    complete, walking = np.zeros(x.size, dtype=bool), np.ones(x.size, dtype=bool)
+    returns = []
+    while walking.any():
+        rows = np.flatnonzero(walking)
+        ready = np.isin(base_time[rows], list(cache._cache))
+        if not ready.any():
+            if complete[: rows[0]].sum() >= needed:
+                break
+            ready = base_time[rows] == base_time[rows[0]]
+        rows = rows[ready]
+        element, image, next_time = _return_map(cache, x[rows], base_time[rows])
+        hit = element >= 0
+        returns.append((rows, element, x[rows], base_time[rows], next_time))
+        x[rows], base_time[rows] = image, next_time
+        complete[rows[hit & (next_time > steps)]] = True
+        walking[rows[~hit | (next_time > steps)]] = False
+    kept = np.flatnonzero(complete)[:needed]
+    walks: dict[int, list[TowerState]] = {r: [] for r in kept.tolist()}
+    for ret in returns:
+        keep = np.isin(ret[0], kept)
+        for r, el, xr, b, b_next in zip(*(a[keep].tolist() for a in ret)):
+            walks[r] += [TowerState(el, t - b, xr, b) for t in range(b, min(b_next, steps + 1))]
+    return list(walks.values()), int(kept[-1]) + 1 if kept.size == needed else x.size
 
 
 def sample_tower_orbits(
@@ -513,31 +528,34 @@ def sample_tower_orbits(
 
     Starting points are uniform over the covered part of the time-0
     partition (element chosen by width, position uniform inside). Walks that
-    stall in an uncovered gap are discarded and resampled: the finite-horizon
-    tower is only defined on the covered set, and coverage gaps are what the
-    return-time tail quantifies, not a defect of the dynamics. Returns the
-    orbits and the number of attempts consumed.
+    stall in an uncovered gap, or die, are discarded and resampled: the
+    finite-horizon tower is only defined on the covered set, and coverage
+    gaps are what the return-time tail quantifies, not a defect of the
+    dynamics. Returns the orbits and the number of attempts consumed.
+    Attempts are drawn and walked `count` at a time, each element drawn as
+    `Generator.choice` with width weights draws it, so the result is that
+    of one attempt at a time.
     """
     part0 = cache.get(0)
     widths = np.array([e.width for e in part0.elements])
-    weights = widths / widths.sum()
+    cdf = np.cumsum(widths / widths.sum())
+    cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
     orbits: list[list[TowerState]] = []
     attempts = 0
     cap = max(500 * count, 10_000)
     while len(orbits) < count:
-        attempts += 1
-        if attempts > cap:
+        if attempts >= cap:
             raise InvalidState(
                 f"could not sample {count} complete orbits in {cap} attempts; "
                 "coverage too thin at this horizon"
             )
-        idx = int(rng.choice(widths.size, p=weights))
-        e = part0.elements[idx]
-        x0 = float(e.left + rng.uniform(0.0, 1.0) * e.width)
-        states = _walk(cache, TowerState(idx, 0, x0), steps)
-        if states is not None:
-            orbits.append(states)
+        u = rng.random((min(count, cap - attempts), 2))
+        idx = np.searchsorted(cdf, u[:, 0], side="right")
+        x0 = part0._lefts[idx] + u[:, 1] * widths[idx]
+        walks, used = _walks(cache, x0, steps, count - len(orbits))
+        orbits += walks
+        attempts += used
     return orbits, attempts
 
 
@@ -581,29 +599,25 @@ class AxiomReport:
         return out
 
 
-def _separation_time(
-    cache: PartitionCache, x: float, y: float, time_shift: int, max_returns: int = 3
-) -> tuple[int, bool]:
-    """Tower-steps until x and y land in different elements, capped.
-
-    Returns (separation, exact); exact is False when the pair was censored by
-    the return cap or an uncovered landing.
-    """
-    total = 0
+def _separation_times(
+    cache: PartitionCache, x: np.ndarray, y: np.ndarray, base_time: np.ndarray, max_returns: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(separation, exact): tower steps from base_time until each pair (x, y)
+    lands in different elements, by up to `max_returns` calls of
+    `_return_map`. exact is False for a pair censored by that cap or by a
+    landing in no element, which a dead row makes too."""
+    n = x.size
+    points, times = np.concatenate([x, y]), np.concatenate([base_time, base_time])
+    separation, exact = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
+    pairs = np.arange(n)
     for _ in range(max_returns):
-        part = cache.get(time_shift)
-        ix, iy = part.locate(x), part.locate(y)
-        if ix is None or iy is None:
-            return total, False
-        if ix != iy:
-            return total, True
-        tau = part.elements[ix].tau
-        strm = shift_stream(cache.stream, time_shift)
-        x = orbit_value(cache.family, strm, x, tau)
-        y = orbit_value(cache.family, strm, y, tau)
-        total += tau
-        time_shift += tau
-    return total, False
+        rows = np.concatenate([pairs, pairs + n])
+        element, points[rows], times[rows] = _return_map(cache, points[rows], times[rows])
+        ex, ey = element[: pairs.size], element[pairs.size :]
+        exact[pairs] = (ex >= 0) & (ey >= 0) & (ex != ey)
+        pairs = pairs[(ex >= 0) & (ex == ey)]
+        separation[pairs] = times[pairs] - base_time[pairs]
+    return separation, exact
 
 
 def certify_axioms(
@@ -638,34 +652,29 @@ def certify_axioms(
     # bins. Pairs whose images stall in uncovered parts of the shifted
     # partitions are censored, which finite coverage makes unavoidable.
     elements = sorted(partition.elements, key=lambda e: -e.width)[:pair_samples]
-    seps: list[int] = []
-    ratios: list[float] = []
-    consistent = True
-    checked = 0
     half_fracs = 0.5 * np.array([0.8, 0.4, 0.2, 0.1, 0.05])
-    for e in elements:
-        w = e.width
-        mid = e.left + 0.5 * w
-        x_pts, y_pts = mid - half_fracs * w, mid + half_fracs * w
-        m = half_fracs.size
-        images = np.concatenate([x_pts, y_pts])
-        logd = np.zeros(m)
-        for k in range(e.tau):
-            images, _, log_dt = step(fam, strm.get(k), images, cfg.delta)
-            logd += log_dt[:m] - log_dt[m:]
-        # A dead pair is NaN, lands in no element and so is censored.
-        for x, y, xx, yy, ld in zip(x_pts, y_pts, images[:m], images[m:], logd):
-            sep_img, exact = _separation_time(cache, float(xx), float(yy), e.tau)
-            if not exact:
-                continue
-            seps.append(sep_img)
-            ratios.append(abs(math.exp(ld) - 1.0))
-            # C1 recursion: separation of the base pair equals tau plus the
-            # separation of the images.
-            sep_base, exact_base = _separation_time(cache, x, y, 0, max_returns=4)
-            if exact_base and sep_base != e.tau + sep_img:
-                consistent = False
-            checked += 1
+    widths = np.array([e.width for e in elements])[:, None]
+    mid = np.array([e.left for e in elements])[:, None] + 0.5 * widths
+    x, y = (mid - half_fracs * widths).ravel(), (mid + half_fracs * widths).ravel()
+    tau = np.repeat(np.array([e.tau for e in elements], dtype=np.int64), half_fracs.size)
+    n = x.size
+    images = np.concatenate([x, y])
+    logd = np.zeros(n)
+    for k in range(int(tau.max(initial=0))):
+        live = np.flatnonzero(tau > k)
+        rows = np.concatenate([live, live + n])
+        images[rows], _, log_dt = step(fam, strm.get(k), images[rows], cfg.delta)
+        logd[live] += log_dt[: live.size] - log_dt[live.size :]
+    # A dead pair is NaN, lands in no element and so is censored.
+    sep_img, exact = _separation_times(cache, images[:n], images[n:], tau, max_returns=3)
+    seps = sep_img[exact].tolist()
+    ratios = [abs(math.exp(ld) - 1.0) for ld in logd[exact]]
+    # C1 recursion: separation of the base pair equals tau plus the
+    # separation of the images.
+    sep_base, exact_base = _separation_times(
+        cache, x[exact], y[exact], np.zeros(len(seps), dtype=np.int64), max_returns=4
+    )
+    consistent = not np.any(exact_base & (sep_base != tau[exact] + sep_img[exact]))
 
     if len(seps) >= 3 and len(set(seps)) >= 2:
         bins: dict[int, float] = {}
@@ -700,7 +709,7 @@ def certify_axioms(
 
     return AxiomReport(
         min_return=min(taus) if taus else 0,
-        separation_checked=checked,
+        separation_checked=len(seps),
         separation_consistent=consistent,
         markov_max_residual=mk["max_residual"],
         markov_non_monotone=mk["non_monotone"],

@@ -245,3 +245,75 @@ def assert_same_bytes(a, b):
     nan = np.isnan(a)
     assert np.array_equal(nan, np.isnan(b))
     assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def reference_locate(partition, x):
+    """Index of the element holding x by a linear scan, or -1."""
+    return next((i for i, e in enumerate(partition.elements) if e.left <= x <= e.right), -1)
+
+
+def _reference_return(family, stream, x, base_time, tau):
+    """x after tau steps from base_time by scalar `map_core.evaluate`; NaN
+    once an image is exactly 0."""
+    for k in range(tau):
+        x = map_core.evaluate(family, stream.get(base_time + k), x)
+        if x == 0.0:
+            x = np.nan
+    return x
+
+
+def reference_tower_orbits(family, stream, get, count, steps, seed):
+    """Scalar tower walks, one attempt at a time: (orbits, attempts).
+
+    `get(k)` is the partition for the stream shifted by k. Each attempt
+    draws its element by `Generator.choice` with width weights, then its
+    position by `Generator.uniform`, and walks return by return: scalar
+    `map_core.evaluate` steps and a linear-scan lookup. A return that lands
+    in no element, or dies, discards the attempt. Orbit states are
+    (element, level, x, base_time) tuples. Raises InvalidState past
+    max(500 * count, 10000) attempts.
+    """
+    from rovella.errors import InvalidState
+
+    part0 = get(0)
+    widths = np.array([e.width for e in part0.elements])
+    rng = np.random.default_rng(seed)
+    orbits, attempts = [], 0
+    while len(orbits) < count:
+        attempts += 1
+        if attempts > max(500 * count, 10_000):
+            raise InvalidState("attempt cap")
+        idx = int(rng.choice(widths.size, p=widths / widths.sum()))
+        e = part0.elements[idx]
+        x = float(e.left + rng.uniform(0.0, 1.0) * e.width)
+        states, base_time = [], 0
+        while idx >= 0:
+            tau = get(base_time).elements[idx].tau
+            states += [(idx, lv, x, base_time) for lv in range(min(tau, steps + 1 - base_time))]
+            if base_time + tau > steps:
+                orbits.append(states)
+                break
+            x = _reference_return(family, stream, x, base_time, tau)
+            base_time += tau
+            idx = reference_locate(get(base_time), x)
+    return orbits, attempts
+
+
+def reference_separation(family, stream, get, x, y, base_time, max_returns):
+    """(separation, exact) of one pair by scalar returns: tower steps until
+    x and y lie in different elements; censored (exact False) by the return
+    cap or a landing in no element, a dead image included."""
+    total = 0
+    for _ in range(max_returns):
+        part = get(base_time)
+        ix, iy = reference_locate(part, x), reference_locate(part, y)
+        if ix < 0 or iy < 0:
+            return total, False
+        if ix != iy:
+            return total, True
+        tau = part.elements[ix].tau
+        x = _reference_return(family, stream, x, base_time, tau)
+        y = _reference_return(family, stream, y, base_time, tau)
+        total += tau
+        base_time += tau
+    return total, False

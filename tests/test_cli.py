@@ -52,6 +52,21 @@ class TestValidation:
                                    "hyperbolic": {"kappa": 0.7}}))
         assert run([*args, "--out", str(tmp_path / "given")]) == 0
 
+    def test_rerun_numeric_failure_exits_numeric(self, tmp_path, capsys):
+        # A rerun goes through the same RovellaError handler as the
+        # subcommand: the s = 3 kappa fit fails with exit 3, not a traceback.
+        a = tmp_path / "a"
+        args = ["hyperbolic-tails", "--samples", "200", "--n-max", "10", "--out", str(a)]
+        assert run(args) == 0
+        manifest = a / "manifest-hyperbolic-tails.json"
+        payload = json.loads(manifest.read_text())
+        payload["config"]["family"]["s"] = 3.0
+        manifest.write_text(json.dumps(payload))
+        capsys.readouterr()
+        redo = ["rerun", "--manifest", str(manifest), "--out", str(tmp_path / "b")]
+        assert run(redo) == cli.EXIT_NUMERIC
+        assert "numeric failure" in capsys.readouterr().err
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one(self, tmp_path, capsys, workers):
         tails = ["hyperbolic-tails", "--samples", "200", "--n-max", "10", "--workers", workers]

@@ -159,8 +159,10 @@ class TestBranchPartition:
         # one-sided limit
         bp = orbit.branch_partition(fam, noisy_stream, 4)
         for br in bp.branches:
-            val_l = orbit.orbit_value(fam, noisy_stream, br.left + 1e-11, 4)
-            val_r = orbit.orbit_value(fam, noisy_stream, br.right - 1e-11, 4)
+            val_l, val_r = br.left + 1e-11, br.right - 1e-11
+            for k in range(4):
+                val_l = mc.evaluate(fam, noisy_stream.get(k), val_l)
+                val_r = mc.evaluate(fam, noisy_stream.get(k), val_r)
             assert val_l == pytest.approx(br.image_left, abs=1e-8)
             assert val_r == pytest.approx(br.image_right, abs=1e-8)
 
@@ -229,8 +231,11 @@ class TestPreimageInBranch:
         w = br.image_right - br.image_left
         target = (mid - 0.2 * w, mid + 0.25 * w)
         a, b = orbit.preimage_in_branch(bp, br, target)
-        assert orbit.orbit_value(fam, noisy_stream, a, 3) == pytest.approx(target[0], abs=1e-9)
-        assert orbit.orbit_value(fam, noisy_stream, b, 3) == pytest.approx(target[1], abs=1e-9)
+        for k in range(3):
+            a = mc.evaluate(fam, noisy_stream.get(k), a)
+            b = mc.evaluate(fam, noisy_stream.get(k), b)
+        assert a == pytest.approx(target[0], abs=1e-9)
+        assert b == pytest.approx(target[1], abs=1e-9)
 
     def test_empty_intersection(self, fam, quiet_stream):
         bp = orbit.branch_partition(fam, quiet_stream, 1)

@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import zero_preimage
+from conftest import reference_separation, reference_tower_orbits, zero_preimage
 from rovella import hyperbolic as hyp
-from rovella import map_core as mc
-from rovella import noise, orbit, tower
-from rovella.errors import CapExceeded, InvalidState
+from rovella import noise, tower
+from rovella.errors import CapExceeded, InvalidState, SingularHit
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +125,7 @@ class TestBuild:
         e = part.elements[len(part.elements) // 2]
         mid = 0.5 * (e.left + e.right)
         assert part.elements[part.locate(mid)] is e
-        assert part.locate(part.base_radius * 2) is None
+        assert part.locate(part.base_radius * 2) == -1
 
 
 class TestTailMeasure:
@@ -169,31 +168,6 @@ class TestTowerStep:
 
 
 class TestTowerOrbit:
-    def test_projection_matches_direct_orbit(self, fam, noisy_stream, cache):
-        # returns recompose the same map applications, so the projection
-        # reproduces the direct orbit to roundoff
-        part0 = cache.get(0)
-        done = 0
-        attempt = 0
-        while done < 5 and attempt < 4000:
-            attempt += 1
-            rng = np.random.default_rng(attempt)
-            idx = int(rng.integers(0, len(part0.elements)))
-            e = part0.elements[idx]
-            x0 = e.left + rng.uniform(0.2, 0.8) * e.width
-            try:
-                _, proj = tower.tower_orbit(cache, tower.TowerState(idx, 0, x0), 30)
-            except InvalidState:
-                continue
-            direct = [x0]
-            x = x0
-            for k in range(30):
-                x = mc.evaluate(fam, noisy_stream.get(k), x)
-                direct.append(x)
-            assert np.max(np.abs(np.array(proj) - np.array(direct))) <= 1e-8
-            done += 1
-        assert done == 5
-
     def test_sampled_orbits_helper(self, cache):
         orbits, attempts = tower.sample_tower_orbits(cache, 3, 25, seed=7)
         assert len(orbits) == 3
@@ -202,6 +176,108 @@ class TestTowerOrbit:
             assert len(states) == 26
             for s, t in zip(states, states[1:]):
                 assert t.base_time + t.level == s.base_time + s.level + 1
+
+
+def _recording(cache):
+    """cache.get, recording the keys it is asked for."""
+    keys = set()
+
+    def get(k):
+        keys.add(k)
+        return cache.get(k)
+
+    return get, keys
+
+
+class TestBatchedWalk:
+    """The batched return map against scalar one-at-a-time references."""
+
+    @pytest.mark.parametrize("family", ["fam", "table_fam"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_sampling_matches_scalar_walks(self, family, seed, hyp_cfg, request):
+        # 7 walks a batch, so the 7th success falls inside a batch whose
+        # later attempts are walked but neither kept nor counted.
+        fam = request.getfixturevalue(family)
+        strm = noise.stream(seed, 0.01)
+        cache = tower.PartitionCache(fam, strm, hyp_cfg, 12, seed_grid=256)
+        orbits, attempts = tower.sample_tower_orbits(cache, 7, 20, seed=seed)
+        get, keys = _recording(cache)
+        ref, ref_attempts = reference_tower_orbits(fam, strm, get, 7, 20, seed)
+        assert attempts == ref_attempts > 7
+        assert set(cache._cache) == keys
+        got = [[(s.element, s.level, s.x.hex(), s.base_time) for s in o] for o in orbits]
+        assert got == [[(e, lv, x.hex(), b) for e, lv, x, b in o] for o in ref]
+        assert all(type(s.element) is int and type(s.x) is float for o in orbits for s in o)
+
+    def test_attempt_cap(self, fam, hyp_cfg, monkeypatch):
+        # At horizon 6 no walk survives 60 steps. With 3 attempts a batch,
+        # the 10,000-attempt cap leaves a last batch of one.
+        strm = noise.stream(1, 0.01)
+        cache = tower.PartitionCache(fam, strm, hyp_cfg, 6, seed_grid=256)
+        walked = []
+        walks = tower._walks
+        monkeypatch.setattr(
+            tower, "_walks", lambda c, x0, *a: walked.append(x0.size) or walks(c, x0, *a)
+        )
+        with pytest.raises(InvalidState, match="10000 attempts"):
+            tower.sample_tower_orbits(cache, 3, 60, seed=5)
+        assert sum(walked) == 10_000 and walked[-1] == 1
+        get, keys = _recording(cache)
+        with pytest.raises(InvalidState):
+            reference_tower_orbits(fam, strm, get, 3, 60, 5)
+        assert set(cache._cache) == keys
+
+    @pytest.mark.parametrize("family", ["fam", "table_fam"])
+    def test_certify_separations_match_scalar(self, family, hyp_cfg, request, monkeypatch):
+        fam = request.getfixturevalue(family)
+        strm = noise.stream(1, 0.01)
+        part = tower.build_return_partition(fam, strm, hyp_cfg, 12, seed_grid=512)
+        cache = tower.PartitionCache(fam, strm, hyp_cfg, 12, seed_grid=256)
+        calls = []
+        separations = tower._separation_times
+
+        def spy(c, x, y, base_time, max_returns):
+            out = separations(c, x, y, base_time, max_returns)
+            calls.append((x, y, base_time, max_returns, *out))
+            return out
+
+        monkeypatch.setattr(tower, "_separation_times", spy)
+        tower.certify_axioms(part, cache=cache)
+        (x_img, *_, exact), base_call = calls
+        assert x_img.size == 5 * min(40, len(part.elements))
+        assert (~exact).sum() > 0  # censored pairs are compared too
+        assert base_call[0].size == exact.sum()
+        for x, y, base_time, max_returns, sep, ex in calls:
+            ref = [
+                reference_separation(fam, strm, cache.get, a, b, int(t), max_returns)
+                for a, b, t in zip(x.tolist(), y.tolist(), base_time)
+            ]
+            assert list(zip(sep.tolist(), ex.tolist())) == ref
+
+    def test_dead_row(self, fam, hyp_cfg):
+        # A tau = 1 element ending at a point whose image rounds to 0: the
+        # batched walk discards that row, its pair separation is censored,
+        # and a single tower step raises.
+        seed = next(s for s in range(1, 100) if zero_preimage(fam, noise.stream(s, 0.01).get(0)))
+        strm = noise.stream(seed, 0.01)
+        x_dead = zero_preimage(fam, strm.get(0))
+        cache = tower.PartitionCache(fam, strm, hyp_cfg, 8, seed_grid=256)
+        dead = tower.PartitionElement(x_dead - 1e-3, x_dead, 1, "dead", 0.0)
+        pinned = tower.ReturnPartition(
+            fam, strm, hyp_cfg, hyp_cfg.delta0 / 2.0, 8, [dead], 0.0, seed_grid=1
+        )
+        cache._cache[0] = pinned
+        walks, used = tower._walks(cache, np.array([x_dead - 5e-4, x_dead]), 1, 2)
+        assert used == 2 and all(w[0].x != x_dead for w in walks)
+        sep, exact = tower._separation_times(
+            cache, np.array([x_dead]), np.array([x_dead - 1e-6]), np.array([0]), 3
+        )
+        assert sep.tolist() == [1] and exact.tolist() == [False]
+        assert reference_separation(fam, strm, cache.get, x_dead, x_dead - 1e-6, 0, 3) == (
+            1, False
+        )
+        with pytest.raises(SingularHit):
+            tower.tower_step(pinned, tower.TowerState(0, 0, x_dead))
 
 
 class TestCertifyAxioms:
