@@ -38,7 +38,6 @@ from .hyperbolic import (
     bad_set_membership,
     binding_period_check,
     config_for_family,
-    first_hyperbolic_return,
     fit_expansion_rate,
     hyperbolic_times,
     markov_neighborhood,

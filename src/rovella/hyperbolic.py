@@ -54,8 +54,7 @@ class HyperbolicConfig:
     are tested. delta0_margins records the two smallness constraints on
     delta0 behind the neighborhood proposition (positive margin = satisfied);
     they are existence-only in the theory, so violations are recorded, not
-    fatal. delta_star is exposed for the one-step lower bound assumption and
-    defaults to delta; nothing is derived from it.
+    fatal.
     """
 
     delta: float
@@ -67,7 +66,6 @@ class HyperbolicConfig:
     base_neg: float
     base_pos: float
     prefactor: float = 1.0
-    delta_star: float | None = None
     delta0_margins: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
@@ -178,7 +176,6 @@ def config_for_family(
         base_neg=base.neg_lo,
         base_pos=base.pos_hi,
         prefactor=prefactor,
-        delta_star=delta,
         delta0_margins=(margin_step, margin_sum),
     )
 
@@ -267,10 +264,6 @@ def bad_set_membership(trace: OrbitTrace, cfg: HyperbolicConfig, n: int) -> bool
     if n < 1 or n > len(trace):
         raise ValueError("n out of range for this trace")
     return bool(trace.depths[:n].sum() >= cfg.c * n)
-
-
-def first_hyperbolic_return(trace: OrbitTrace, cfg: HyperbolicConfig) -> int | None:
-    return hyperbolic_times(trace, cfg).first_return
 
 
 # -- binding periods ---------------------------------------------------------
@@ -575,10 +568,6 @@ class TailTable:
     bad_members: np.ndarray
     total: int
     singular_hits: int = 0
-
-    def fractions(self, which: str) -> np.ndarray:
-        counts = getattr(self, which)
-        return counts / self.total
 
 
 def _tail_chunk(

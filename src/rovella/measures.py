@@ -69,9 +69,6 @@ class DensityVector:
     def masses(self) -> np.ndarray:
         return self.weights * self.grid.h
 
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        return float(np.dot(np.asarray(f(self.grid.centers), dtype=float), self.masses()))
-
 
 def ulam_row_operator(family: MapFamily, t: float, grid: UniformGrid) -> sp.csr_matrix:
     """Row-stochastic matrix: entry (i, j) is the fraction of cell i mapping

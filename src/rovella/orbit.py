@@ -33,7 +33,6 @@ class OrbitTrace:
     log_der: np.ndarray
     depths: np.ndarray
     visits: np.ndarray
-    truncated: bool = False
 
     def __len__(self) -> int:
         return len(self.points) - 1

@@ -79,10 +79,6 @@ class ReturnPartition:
     def base_measure(self) -> float:
         return 2.0 * self.base_radius
 
-    @property
-    def return_times(self) -> list[int]:
-        return sorted({e.tau for e in self.elements})
-
     def locate(self, x: ArrayLike) -> np.ndarray:
         """Index of the element holding each x; -1 in the uncovered part and at NaN."""
         x = np.asarray(x, dtype=float)
@@ -92,6 +88,21 @@ class ReturnPartition:
 
 def _gcd_all(values) -> int:
     return reduce(math.gcd, values) if values else 0
+
+
+def _images(
+    family: MapFamily, t_path: np.ndarray, x: ArrayLike, tau: ArrayLike, start: ArrayLike = 0
+) -> np.ndarray:
+    """Each row x[i] after tau[i] steps of `step_values`, step j on noise
+    t_path[start[i] + j]; tau and start are per row or shared. One call a
+    step on the rows still going; a dead row stays NaN."""
+    x = np.array(x, dtype=float)
+    tau = np.broadcast_to(tau, x.shape)
+    for j in range(int(tau.max(initial=0))):
+        live = np.flatnonzero(tau > j)
+        t = t_path[start + j] if np.ndim(start) == 0 else t_path[start[live] + j]
+        x[live] = step_values(family, t, x[live])
+    return x
 
 
 def tail_measure(partition: ReturnPartition, n: int) -> float:
@@ -203,10 +214,8 @@ def _level_elements(
         & ((hi - lo) <= radius_cap)
     )
     ok = same_side & inside
-    # Forward residual of both endpoints, batched.
-    w = np.concatenate([lo[ok], hi[ok]])
-    for j in range(k):
-        w = step_values(family, float(t_path[j]), w)
+    # Forward residual of both endpoints.
+    w = _images(family, t_path, np.concatenate([lo[ok], hi[ok]]), k)
     m = int(ok.sum())
     res = np.maximum(np.abs(w[:m] + radius), np.abs(w[m:] - radius))
     verified = []
@@ -349,25 +358,21 @@ def verify_markov(partition: ReturnPartition, samples: int = 100) -> dict:
     """Independent re-check of every element: monotone interior, image onto base.
 
     Returns the worst endpoint residual and the count of monotonicity
-    violations across `samples` interior points per element. A sample that
-    dies on the way (see `orbit.step_values`) makes the residual NaN and the
-    element non-monotone, so it fails both checks.
+    violations across `samples` interior points per element. All samples
+    are stepped together, one `step_values` call a step. A sample that dies
+    on the way (see `orbit.step_values`) makes its element non-monotone, and
+    a dead endpoint makes the residual NaN, so the check fails.
     """
-    fam, strm = partition.family, partition.stream
-    worst = 0.0
-    non_monotone = 0
-    for e in partition.elements:
-        xs = np.linspace(e.left, e.right, samples)
-        for k in range(e.tau):
-            xs = step_values(fam, strm.get(k), xs)
-        if not np.all(np.diff(xs) > 0):
-            non_monotone += 1
-        worst = float(np.max([
-            worst,
-            abs(xs[0] - (-partition.base_radius)),
-            abs(xs[-1] - partition.base_radius),
-        ]))
-    return {"max_residual": worst, "non_monotone": non_monotone, "elements": len(partition.elements)}
+    elements = partition.elements
+    taus = np.array([e.tau for e in elements], dtype=np.int64)
+    xs = np.linspace([e.left for e in elements], [e.right for e in elements], samples, axis=1)
+    t_path = partition.stream.values(0, int(taus.max(initial=0)))
+    xs = _images(partition.family, t_path, xs.ravel(), np.repeat(taus, samples)).reshape(xs.shape)
+    # np.max keeps a NaN residual; a NaN difference is not > 0.
+    r = partition.base_radius
+    worst = float(np.max(np.maximum(np.abs(xs[:, 0] + r), np.abs(xs[:, -1] - r)), initial=0.0))
+    non_monotone = int(np.sum(~np.all(np.diff(xs, axis=1) > 0, axis=1)))
+    return {"max_residual": worst, "non_monotone": non_monotone, "elements": len(elements)}
 
 
 # -- tower dynamics -----------------------------------------------------------
@@ -406,10 +411,9 @@ def tower_step(partition: ReturnPartition, state: TowerState) -> TowerState:
         raise InvalidState(f"x={state.x} outside element [{e.left}, {e.right}]")
     if state.level + 1 < e.tau:
         return TowerState(state.element, state.level + 1, state.x, state.base_time)
-    x, start = np.float64(state.x), state.base_time - partition.time_origin
-    for k in range(start, start + e.tau):
-        x = step_values(partition.family, partition.stream.get(k), x)
-    x_new = float(x)
+    start = state.base_time - partition.time_origin
+    t_path = np.array([partition.stream.get(k) for k in range(start, start + e.tau)])
+    x_new = float(_images(partition.family, t_path, [state.x], e.tau)[0])
     if math.isnan(x_new):
         raise SingularHit(f"the return image of x={state.x} hit the singularity")
     if abs(x_new) > partition.base_radius + 1e-9:
@@ -464,7 +468,7 @@ def _return_map(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One tower return for each row (x, base_time): (element, image,
     base_time + tau). Each row is located in `cache.get(base_time)` and
-    stepped by `step_values` on its own noise; a row in no element, a dead
+    stepped by `_images` on its own noise; a row in no element, a dead
     (NaN) row included, gets element -1 and return time 0."""
     element = np.empty(x.shape, dtype=np.int64)
     tau = np.empty(x.shape, dtype=np.int64)
@@ -474,10 +478,7 @@ def _return_map(
         element[rows] = part.locate(x[rows])
         tau[rows] = part._taus[element[rows]]
     t_path = cache.stream.values(0, int((base_time + tau).max(initial=0)))
-    image = x.copy()
-    for k in range(int(tau.max(initial=0))):
-        live = np.flatnonzero(tau > k)
-        image[live] = step_values(cache.family, t_path[base_time[live] + k], image[live])
+    image = _images(cache.family, t_path, x, tau, base_time)
     outside = np.abs(image[element >= 0]) > cache.cfg.delta0 / 2.0 + 1e-9
     if outside.any():
         raise InvalidState(f"return image {image[element >= 0][outside][0]} left the base")
@@ -534,9 +535,12 @@ def sample_tower_orbits(
     dynamics. Returns the orbits and the number of attempts consumed.
     Attempts are drawn and walked `count` at a time, each element drawn as
     `Generator.choice` with width weights draws it, so the result is that
-    of one attempt at a time.
+    of one attempt at a time. A time-0 partition with no elements raises
+    InvalidState.
     """
     part0 = cache.get(0)
+    if not part0.elements:
+        raise InvalidState("the time-0 partition has no elements to start from")
     widths = np.array([e.width for e in part0.elements])
     cdf = np.cumsum(widths / widths.sum())
     cdf /= cdf[-1]

@@ -317,3 +317,24 @@ def reference_separation(family, stream, get, x, y, base_time, max_returns):
         total += tau
         base_time += tau
     return total, False
+
+
+def reference_verify_markov(partition, samples=100):
+    """`tower.verify_markov` one element at a time: each element's samples
+    stepped on their own, one `orbit.step_values` call per element and step."""
+    from rovella.orbit import step_values
+
+    worst = 0.0
+    non_monotone = 0
+    for e in partition.elements:
+        xs = np.linspace(e.left, e.right, samples)
+        for k in range(e.tau):
+            xs = step_values(partition.family, partition.stream.get(k), xs)
+        if not np.all(np.diff(xs) > 0):
+            non_monotone += 1
+        worst = float(np.max([
+            worst,
+            abs(xs[0] - (-partition.base_radius)),
+            abs(xs[-1] - partition.base_radius),
+        ]))
+    return {"max_residual": worst, "non_monotone": non_monotone, "elements": len(partition.elements)}

@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reference_separation, reference_tower_orbits, zero_preimage
+from conftest import (
+    reference_separation,
+    reference_tower_orbits,
+    reference_verify_markov,
+    zero_preimage,
+)
 from rovella import hyperbolic as hyp
 from rovella import noise, tower
 from rovella.errors import CapExceeded, InvalidState, SingularHit
@@ -103,6 +108,7 @@ class TestBuild:
         mk = tower.verify_markov(bad)
         assert not mk["max_residual"] <= 1e-9
         assert mk["non_monotone"] >= 1
+        assert _hexed(mk) == _hexed(reference_verify_markov(bad))
 
     def test_level_elements_reject_dead_endpoints(self, fam, noisy_stream, hyp_cfg, monkeypatch):
         radius = hyp_cfg.delta0 / 2.0
@@ -126,6 +132,41 @@ class TestBuild:
         mid = 0.5 * (e.left + e.right)
         assert part.elements[part.locate(mid)] is e
         assert part.locate(part.base_radius * 2) == -1
+
+
+def _hexed(markov):
+    """A verify_markov dict with its floats as hex, so NaN compares equal."""
+    return {k: v.hex() if isinstance(v, float) else v for k, v in markov.items()}
+
+
+class TestBatchedMarkov:
+    """verify_markov against the per-element reference loop."""
+
+    @pytest.mark.parametrize("family", ["fam", "table_fam"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_reference(self, family, seed, hyp_cfg, request):
+        fam = request.getfixturevalue(family)
+        strm = noise.stream(seed, 0.01)
+        p = tower.build_return_partition(fam, strm, hyp_cfg, 16, seed_grid=512)
+        assert len({e.tau for e in p.elements}) >= 5
+        assert _hexed(tower.verify_markov(p)) == _hexed(reference_verify_markov(p))
+
+    def test_one_step_values_call_per_step(self, part, monkeypatch):
+        calls = []
+        step_values = tower.step_values
+        monkeypatch.setattr(
+            tower, "step_values", lambda f, t, x: calls.append(x.size) or step_values(f, t, x)
+        )
+        mk = tower.verify_markov(part)
+        assert 0 < len(calls) <= max(e.tau for e in part.elements)
+        assert calls[0] == 100 * mk["elements"]
+
+    def test_empty_partition(self, fam, noisy_stream, hyp_cfg):
+        empty = tower.build_return_partition(fam, noisy_stream, hyp_cfg, 2, seed_grid=256)
+        assert empty.elements == []
+        mk = tower.verify_markov(empty)
+        assert mk == {"max_residual": 0.0, "non_monotone": 0, "elements": 0}
+        assert type(mk["max_residual"]) is float
 
 
 class TestTailMeasure:
@@ -168,6 +209,12 @@ class TestTowerStep:
 
 
 class TestTowerOrbit:
+    def test_empty_time0_partition_raises(self, fam, noisy_stream, hyp_cfg):
+        cache = tower.PartitionCache(fam, noisy_stream, hyp_cfg, 2, seed_grid=256)
+        assert cache.get(0).elements == []
+        with pytest.raises(InvalidState, match="no elements"):
+            tower.sample_tower_orbits(cache, 3, 10)
+
     def test_sampled_orbits_helper(self, cache):
         orbits, attempts = tower.sample_tower_orbits(cache, 3, 25, seed=7)
         assert len(orbits) == 3
