@@ -85,6 +85,13 @@ def validate_config(cfg: dict) -> None:
         raise ValidationError("family chain violated: s > 1 required")
     if not fam.get("eps_max", 0.1) > 0:
         raise ValidationError("family chain violated: eps_max > 0 required")
+    if fam["kind"] == "table":
+        try:
+            map_core.check_table(**_table_args(fam))
+        except KeyError as exc:
+            raise ValidationError(f"family chain violated: table key {exc} required") from None
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"family chain violated: {exc}") from None
     nz = cfg["noise"]
     if nz["eps"] < 0:
         raise ValidationError("noise chain violated: eps >= 0 required")
@@ -114,20 +121,20 @@ def validate_config(cfg: dict) -> None:
             )
 
 
+def _table_args(fam: dict) -> dict:
+    """Keyword arguments of `map_core.table_family` from a table config."""
+    pos, neg = fam["pos"], fam["neg"]
+    return dict(
+        pos_x=pos["x"], pos_y=pos["y"], neg_x=neg["x"], neg_y=neg["y"],
+        s=fam["s"], k1=fam["K1"], k2=fam["K2"], eps_max=fam.get("eps_max", 0.1),
+    )
+
+
 def resolve_family(cfg: dict) -> map_core.MapFamily:
     fam = cfg["family"]
     if fam["kind"] == "fixture":
         return map_core.fixture_family(s=fam.get("s", 2.0), eps_max=fam.get("eps_max", 0.1))
-    return map_core.table_family(
-        fam["pos"]["x"],
-        fam["pos"]["y"],
-        fam["neg"]["x"],
-        fam["neg"]["y"],
-        s=fam["s"],
-        k1=fam["K1"],
-        k2=fam["K2"],
-        eps_max=fam.get("eps_max", 0.1),
-    )
+    return map_core.table_family(**_table_args(fam))
 
 
 def resolve_hyperbolic(cfg: dict, family: map_core.MapFamily) -> hyperbolic.HyperbolicConfig:

@@ -22,7 +22,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import DeltaTooLarge, DomainError
-from .numerics import bisect_increasing, linear_fit
 
 ArrayLike = float | np.ndarray
 BranchFn = Callable[[ArrayLike, ArrayLike], ArrayLike]
@@ -33,15 +32,15 @@ _BRANCH_EDGE = 1e-300
 
 @dataclass(frozen=True)
 class Branch:
-    """One monotone branch with value and two x-derivatives, numpy-vectorized.
+    """One monotone branch with value, two x-derivatives and inverse,
+    numpy-vectorized.
 
-    `inverse`, when given, is the inverse (t, y) -> x of `value` on the
-    branch domain [1e-300, 1] (positive branch) or [-1, -1e-300] (negative
-    branch): a target outside the image maps to the nearest domain endpoint.
-    It is exact for closed forms and exact up to 2 ulp for splines (where a
+    `inverse` is the inverse (t, y) -> x of `value` on the branch domain
+    [1e-300, 1] (positive branch) or [-1, -1e-300] (negative branch): a
+    target outside the image maps to the nearest domain endpoint. It is
+    exact for closed forms and exact up to 2 ulp for splines (where a
     branch is nearly flat, up to the rounding of the spline's cubic over
-    its slope). It may return NaN for a target it leaves to bisection.
-    Without it `invert_branch` bisects `value` for every target.
+    its slope).
 
     Callables are elementwise: each output entry depends only on the (t, x)
     pair at its position, so a call on a whole array equals calls on its
@@ -53,7 +52,7 @@ class Branch:
     value: BranchFn
     deriv: BranchFn
     second: BranchFn
-    inverse: BranchFn | None = None
+    inverse: BranchFn
 
 
 @dataclass(frozen=True)
@@ -171,28 +170,43 @@ class _ShearBranchFn:
     """Picklable branch callable for tabulated families under the shear
     perturbation T_t = T_0 + t (1 - T_0^2).
 
-    kind 0/1/2 selects value / first / second x-derivative and kind 3 the
-    inverse `_shear_spline_inverse`, which comes back NaN for targets whose
-    spline value lies outside the node values: below the first node the
-    extrapolated spline is not monotone, so `invert_branch` bisects those
-    rows.
+    T_0 is the PCHIP spline from the innermost node x1 outward and the
+    power law sign (a |x|^s - 1) between the singularity and x1, with
+    a = (1 + sign y1) / |x1|^s matched to the node value y1, so the spline
+    never extrapolates. kind 0/1/2 selects value / first / second
+    x-derivative and kind 3 the inverse `_shear_spline_inverse`.
     """
 
     spline: object
     d1: object
     d2: object
+    x1: float
+    a: float
+    s: float
     kind: int
+
+    def base(self, x: ArrayLike, k: int) -> np.ndarray:
+        """The k-th x-derivative of T_0 (k = 0, 1, 2)."""
+        x = np.asarray(x, dtype=float)
+        out = np.asarray((self.spline, self.d1, self.d2)[k](x))
+        inner = np.abs(x) < abs(self.x1)
+        if inner.any():  # d^k/dx^k of sign (a |x|^s - 1)
+            sign = np.copysign(1.0, self.x1)
+            coef = self.a * (1.0, self.s, self.s * (self.s - 1.0))[k]
+            vals = coef * np.abs(x[inner]) ** (self.s - k)
+            out[inner] = (vals if k == 1 else sign * vals) - (sign if k == 0 else 0.0)
+        return out
 
     def __call__(self, t: ArrayLike, x: ArrayLike) -> ArrayLike:
         if self.kind == 3:
-            return _shear_spline_inverse(self.spline, t, x)
-        base = self.spline(x)
+            return _shear_spline_inverse(self, t, x)
+        base = self.base(x, 0)
         t_arr = np.asarray(t)
         if self.kind == 0:
             return np.clip(base + t_arr * (1.0 - base**2), -1.0, 1.0)
         if self.kind == 1:
-            return self.d1(x) * (1.0 - 2.0 * t_arr * base)
-        return self.d2(x) * (1.0 - 2.0 * t_arr * base) - 2.0 * t_arr * self.d1(x) ** 2
+            return self.base(x, 1) * (1.0 - 2.0 * t_arr * base)
+        return self.base(x, 2) * (1.0 - 2.0 * t_arr * base) - 2.0 * t_arr * self.base(x, 1) ** 2
 
 
 # Safeguarded Newton needs about 5 steps; the cap only bounds rows that
@@ -200,29 +214,33 @@ class _ShearBranchFn:
 _NEWTON_CAP = 100
 
 
-def _shear_spline_inverse(spline, t: ArrayLike, y: ArrayLike) -> np.ndarray:
-    """x with spline(x) + t (1 - spline(x)^2) = y for a monotone cubic
-    `PPoly` spline, clamped to the branch domain; NaN where the spline value
-    p of the target lies outside the node values.
+def _shear_spline_inverse(fn: _ShearBranchFn, t: ArrayLike, y: ArrayLike) -> np.ndarray:
+    """x with T_0(x) + t (1 - T_0(x)^2) = y on the branch of `fn`, clamped
+    to the branch domain.
 
     The stable root p = 2 (y - t) / (1 + sqrt(1 - 4 t (y - t))), exact at
-    t = 0, undoes the shear and picks the piece by the node values. On that
-    piece a bracketed Newton iteration starts at the secant and bisects when
-    a step leaves the bracket or the slope is not positive. Its residual is
-    summed so that rounding falls on the small terms, not on terms of size
-    1: the result is within 2 ulp of the exact root of the cubic, plus a few
-    roundings of the cubic's rise from its left knot over the slope, which
-    only matter where the branch is nearly flat. A row stops once its step
-    is at most 2 ulp or lands on its bracket end, so its result does not
-    depend on the other rows.
+    t = 0, undoes the shear. Below the innermost node value the end piece
+    inverts in closed form, x = sign ((1 + sign p) / a)^(1/s); past the
+    outermost node value x is the outer domain end, and a target with no
+    real p goes to the domain end on the side of sign(y). Otherwise the
+    node values pick the spline piece, and a bracketed Newton iteration
+    starts at the secant and bisects when a step leaves the bracket or the
+    slope is not positive. Its residual is summed so that rounding falls on
+    the small terms, not on terms of size 1: the result is within 2 ulp of
+    the exact root of the cubic, plus a few roundings of the cubic's rise
+    from its left knot over the slope, which only matter where the branch
+    is nearly flat. A row stops once its step is at most 2 ulp or lands on
+    its bracket end, so its result does not depend on the other rows.
     """
     y = np.asarray(y, dtype=float)
     t = np.asarray(t, dtype=float)
     u = y - t
-    with np.errstate(invalid="ignore"):  # no real p: NaN, left to bisection
+    with np.errstate(invalid="ignore"):  # no real p: past the image
         p = 2.0 * u / (1.0 + np.sqrt(1.0 - 4.0 * t * u))
-    knots, c = spline.x, spline.c
-    nodes = np.append(c[3], spline(knots[-1]))
+    p = np.where(np.isnan(p) & ~np.isnan(y), np.copysign(np.inf, y), p)
+    knots, c = fn.spline.x, fn.spline.c
+    nodes = np.append(c[3], fn.spline(knots[-1]))
+    under, over = p < nodes[0], p > nodes[-1]
     active = np.array((p >= nodes[0]) & (p <= nodes[-1]))
     i = np.clip(np.searchsorted(nodes, p, side="right") - 1, 0, knots.size - 2)
     c0, c1, c2, c3 = c[0, i], c[1, i], c[2, i], c[3, i]
@@ -247,8 +265,41 @@ def _shear_spline_inverse(spline, t: ArrayLike, y: ArrayLike) -> np.ndarray:
             active &= ~done
             if not active.any():
                 break
-    lo, hi = (_BRANCH_EDGE, 1.0) if knots[-1] > 0 else (-1.0, -_BRANCH_EDGE)
+    sign = np.copysign(1.0, fn.x1)
+    inner, outer = (under, over) if sign > 0 else (over, under)
+    end = sign * np.power(np.maximum(1.0 + sign * p, 0.0) / fn.a, 1.0 / fn.s)
+    x = np.where(inner, end, np.where(outer, sign, x))
+    lo, hi = (_BRANCH_EDGE, 1.0) if sign > 0 else (-1.0, -_BRANCH_EDGE)
     return np.clip(x, lo, hi)
+
+
+def check_table(pos_x, pos_y, neg_x, neg_y, s, k1, k2, eps_max) -> None:
+    """Raise ValueError unless the arguments of `table_family` define a
+    family: on each branch strictly increasing x and y, the outermost node
+    at +-1 and the innermost on its own side of 0 with a value inside the
+    one-sided limit (so the end piece rises from it); s > 1,
+    0 < k1 <= k2 and eps_max < 1/2. Pure numpy, so configs validate
+    without loading scipy."""
+    if not s > 1:
+        raise ValueError("s > 1 required")
+    if not 0 < k1 <= k2:
+        raise ValueError("0 < K1 <= K2 required")
+    if not eps_max < 0.5:
+        raise ValueError("shear perturbations require eps_max < 1/2")
+    for name, xs, ys, sign in (("pos", pos_x, pos_y, 1.0), ("neg", neg_x, neg_y, -1.0)):
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
+            raise ValueError(f"{name}: x and y need one value per node, at least two nodes")
+        if not (np.all(np.diff(xs) > 0) and np.all(np.diff(ys) > 0)):
+            raise ValueError(f"{name}: nodes must be strictly increasing in x and y")
+        inner, outer = (0, -1) if sign > 0 else (-1, 0)
+        if xs[outer] != sign or not sign * xs[inner] > 0:
+            raise ValueError(
+                f"{name}: the outermost node must be at x = {sign:+g} "
+                "and the innermost on its side of 0"
+            )
+        if not sign * ys[inner] > -1.0:
+            raise ValueError(f"{name}: the innermost value must lie inside (-1, 1)")
 
 
 def table_family(
@@ -263,35 +314,33 @@ def table_family(
 ) -> MapFamily:
     """Family from tabulated branch values, one monotone spline per branch.
 
-    The t = 0 map interpolates the nodes with a monotone PCHIP spline; the
-    perturbation acts as the shear T_t = T_0 + t (1 - T_0^2), which keeps the
-    one-sided limits at the singularity, satisfies |d/dt| <= 1, and preserves
-    monotonicity for |t| < 1/2. The singularity order and envelope constants
-    are declared, not inferred; `verify_conditions` checks them.
-
-    Each branch carries its inverse (`_shear_spline_inverse`) for targets
-    inside the node values. Outside them, where PCHIP extrapolation is not
-    monotone, `invert_branch` bisects.
+    The t = 0 map interpolates the nodes with a monotone PCHIP spline and
+    continues each branch from its innermost node to the singularity by the
+    declared power law (see `_ShearBranchFn`); the nodes must pass
+    `check_table`. The perturbation acts as the shear
+    T_t = T_0 + t (1 - T_0^2), which keeps the one-sided limits at the
+    singularity, satisfies |d/dt| <= 1, and preserves monotonicity for
+    |t| < 1/2. The singularity order and envelope constants are declared,
+    not inferred; `verify_conditions` checks them. Each branch carries its
+    inverse (`_shear_spline_inverse`).
     """
     from scipy.interpolate import PchipInterpolator
 
-    def make(xs, ys) -> Branch:
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) <= 0):
-            raise ValueError("branch nodes must be strictly increasing in x and y")
-        spline = PchipInterpolator(xs, ys, extrapolate=True)
-        d1 = spline.derivative(1)
-        d2 = spline.derivative(2)
-        return Branch(*(_ShearBranchFn(spline, d1, d2, kind) for kind in range(4)))
+    check_table(pos_x, pos_y, neg_x, neg_y, s, k1, k2, eps_max)
 
-    if eps_max >= 0.5:
-        raise ValueError("shear perturbations require eps_max < 1/2")
+    def make(xs, ys, inner: int) -> Branch:
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        spline = PchipInterpolator(xs, ys)
+        x1 = float(xs[inner])
+        a = float((1.0 + np.copysign(1.0, x1) * ys[inner]) / abs(x1) ** s)
+        d1, d2 = spline.derivative(1), spline.derivative(2)
+        return Branch(*(_ShearBranchFn(spline, d1, d2, x1, a, s, kind) for kind in range(4)))
+
     return MapFamily(
         s=s,
         eps_max=eps_max,
-        branch_pos=make(pos_x, pos_y),
-        branch_neg=make(neg_x, neg_y),
+        branch_pos=make(pos_x, pos_y, 0),
+        branch_neg=make(neg_x, neg_y, -1),
         k1=k1,
         k2=k2,
         label="table",
@@ -334,54 +383,20 @@ def _unchecked(family: MapFamily, part: str, t: ArrayLike, x: ArrayLike) -> np.n
     return out
 
 
-def invert_branch(
-    family: MapFamily,
-    t: ArrayLike,
-    y: ArrayLike,
-    side: ArrayLike,
-    *,
-    xtol: float = 0.0,
-    ftol: float | None = None,
-    max_iter: int = 200,
-) -> np.ndarray:
-    """x on the branch of `side` (+1 or -1, per row or shared) with T_t(x) = y.
-
-    Uses `Branch.inverse` when both branches supply one. Otherwise, and for
-    the rows of a finite target where the inverse returns NaN, bisects
-    `value` over the branch domain [1e-300, 1] or [-1, -1e-300] with the
-    given tolerances (see `numerics.bisect_increasing`); a row's bisection
-    result does not depend on the other rows. Either way a target outside
-    the branch image maps to the nearest domain endpoint: exactly for a
-    closed-form inverse, within 2^-max_iter for a bisected row.
-    """
+def invert_branch(family: MapFamily, t: ArrayLike, y: ArrayLike, side: ArrayLike) -> np.ndarray:
+    """x on the branch of `side` (+1 or -1, per row or shared) with T_t(x) = y,
+    by that branch's `Branch.inverse`; a target outside the branch image
+    maps to the nearest domain endpoint."""
     y = np.asarray(y, dtype=float)
     side = np.asarray(side, dtype=float)
-    pos = np.broadcast_to(side > 0, y.shape)
-
-    def bisect(t_rows: ArrayLike, y_rows: np.ndarray, pos_rows: np.ndarray) -> np.ndarray:
-        return bisect_increasing(
-            lambda x: _unchecked(family, "value", t_rows, x),
-            y_rows,
-            np.where(pos_rows, _BRANCH_EDGE, -1.0),
-            np.where(pos_rows, 1.0, -_BRANCH_EDGE),
-            xtol=xtol,
-            ftol=ftol,
-            max_iter=max_iter,
-        )
-
     inv_pos, inv_neg = family.branch_pos.inverse, family.branch_neg.inverse
-    if inv_pos is None or inv_neg is None:
-        return bisect(t, y, pos)
-    t_arr = np.broadcast_to(np.asarray(t, dtype=float), y.shape)
     if side.ndim == 0:
-        out = np.array((inv_pos if side > 0 else inv_neg)(t, y), dtype=float)
-    else:
-        out = np.empty(y.shape)
-        out[pos] = inv_pos(t_arr[pos], y[pos])
-        out[~pos] = inv_neg(t_arr[~pos], y[~pos])
-    redo = np.isnan(out) & np.isfinite(y)
-    if redo.any():
-        out[redo] = bisect(t_arr[redo], y[redo], pos[redo])
+        return np.array((inv_pos if side > 0 else inv_neg)(t, y), dtype=float)
+    pos = np.broadcast_to(side > 0, y.shape)
+    t_arr = np.broadcast_to(np.asarray(t, dtype=float), y.shape)
+    out = np.empty(y.shape)
+    out[pos] = inv_pos(t_arr[pos], y[pos])
+    out[~pos] = inv_neg(t_arr[~pos], y[~pos])
     return out
 
 

@@ -75,8 +75,7 @@ def ulam_row_operator(family: MapFamily, t: float, grid: UniformGrid) -> sp.csr_
     into cell j under the fiber map at parameter t.
 
     Exact for monotone branches: the preimages of all cell boundaries are
-    found on each branch by `map_core.invert_branch` (the family's own
-    inverse, or bisection to the floating-point floor), and an interval
+    found on each branch by `map_core.invert_branch`, and an interval
     sweep splits every cell at those breakpoints. Each row sums to 1 up to
     accumulation roundoff.
     """
@@ -100,7 +99,7 @@ def ulam_row_operator(family: MapFamily, t: float, grid: UniformGrid) -> sp.csr_
             img_hi = 1.0
 
         interior = edges[(edges > img_lo + 1e-15) & (edges < img_hi - 1e-15)]
-        cuts = invert_branch(family, t, interior, side, xtol=0.0, ftol=1e-14)
+        cuts = invert_branch(family, t, interior, side)
         # Image cell of the first elementary interval on this side.
         j_start = min(int(np.searchsorted(edges, img_lo, side="right")) - 1, m - 1)
         j_start = max(j_start, 0)

@@ -1,4 +1,5 @@
-"""Shared numerical helpers: monotone bisection and log-linear fits."""
+"""Shared numerical helpers: log-linear fits, and monotone bisection, which no
+library path calls (it is the tests' reference inverse and a benchmark probe)."""
 
 from __future__ import annotations
 

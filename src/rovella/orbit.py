@@ -54,20 +54,6 @@ def return_depth(family: MapFamily, t: float, x: float, delta: float) -> int:
     return r
 
 
-def _depth_scalar(prod: float, delta: float) -> int:
-    """`_depths` for one DT * |x| value, with the same floating-point steps."""
-    if not 0.0 < prod < np.inf:
-        return -1
-    if prod >= delta:
-        return 0
-    r = max(int(np.ceil(np.log(delta / prod))), 0)
-    if r > 0 and prod >= np.exp(-(r - 1.0)) * delta:
-        r -= 1
-    if prod < np.exp(-float(r)) * delta:
-        r += 1
-    return r
-
-
 def _depths(prod: np.ndarray, delta: float) -> np.ndarray:
     """Return depths of DT * |x| values; -1 where prod is not in (0, inf)."""
     r = np.where((prod > 0) & (prod < np.inf), 0, -1)
@@ -108,16 +94,8 @@ def step(
     evaluation of DT. Besides the rows `step_values` kills, a row where
     DT_t(x) * |x| is not a positive finite number (depth -1) is dead too. A
     dead row's x_next and log_dt are NaN, so cocycle sums carry the mark.
-    A 0-d x takes a scalar path with the same arithmetic and returns
-    (float, int, float).
     """
     dt = _unchecked(family, "deriv", t, x)
-    if dt.ndim == 0:
-        depth = _depth_scalar(float(dt * np.abs(x)), delta)
-        y = float(_unchecked(family, "value", t, x))
-        if depth < 0 or y == 0.0:
-            return np.nan, depth, np.nan
-        return y, depth, float(np.log(dt))
     depth = _depths(dt * np.abs(x), delta)
     x_next = step_values(family, t, x)
     x_next[depth < 0] = np.nan
@@ -136,9 +114,10 @@ def iterate(
 ) -> OrbitTrace:
     """Generate T_omega^i(x0) for i = 0..n with all bookkeeping fields.
 
-    Raises SingularHit if the orbit dies (see `step`) before step n, or if
-    the depth at the last point is undefined: orbits through the singular
-    point are meaningless, so no truncated trace is returned.
+    The points come from scalar steps; depths and log_der from one pass of
+    DT over all of them. Raises SingularHit at the first point whose depth
+    is -1 (see `step`), a point that rounds to 0 included: orbits through
+    the singular point are meaningless, so no truncated trace is returned.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -147,23 +126,19 @@ def iterate(
     hood = critical_neighborhoods(family, 0.0, delta)
     ts = stream.values(0, n + 1)
     points = np.empty(n + 1)
-    log_der = np.zeros(n + 1)
-    depths = np.empty(n + 1, dtype=np.int64)
-    x = float(x0)
-    for i in range(n + 1):
-        points[i] = x
-        x_next, depth, log_dt = step(family, ts[i], x, delta)
-        if depth < 0 or (i < n and np.isnan(x_next)):
-            raise SingularHit(f"orbit died at step {i + 1}: image 0 or DT * |x| not positive")
-        depths[i] = depth
-        if i < n:
-            log_der[i + 1] = log_der[i] + log_dt
-            x = x_next
+    points[0] = x0
+    for i in range(n):
+        points[i + 1] = _unchecked(family, "value", ts[i], points[i])
+    dt = _unchecked(family, "deriv", ts, points)
+    depths = _depths(dt * np.abs(points), delta)
+    dead = np.flatnonzero(depths < 0)
+    if dead.size:
+        raise SingularHit(f"orbit died at point {dead[0]}: image 0 or DT * |x| not positive")
     return OrbitTrace(
         x0=float(x0),
         delta=float(delta),
         points=points,
-        log_der=log_der,
+        log_der=np.concatenate([[0.0], np.cumsum(np.log(dt[:-1]))]),
         depths=depths,
         visits=hood.contains(points),
     )
@@ -191,15 +166,12 @@ def pull_back(
 
     All rows share the noise path. Each step is one `map_core.invert_branch`
     call, so a target past a branch image maps to that branch's domain
-    endpoint; bisected rows run to the floating-point floor (xtol 0,
-    ftol 1e-13, 110 halvings). A row's result does not depend on the others.
+    endpoint. A row's result does not depend on the others.
     """
     sides = np.asarray(sides)
     x = np.asarray(y, dtype=float)
     for j in range(sides.shape[-1] - 1, -1, -1):
-        x = invert_branch(
-            family, float(t_path[j]), x, sides[..., j], xtol=0.0, ftol=1e-13, max_iter=110
-        )
+        x = invert_branch(family, float(t_path[j]), x, sides[..., j])
     return x
 
 

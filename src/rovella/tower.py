@@ -362,6 +362,11 @@ def verify_markov(partition: ReturnPartition, samples: int = 100) -> dict:
     are stepped together, one `step_values` call a step. A sample that dies
     on the way (see `orbit.step_values`) makes its element non-monotone, and
     a dead endpoint makes the residual NaN, so the check fails.
+
+    `max_residual` is not independent of the build: `linspace` keeps the
+    element ends exactly, and they are stepped with the same noise and the
+    same float64 `step_values` as the admission residual, so it repeats
+    `max(e.residual)` bit for bit. Only `non_monotone` is new evidence.
     """
     elements = partition.elements
     taus = np.array([e.tau for e in elements], dtype=np.int64)

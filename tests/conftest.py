@@ -75,19 +75,25 @@ def table_fam():
 
 @pytest.fixture(scope="session")
 def fam_lin():
-    """Piecewise-linear doubling family built from three callables per
-    branch, with no inverse; it sends 0.75 -> 0.5 -> exactly 0."""
-    pos = map_core.Branch(
-        value=lambda t, x: 2.0 * np.asarray(x, dtype=float) - 1.0,
-        deriv=lambda t, x: np.full_like(np.asarray(x, dtype=float), 2.0),
-        second=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
+    """Piecewise-linear doubling family built from hand-written callables,
+    with the closed-form inverse x = (y -+ 1) / 2 clamped to the branch
+    domain; it sends 0.75 -> 0.5 -> exactly 0."""
+
+    def branch(sign):
+        def inverse(t, y):
+            root = (np.asarray(y, dtype=float) + sign) / 2.0
+            return np.clip(root, 1e-300, 1.0) if sign > 0 else np.clip(root, -1.0, -1e-300)
+
+        return map_core.Branch(
+            value=lambda t, x: 2.0 * np.asarray(x, dtype=float) - sign,
+            deriv=lambda t, x: np.full_like(np.asarray(x, dtype=float), 2.0),
+            second=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
+            inverse=inverse,
+        )
+
+    return map_core.MapFamily(
+        s=1.5, eps_max=0.1, branch_pos=branch(1.0), branch_neg=branch(-1.0), k1=1.0, k2=4.0
     )
-    neg = map_core.Branch(
-        value=lambda t, x: 2.0 * np.asarray(x, dtype=float) + 1.0,
-        deriv=lambda t, x: np.full_like(np.asarray(x, dtype=float), 2.0),
-        second=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-    )
-    return map_core.MapFamily(s=1.5, eps_max=0.1, branch_pos=pos, branch_neg=neg, k1=1.0, k2=4.0)
 
 
 def zero_preimage(fam, t: float, span: int = 4000):
@@ -206,15 +212,26 @@ def reference_escape_rates(fam, seed, eps, delta, samples, n_cap, x0=None):
     return log_der[rows, first[rows]] / first[rows]
 
 
-def without_inverse(fam):
-    """The same family with `Branch.inverse` dropped, so `invert_branch`
-    takes the bisection fallback."""
+def bisection_family(fam):
+    """The same family whose `Branch.inverse` bisects its branch value with
+    `numerics.bisect_increasing` down to the floating-point floor (200
+    halvings of the branch domain): the reference the inverses are checked
+    against. A target outside the image stops within 2^-200 of a domain end.
+    """
     import dataclasses
+
+    from rovella.numerics import bisect_increasing
+
+    def bisecting(branch, lo, hi):
+        def inverse(t, y):
+            return bisect_increasing(lambda x: branch.value(t, x), y, lo, hi, xtol=0.0)
+
+        return dataclasses.replace(branch, inverse=inverse)
 
     return dataclasses.replace(
         fam,
-        branch_pos=dataclasses.replace(fam.branch_pos, inverse=None),
-        branch_neg=dataclasses.replace(fam.branch_neg, inverse=None),
+        branch_pos=bisecting(fam.branch_pos, 1e-300, 1.0),
+        branch_neg=bisecting(fam.branch_neg, -1.0, -1e-300),
     )
 
 

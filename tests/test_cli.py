@@ -14,7 +14,52 @@ def run(args):
     return cli.main(args)
 
 
+def table_config(**changes):
+    """The table family of 200 nodes of 2x^2 - 1 on [1e-6, 1], mirrored,
+    with `changes` applied to its keys (None deletes a key)."""
+    xs = np.linspace(1e-6, 1.0, 200)
+    fam = {
+        "kind": "table", "s": 2.0, "K1": 3.0, "K2": 4.5, "eps_max": 0.1,
+        "pos": {"x": xs.tolist(), "y": (2 * xs**2 - 1).tolist()},
+        "neg": {"x": (-xs[::-1]).tolist(), "y": (-(2 * xs[::-1] ** 2 - 1)).tolist()},
+    }
+    for key, val in changes.items():
+        if val is None:
+            del fam[key]
+        else:
+            fam[key] = val
+    return {"family": fam}
+
+
+def _nodes(x, y):
+    return {"x": list(x), "y": list(y)}
+
+
 class TestValidation:
+    @pytest.mark.parametrize("changes, message", [
+        ({"pos": _nodes([0.5, 0.2, 1.0], [-0.5, 0.0, 1.0])}, "strictly increasing"),
+        ({"neg": _nodes([-1.0, -0.5, -0.1], [-1.0, 0.5, 0.4])}, "strictly increasing"),
+        ({"pos": None}, "table key 'pos' required"),
+        ({"pos": {"x": [0.5, 1.0]}}, "table key 'y' required"),
+        ({"eps_max": 0.5}, "eps_max < 1/2"),
+        ({"pos": _nodes([0.1, 0.9], [-0.9, 1.0])}, "outermost node must be at x = +1"),
+        ({"neg": _nodes([-1.0, 0.1], [-1.0, 0.9])}, "innermost on its side of 0"),
+        ({"pos": _nodes([0.1, 1.0], [-1.0, 1.0])}, "innermost value must lie inside"),
+        ({"pos": _nodes([0.1, 0.5, 1.0], [-0.9, 0.0])}, "one value per node"),
+        ({"s": 1.0}, "s > 1"),
+        ({"K1": 5.0}, "0 < K1 <= K2"),
+    ], ids=[
+        "x-order", "y-order", "no-pos", "no-y", "eps-max", "outer-node", "inner-side",
+        "inner-value", "lengths", "s", "k1-k2",
+    ])
+    def test_malformed_table_config(self, tmp_path, capsys, changes, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(table_config(**changes)))
+        code = run(["verify-family", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "family chain violated" in err and message in err
+
     def test_bad_constant_chain(self, tmp_path, capsys):
         code = run([
             "simulate-orbit", "--x0", "0.5", "--n", "5",
@@ -242,15 +287,20 @@ class TestConfigMerge:
         assert manifest["config"]["noise"]["seed"] == 7
 
 
-def test_cli_import_leaves_scipy_submodules_unloaded():
+def test_cli_import_leaves_scipy_submodules_unloaded(tmp_path):
     # scipy.sparse serves only Ulam operators and scipy.interpolate only
-    # tabulated families; a command that needs neither does not pay for them.
+    # tabulated families; a command that needs neither does not pay for them,
+    # and validating a table config builds no spline.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(table_config()))
     code = (
-        "import sys, rovella.cli; "
+        "import sys, rovella.cli; rovella.cli.load_config(sys.argv[1]); "
         "print(sorted(m for m in ('scipy.sparse', 'scipy.interpolate') if m in sys.modules))"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(cfg)], env=env, capture_output=True, text=True
+    )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"

@@ -425,12 +425,12 @@ class TestTailStatistics:
         self, family, workers, fam, hyp_cfg, monkeypatch, request
     ):
         # Planted rows that die: the fixture's first image exactly 0; a table
-        # start below the first node, where DT < 0; on the linear family a
+        # start at 1e-200, where DT * |x| underflows; on the linear family a
         # start whose depth 2 puts it in the bad set for five steps before it
         # reaches 0 at step 10, and one that reaches 0 at step 2.
         samples, x0 = dying_ensemble(fam, 1, 0.01, 30)
         if family == "table_fam":
-            x0[-1] = 1e-8
+            x0[-1] = 1e-200
         elif family == "fam_lin":
             x0[0], x0[-1] = 0.75, 2.0**-10
         family = request.getfixturevalue(family)

@@ -1,6 +1,7 @@
-"""Branch inverses: the fixture's closed form and the tabulated family's
-spline inverse against the bisection fallback that hand-built families use,
-and the spline inverse against 30-digit roots."""
+"""Branch inverses: the fixture's closed form, the tabulated family's
+spline and end-piece inverse and the hand-built family's closed form
+against bisection of the branch values, and the spline inverse against
+30-digit roots."""
 
 import dataclasses
 import functools
@@ -9,11 +10,12 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import without_inverse
+from conftest import bisection_family
 from rovella import hyperbolic as hyp
 from rovella import map_core as mc
 from rovella import measures as ms
-from rovella import orbit, tower
+from rovella import numerics, orbit, tower
+from rovella.errors import DomainError, NotHyperbolic
 
 
 def _image(fam, t, side, first_node=None):
@@ -26,22 +28,16 @@ def _image(fam, t, side, first_node=None):
     return float(mc.evaluate(fam, t, -1.0)), hi
 
 
-# First node of each family: closed forms have none; the table family's
-# spline extrapolates below its first node 1e-6 and is not monotone there.
-FIRST_NODE = {"fam": None, "fam3": None, "table_fam": 1e-6}
-
-
-@pytest.mark.parametrize("family", list(FIRST_NODE))
+@pytest.mark.parametrize("family", ["fam", "fam3", "table_fam"])
 class TestClosedForm:
     """The `Branch.inverse` contract: the fixture's closed form and the
     table family's spline inverse."""
 
     def test_round_trip(self, family, request):
         fam = request.getfixturevalue(family)
-        first_node = FIRST_NODE[family]
         for t in np.linspace(-fam.eps_max, fam.eps_max, 9):
             for side in (1.0, -1.0):
-                lo, hi = _image(fam, t, side, first_node)
+                lo, hi = _image(fam, t, side)
                 ys = np.linspace(lo, hi, 1001)  # image endpoints included
                 xs = mc.invert_branch(fam, t, ys, side)
                 assert np.all(np.sign(xs) == side)
@@ -51,22 +47,18 @@ class TestClosedForm:
 
     def test_outside_image_clamps_like_bisection(self, family, request):
         fam = request.getfixturevalue(family)
-        slow = without_inverse(fam)
+        slow = bisection_family(fam)
         for t in (-fam.eps_max, 0.0, 0.5 * fam.eps_max):
             for side in (1.0, -1.0):
                 lo, hi = _image(fam, t, side)
-                ys = np.array([lo - 0.5, lo - 1e-12, hi + 1e-12, hi + 0.5])
+                # The last two have no real shear root on the table family.
+                ys = np.array([lo - 0.5, lo - 1e-12, hi + 1e-12, hi + 0.5, -40.0, 40.0])
                 xs = mc.invert_branch(fam, t, ys, side)
-                ends = [1e-300, 1e-300, 1.0, 1.0] if side > 0 else [-1.0, -1.0, -1e-300, -1e-300]
+                a, b = (1e-300, 1.0) if side > 0 else (-1.0, -1e-300)
+                assert list(xs) == [a, a, b, b, a, b]
                 # Bisection stops within 2^-200 of the inner endpoint.
-                ref = mc.invert_branch(slow, t, ys, side, xtol=0.0, ftol=1e-14)
+                ref = mc.invert_branch(slow, t, ys, side)
                 assert np.allclose(xs, ref, rtol=1e-15, atol=1e-59)
-                if FIRST_NODE[family] is None:
-                    assert list(xs) == ends
-                else:
-                    # Outside the node values the table family bisects.
-                    assert xs.tobytes() == ref.tobytes()
-                    assert np.allclose(xs, ends, rtol=1e-15, atol=1e-59)
 
     def test_mixed_sides_per_row(self, family, request):
         fam = request.getfixturevalue(family)
@@ -78,11 +70,11 @@ class TestClosedForm:
 
     def test_matches_bisection(self, family, request):
         fam = request.getfixturevalue(family)
-        slow = without_inverse(fam)
+        slow = bisection_family(fam)
         ys = np.linspace(-0.999, 0.85, 500)
         for side in (1.0, -1.0):
             fast = mc.invert_branch(fam, -0.04, ys, side)
-            ref = mc.invert_branch(slow, -0.04, ys, side, xtol=0.0, ftol=1e-14)
+            ref = mc.invert_branch(slow, -0.04, ys, side)
             assert np.abs(fast - ref).max() <= 1e-13
 
 
@@ -91,7 +83,7 @@ class TestUlamOperator:
     def test_closed_form_matches_bisection(self, fam, t):
         grid = ms.UniformGrid(2048)
         fast = ms.ulam_row_operator(fam, t, grid)
-        slow = ms.ulam_row_operator(without_inverse(fam), t, grid)
+        slow = ms.ulam_row_operator(bisection_family(fam), t, grid)
         assert abs(fast - slow).max() <= 1e-12
         for mat in (fast, slow):
             assert np.abs(np.asarray(mat.sum(axis=1)).ravel() - 1.0).max() <= 1e-12
@@ -107,7 +99,7 @@ def _compare_pullbacks(fam, stream, cfg, n_max=16):
     half = np.geomspace(radius * 1e-6, radius * (1.0 - 1e-9), 2048)
     seeds = np.concatenate([-half[::-1], half])
     signs, candidate, _ = tower._candidate_scan(fam, cfg, radius, t_path, seeds, n_max)
-    slow = without_inverse(fam)
+    slow = bisection_family(fam)
     compared = 0
     for k in range(1, n_max + 1):
         rows = np.flatnonzero(candidate[:, k - 1])
@@ -140,11 +132,12 @@ class TestPullback:
 
 class TestFallback:
     def test_three_callable_branch(self, fam_lin):
-        assert fam_lin.branch_pos.inverse is None
         ys = np.linspace(-0.99, 0.99, 101)
+        slow = bisection_family(fam_lin)
         for side in (1.0, -1.0):
-            xs = mc.invert_branch(fam_lin, 0.0, ys, side, xtol=0.0, ftol=1e-14)
-            assert np.allclose(xs, (ys + side) / 2.0, rtol=0.0, atol=1e-15)
+            xs = mc.invert_branch(fam_lin, 0.0, ys, side)
+            assert np.array_equal(xs, (ys + side) / 2.0)
+            assert np.allclose(mc.invert_branch(slow, 0.0, ys, side), xs, rtol=0.0, atol=1e-15)
         mat = ms.ulam_row_operator(fam_lin, 0.0, ms.UniformGrid(64))
         assert np.abs(np.asarray(mat.sum(axis=1)).ravel() - 1.0).max() <= 1e-12
         # Each cell of the doubling map spreads evenly over two image cells.
@@ -152,11 +145,10 @@ class TestFallback:
 
 
 class TestFastPathGuard:
-    """The fixture and the table family never bisect on targets inside the
-    node range; a family without an inverse still does. The table family's
-    Markov neighborhoods are left out: their pullback sends targets past a
-    branch image to the domain end, and those targets lie outside the node
-    values, so they bisect."""
+    """No library path bisects: with `numerics.bisect_increasing` refusing
+    to run, every inversion caller works on the fixture, the table family
+    (its Markov neighborhoods included, whose pullbacks send targets past a
+    branch image to the domain end) and the hand-built family."""
 
     class Bisected(Exception):
         pass
@@ -166,11 +158,17 @@ class TestFastPathGuard:
         def refuse(*args, **kwargs):
             raise self.Bisected()
 
-        monkeypatch.setattr(mc, "bisect_increasing", refuse)
+        for module in (numerics, mc, ms, orbit, tower, hyp):
+            if hasattr(module, "bisect_increasing"):
+                monkeypatch.setattr(module, "bisect_increasing", refuse)
 
     @staticmethod
-    def _inversions(family, stream):
-        """Critical neighborhoods, a branch partition and a preimage in it."""
+    def _inversions(family, stream, cfg):
+        """The Ulam build, a return partition, critical neighborhoods, a
+        branch partition and a preimage in it."""
+        mat = ms.ulam_row_operator(family, 0.01, ms.UniformGrid(256))
+        assert np.abs(np.asarray(mat.sum(axis=1)).ravel() - 1.0).max() <= 1e-12
+        tower.build_return_partition(family, stream, cfg, 8, seed_grid=256)
         hood = mc.critical_neighborhoods(family, 0.03, 0.01)
         assert 0.0 < hood.pos_hi and hood.neg_lo < 0.0
         bp = orbit.branch_partition(family, stream, 6)
@@ -180,29 +178,43 @@ class TestFastPathGuard:
         a, b = orbit.preimage_in_branch(bp, br, (mid - 0.2 * w, mid + 0.2 * w))
         assert br.left < a < b < br.right
 
+    @staticmethod
+    def _markov_neighborhoods(family, stream, cfg):
+        """How many of the 39 starts x n = 1..8 Markov neighborhoods exist."""
+        built = 0
+        for x in np.linspace(-0.95, 0.95, 39):
+            for n in range(1, 9):
+                try:
+                    (a, b), _ = hyp.markov_neighborhood(family, stream, float(x), n, cfg)
+                except (NotHyperbolic, DomainError):
+                    continue
+                assert a < x < b
+                built += 1
+        return built
+
+    def test_no_module_refers_to_bisection(self):
+        import pathlib
+
+        src = pathlib.Path(mc.__file__).parent
+        users = [p.name for p in src.glob("*.py") if "bisect_increasing" in p.read_text()]
+        assert users == ["numerics.py"]
+
     def test_fixture_runs_without_bisection(self, fam, noisy_stream, hyp_cfg, no_bisection):
-        mat = ms.ulam_row_operator(fam, 0.01, ms.UniformGrid(256))
-        assert np.abs(np.asarray(mat.sum(axis=1)).ravel() - 1.0).max() <= 1e-12
-        part = tower.build_return_partition(fam, noisy_stream, hyp_cfg, 8, seed_grid=256)
-        assert part.elements
-        self._inversions(fam, noisy_stream)
-        (a, b), _ = hyp.markov_neighborhood(fam, noisy_stream, 0.5, 4, hyp_cfg)
-        assert a < 0.5 < b
+        self._inversions(fam, noisy_stream, hyp_cfg)
+        assert self._markov_neighborhoods(fam, noisy_stream, hyp_cfg) == 286
 
     def test_table_family_runs_without_bisection(
         self, table_fam, noisy_stream, hyp_cfg, no_bisection
     ):
-        mat = ms.ulam_row_operator(table_fam, 0.01, ms.UniformGrid(256))
-        assert np.abs(np.asarray(mat.sum(axis=1)).ravel() - 1.0).max() <= 1e-12
-        part = tower.build_return_partition(table_fam, noisy_stream, hyp_cfg, 8, seed_grid=256)
-        assert part.elements
-        self._inversions(table_fam, noisy_stream)
+        self._inversions(table_fam, noisy_stream, hyp_cfg)
+        assert self._markov_neighborhoods(table_fam, noisy_stream, hyp_cfg) == 269
 
-    def test_three_callable_family_reaches_bisection(self, fam_lin, no_bisection):
-        with pytest.raises(self.Bisected):
-            ms.ulam_row_operator(fam_lin, 0.0, ms.UniformGrid(64))
-        with pytest.raises(self.Bisected):
-            orbit.pull_back(fam_lin, np.zeros(2), np.ones((3, 2)), np.full(3, 0.05))
+    def test_three_callable_family_runs_without_bisection(
+        self, fam_lin, noisy_stream, hyp_cfg, no_bisection
+    ):
+        self._inversions(fam_lin, noisy_stream, hyp_cfg)
+        (a, b), _ = hyp.markov_neighborhood(fam_lin, noisy_stream, 0.3, 2, hyp_cfg)
+        assert a < 0.3 < b
 
 
 def _exact_inverse(spline, t, y):
@@ -280,7 +292,7 @@ class TestTableInverse:
         grid = ms.UniformGrid(2048)
         fast = ms.ulam_row_operator(table_fam, t, grid)
         exact = ms.ulam_row_operator(_with_exact_inverse(table_fam), t, grid)
-        slow = ms.ulam_row_operator(without_inverse(table_fam), t, grid)
+        slow = ms.ulam_row_operator(bisection_family(table_fam), t, grid)
         # 2 ulp of a cut near 1 over h = 2/2048.
         assert abs(fast - exact).max() <= 2.5e-13
         assert abs(fast - slow).max() <= abs(slow - exact).max() + 2.5e-13
@@ -289,24 +301,32 @@ class TestTableInverse:
 
     @pytest.mark.parametrize("t", [-0.1, 0.0, 0.07])
     def test_below_first_node_matches_bisection(self, table_fam, t):
-        """Targets in (T_t(+-1e-300), T_t(+-x_first)) lie below the node
-        values, where the extrapolated spline is not monotone: they are
-        bisected row by row, byte-equal to the family without an inverse,
-        also when they share a call with rows the spline inverse solves."""
-        slow = without_inverse(table_fam)
+        """Targets in (T_t(+-1e-300), T_t(+-x_first)) fall on the end piece,
+        which inverts in closed form: within the branch's conditioning of
+        the bisected roots, and the same alone as among spline rows."""
+        slow = bisection_family(table_fam)
         for side in (1.0, -1.0):
             inner = float(mc.evaluate(table_fam, t, side * 1e-300))
             first = float(mc.evaluate(table_fam, t, side * 1e-6))
             ends = np.linspace(inner, first, 41)[1:-1]
-            inverse = (table_fam.branch_pos if side > 0 else table_fam.branch_neg).inverse
-            assert np.isnan(inverse(t, ends)).all()
             ys = np.concatenate([ends, np.linspace(-0.9, 0.9, 39)])
-            for tol in ({}, {"xtol": 0.0, "ftol": 1e-13, "max_iter": 110}):
-                fast = mc.invert_branch(table_fam, t, ys, side, **tol)[: ends.size]
-                assert fast.tobytes() == mc.invert_branch(slow, t, ends, side, **tol).tobytes()
-            for y in ends[::8]:
-                fast = mc.invert_branch(table_fam, t, y, side, xtol=1e-16, ftol=1e-13)
-                assert fast == mc.invert_branch(slow, t, y, side, xtol=1e-16, ftol=1e-13)
+            fast = mc.invert_branch(table_fam, t, ys, side)[: ends.size]
+            assert fast.tobytes() == mc.invert_branch(table_fam, t, ends, side).tobytes()
+            assert np.all((0.0 < side * fast) & (side * fast < 1e-6))
+            ref = mc.invert_branch(slow, t, ends, side)
+            # A few roundings of a target of size 1, over the slope.
+            cond = 4 * 2.0**-52 / mc.derivative(table_fam, t, ref)
+            assert np.all(np.abs(fast - ref) <= cond + 2 * np.abs(np.spacing(ref)))
+
+    @pytest.mark.parametrize("t", [-0.1, 0.0, 0.07])
+    def test_end_piece_round_trip(self, table_fam, t):
+        xs = np.geomspace(1e-9, 1e-6, 60)[:-1]
+        for side in (1.0, -1.0):
+            ys = mc.evaluate(table_fam, t, side * xs)
+            back = mc.invert_branch(table_fam, t, ys, side)
+            assert np.abs(mc.evaluate(table_fam, t, back) - ys).max() <= 4 * 2.0**-52
+            cond = 4 * 2.0**-52 / mc.derivative(table_fam, t, side * xs)
+            assert np.all(np.abs(back - side * xs) <= cond)
 
     def test_rows_do_not_depend_on_the_batch(self, table_fam):
         """Each row stops on its own test, so a row's root is the same alone

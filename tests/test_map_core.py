@@ -199,6 +199,22 @@ class TestTableFamily:
         for t in (-0.1, 0.1):
             assert np.all(np.diff(mc.evaluate(tab, t, xs)) > 0)
 
+    def test_end_piece_monotone_and_continuous(self, tab):
+        # Below the first node 1e-6 the branches follow the power law
+        # sign (a |x|^s - 1), matched to the node value.
+        xs = np.geomspace(1e-300, 1e-6, 400)
+        for t in np.linspace(-tab.eps_max, tab.eps_max, 5):
+            for side in (1.0, -1.0):
+                assert np.all(mc.derivative(tab, t, side * xs) > 0)
+                node = side * 1e-6
+                below = np.nextafter(node, 0.0)
+                jump = mc.evaluate(tab, t, node) - mc.evaluate(tab, t, below)
+                assert abs(jump) <= 4 * 2.0**-52
+
+    def test_verify_conditions_monotone(self, tab):
+        report = mc.verify_conditions(tab, mc.GridSpec(n_x=4000, n_t=11, horizon=25))
+        assert report.c2_monotone_ok and report.k1_fit > 0
+
     def test_t_lipschitz(self, tab):
         xs = np.linspace(-0.99, 0.99, 301)
         xs = xs[xs != 0]

@@ -82,14 +82,26 @@ class TestBuild:
         with pytest.raises(CapExceeded):
             tower.build_return_partition(fam, noisy_stream, hyp_cfg, 100)
 
-    def test_dead_seeds_counted(self, table_fam, part, noisy_stream, hyp_cfg):
-        # The log-spaced grid starts at radius * 1e-6 = 5e-8, below the
-        # table's first node, where the spline's DT < 0 kills the seed.
-        tab = tower.build_return_partition(table_fam, noisy_stream, hyp_cfg, 8, seed_grid=512)
+    def test_dead_seeds_counted(self, fam, table_fam, part, noisy_stream, hyp_cfg):
+        # The log-spaced grid starts at radius * 1e-6 = 5e-8. A fixture copy
+        # whose DT is 0 below 3e-7 kills the seeds there at step 0; the
+        # table family's end piece below its first node 1e-6 keeps them.
+        deriv = fam.branch_pos.deriv
+
+        def flat(t, x):
+            return np.where(np.abs(x) < 3e-7, 0.0, deriv(t, x))
+
+        cut = dataclasses.replace(
+            fam,
+            branch_pos=dataclasses.replace(fam.branch_pos, deriv=flat),
+            branch_neg=dataclasses.replace(fam.branch_neg, deriv=flat),
+        )
+        dead = tower.build_return_partition(cut, noisy_stream, hyp_cfg, 8, seed_grid=512)
         radius = hyp_cfg.delta0 / 2.0
         below = np.geomspace(radius * 1e-6, radius * (1.0 - 1e-9), 512) < 3e-7
-        assert tab.dead_seeds >= 2 * int(below.sum()) > 0
-        assert part.dead_seeds == 0
+        assert dead.dead_seeds >= 2 * int(below.sum()) > 0
+        tab = tower.build_return_partition(table_fam, noisy_stream, hyp_cfg, 8, seed_grid=512)
+        assert tab.dead_seeds == part.dead_seeds == 0
 
     def test_markov_recheck(self, part):
         mk = tower.verify_markov(part)
