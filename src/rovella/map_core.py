@@ -16,6 +16,7 @@ reports that honestly.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -165,48 +166,153 @@ def fixture_family(s: float = 2.0, eps_max: float = 0.1) -> MapFamily:
     )
 
 
-@dataclass(frozen=True)
-class _ShearBranchFn:
-    """Picklable branch callable for tabulated families under the shear
-    perturbation T_t = T_0 + t (1 - T_0^2).
+def _power_sum(c, hs):
+    """c[-1] + c[-2] h + c[-3] (h h) + ... for hs = (h, h h, (h h) h), in
+    the order and association of scipy's `PPoly` (coefficients highest power
+    first), so arrays and floats get PPoly's bytes."""
+    out = c[-1] + c[-2] * hs[0]
+    for k in range(2, len(c)):
+        out += c[-1 - k] * hs[k - 1]
+    return out
 
-    T_0 is the PCHIP spline from the innermost node x1 outward and the
-    power law sign (a |x|^s - 1) between the singularity and x1, with
+
+@dataclass(frozen=True, eq=False)
+class _TableFn:
+    """Picklable value / derivative callable of a tabulated family under the
+    shear perturbation T_t = T_0 + t (1 - T_0^2), shared by both branches.
+
+    T_0 is each branch's PCHIP spline from its innermost node x1 outward and
+    the power law sign (a |x|^s - 1) between the singularity and x1, with
     a = (1 + sign y1) / |x1|^s matched to the node value y1, so the spline
-    never extrapolates. kind 0/1/2 selects value / first / second
-    x-derivative and kind 3 the inverse `_shear_spline_inverse`.
+    never extrapolates toward 0. kind 0/1/2 selects value / first / second
+    x-derivative; the side comes from x as in `_FixtureBranchFn`.
+
+    `knots` holds both branches' knots in order. Column j of `table` holds
+    the left knot of piece j, then the coefficients of T_0, T_0' and T_0''
+    on it as scipy's `PPoly.c` and `derivative()` give them; the piece
+    between the branches repeats the negative branch's last piece, so that
+    its last knot evaluates on that piece as `PPoly` does. `_pieces` finds
+    the piece of each x through the buckets of `_bucket_lookup`, and
+    `_power_sum` sums it, which gives `PPoly`'s bytes. A 0-d call runs the
+    same sums on Python floats, with `bisect_right`, or the end piece on a
+    one-element array.
+    Immutable, so threads share one instance; pickling keeps the one object
+    shared by both branches.
     """
 
-    spline: object
-    d1: object
-    d2: object
+    kind: int
+    s: float
+    widths: tuple[int, ...]
+    knots: np.ndarray = field(repr=False)
+    table: np.ndarray = field(repr=False)  # (10, pieces): left knot, T_0, T_0', T_0''
+    nxt: np.ndarray = field(repr=False)  # knots[i + 1] at piece i; NaN past the last piece
+    start: np.ndarray = field(repr=False)
+    scale: float = field(repr=False)  # buckets per unit of x
+    ends: tuple[float, float] = field(repr=False)  # innermost nodes, negative then positive
+    coef: tuple[tuple[float, ...], ...] = field(repr=False)  # a (1, s, s (s-1)) per side, same
+    points: tuple[float, ...] = field(repr=False)  # `knots` and the columns of `table`
+    columns: tuple[tuple[float, ...], ...] = field(repr=False)  # as floats
+
+    def _pieces(self, x: np.ndarray) -> np.ndarray:
+        """np.searchsorted(knots, x, "right") - 1, clipped to the pieces,
+        for 1-d x (NaN goes to any piece)."""
+        bucket = np.fmin(np.fmax((x - self.knots[0]) * self.scale, 0.0), self.start.size - 1.0)
+        i = self.start[bucket.astype(np.intp)]
+        for w in self.widths:  # advance w pieces where knots[i + w] <= x
+            i += (self.nxt[i + (w - 1)] <= x) * w
+        return i
+
+    def _bases(self, x: np.ndarray) -> list[np.ndarray]:
+        """T_0 and its first `kind` x-derivatives at 1-d x."""
+        col = np.take(self.table[: (5, 8, 10)[self.kind]], self._pieces(x), axis=1)
+        h = x - col[0]
+        h2 = h * h
+        hs = (h, h2, h2 * h)
+        bases = [_power_sum(c, hs) for c in (col[1:5], col[5:8], col[8:10])[: self.kind + 1]]
+        inner = (x > self.ends[0]) & (x < self.ends[1])
+        if inner.any():
+            for out, end in zip(bases, self._end_piece(x[inner])):
+                out[inner] = end
+        return bases
+
+    def _end_piece(self, x: np.ndarray) -> list[np.ndarray]:
+        """d^k/dx^k of sign (a |x|^s - 1), k = 0..kind, at 1-d x strictly
+        between the innermost nodes."""
+        pos = x > 0
+        sign = np.where(pos, 1.0, -1.0)
+        out = []
+        for k in range(self.kind + 1):
+            vals = np.where(pos, self.coef[1][k], self.coef[0][k]) * np.abs(x) ** (self.s - k)
+            out.append((vals if k == 1 else sign * vals) - (sign if k == 0 else 0.0))
+        return out
+
+    def _scalar(self, t: float, x: float) -> float:
+        if self.ends[0] < x < self.ends[1]:
+            # On a one-element array: numpy's array power rounds as for arrays.
+            b = [float(v[0]) for v in self._end_piece(np.array([x]))]
+        else:
+            i = min(max(bisect_right(self.points, x) - 1, 0), len(self.points) - 2)
+            col = self.columns[i]
+            h = x - col[0]
+            h2 = h * h
+            hs = (h, h2, h2 * h)
+            b = [_power_sum(c, hs) for c in (col[1:5], col[5:8], col[8:10])[: self.kind + 1]]
+        if self.kind == 0:
+            return min(max(b[0] + t * (1.0 - b[0] * b[0]), -1.0), 1.0)
+        if self.kind == 1:
+            return b[1] * (1.0 - 2.0 * t * b[0])
+        return b[2] * (1.0 - 2.0 * t * b[0]) - 2.0 * t * (b[1] * b[1])
+
+    def __call__(self, t: ArrayLike, x: ArrayLike) -> ArrayLike:
+        if np.ndim(t) == 0 and np.ndim(x) == 0:
+            return self._scalar(float(t), float(x))
+        x = np.asarray(x, dtype=float)
+        t = np.asarray(t, dtype=float)
+        b0, *more = (b.reshape(x.shape) for b in self._bases(x.ravel()))
+        if self.kind == 0:
+            return np.clip(b0 + t * (1.0 - b0**2), -1.0, 1.0)
+        if self.kind == 1:
+            return more[0] * (1.0 - 2.0 * t * b0)
+        return more[1] * (1.0 - 2.0 * t * b0) - 2.0 * t * more[0] ** 2
+
+
+@dataclass(frozen=True, eq=False)
+class _TableInverse:
+    """Picklable inverse of one table branch (`_shear_spline_inverse`): the
+    branch's knots, `PPoly.c` and node values T_0(knots), its innermost
+    node x1 and the end piece sign (a |x|^s - 1) below it."""
+
+    knots: np.ndarray
+    c: np.ndarray
+    nodes: np.ndarray
     x1: float
     a: float
     s: float
-    kind: int
 
-    def base(self, x: ArrayLike, k: int) -> np.ndarray:
-        """The k-th x-derivative of T_0 (k = 0, 1, 2)."""
-        x = np.asarray(x, dtype=float)
-        out = np.asarray((self.spline, self.d1, self.d2)[k](x))
-        inner = np.abs(x) < abs(self.x1)
-        if inner.any():  # d^k/dx^k of sign (a |x|^s - 1)
-            sign = np.copysign(1.0, self.x1)
-            coef = self.a * (1.0, self.s, self.s * (self.s - 1.0))[k]
-            vals = coef * np.abs(x[inner]) ** (self.s - k)
-            out[inner] = (vals if k == 1 else sign * vals) - (sign if k == 0 else 0.0)
-        return out
+    def __call__(self, t: ArrayLike, y: ArrayLike) -> np.ndarray:
+        return _shear_spline_inverse(self, t, y)
 
-    def __call__(self, t: ArrayLike, x: ArrayLike) -> ArrayLike:
-        if self.kind == 3:
-            return _shear_spline_inverse(self, t, x)
-        base = self.base(x, 0)
-        t_arr = np.asarray(t)
-        if self.kind == 0:
-            return np.clip(base + t_arr * (1.0 - base**2), -1.0, 1.0)
-        if self.kind == 1:
-            return self.base(x, 1) * (1.0 - 2.0 * t_arr * base)
-        return self.base(x, 2) * (1.0 - 2.0 * t_arr * base) - 2.0 * t_arr * self.base(x, 1) ** 2
+
+def _bucket_lookup(knots: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.ndarray, float]:
+    """(start, widths, nxt, scale) of `_TableFn._pieces` on sorted knots.
+
+    [knots[0], knots[-1]] is cut into four equal buckets per knot, `scale`
+    buckets per unit of x. The bucket index computed for x is within one of
+    the exact one, so bucket b starts at the piece of edge b - 1, and x lies
+    at most J pieces further, J being the most pieces between edges b - 1
+    and b + 2 over all b. Advancing by each power of two up to J, largest
+    first, wherever the knot that far on is <= x, covers those J pieces in
+    about log2 J steps; `nxt` is knots[i + 1] at piece i and NaN past the
+    last piece, so no step leaves the pieces.
+    """
+    buckets = 4 * knots.size
+    scale = buckets / (knots[-1] - knots[0])
+    edges = knots[0] + np.arange(-1, buckets + 2) / scale
+    piece = np.clip(np.searchsorted(knots, edges, side="right") - 1, 0, knots.size - 2)
+    most = int((piece[3:] - piece[:-3]).max())
+    widths = tuple(1 << k for k in reversed(range(most.bit_length())))
+    nxt = np.concatenate([knots[1:-1], np.full(max(widths, default=1), np.nan)])
+    return piece[:-3], widths, nxt, float(scale)
 
 
 # Safeguarded Newton needs about 5 steps; the cap only bounds rows that
@@ -214,7 +320,7 @@ class _ShearBranchFn:
 _NEWTON_CAP = 100
 
 
-def _shear_spline_inverse(fn: _ShearBranchFn, t: ArrayLike, y: ArrayLike) -> np.ndarray:
+def _shear_spline_inverse(fn: _TableInverse, t: ArrayLike, y: ArrayLike) -> np.ndarray:
     """x with T_0(x) + t (1 - T_0(x)^2) = y on the branch of `fn`, clamped
     to the branch domain.
 
@@ -238,8 +344,7 @@ def _shear_spline_inverse(fn: _ShearBranchFn, t: ArrayLike, y: ArrayLike) -> np.
     with np.errstate(invalid="ignore"):  # no real p: past the image
         p = 2.0 * u / (1.0 + np.sqrt(1.0 - 4.0 * t * u))
     p = np.where(np.isnan(p) & ~np.isnan(y), np.copysign(np.inf, y), p)
-    knots, c = fn.spline.x, fn.spline.c
-    nodes = np.append(c[3], fn.spline(knots[-1]))
+    knots, c, nodes = fn.knots, fn.c, fn.nodes
     under, over = p < nodes[0], p > nodes[-1]
     active = np.array((p >= nodes[0]) & (p <= nodes[-1]))
     i = np.clip(np.searchsorted(nodes, p, side="right") - 1, 0, knots.size - 2)
@@ -316,31 +421,48 @@ def table_family(
 
     The t = 0 map interpolates the nodes with a monotone PCHIP spline and
     continues each branch from its innermost node to the singularity by the
-    declared power law (see `_ShearBranchFn`); the nodes must pass
+    declared power law (see `_TableFn`); the nodes must pass
     `check_table`. The perturbation acts as the shear
     T_t = T_0 + t (1 - T_0^2), which keeps the one-sided limits at the
     singularity, satisfies |d/dt| <= 1, and preserves monotonicity for
     |t| < 1/2. The singularity order and envelope constants are declared,
-    not inferred; `verify_conditions` checks them. Each branch carries its
-    inverse (`_shear_spline_inverse`).
+    not inferred; `verify_conditions` checks them. Both branches share one
+    value and derivative callable per kind (`_TableFn`), which evaluates
+    the spline in-house; each carries its inverse (`_shear_spline_inverse`).
+    scipy builds the spline coefficients and is not called after that.
     """
     from scipy.interpolate import PchipInterpolator
 
     check_table(pos_x, pos_y, neg_x, neg_y, s, k1, k2, eps_max)
-
-    def make(xs, ys, inner: int) -> Branch:
-        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    inverses, parts = [], []
+    for xs, ys, inner in ((neg_x, neg_y, -1), (pos_x, pos_y, 0)):
+        xs, ys = np.array(xs, dtype=float), np.array(ys, dtype=float)
         spline = PchipInterpolator(xs, ys)
         x1 = float(xs[inner])
         a = float((1.0 + np.copysign(1.0, x1) * ys[inner]) / abs(x1) ** s)
-        d1, d2 = spline.derivative(1), spline.derivative(2)
-        return Branch(*(_ShearBranchFn(spline, d1, d2, x1, a, s, kind) for kind in range(4)))
-
+        cols = np.vstack([xs[:-1], spline.c, spline.derivative(1).c, spline.derivative(2).c])
+        cols[(4, 7, 9), :] += 0.0  # PPoly sums from 0.0, so a -0.0 constant term gives 0.0
+        h = xs[-1] - xs[-2]
+        nodes = np.append(spline.c[3], _power_sum(cols[1:5, -1], (h, h * h, h * h * h)))
+        inverses.append(_TableInverse(xs, spline.c, nodes, x1, a, s))
+        parts.append((xs, cols, x1, tuple(a * f for f in (1.0, s, s * (s - 1.0)))))
+    (neg_xs, neg_cols, neg_x1, neg_coef), (pos_xs, pos_cols, pos_x1, pos_coef) = parts
+    knots = np.concatenate([neg_xs, pos_xs])
+    table = np.hstack([neg_cols, neg_cols[:, -1:], pos_cols])
+    start, widths, nxt, scale = _bucket_lookup(knots)
+    for arr in (knots, table, nxt, start, *(v for i in inverses for v in (i.knots, i.c, i.nodes))):
+        arr.setflags(write=False)
+    points, columns = tuple(knots.tolist()), tuple(map(tuple, table.T.tolist()))
+    shared = [
+        _TableFn(kind, s, widths, knots, table, nxt, start, scale, (neg_x1, pos_x1),
+                 (neg_coef, pos_coef), points, columns)
+        for kind in range(3)
+    ]
     return MapFamily(
         s=s,
         eps_max=eps_max,
-        branch_pos=make(pos_x, pos_y, 0),
-        branch_neg=make(neg_x, neg_y, -1),
+        branch_pos=Branch(*shared, inverse=inverses[1]),
+        branch_neg=Branch(*shared, inverse=inverses[0]),
         k1=k1,
         k2=k2,
         label="table",

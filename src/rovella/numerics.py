@@ -22,8 +22,11 @@ def bisect_increasing(
 
     `lo` and `hi` must bracket every target (f(lo) <= target <= f(hi) up to
     roundoff; out-of-bracket targets converge to the nearest endpoint).
-    Iterates until the bracket width is below `xtol`, the residual is below
-    `ftol` (when given), or the bracket is exhausted in double precision.
+    Each stop condition is enough on its own: a row is done once its
+    bracket is at most `xtol` wide, or once a midpoint's residual is at most
+    `ftol` (when given; that midpoint is then its result), or once its
+    bracket is exhausted in double precision. Rows done by width keep
+    halving until every row is done.
     """
     target = np.asarray(target, dtype=float)
     a = np.broadcast_to(np.asarray(lo, dtype=float), target.shape).copy()
@@ -38,10 +41,12 @@ def bisect_increasing(
         go_right = val < target
         a = np.where(go_right & ~stuck, mid, a)
         b = np.where(~go_right & ~stuck, mid, b)
-        width_done = (b - a) <= xtol
         if ftol is not None:
-            width_done &= np.abs(val - target) <= ftol
-        if width_done.all():
+            # Collapse the bracket onto a midpoint within ftol: it stays put.
+            hit = np.abs(val - target) <= ftol
+            a = np.where(hit, mid, a)
+            b = np.where(hit, mid, b)
+        if ((b - a) <= xtol).all():
             break
     return 0.5 * (a + b)
 

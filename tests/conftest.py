@@ -96,6 +96,50 @@ def fam_lin():
     )
 
 
+def ppoly_family(fam):
+    """The table family `fam` with value and derivative callables of its
+    own per branch that evaluate T_0 by scipy's `PPoly` on the branch's
+    knots and coefficients (kept on its inverse), and the power law
+    sign (a |x|^s - 1) below the innermost node: the reference for the
+    in-house evaluation."""
+    import dataclasses
+
+    from scipy.interpolate import PPoly
+
+    def branch(b):
+        inv = b.inverse
+        spline = PPoly(np.array(inv.c), np.array(inv.knots))
+        splines = (spline, spline.derivative(1), spline.derivative(2))
+
+        def base(x, k):
+            x = np.asarray(x, dtype=float)
+            out = np.asarray(splines[k](x))
+            inner = np.abs(x) < abs(inv.x1)
+            if inner.any():
+                sign = np.copysign(1.0, inv.x1)
+                coef = inv.a * (1.0, inv.s, inv.s * (inv.s - 1.0))[k]
+                vals = coef * np.abs(x[inner]) ** (inv.s - k)
+                out[inner] = (vals if k == 1 else sign * vals) - (sign if k == 0 else 0.0)
+            return out
+
+        def value(t, x):
+            b0 = base(x, 0)
+            return np.clip(b0 + np.asarray(t) * (1.0 - b0**2), -1.0, 1.0)
+
+        def deriv(t, x):
+            return base(x, 1) * (1.0 - 2.0 * np.asarray(t) * base(x, 0))
+
+        def second(t, x):
+            t = np.asarray(t)
+            return base(x, 2) * (1.0 - 2.0 * t * base(x, 0)) - 2.0 * t * base(x, 1) ** 2
+
+        return dataclasses.replace(b, value=value, deriv=deriv, second=second)
+
+    return dataclasses.replace(
+        fam, branch_pos=branch(fam.branch_pos), branch_neg=branch(fam.branch_neg)
+    )
+
+
 def zero_preimage(fam, t: float, span: int = 4000):
     """A float x > 0 whose fixture image T_t(x) rounds to exactly 0, or None.
 

@@ -217,14 +217,15 @@ class TestFastPathGuard:
         assert a < 0.3 < b
 
 
-def _exact_inverse(spline, t, y):
+def _exact_inverse(branch_inverse, t, y):
     """30-digit root of spline(x) + t (1 - spline(x)^2) = y on the spline
-    piece that holds the target, rounded to a double (mpmath, per row)."""
+    piece that holds the target, rounded to a double (mpmath, per row), from
+    the knots, coefficients and node values the branch's inverse keeps."""
     mp = pytest.importorskip("mpmath")
-    knots, c = spline.x, spline.c
+    knots, c = branch_inverse.knots, branch_inverse.c
     out = np.empty(np.shape(y))
     with mp.workdps(30):
-        nodes = [mp.mpf(v) for v in np.append(c[3], spline(knots[-1]))]
+        nodes = [mp.mpf(v) for v in branch_inverse.nodes]
         for k, (tk, yk) in enumerate(np.broadcast(t, y)):
             tm, ym = mp.mpf(tk), mp.mpf(yk)
             p = 2 * (ym - tm) / (1 + mp.sqrt(1 - 4 * tm * (ym - tm)))
@@ -248,7 +249,7 @@ def _with_exact_inverse(fam):
         fam,
         **{
             name: dataclasses.replace(
-                branch, inverse=functools.partial(_exact_inverse, branch.inverse.spline)
+                branch, inverse=functools.partial(_exact_inverse, branch.inverse)
             )
             for name, branch in (("branch_pos", fam.branch_pos), ("branch_neg", fam.branch_neg))
         },
@@ -279,7 +280,7 @@ class TestTableInverse:
             # 2 ulp, plus a few roundings of the cubic's rise from its left
             # knot over the slope, which dominate where the branch is flat.
             branch = table_fam.branch_pos if side > 0 else table_fam.branch_neg
-            knots = branch.inverse.spline.x
+            knots = branch.inverse.knots
             piece = np.clip(np.searchsorted(knots, exact, side="right") - 1, 0, knots.size - 2)
             value = mc.evaluate
             rise = np.abs(value(table_fam, t, exact) - value(table_fam, t, knots[piece]))
