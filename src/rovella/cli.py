@@ -40,7 +40,7 @@ DEFAULT_CONFIG: dict = {
         "kappa": None,
         "prefactor": 1.0,
     },
-    "tower": {"delta_prime": None, "n_max": 25, "seed_grid": 4096},
+    "tower": {"n_max": 25, "seed_grid": 4096},
     "measures": {
         "grid_m": 2048,
         "m_past": 200,
@@ -51,7 +51,7 @@ DEFAULT_CONFIG: dict = {
         "direction": "forward",
         "burn_in": 5,
     },
-    "output": {"directory": "out", "formats": ["csv", "json"]},
+    "output": {"directory": "out"},
 }
 
 
@@ -100,16 +100,12 @@ def validate_config(cfg: dict) -> None:
     hy = cfg["hyperbolic"]
     if not hy["delta"] > 0:
         raise ValidationError("hyperbolic chain violated: delta > 0 required")
+    if hy.get("delta0") is None or not hy["delta0"] > 0:
+        raise ValidationError("hyperbolic chain violated: delta0 > 0 required")
     c, cp = hy.get("c"), hy.get("c_prime")
     if c is not None and cp is not None and not (0 < c < cp):
         raise ValidationError("hyperbolic chain violated: 0 < c < c_prime required")
-    tw = cfg["tower"]
-    d0, dp = hy.get("delta0"), tw.get("delta_prime")
-    if d0 is not None and dp is not None and abs(d0 - 2.0 * dp) > 1e-12:
-        raise ValidationError("tower chain violated: delta0 = 2 * delta_prime required")
-    if d0 is None and dp is None:
-        raise ValidationError("tower chain violated: one of delta0, delta_prime required")
-    if not tw["n_max"] >= 1:
+    if not cfg["tower"]["n_max"] >= 1:
         raise ValidationError("tower chain violated: n_max >= 1 required")
     if cfg["measures"]["grid_m"] < 16:
         raise ValidationError("measures chain violated: grid_m >= 16 required")
@@ -139,14 +135,11 @@ def resolve_family(cfg: dict) -> map_core.MapFamily:
 
 def resolve_hyperbolic(cfg: dict, family: map_core.MapFamily) -> hyperbolic.HyperbolicConfig:
     hy = cfg["hyperbolic"]
-    delta0 = hy.get("delta0")
-    if delta0 is None:
-        delta0 = 2.0 * cfg["tower"]["delta_prime"]
     return hyperbolic.config_for_family(
         family,
         cfg["noise"]["eps"],
         hy["delta"],
-        delta0,
+        hy["delta0"],
         master_seed=cfg["noise"]["seed"],
         kappa=hy.get("kappa"),
         c=hy.get("c"),
@@ -207,7 +200,7 @@ def cmd_simulate_orbit(cfg: dict, args) -> tuple[list[str], int]:
 def cmd_verify_family(cfg: dict, args) -> tuple[list[str], int]:
     family = resolve_family(cfg)
     report = map_core.verify_conditions(family)
-    payload = {k: getattr(report, k) for k in report.__dataclass_fields__ if k != "details"}
+    payload = {k: getattr(report, k) for k in report.__dataclass_fields__}
     payload["required_ok"] = report.required_ok
     out = Path(cfg["output"]["directory"]) / "family_report.json"
     write_json(out, payload)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BranchStraddle, DeltaTooLarge, NotHyperbolic, ParamError, SingularHit
-from .map_core import MapFamily, _unchecked, critical_neighborhoods, unperturbed_orbit
+from .map_core import MapFamily, critical_neighborhoods, unperturbed_orbit
 from .noise import NoiseStream, ensemble_keys, ensemble_noise, keyed_draws
 from .orbit import OrbitTrace, iterate, pull_back, start_points, step
 
@@ -469,7 +469,7 @@ def distortion_estimate(
         return 0.0
     xs = np.linspace(lo, hi, points)
     xs = xs[xs != 0.0]
-    ratio = np.abs(_unchecked(family, "second", t, xs)) / _unchecked(family, "deriv", t, xs)
+    ratio = np.abs(family.second(t, xs)) / family.deriv(t, xs)
     return float(ratio.max() * (hi - lo))
 
 
@@ -497,7 +497,8 @@ def markov_neighborhood(
     pts = trace.points
     radius = cfg.delta0 * math.exp(-cfg.lambda_prime * n / 2.0) / cfg.prefactor
     ball = np.array([pts[n] - cfg.delta0, pts[n] + cfg.delta0])
-    lo, hi = pull_back(family, stream.values(0, n), np.sign(pts[:n]), ball).tolist()
+    t_path = stream.values(0, n)
+    lo, hi = pull_back(family, t_path, np.sign(pts[:n]), ball).tolist()
     a = max(lo, x - radius)
     b = min(hi, x + radius)
     if not (a < x < b):
@@ -518,9 +519,8 @@ def markov_neighborhood(
             raise BranchStraddle(f"samples split across the singularity at step {k}")
         if np.sign(ys[0]) != math.copysign(1.0, pts[k]):
             single = False
-        t_k = stream.get(k)
-        dist_total += distortion_estimate(family, t_k, float(ys.min()), float(ys.max()))
-        ys, _, log_dt = step(family, t_k, ys, cfg.delta)
+        dist_total += distortion_estimate(family, t_path[k], float(ys.min()), float(ys.max()))
+        ys, _, log_dt = step(family, t_path[k], ys, cfg.delta)
         cum_logs.append(cum_logs[-1] + log_dt)
         if not np.all(np.diff(ys) > 0):
             monotone = False

@@ -25,40 +25,28 @@ import numpy as np
 from .errors import DeltaTooLarge, DomainError
 
 ArrayLike = float | np.ndarray
-BranchFn = Callable[[ArrayLike, ArrayLike], ArrayLike]
+MapFn = Callable[[ArrayLike, ArrayLike], ArrayLike]
 
 # Innermost point of each branch domain: [1e-300, 1] and [-1, -1e-300].
 _BRANCH_EDGE = 1e-300
 
 
 @dataclass(frozen=True)
-class Branch:
-    """One monotone branch with value, two x-derivatives and inverse,
-    numpy-vectorized.
-
-    `inverse` is the inverse (t, y) -> x of `value` on the branch domain
-    [1e-300, 1] (positive branch) or [-1, -1e-300] (negative branch): a
-    target outside the image maps to the nearest domain endpoint. It is
-    exact for closed forms and exact up to 2 ulp for splines (where a
-    branch is nearly flat, up to the rounding of the spline's cubic over
-    its slope).
-
-    Callables are elementwise: each output entry depends only on the (t, x)
-    pair at its position, so a call on a whole array equals calls on its
-    parts. A callable that both branches of a family share must take both
-    signs of x (x > 0 on the positive side, x <= 0 and NaN on the negative
-    one); `_unchecked` then calls it once on the whole array.
-    """
-
-    value: BranchFn
-    deriv: BranchFn
-    second: BranchFn
-    inverse: BranchFn
-
-
-@dataclass(frozen=True)
 class MapFamily:
     """One-parameter admissible family of contracting Lorenz maps.
+
+    `value`, `deriv` and `second` give T_t(x) and its first and second
+    x-derivatives on both sides of the singularity: x > 0 is the positive
+    side, x <= 0 and NaN the negative one. They are numpy-vectorized and
+    elementwise: each output entry depends only on the (t, x) pair at its
+    position, so a call on a whole array equals calls on its parts.
+
+    `inverse_pos` and `inverse_neg` invert `value` on the positive and the
+    negative branch domain, [1e-300, 1] and [-1, -1e-300]: (t, y) -> x, with
+    a target outside the branch image mapped to the nearest domain endpoint.
+    They are exact for closed forms and exact up to 2 ulp for splines (where
+    a branch is nearly flat, up to the rounding of the spline's cubic over
+    its slope).
 
     Immutable after construction; all operations are pure functions of their
     arguments, so instances are safe to share across worker threads.
@@ -66,8 +54,11 @@ class MapFamily:
 
     s: float
     eps_max: float
-    branch_pos: Branch
-    branch_neg: Branch
+    value: MapFn
+    deriv: MapFn
+    second: MapFn
+    inverse_pos: MapFn
+    inverse_neg: MapFn
     k1: float
     k2: float
     label: str = "custom"
@@ -83,17 +74,14 @@ class MapFamily:
 
 @dataclass(frozen=True)
 class _FixtureBranchFn:
-    """Picklable value / derivative callable of the power-law fixture,
-    shared by both branches.
+    """Picklable value / derivative callable of the power-law fixture.
 
     kind 0/1/2 selects value / first / second x-derivative. The side comes
-    from x by the dispatch convention of `_unchecked`: x > 0 is the positive
-    branch, x <= 0 and NaN the negative one. The side enters only through
-    exact multiplications by +-1, so one call on a whole array gives the
-    same bytes as one call per branch on its rows (signed zeros included).
-    Array calls work in place on arrays they allocate, which keeps the
-    temporaries few and lets threads share one instance. Pickling keeps the
-    one object shared by both branches.
+    from x by the convention of `MapFamily`; it enters only through exact
+    multiplications by +-1, so a call on a whole array gives the bytes of
+    calls on its parts (signed zeros included). Array calls work in place on
+    arrays they allocate, which keeps the temporaries few and lets threads
+    share one instance.
     """
 
     s: float
@@ -146,20 +134,19 @@ class _FixtureInverse:
 def fixture_family(s: float = 2.0, eps_max: float = 0.1) -> MapFamily:
     """Closed-form family T_t(x) = sign(x)((2-|t|)|x|^s - 1), clipped to I,
     with closed-form branch inverses.
-
-    Both branches hold the same value and derivative callables, which
-    `_unchecked` calls once on a whole array; each branch has its own
-    inverse, since `invert_branch` picks the side itself.
     """
     # Envelope constants for DT_t(x) = (2-|t|) s |x|^(s-1) over |t| <= eps_max.
     k1 = (2.0 - eps_max) * s
     k2 = 2.0 * s
-    shared = [_FixtureBranchFn(s, kind) for kind in range(3)]
+    value, deriv, second = (_FixtureBranchFn(s, kind) for kind in range(3))
     return MapFamily(
         s=s,
         eps_max=eps_max,
-        branch_pos=Branch(*shared, inverse=_FixtureInverse(s, 1.0)),
-        branch_neg=Branch(*shared, inverse=_FixtureInverse(s, -1.0)),
+        value=value,
+        deriv=deriv,
+        second=second,
+        inverse_pos=_FixtureInverse(s, 1.0),
+        inverse_neg=_FixtureInverse(s, -1.0),
         k1=k1,
         k2=k2,
         label=f"fixture(s={s:g})",
@@ -179,7 +166,7 @@ def _power_sum(c, hs):
 @dataclass(frozen=True, eq=False)
 class _TableFn:
     """Picklable value / derivative callable of a tabulated family under the
-    shear perturbation T_t = T_0 + t (1 - T_0^2), shared by both branches.
+    shear perturbation T_t = T_0 + t (1 - T_0^2).
 
     T_0 is each branch's PCHIP spline from its innermost node x1 outward and
     the power law sign (a |x|^s - 1) between the singularity and x1, with
@@ -196,8 +183,7 @@ class _TableFn:
     `_power_sum` sums it, which gives `PPoly`'s bytes. A 0-d call runs the
     same sums on Python floats, with `bisect_right`, or the end piece on a
     one-element array.
-    Immutable, so threads share one instance; pickling keeps the one object
-    shared by both branches.
+    Immutable, so threads share one instance.
     """
 
     kind: int
@@ -426,10 +412,10 @@ def table_family(
     T_t = T_0 + t (1 - T_0^2), which keeps the one-sided limits at the
     singularity, satisfies |d/dt| <= 1, and preserves monotonicity for
     |t| < 1/2. The singularity order and envelope constants are declared,
-    not inferred; `verify_conditions` checks them. Both branches share one
-    value and derivative callable per kind (`_TableFn`), which evaluates
-    the spline in-house; each carries its inverse (`_shear_spline_inverse`).
-    scipy builds the spline coefficients and is not called after that.
+    not inferred; `verify_conditions` checks them. One callable per
+    derivative order (`_TableFn`) evaluates the spline in-house, and each
+    branch has its inverse (`_shear_spline_inverse`). scipy builds the
+    spline coefficients and is not called after that.
     """
     from scipy.interpolate import PchipInterpolator
 
@@ -453,16 +439,19 @@ def table_family(
     for arr in (knots, table, nxt, start, *(v for i in inverses for v in (i.knots, i.c, i.nodes))):
         arr.setflags(write=False)
     points, columns = tuple(knots.tolist()), tuple(map(tuple, table.T.tolist()))
-    shared = [
+    value, deriv, second = (
         _TableFn(kind, s, widths, knots, table, nxt, start, scale, (neg_x1, pos_x1),
                  (neg_coef, pos_coef), points, columns)
         for kind in range(3)
-    ]
+    )
     return MapFamily(
         s=s,
         eps_max=eps_max,
-        branch_pos=Branch(*shared, inverse=inverses[1]),
-        branch_neg=Branch(*shared, inverse=inverses[0]),
+        value=value,
+        deriv=deriv,
+        second=second,
+        inverse_pos=inverses[1],
+        inverse_neg=inverses[0],
         k1=k1,
         k2=k2,
         label="table",
@@ -480,38 +469,13 @@ def _check_domain(family: MapFamily, t: ArrayLike, x: ArrayLike) -> None:
         raise DomainError("x outside [-1, 1]")
 
 
-def _unchecked(family: MapFamily, part: str, t: ArrayLike, x: ArrayLike) -> np.ndarray:
-    """Branch dispatch: `part` ("value", "deriv" or "second") of the branch
-    holding each x, without domain checks. x <= 0 and NaN go to the negative
-    branch, so NaN rows stay NaN for the built-in families.
-
-    A 0-d x calls its branch's callable. For an array, a callable that both
-    branches share is called once on the whole of x, since callables are
-    elementwise; otherwise each branch gets its own rows, gathered by sign.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        b = family.branch_pos if x > 0 else family.branch_neg
-        return np.asarray(getattr(b, part)(t, x), dtype=float)
-    fn_pos, fn_neg = getattr(family.branch_pos, part), getattr(family.branch_neg, part)
-    t = np.asarray(t, dtype=float)
-    if fn_pos is fn_neg:
-        return np.asarray(fn_pos(t, x), dtype=float)
-    pos = x > 0
-    out = np.empty_like(x)
-    t_arr = np.broadcast_to(t, x.shape)
-    out[pos] = fn_pos(t_arr[pos], x[pos])
-    out[~pos] = fn_neg(t_arr[~pos], x[~pos])
-    return out
-
-
 def invert_branch(family: MapFamily, t: ArrayLike, y: ArrayLike, side: ArrayLike) -> np.ndarray:
     """x on the branch of `side` (+1 or -1, per row or shared) with T_t(x) = y,
-    by that branch's `Branch.inverse`; a target outside the branch image
+    by the family's inverse of that side; a target outside the branch image
     maps to the nearest domain endpoint."""
     y = np.asarray(y, dtype=float)
     side = np.asarray(side, dtype=float)
-    inv_pos, inv_neg = family.branch_pos.inverse, family.branch_neg.inverse
+    inv_pos, inv_neg = family.inverse_pos, family.inverse_neg
     if side.ndim == 0:
         return np.array((inv_pos if side > 0 else inv_neg)(t, y), dtype=float)
     pos = np.broadcast_to(side > 0, y.shape)
@@ -525,20 +489,20 @@ def invert_branch(family: MapFamily, t: ArrayLike, y: ArrayLike, side: ArrayLike
 def evaluate(family: MapFamily, t: ArrayLike, x: ArrayLike) -> ArrayLike:
     """T_t(x). Raises DomainError at x = 0 or when |t| > eps_max."""
     _check_domain(family, t, x)
-    out = _unchecked(family, "value", t, x)
+    out = family.value(t, x)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def derivative(family: MapFamily, t: ArrayLike, x: ArrayLike) -> ArrayLike:
     """DT_t(x) > 0 away from the singularity."""
     _check_domain(family, t, x)
-    out = _unchecked(family, "deriv", t, x)
+    out = family.deriv(t, x)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def second_derivative(family: MapFamily, t: ArrayLike, x: ArrayLike) -> ArrayLike:
     _check_domain(family, t, x)
-    out = _unchecked(family, "second", t, x)
+    out = family.second(t, x)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -551,13 +515,11 @@ def schwarzian(family: MapFamily, t: ArrayLike, x: ArrayLike) -> ArrayLike:
     """
     _check_domain(family, t, x)
     x_arr = np.asarray(x, dtype=float)
-    d1 = _unchecked(family, "deriv", t, x_arr)
-    d2 = _unchecked(family, "second", t, x_arr)
+    d1 = family.deriv(t, x_arr)
+    d2 = family.second(t, x_arr)
     h = 1e-6 * np.maximum(np.abs(x_arr), 1e-3)
     h = np.minimum(h, np.abs(x_arr) / 4.0)  # stay on one side of the singularity
-    d3 = (
-        _unchecked(family, "second", t, x_arr + h) - _unchecked(family, "second", t, x_arr - h)
-    ) / (2.0 * h)
+    d3 = (family.second(t, x_arr + h) - family.second(t, x_arr - h)) / (2.0 * h)
     ratio = d2 / d1
     out = d3 / d1 - 1.5 * ratio**2
     return float(out) if np.ndim(out) == 0 else out
@@ -600,8 +562,8 @@ def critical_neighborhoods(
         raise ValueError("delta must be positive")
     t = float(t)
     _check_domain(family, t, 1.0)
-    top_pos = float(_unchecked(family, "value", t, np.float64(1.0)))
-    bot_neg = float(_unchecked(family, "value", t, np.float64(-1.0)))
+    top_pos = float(family.value(t, 1.0))
+    bot_neg = float(family.value(t, -1.0))
     if -1.0 + delta > top_pos:
         raise DeltaTooLarge(f"B_delta(-1) with delta={delta} exits the positive branch image")
     if 1.0 - delta < bot_neg:
@@ -610,8 +572,8 @@ def critical_neighborhoods(
     pos_hi, neg_lo = invert_branch(
         family, t, np.array([-1.0 + delta, 1.0 - delta]), np.array([1.0, -1.0])
     ).tolist()
-    res_pos = abs(float(_unchecked(family, "value", t, np.float64(pos_hi))) - (-1.0 + delta))
-    res_neg = abs(float(_unchecked(family, "value", t, np.float64(neg_lo))) - (1.0 - delta))
+    res_pos = abs(float(family.value(t, pos_hi)) - (-1.0 + delta))
+    res_neg = abs(float(family.value(t, neg_lo)) - (1.0 - delta))
     if max(res_pos, res_neg) > 1e-10:
         raise DeltaTooLarge(
             f"endpoint residual {max(res_pos, res_neg):.3e} after root-finding; "
@@ -630,7 +592,6 @@ class GridSpec:
     horizon: int = 30
     x_min: float = 1e-9
     limit_tol: float = 1e-3
-    fd_rel_tol: float = 1e-6
 
     def x_points(self) -> np.ndarray:
         half = np.geomspace(self.x_min, 1.0, self.n_x // 2)
@@ -668,7 +629,6 @@ class ConditionReport:
     t_lipschitz_ok: bool
     summability_partial: float
     summability_terms: int
-    details: dict = field(default_factory=dict)
 
     @property
     def required_ok(self) -> bool:
@@ -696,8 +656,8 @@ def unperturbed_orbit(family: MapFamily, v: float, n: int) -> tuple[np.ndarray, 
     logd = np.zeros(n + 1)
     pts[0] = v
     for k in range(n):
-        logd[k + 1] = logd[k] + np.log(float(_unchecked(family, "deriv", 0.0, np.float64(v))))
-        v = float(_unchecked(family, "value", 0.0, np.float64(v)))
+        logd[k + 1] = logd[k] + np.log(float(family.deriv(0.0, v)))
+        v = float(family.value(0.0, v))
         pts[k + 1] = v
         if v == 0.0:
             return pts[: k + 2], logd[: k + 2]
@@ -720,8 +680,8 @@ def verify_conditions(family: MapFamily, grid: GridSpec | None = None) -> Condit
     shrink = np.geomspace(grid.x_min, 1e-4, 32)
     gaps = []
     for t in (0.0, family.eps_max, -family.eps_max):
-        gaps.append(np.abs(_unchecked(family, "value", t, shrink) - (-1.0)).max())
-        gaps.append(np.abs(_unchecked(family, "value", t, -shrink) - 1.0).max())
+        gaps.append(np.abs(family.value(t, shrink) - (-1.0)).max())
+        gaps.append(np.abs(family.value(t, -shrink) - 1.0).max())
     c1_gap = float(max(gaps))
     c1_ok = c1_gap <= grid.limit_tol
 
@@ -732,13 +692,13 @@ def verify_conditions(family: MapFamily, grid: GridSpec | None = None) -> Condit
     c3_max = -np.inf
     range_ok = True
     for t in ts:
-        d = _unchecked(family, "deriv", t, xs)
+        d = family.deriv(t, xs)
         monotone_ok &= bool(np.all(d > 0))
         ratio = d / np.abs(xs) ** (family.s - 1.0)
         envelope_lo = min(envelope_lo, float(ratio.min()))
         envelope_hi = max(envelope_hi, float(ratio.max()))
         c3_max = max(c3_max, float(np.max(schwarzian(family, t, xs))))
-        vals = _unchecked(family, "value", t, xs)
+        vals = family.value(t, xs)
         range_ok &= bool(np.all(np.abs(vals) <= 1.0 + 1e-15))
     envelope_ok = (
         family.k1 <= envelope_lo + 1e-9 and envelope_hi <= family.k2 + 1e-9
@@ -778,9 +738,7 @@ def verify_conditions(family: MapFamily, grid: GridSpec | None = None) -> Condit
     # distortion modulus |log(DT(x)/DT(y))| * |x| / |x - y| on close pairs.
     t_lip_ok = True
     for i in range(len(ts) - 1):
-        gap = np.abs(
-            _unchecked(family, "value", ts[i + 1], xs) - _unchecked(family, "value", ts[i], xs)
-        ).max()
+        gap = np.abs(family.value(ts[i + 1], xs) - family.value(ts[i], xs)).max()
         t_lip_ok &= bool(gap <= abs(ts[i + 1] - ts[i]) + 1e-12)
     rng = np.random.default_rng(0)
     xa = xs[np.abs(xs) > 1e-6]
@@ -789,8 +747,8 @@ def verify_conditions(family: MapFamily, grid: GridSpec | None = None) -> Condit
     ya[ya == 0.0] = xa[ya == 0.0]
     adm_c = 0.0
     for t in (0.0, family.eps_max):
-        da = _unchecked(family, "deriv", t, xa)
-        db = _unchecked(family, "deriv", t, ya)
+        da = family.deriv(t, xa)
+        db = family.deriv(t, ya)
         mod = np.abs(np.log(da / db)) * np.abs(xa) / np.maximum(np.abs(xa - ya), 1e-300)
         adm_c = max(adm_c, float(mod.max()))
 

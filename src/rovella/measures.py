@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import InsufficientData
-from .map_core import MapFamily, _unchecked, invert_branch
+from .map_core import MapFamily, invert_branch
 from .noise import NoiseStream
 from .numerics import linear_fit
 from .orbit import step_values
@@ -92,10 +92,10 @@ def ulam_row_operator(family: MapFamily, t: float, grid: UniformGrid) -> sp.csr_
         if side > 0:
             x_lo, x_hi = 0.0, 1.0
             img_lo = -1.0
-            img_hi = float(_unchecked(family, "value", t, np.float64(1.0)))
+            img_hi = float(family.value(t, 1.0))
         else:
             x_lo, x_hi = -1.0, 0.0
-            img_lo = float(_unchecked(family, "value", t, np.float64(-1.0)))
+            img_lo = float(family.value(t, -1.0))
             img_hi = 1.0
 
         interior = edges[(edges > img_lo + 1e-15) & (edges < img_hi - 1e-15)]
@@ -324,12 +324,13 @@ def _mc_correlation(
     starts = np.concatenate([2.0 * half - 1.0, 1.0 - 2.0 * half])
     x = starts[starts != 0.0]
     origin = -m_past if direction == "forward" else -(m_past + n_max)
-    for j in range(origin, origin + m_past):
-        x = step_values(family, stream.get(j), x)
+    t_path = stream.values(origin, m_past + n_max)
+    for t in t_path[:m_past]:
+        x = step_values(family, t, x)
 
     snaps = [x]
-    for j in range(origin + m_past, origin + m_past + n_max):
-        x = step_values(family, stream.get(j), x)
+    for t in t_path[m_past:]:
+        x = step_values(family, t, x)
         snaps.append(x)
     alive = ~np.isnan(x)
     for i, snap in enumerate(snaps):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceeded, DomainError, EmptyIntersection, SingularHit
-from .map_core import ArrayLike, MapFamily, _unchecked, critical_neighborhoods, invert_branch
+from .map_core import ArrayLike, MapFamily, critical_neighborhoods, invert_branch
 from .noise import NoiseStream, ensemble_keys, keyed_draws
 
 
@@ -74,13 +74,13 @@ def return_depths_array(
     """Vectorized return depths; same convention as `return_depth`, with -1
     where DT_t(x) * |x| is not a positive finite number."""
     x = np.asarray(x, dtype=float)
-    return _depths(_unchecked(family, "deriv", t, x) * np.abs(x), delta)
+    return _depths(family.deriv(t, x) * np.abs(x), delta)
 
 
 def step_values(family: MapFamily, t: ArrayLike, x: np.ndarray) -> np.ndarray:
     """T_t applied to an array of rows. A row whose image rounds to 0 is
     dead: it becomes NaN and stays NaN from then on."""
-    y = _unchecked(family, "value", t, x)
+    y = family.value(t, x)
     y[y == 0.0] = np.nan
     return y
 
@@ -95,7 +95,7 @@ def step(
     DT_t(x) * |x| is not a positive finite number (depth -1) is dead too. A
     dead row's x_next and log_dt are NaN, so cocycle sums carry the mark.
     """
-    dt = _unchecked(family, "deriv", t, x)
+    dt = family.deriv(t, x)
     depth = _depths(dt * np.abs(x), delta)
     x_next = step_values(family, t, x)
     x_next[depth < 0] = np.nan
@@ -128,8 +128,8 @@ def iterate(
     points = np.empty(n + 1)
     points[0] = x0
     for i in range(n):
-        points[i + 1] = _unchecked(family, "value", ts[i], points[i])
-    dt = _unchecked(family, "deriv", ts, points)
+        points[i + 1] = family.value(ts[i], points[i])
+    dt = family.deriv(ts, points)
     depths = _depths(dt * np.abs(points), delta)
     dead = np.flatnonzero(depths < 0)
     if dead.size:
@@ -240,7 +240,7 @@ def branch_partition(
 
     def image(k: int, y: float, limit: float) -> float:
         # T_k at an image end; the one-sided limit where that end is 0.
-        return limit if y == 0.0 else float(_unchecked(family, "value", t_path[k], np.float64(y)))
+        return limit if y == 0.0 else float(family.value(t_path[k], y))
 
     # Level 0 is all of I, whose image straddles 0: its empty itinerary
     # pulls 0 back to the cut 0. Images are one-sided limits at the cuts.

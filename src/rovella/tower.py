@@ -417,7 +417,7 @@ def tower_step(partition: ReturnPartition, state: TowerState) -> TowerState:
     if state.level + 1 < e.tau:
         return TowerState(state.element, state.level + 1, state.x, state.base_time)
     start = state.base_time - partition.time_origin
-    t_path = np.array([partition.stream.get(k) for k in range(start, start + e.tau)])
+    t_path = partition.stream.values(start, e.tau)
     x_new = float(_images(partition.family, t_path, [state.x], e.tau)[0])
     if math.isnan(x_new):
         raise SingularHit(f"the return image of x={state.x} hit the singularity")
@@ -669,10 +669,11 @@ def certify_axioms(
     n = x.size
     images = np.concatenate([x, y])
     logd = np.zeros(n)
-    for k in range(int(tau.max(initial=0))):
+    t_path = strm.values(0, int(tau.max(initial=0)))
+    for k, t in enumerate(t_path):
         live = np.flatnonzero(tau > k)
         rows = np.concatenate([live, live + n])
-        images[rows], _, log_dt = step(fam, strm.get(k), images[rows], cfg.delta)
+        images[rows], _, log_dt = step(fam, t, images[rows], cfg.delta)
         logd[live] += log_dt[: live.size] - log_dt[live.size :]
     # A dead pair is NaN, lands in no element and so is censored.
     sep_img, exact = _separation_times(cache, images[:n], images[n:], tau, max_returns=3)

@@ -75,30 +75,37 @@ def table_fam():
 
 @pytest.fixture(scope="session")
 def fam_lin():
-    """Piecewise-linear doubling family built from hand-written callables,
-    with the closed-form inverse x = (y -+ 1) / 2 clamped to the branch
-    domain; it sends 0.75 -> 0.5 -> exactly 0."""
+    """Piecewise-linear doubling family T(x) = 2x -+ 1 built from
+    hand-written callables, with the closed-form inverse x = (y +- 1) / 2
+    clamped to the branch domain; it sends 0.75 -> 0.5 -> exactly 0."""
 
-    def branch(sign):
-        def inverse(t, y):
+    def value(t, x):
+        x = np.asarray(x, dtype=float)
+        return 2.0 * x - np.where(x > 0, 1.0, -1.0)
+
+    def inverse(sign):
+        def inv(t, y):
             root = (np.asarray(y, dtype=float) + sign) / 2.0
             return np.clip(root, 1e-300, 1.0) if sign > 0 else np.clip(root, -1.0, -1e-300)
 
-        return map_core.Branch(
-            value=lambda t, x: 2.0 * np.asarray(x, dtype=float) - sign,
-            deriv=lambda t, x: np.full_like(np.asarray(x, dtype=float), 2.0),
-            second=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-            inverse=inverse,
-        )
+        return inv
 
     return map_core.MapFamily(
-        s=1.5, eps_max=0.1, branch_pos=branch(1.0), branch_neg=branch(-1.0), k1=1.0, k2=4.0
+        s=1.5,
+        eps_max=0.1,
+        value=value,
+        deriv=lambda t, x: np.full_like(np.asarray(x, dtype=float), 2.0),
+        second=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
+        inverse_pos=inverse(1.0),
+        inverse_neg=inverse(-1.0),
+        k1=1.0,
+        k2=4.0,
     )
 
 
 def ppoly_family(fam):
-    """The table family `fam` with value and derivative callables of its
-    own per branch that evaluate T_0 by scipy's `PPoly` on the branch's
+    """The table family `fam` with value and derivative callables that
+    evaluate T_0 on each side's rows by scipy's `PPoly` on that branch's
     knots and coefficients (kept on its inverse), and the power law
     sign (a |x|^s - 1) below the innermost node: the reference for the
     in-house evaluation."""
@@ -106,13 +113,11 @@ def ppoly_family(fam):
 
     from scipy.interpolate import PPoly
 
-    def branch(b):
-        inv = b.inverse
+    def side_base(inv):
         spline = PPoly(np.array(inv.c), np.array(inv.knots))
         splines = (spline, spline.derivative(1), spline.derivative(2))
 
         def base(x, k):
-            x = np.asarray(x, dtype=float)
             out = np.asarray(splines[k](x))
             inner = np.abs(x) < abs(inv.x1)
             if inner.any():
@@ -122,22 +127,30 @@ def ppoly_family(fam):
                 out[inner] = (vals if k == 1 else sign * vals) - (sign if k == 0 else 0.0)
             return out
 
-        def value(t, x):
-            b0 = base(x, 0)
-            return np.clip(b0 + np.asarray(t) * (1.0 - b0**2), -1.0, 1.0)
+        return base
 
-        def deriv(t, x):
-            return base(x, 1) * (1.0 - 2.0 * np.asarray(t) * base(x, 0))
+    pos_base, neg_base = side_base(fam.inverse_pos), side_base(fam.inverse_neg)
 
-        def second(t, x):
-            t = np.asarray(t)
-            return base(x, 2) * (1.0 - 2.0 * t * base(x, 0)) - 2.0 * t * base(x, 1) ** 2
+    def base(x, k):
+        x = np.asarray(x, dtype=float)
+        pos = x > 0
+        out = np.empty(x.shape)
+        out[pos] = pos_base(x[pos], k)
+        out[~pos] = neg_base(x[~pos], k)
+        return out
 
-        return dataclasses.replace(b, value=value, deriv=deriv, second=second)
+    def value(t, x):
+        b0 = base(x, 0)
+        return np.clip(b0 + np.asarray(t) * (1.0 - b0**2), -1.0, 1.0)
 
-    return dataclasses.replace(
-        fam, branch_pos=branch(fam.branch_pos), branch_neg=branch(fam.branch_neg)
-    )
+    def deriv(t, x):
+        return base(x, 1) * (1.0 - 2.0 * np.asarray(t) * base(x, 0))
+
+    def second(t, x):
+        t = np.asarray(t)
+        return base(x, 2) * (1.0 - 2.0 * t * base(x, 0)) - 2.0 * t * base(x, 1) ** 2
+
+    return dataclasses.replace(fam, value=value, deriv=deriv, second=second)
 
 
 def zero_preimage(fam, t: float, span: int = 4000):
@@ -257,8 +270,8 @@ def reference_escape_rates(fam, seed, eps, delta, samples, n_cap, x0=None):
 
 
 def bisection_family(fam):
-    """The same family whose `Branch.inverse` bisects its branch value with
-    `numerics.bisect_increasing` down to the floating-point floor (200
+    """The same family whose inverses bisect its value on the branch domain
+    with `numerics.bisect_increasing` down to the floating-point floor (200
     halvings of the branch domain): the reference the inverses are checked
     against. A target outside the image stops within 2^-200 of a domain end.
     """
@@ -266,35 +279,14 @@ def bisection_family(fam):
 
     from rovella.numerics import bisect_increasing
 
-    def bisecting(branch, lo, hi):
+    def bisecting(lo, hi):
         def inverse(t, y):
-            return bisect_increasing(lambda x: branch.value(t, x), y, lo, hi, xtol=0.0)
+            return bisect_increasing(lambda x: fam.value(t, x), y, lo, hi, xtol=0.0)
 
-        return dataclasses.replace(branch, inverse=inverse)
-
-    return dataclasses.replace(
-        fam,
-        branch_pos=bisecting(fam.branch_pos, 1e-300, 1.0),
-        branch_neg=bisecting(fam.branch_neg, -1.0, -1e-300),
-    )
-
-
-def split_dispatch(fam):
-    """The same family with each branch's value and derivative callables
-    wrapped in a function of its own, so no callable is shared and
-    `map_core._unchecked` gathers each branch's rows by sign."""
-    import dataclasses
-
-    def own(fn):
-        return lambda t, x: fn(t, x)
-
-    def split(branch):
-        return dataclasses.replace(
-            branch, value=own(branch.value), deriv=own(branch.deriv), second=own(branch.second)
-        )
+        return inverse
 
     return dataclasses.replace(
-        fam, branch_pos=split(fam.branch_pos), branch_neg=split(fam.branch_neg)
+        fam, inverse_pos=bisecting(1e-300, 1.0), inverse_neg=bisecting(-1.0, -1e-300)
     )
 
 

@@ -76,6 +76,18 @@ class TestValidation:
         assert code == cli.EXIT_VALIDATION
         assert "eps_max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delta0", [None, 0.0, -0.1])
+    def test_delta0_must_be_positive(self, tmp_path, capsys, delta0):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hyperbolic": {"delta0": delta0}}))
+        code = run([
+            "simulate-orbit", "--x0", "0.5", "--n", "5",
+            "--config", str(cfg), "--out", str(tmp_path / "o"),
+        ])
+        assert code == cli.EXIT_VALIDATION
+        assert "delta0 > 0 required" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_observable(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"measures": {"phi": "nope"}}))
@@ -162,6 +174,20 @@ class TestDeterminism:
         for name in ("hyperbolic_tails.csv", "hyperbolic_return_tails.csv",
                      "hyperbolic_tails_fits.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_manifest_with_retired_keys_reruns(self, tmp_path):
+        # `tower.delta_prime` and `output.formats` are no longer config keys;
+        # a manifest that still carries them reruns to the same bytes.
+        a = tmp_path / "a"
+        assert run(["simulate-orbit", "--x0", "0.4", "--n", "30", "--out", str(a)]) == 0
+        manifest = a / "manifest-simulate-orbit.json"
+        payload = json.loads(manifest.read_text())
+        payload["config"]["tower"]["delta_prime"] = 0.05
+        payload["config"]["output"]["formats"] = ["csv", "json"]
+        manifest.write_text(json.dumps(payload))
+        b = tmp_path / "b"
+        assert run(["rerun", "--manifest", str(manifest), "--out", str(b)]) == 0
+        assert (a / "orbit.csv").read_bytes() == (b / "orbit.csv").read_bytes()
 
     def test_seed_changes_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -262,6 +288,30 @@ class TestArtifacts:
         assert report["verdicts"]["markov"]
         assert report["verdicts"]["aperiodicity"]
         assert report["min_return"] >= 1
+
+    def test_table_family_commands(self, tmp_path):
+        # Every subcommand that builds a family, on a tabulated one.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            **table_config(),
+            "hyperbolic": {"c": 0.35, "c_prime": 0.45},
+            "tower": {"n_max": 10, "seed_grid": 512},
+            "measures": {"grid_m": 64, "m_past": 10, "n_max": 10, "direction": "both"},
+        }))
+        commands = [
+            ["simulate-orbit", "--x0", "0.4", "--n", "50"],
+            ["verify-family"],
+            ["build-partition"],
+            ["certify-tower"],
+            ["density"],
+            ["correlation"],
+            ["hyperbolic-tails", "--samples", "2000", "--n-max", "20"],
+        ]
+        for args in commands:
+            out = tmp_path / args[0]
+            assert run([*args, "--config", str(cfg), "--out", str(out)]) == 0, args[0]
+        report = json.loads((tmp_path / "certify-tower" / "axioms.json").read_text())
+        assert report["verdicts"]["markov"]
 
     def test_manifest_contents(self, tmp_path):
         run(["simulate-orbit", "--x0", "0.4", "--n", "10", "--out", str(tmp_path)])

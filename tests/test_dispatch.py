@@ -1,12 +1,12 @@
-"""Shared-callable dispatch in `map_core._unchecked`.
+"""One call per evaluation of a map family.
 
-The fixture's and the table family's branches share their value and
-derivative callables, which `_unchecked` then calls once on a whole array.
-`conftest.split_dispatch` gives each branch a wrapper of its own around the
-same callables, which forces the per-branch split path; both must give the
-same bytes. The table family's in-house spline evaluation must also give
-the bytes of scipy's `PPoly` (`conftest.ppoly_family`), and its bucketed
-piece lookup those of `np.searchsorted`.
+A family's value and derivative callables take both signs of x, and every
+evaluation calls one of them once on the whole array. That is valid
+because they are elementwise: a call on a whole array gives the bytes of
+calls on its x > 0 rows and on its other rows. The table family's in-house
+spline evaluation must also give the bytes of scipy's `PPoly`
+(`conftest.ppoly_family`), and its bucketed piece lookup those of
+`np.searchsorted`.
 """
 
 import dataclasses
@@ -15,16 +15,10 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import (
-    assert_same_bytes,
-    dying_ensemble,
-    plant_start_points,
-    ppoly_family,
-    split_dispatch,
-)
+from conftest import assert_same_bytes, ppoly_family
 from rovella import hyperbolic as hyp
 from rovella import map_core as mc
-from rovella import measures, noise, orbit
+from rovella import measures, orbit
 
 PARTS = ("value", "deriv", "second")
 EDGES = np.array([1e-300, -1e-300, 1.0, -1.0, 0.0, -0.0, np.nan])
@@ -38,117 +32,77 @@ def edge_and_uniform_points(size=20_000):
 
 @pytest.mark.parametrize("family", [2.0, 2.5, 3.0, "table_fam"])
 @pytest.mark.parametrize("part", PARTS)
-def test_unchecked_shared_matches_split(family, part, request):
-    """`family` is the s of a fixture, or the table family's fixture name."""
+def test_whole_array_matches_sign_parts(family, part, request):
+    """The elementwise contract: a call on a whole array gives the bytes of
+    calls on its x > 0 rows and on its other rows (x <= 0 and NaN), and a
+    0-d call those of a one-element array. `family` is the s of a fixture,
+    or the table family's fixture name."""
     if family == "table_fam":
         fam = request.getfixturevalue(family)
     else:
         fam = mc.fixture_family(s=family, eps_max=0.1)
-    split = split_dispatch(fam)
+    fn = getattr(fam, part)
     xs = edge_and_uniform_points()
+    pos = xs > 0
     t_rows = np.random.default_rng(6).uniform(-0.1, 0.1, xs.size)
     for t in (t_rows, 0.0371, 0.0):
-        assert_same_bytes(mc._unchecked(fam, part, t, xs), mc._unchecked(split, part, t, xs))
+        parts = np.empty_like(xs)
+        for rows in (pos, ~pos):
+            parts[rows] = fn(t if np.ndim(t) == 0 else t[rows], xs[rows])
+        assert_same_bytes(fn(t, xs), parts)
     for x in EDGES:
-        one = mc._unchecked(fam, part, 0.0371, np.float64(x))
-        assert one.ndim == 0
-        assert_same_bytes(one, mc._unchecked(split, part, 0.0371, np.float64(x)))
-        assert_same_bytes(one, mc._unchecked(fam, part, 0.0371, np.array([x]))[0])
-
-
-def test_ensemble_orbits_shared_matches_split(fam):
-    samples, x0 = dying_ensemble(fam, 1, 0.01, 30)
-    runs = [
-        orbit.ensemble_orbits(family, 1, 0.01, 30, samples, 0.05, x0=x0)
-        for family in (fam, split_dispatch(fam))
-    ]
-    assert runs[0].singular_hits == 1
-    for key in ("points", "log_der", "depths"):
-        assert_same_bytes(getattr(runs[0], key), getattr(runs[1], key))
-
-
-def test_tail_statistics_shared_matches_split(fam, hyp_cfg, monkeypatch):
-    samples, x0 = dying_ensemble(fam, 1, 0.01, 30)
-    plant_start_points(monkeypatch, 1, x0)
-    tables = [
-        hyp.tail_statistics(family, 1, 0.01, hyp_cfg, samples=samples, n_max=30, chunk=7)
-        for family in (fam, split_dispatch(fam))
-    ]
-    assert tables[0].singular_hits == 1
-    for key in ("n", "h_survivors", "hstar_survivors", "bad_members"):
-        assert_same_bytes(getattr(tables[0], key), getattr(tables[1], key))
-    assert (tables[0].total, tables[0].singular_hits) == (tables[1].total, tables[1].singular_hits)
-
-
-def test_monte_carlo_correlation_shared_matches_split(fam):
-    stream = noise.stream(1, 0.01)
-    series = [
-        measures.quenched_correlation(
-            family, stream, lambda x: x, np.sign, 12, method="monte_carlo",
-            m_past=10, mc_samples=4000,
-        )
-        for family in (fam, split_dispatch(fam))
-    ]
-    assert_same_bytes(series[0].values, series[1].values)
+        one = fn(0.0371, np.float64(x))
+        assert np.ndim(one) == 0
+        assert_same_bytes(one, fn(0.0371, np.array([x]))[0])
 
 
 def counting(fam):
-    """(family, calls): each distinct value / derivative callable of `fam`
-    wrapped once in a counter, so callables shared before stay shared."""
+    """(family, calls): each value / derivative callable of `fam` wrapped in
+    a counter."""
     calls = []
-    wrapped = {}
 
     def wrap(fn):
-        if id(fn) not in wrapped:
-            def counted(t, x):
-                calls.append(fn)
-                return fn(t, x)
+        def counted(t, x):
+            calls.append(fn)
+            return fn(t, x)
 
-            wrapped[id(fn)] = counted
-        return wrapped[id(fn)]
+        return counted
 
-    def branch(b):
-        return dataclasses.replace(b, **{part: wrap(getattr(b, part)) for part in PARTS})
-
-    counted = dataclasses.replace(
-        fam, branch_pos=branch(fam.branch_pos), branch_neg=branch(fam.branch_neg)
-    )
-    return counted, calls
+    return dataclasses.replace(fam, **{part: wrap(getattr(fam, part)) for part in PARTS}), calls
 
 
-@pytest.mark.parametrize("family, expect", [("fam", 1), ("table_fam", 1), ("fam_lin", 2)])
+PUBLIC = {"value": mc.evaluate, "deriv": mc.derivative, "second": mc.second_derivative}
+
+
+@pytest.mark.parametrize("family, expect", [("fam", 1), ("table_fam", 1), ("fam_lin", 1)])
 def test_array_call_count(family, expect, request):
     counted, calls = counting(request.getfixturevalue(family))
     xs = np.array([-0.7, -0.2, 0.1, 0.6])
     for part in PARTS:
         calls.clear()
-        mc._unchecked(counted, part, 0.01, xs)
+        PUBLIC[part](counted, 0.01, xs)
         assert len(calls) == expect
         calls.clear()
-        mc._unchecked(counted, part, 0.01, np.float64(0.3))
+        PUBLIC[part](counted, 0.01, np.float64(0.3))
         assert len(calls) == 1
 
 
 def test_fixture_shares_callables_through_pickle():
     fam = pickle.loads(pickle.dumps(mc.fixture_family(s=2.5)))
-    for part in PARTS:
-        assert getattr(fam.branch_pos, part) is getattr(fam.branch_neg, part)
-    assert fam.branch_pos.inverse != fam.branch_neg.inverse
+    assert fam.inverse_pos != fam.inverse_neg
     xs = np.array([-0.5, 0.5])
     assert_same_bytes(mc.evaluate(fam, 0.0, xs), mc.evaluate(mc.fixture_family(s=2.5), 0.0, xs))
 
 
 def test_table_shares_callables_through_pickle(table_fam):
     fam = pickle.loads(pickle.dumps(table_fam))
-    for part in PARTS:
-        assert getattr(fam.branch_pos, part) is getattr(fam.branch_neg, part)
-    assert fam.branch_pos.value.table is fam.branch_pos.second.table
-    assert fam.branch_pos.inverse is not fam.branch_neg.inverse
+    assert fam.value.table is fam.deriv.table is fam.second.table
+    assert fam.inverse_pos is not fam.inverse_neg
     xs = edge_and_uniform_points()
     t_rows = np.random.default_rng(7).uniform(-0.1, 0.1, xs.size)
     for part in PARTS:
-        got = mc._unchecked(fam, part, t_rows, xs)
-        assert_same_bytes(got, mc._unchecked(table_fam, part, t_rows, xs))
+        got = getattr(fam, part)(t_rows, xs)
+        assert_same_bytes(got, getattr(table_fam, part)(t_rows, xs))
     ys = np.linspace(-1.0, 1.0, 101)
     for side in (1.0, -1.0):
         got = mc.invert_branch(fam, 0.03, ys, side)
@@ -190,8 +144,8 @@ def any_table(request):
 def _probe_points(fam):
     """Uniform and geometric points, every knot and both its neighbours, the
     bucket edges and their neighbours, the end pieces, points past +-1 and
-    the dispatch edges."""
-    fn = fam.branch_pos.value
+    the side edges."""
+    fn = fam.value
     edges = fn.knots[0] + np.arange(-1, fn.start.size + 2) / fn.scale
     ends = np.geomspace(1e-12, 1.0, 200)
     return np.concatenate([
@@ -204,7 +158,7 @@ def _probe_points(fam):
 
 
 def test_piece_lookup_matches_searchsorted(any_table):
-    fn = any_table.branch_pos.value
+    fn = any_table.value
     xs = np.concatenate([_probe_points(any_table), [np.inf, -np.inf]])
     xs = xs[~np.isnan(xs)]  # NaN takes any piece: it evaluates to NaN on each
     expect = np.clip(np.searchsorted(fn.knots, xs, side="right") - 1, 0, fn.knots.size - 2)
@@ -215,27 +169,24 @@ def test_lookup_steps_grow_with_the_log_of_the_crowding(table_fam):
     """200 evenly spaced nodes a side put at most two knots in three buckets
     (the two innermost ones): two steps. 120 geometric nodes a side down to
     1e-8 put 164 there: eight steps, not 164."""
-    assert table_fam.branch_pos.value.widths == (2, 1)
-    assert TABLES["geometric"]().branch_pos.value.widths == (128, 64, 32, 16, 8, 4, 2, 1)
+    assert table_fam.value.widths == (2, 1)
+    assert TABLES["geometric"]().value.widths == (128, 64, 32, 16, 8, 4, 2, 1)
 
 
 @pytest.mark.parametrize("part", PARTS)
 def test_table_matches_ppoly(any_table, part):
-    ref = ppoly_family(any_table)
+    fn, ref = getattr(any_table, part), getattr(ppoly_family(any_table), part)
     xs = _probe_points(any_table)
     t_rows = np.random.default_rng(8).uniform(-0.1, 0.1, xs.size)
     for t in (t_rows, 0.0371, 0.0, -0.1):
-        assert_same_bytes(mc._unchecked(any_table, part, t, xs), mc._unchecked(ref, part, t, xs))
+        assert_same_bytes(fn(t, xs), ref(t, xs))
     for x in np.concatenate([xs[:: xs.size // 150], EDGES]):
         for t in (0.0371, 0.0):
-            one = mc._unchecked(any_table, part, t, np.float64(x))
-            assert one.ndim == 0
-            assert_same_bytes(one, mc._unchecked(ref, part, t, np.float64(x)))
+            one = fn(t, np.float64(x))
+            assert np.ndim(one) == 0
+            assert_same_bytes(one, ref(t, np.float64(x)))
     # A 0-d x under per-row t broadcasts, as the reference does.
-    assert_same_bytes(
-        getattr(any_table.branch_pos, part)(t_rows[:5], 0.25),
-        getattr(ref.branch_pos, part)(t_rows[:5], 0.25),
-    )
+    assert_same_bytes(fn(t_rows[:5], 0.25), ref(t_rows[:5], 0.25))
 
 
 def test_table_family_runs_without_ppoly(table_fam, hyp_cfg, monkeypatch):
@@ -250,7 +201,7 @@ def test_table_family_runs_without_ppoly(table_fam, hyp_cfg, monkeypatch):
     owner = next(c for c in PPoly.__mro__ if "__call__" in vars(c))
     monkeypatch.setattr(owner, "__call__", refuse)
     with pytest.raises(AssertionError, match="PPoly evaluation"):
-        ppoly_family(table_fam).branch_pos.value(0.0, np.array([0.5]))
+        ppoly_family(table_fam).value(0.0, np.array([0.5]))
     xs = np.linspace(1e-6, 1.0, 200)
     fresh = mc.table_family(xs, 2 * xs**2 - 1, -xs[::-1], -(2 * xs[::-1] ** 2 - 1), 2.0, 3.0, 4.5)
     for fam in (table_fam, fresh):

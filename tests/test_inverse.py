@@ -30,7 +30,7 @@ def _image(fam, t, side, first_node=None):
 
 @pytest.mark.parametrize("family", ["fam", "fam3", "table_fam"])
 class TestClosedForm:
-    """The `Branch.inverse` contract: the fixture's closed form and the
+    """The inverse contract of `MapFamily`: the fixture's closed form and the
     table family's spline inverse."""
 
     def test_round_trip(self, family, request):
@@ -42,7 +42,7 @@ class TestClosedForm:
                 xs = mc.invert_branch(fam, t, ys, side)
                 assert np.all(np.sign(xs) == side)
                 assert np.all(np.abs(xs) <= 1.0)
-                assert np.abs(mc._unchecked(fam, "value", t, xs) - ys).max() <= 4 * 2.0**-52
+                assert np.abs(fam.value(t, xs) - ys).max() <= 4 * 2.0**-52
                 assert np.all(np.diff(xs) >= 0)
 
     def test_outside_image_clamps_like_bisection(self, family, request):
@@ -112,7 +112,7 @@ def _compare_pullbacks(fam, stream, cfg, n_max=16):
             hi = orbit.pull_back(f, t_path, sides, np.full(rows.size, radius))
             w = np.concatenate([lo, hi])
             for j in range(k):
-                w = mc._unchecked(fam, "value", float(t_path[j]), w)
+                w = fam.value(float(t_path[j]), w)
             res = np.maximum(np.abs(w[: rows.size] + radius), np.abs(w[rows.size:] - radius))
             ends[name] = (lo, hi, res)
         assert np.abs(ends["fast"][0] - ends["slow"][0]).max() <= 1e-13
@@ -247,12 +247,8 @@ def _with_exact_inverse(fam):
     """`fam` with each spline inverse replaced by `_exact_inverse`."""
     return dataclasses.replace(
         fam,
-        **{
-            name: dataclasses.replace(
-                branch, inverse=functools.partial(_exact_inverse, branch.inverse)
-            )
-            for name, branch in (("branch_pos", fam.branch_pos), ("branch_neg", fam.branch_neg))
-        },
+        inverse_pos=functools.partial(_exact_inverse, fam.inverse_pos),
+        inverse_neg=functools.partial(_exact_inverse, fam.inverse_neg),
     )
 
 
@@ -279,8 +275,7 @@ class TestTableInverse:
             exact = mc.invert_branch(exact_fam, t, ys, side)
             # 2 ulp, plus a few roundings of the cubic's rise from its left
             # knot over the slope, which dominate where the branch is flat.
-            branch = table_fam.branch_pos if side > 0 else table_fam.branch_neg
-            knots = branch.inverse.knots
+            knots = (table_fam.inverse_pos if side > 0 else table_fam.inverse_neg).knots
             piece = np.clip(np.searchsorted(knots, exact, side="right") - 1, 0, knots.size - 2)
             value = mc.evaluate
             rise = np.abs(value(table_fam, t, exact) - value(table_fam, t, knots[piece]))

@@ -148,14 +148,11 @@ class TestQuenchedCorrelation:
         half = (np.arange(samples // 2) + 0.5) / (samples // 2)
         starts = np.concatenate([2.0 * half - 1.0, 1.0 - 2.0 * half])
         x_dead = float(starts.max())
-        inner = fam.branch_pos.value
 
         def value(t, x):
-            return np.where(np.asarray(x) == x_dead, 0.0, inner(t, x))
+            return np.where(np.asarray(x) == x_dead, 0.0, fam.value(t, x))
 
-        killer = dataclasses.replace(
-            fam, branch_pos=dataclasses.replace(fam.branch_pos, value=value)
-        )
+        killer = dataclasses.replace(fam, value=value)
         paths = []
         for x in starts:
             path = []

@@ -86,16 +86,10 @@ class TestBuild:
         # The log-spaced grid starts at radius * 1e-6 = 5e-8. A fixture copy
         # whose DT is 0 below 3e-7 kills the seeds there at step 0; the
         # table family's end piece below its first node 1e-6 keeps them.
-        deriv = fam.branch_pos.deriv
-
         def flat(t, x):
-            return np.where(np.abs(x) < 3e-7, 0.0, deriv(t, x))
+            return np.where(np.abs(x) < 3e-7, 0.0, fam.deriv(t, x))
 
-        cut = dataclasses.replace(
-            fam,
-            branch_pos=dataclasses.replace(fam.branch_pos, deriv=flat),
-            branch_neg=dataclasses.replace(fam.branch_neg, deriv=flat),
-        )
+        cut = dataclasses.replace(fam, deriv=flat)
         dead = tower.build_return_partition(cut, noisy_stream, hyp_cfg, 8, seed_grid=512)
         radius = hyp_cfg.delta0 / 2.0
         below = np.geomspace(radius * 1e-6, radius * (1.0 - 1e-9), 512) < 3e-7
