@@ -76,14 +76,34 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     return cfg
 
 
+def _number(chain: str, section: dict, key: str, default=None, integer=False, nullable=False):
+    """section[key], or `default` when absent, if it is a JSON number (an
+    integer where `integer`; null passes where `nullable`). A string, a
+    boolean or any other value violates `chain`."""
+    value = section.get(key, default)
+    if value is None and nullable:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ValidationError(
+            f"{chain} chain violated: {key} must be {kind}, got {json.dumps(value)}"
+        )
+    return value
+
+
 def validate_config(cfg: dict) -> None:
-    """Re-validate every constraint chain; messages name the violated chain."""
+    """Re-validate every constraint chain; messages name the violated chain.
+
+    A value of the wrong JSON type where a number belongs violates its
+    chain too, so no comparison below meets a string, a null or a boolean.
+    """
     fam = cfg["family"]
     if fam["kind"] not in ("fixture", "table"):
         raise ValidationError(f"family.kind must be fixture or table, got {fam['kind']}")
-    if fam["kind"] == "fixture" and not fam.get("s", 2.0) > 1:
+    eps_max = _number("family", fam, "eps_max", 0.1)
+    if fam["kind"] == "fixture" and not _number("family", fam, "s", 2.0) > 1:
         raise ValidationError("family chain violated: s > 1 required")
-    if not fam.get("eps_max", 0.1) > 0:
+    if not eps_max > 0:
         raise ValidationError("family chain violated: eps_max > 0 required")
     if fam["kind"] == "table":
         try:
@@ -93,26 +113,35 @@ def validate_config(cfg: dict) -> None:
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"family chain violated: {exc}") from None
     nz = cfg["noise"]
-    if nz["eps"] < 0:
+    _number("noise", nz, "seed", integer=True)
+    eps = _number("noise", nz, "eps")
+    if eps < 0:
         raise ValidationError("noise chain violated: eps >= 0 required")
-    if nz["eps"] > fam.get("eps_max", 0.1):
+    if eps > eps_max:
         raise ValidationError("noise chain violated: eps <= family.eps_max required")
     hy = cfg["hyperbolic"]
-    if not hy["delta"] > 0:
+    if not _number("hyperbolic", hy, "delta") > 0:
         raise ValidationError("hyperbolic chain violated: delta > 0 required")
-    if hy.get("delta0") is None or not hy["delta0"] > 0:
+    if hy.get("delta0") is None or not _number("hyperbolic", hy, "delta0") > 0:
         raise ValidationError("hyperbolic chain violated: delta0 > 0 required")
-    c, cp = hy.get("c"), hy.get("c_prime")
+    c, cp = (_number("hyperbolic", hy, k, nullable=True) for k in ("c", "c_prime"))
+    _number("hyperbolic", hy, "kappa", nullable=True)
+    _number("hyperbolic", hy, "prefactor", 1.0)
     if c is not None and cp is not None and not (0 < c < cp):
         raise ValidationError("hyperbolic chain violated: 0 < c < c_prime required")
-    if not cfg["tower"]["n_max"] >= 1:
+    tw = cfg["tower"]
+    _number("tower", tw, "seed_grid", integer=True)
+    if not _number("tower", tw, "n_max", integer=True) >= 1:
         raise ValidationError("tower chain violated: n_max >= 1 required")
-    if cfg["measures"]["grid_m"] < 16:
+    ms = cfg["measures"]
+    for key in ("m_past", "n_max", "burn_in"):
+        _number("measures", ms, key, integer=True)
+    if _number("measures", ms, "grid_m", integer=True) < 16:
         raise ValidationError("measures chain violated: grid_m >= 16 required")
     for key in ("phi", "psi"):
-        if cfg["measures"][key] not in measures.OBSERVABLES:
+        if ms[key] not in measures.OBSERVABLES:
             raise ValidationError(
-                f"measures chain violated: unknown observable {cfg['measures'][key]!r} "
+                f"measures chain violated: unknown observable {ms[key]!r} "
                 f"(choose from {sorted(measures.OBSERVABLES)})"
             )
 

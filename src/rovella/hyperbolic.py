@@ -594,14 +594,14 @@ def _tail_chunk(
     depth_sum = np.zeros(rows, dtype=np.int64)
     first_h = np.full(rows, n_max)  # step index of the first time; n_max: none yet
     first_ret = np.full(rows, n_max)
-    bad = np.empty((rows, n_max), dtype=bool)
+    bad = np.empty((n_max, rows), dtype=bool)  # one contiguous row a step
     for k in range(n_max):
         x, depth, _ = step(family, keyed_draws(keys, eps, k), x, cfg.delta)
         hyp = _hyperbolic_flags(depth[:, None], cfg.c_prime, state)[:, 0]  # time k + 1
         first_h[hyp & (first_h > k)] = k
         first_ret[hyp & cfg.in_base(x) & (first_ret > k)] = k
         depth_sum += depth
-        np.greater_equal(depth_sum, cfg.c * (k + 1), out=bad[:, k])
+        np.greater_equal(depth_sum, cfg.c * (k + 1), out=bad[k])
     alive = ~np.isnan(x)
     live = int(alive.sum())
 
@@ -609,7 +609,7 @@ def _tail_chunk(
         # survivors[n-1] = # live rows with no flagged time <= n
         return live - np.cumsum(np.bincount(first[alive], minlength=n_max + 1)[:n_max])
 
-    bad_members = bad.sum(axis=0, where=alive[:, None])
+    bad_members = bad.sum(axis=1, where=alive)
     return survivors(first_h), survivors(first_ret), bad_members, live, rows - live
 
 

@@ -39,7 +39,8 @@ class MapFamily:
     x-derivatives on both sides of the singularity: x > 0 is the positive
     side, x <= 0 and NaN the negative one. They are numpy-vectorized and
     elementwise: each output entry depends only on the (t, x) pair at its
-    position, so a call on a whole array equals calls on its parts.
+    position, so a call on a whole array equals calls on its parts. An array
+    call returns a fresh float64 array, which the caller may overwrite.
 
     `inverse_pos` and `inverse_neg` invert `value` on the positive and the
     negative branch domain, [1e-300, 1] and [-1, -1e-300]: (t, y) -> x, with
@@ -79,9 +80,10 @@ class _FixtureBranchFn:
     kind 0/1/2 selects value / first / second x-derivative. The side comes
     from x by the convention of `MapFamily`; it enters only through exact
     multiplications by +-1, so a call on a whole array gives the bytes of
-    calls on its parts (signed zeros included). Array calls work in place on
-    arrays they allocate, which keeps the temporaries few and lets threads
-    share one instance.
+    calls on its parts (signed zeros included). An array call allocates its
+    float64 output, holds the side as int8 and works in place on arrays it
+    allocated, which keeps the temporaries few and lets threads share one
+    instance.
     """
 
     s: float
@@ -100,7 +102,9 @@ class _FixtureBranchFn:
                 return amp * self.s * np.power(ax, self.s - 1.0)
             return sign * amp * self.s * (self.s - 1.0) * np.power(ax, self.s - 2.0)
         # The 0-d formulas, reordered only where multiplication commutes.
-        sign = np.where(x > 0, 1.0, -1.0)
+        sign = (x > 0).view(np.int8)
+        sign *= 2
+        sign -= 1
         out = np.multiply(sign, x)
         np.power(out, self.s - self.kind, out=out)
         if self.kind == 0:
@@ -108,10 +112,12 @@ class _FixtureBranchFn:
             out -= 1.0
             out *= sign
             return np.clip(out, -1.0, 1.0, out=out)
+        amp *= self.s  # amp is fresh: 2.0 - |t| allocates it
         if self.kind == 1:
-            out *= amp * self.s
+            out *= amp
             return out
-        out *= amp * self.s * (self.s - 1.0)
+        amp *= self.s - 1.0
+        out *= amp
         out *= sign
         return out
 

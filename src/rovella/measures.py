@@ -124,13 +124,15 @@ def ulam_row_operator(family: MapFamily, t: float, grid: UniformGrid) -> sp.csr_
 
 
 class OperatorCache:
-    """Ulam matrices per noise index, built on demand."""
+    """Ulam matrices per noise index, built on demand, and their transposes,
+    which share the matrices' arrays and push masses forward."""
 
     def __init__(self, family: MapFamily, stream: NoiseStream, grid: UniformGrid) -> None:
         self.family = family
         self.stream = stream
         self.grid = grid
         self._ops: dict[int, sp.csr_matrix] = {}
+        self._pushes: dict[int, sp.csc_matrix] = {}
 
     def get(self, index: int) -> sp.csr_matrix:
         if index not in self._ops:
@@ -138,7 +140,9 @@ class OperatorCache:
         return self._ops[index]
 
     def push(self, masses: np.ndarray, index: int) -> np.ndarray:
-        return self.get(index).T @ masses
+        if index not in self._pushes:
+            self._pushes[index] = self.get(index).T
+        return self._pushes[index] @ masses
 
 
 def equivariant_density(

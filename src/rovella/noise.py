@@ -37,10 +37,14 @@ def _hash_pair(seed: int, index: int) -> int:
 
 
 def _splitmix64_np(z: np.ndarray) -> np.ndarray:
-    z = (z + np.uint64(_GAMMA)).astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    # The first add makes the one fresh array; every later step is in place.
+    z = z + np.uint64(_GAMMA)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:
@@ -82,7 +86,7 @@ class NoiseStream:
 
     def values(self, start: int, count: int) -> np.ndarray:
         """Draws at indices start, ..., start+count-1 (vectorized)."""
-        key = _splitmix64_np(np.array([(self.master_seed & _MASK) ^ _STREAM_SALT], np.uint64))
+        key = np.uint64(_splitmix64((self.master_seed & _MASK) ^ _STREAM_SALT))
         return keyed_draws(key, self.eps, np.arange(start, start + count) + self.origin_offset)
 
 
@@ -105,19 +109,26 @@ def ensemble_keys(master_seed: int, n_samples: int, sample_offset: int = 0) -> n
     stream seeded by derive_seed(master_seed, sample_offset + i), so
     `keyed_draws` of key i at index k reproduces that stream's get(k).
     """
-    base = _splitmix64_np(np.full(n_samples, (master_seed & _MASK) ^ _DERIVE_SALT, np.uint64))
-    ids = np.arange(sample_offset, sample_offset + n_samples, dtype=np.int64).astype(np.uint64)
-    seeds = _splitmix64_np(base ^ ids)
-    return _splitmix64_np(seeds ^ np.uint64(_STREAM_SALT))
+    ids = np.arange(sample_offset, sample_offset + n_samples, dtype=np.int64).view(np.uint64)
+    ids ^= np.uint64(_splitmix64((master_seed & _MASK) ^ _DERIVE_SALT))
+    seeds = _splitmix64_np(ids)
+    seeds ^= np.uint64(_STREAM_SALT)
+    return _splitmix64_np(seeds)
 
 
 def keyed_draws(keys: np.ndarray, eps: float, index) -> np.ndarray:
     """Draws on [-eps, eps] of the streams with these keys at noise index
     `index`: an integer, or an integer array broadcast against keys."""
-    idx = np.asarray(index, dtype=np.int64).astype(np.uint64)
+    idx = np.asarray(index, dtype=np.int64).view(np.uint64)  # two's complement, as `& _MASK`
     h = _splitmix64_np(keys ^ idx)  # the second _hash_pair round
-    unit = (h >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
-    return eps * (2.0 * unit - 1.0)
+    h >>= np.uint64(11)
+    # eps (2 unit - 1) with unit = h 2^-53, as `get` computes it; scaling
+    # by 2 and 2^-53 is exact, so it is one multiplication by 2^-52.
+    draws = h.astype(np.float64)
+    draws *= 1.0 / 4503599627370496.0
+    draws -= 1.0
+    draws *= eps
+    return draws
 
 
 def ensemble_noise(

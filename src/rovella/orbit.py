@@ -56,8 +56,12 @@ def return_depth(family: MapFamily, t: float, x: float, delta: float) -> int:
 
 def _depths(prod: np.ndarray, delta: float) -> np.ndarray:
     """Return depths of DT * |x| values; -1 where prod is not in (0, inf)."""
-    r = np.where((prod > 0) & (prod < np.inf), 0, -1)
-    near = (prod > 0) & (prod < delta)
+    pos = prod > 0
+    near = prod < delta
+    near &= pos
+    pos &= prod < np.inf
+    r = pos.astype(np.int64)
+    r -= 1
     p = prod[near]
     rn = np.maximum(np.ceil(np.log(delta / p)), 0.0).astype(np.int64)
     # The closed-form ceiling is nudged so exact-boundary cases follow the
@@ -96,11 +100,14 @@ def step(
     dead row's x_next and log_dt are NaN, so cocycle sums carry the mark.
     """
     dt = family.deriv(t, x)
-    depth = _depths(dt * np.abs(x), delta)
+    prod = np.abs(x)
+    prod *= dt
+    depth = _depths(prod, delta)
+    del prod  # freed before `value` allocates
     x_next = step_values(family, t, x)
     x_next[depth < 0] = np.nan
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_dt = np.log(dt)
+        log_dt = np.log(dt, out=dt)  # dt is fresh (see `MapFamily`)
     log_dt[np.isnan(x_next)] = np.nan
     return x_next, depth, log_dt
 

@@ -391,3 +391,77 @@ def reference_verify_markov(partition, samples=100):
             abs(xs[-1] - partition.base_radius),
         ]))
     return {"max_residual": worst, "non_monotone": non_monotone, "elements": len(partition.elements)}
+
+
+# Reference copies of the array kernels in the form they had before they
+# were made to work in place: the kernels must keep their bytes exactly.
+
+
+def _reference_splitmix64(z):
+    z = (z + np.uint64(noise._GAMMA)).astype(np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(noise._MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(noise._MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
+def reference_ensemble_keys(master_seed, n_samples, sample_offset=0):
+    base = _reference_splitmix64(
+        np.full(n_samples, (master_seed & noise._MASK) ^ noise._DERIVE_SALT, np.uint64)
+    )
+    ids = np.arange(sample_offset, sample_offset + n_samples, dtype=np.int64).astype(np.uint64)
+    seeds = _reference_splitmix64(base ^ ids)
+    return _reference_splitmix64(seeds ^ np.uint64(noise._STREAM_SALT))
+
+
+def reference_keyed_draws(keys, eps, index):
+    idx = np.asarray(index, dtype=np.int64).astype(np.uint64)
+    h = _reference_splitmix64(keys ^ idx)
+    unit = (h >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+    return eps * (2.0 * unit - 1.0)
+
+
+def reference_fixture_family(s):
+    """The s fixture with value and derivative callables that take the side
+    as a float64 +-1 from `np.where`."""
+    import dataclasses
+
+    def callable_of(kind):
+        def call(t, x):
+            amp = 2.0 - np.abs(t)
+            x = np.asarray(x, dtype=float)
+            sign = np.where(x > 0, 1.0, -1.0)
+            out = np.power(sign * x, s - kind)
+            if kind == 0:
+                return np.clip(sign * (out * amp - 1.0), -1.0, 1.0)
+            if kind == 1:
+                return out * (amp * s)
+            return out * (amp * s * (s - 1.0)) * sign
+
+        return call
+
+    value, deriv, second = (callable_of(kind) for kind in range(3))
+    fam = map_core.fixture_family(s=s)
+    return dataclasses.replace(fam, value=value, deriv=deriv, second=second)
+
+
+def reference_depths(prod, delta):
+    r = np.where((prod > 0) & (prod < np.inf), 0, -1)
+    near = (prod > 0) & (prod < delta)
+    p = prod[near]
+    rn = np.maximum(np.ceil(np.log(delta / p)), 0.0).astype(np.int64)
+    rn[(rn > 0) & (p >= np.exp(-(rn - 1.0)) * delta)] -= 1
+    rn[p < np.exp(-rn.astype(float)) * delta] += 1
+    r[near] = rn
+    return r
+
+
+def reference_step(family, t, x, delta):
+    dt = family.deriv(t, x)
+    depth = reference_depths(dt * np.abs(x), delta)
+    x_next = family.value(t, x)
+    x_next[x_next == 0.0] = np.nan
+    x_next[depth < 0] = np.nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_dt = np.log(dt)
+    log_dt[np.isnan(x_next)] = np.nan
+    return x_next, depth, log_dt

@@ -88,6 +88,26 @@ class TestValidation:
         assert "delta0 > 0 required" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("config, message", [
+        ({"hyperbolic": {"delta0": "0.1"}},
+         'hyperbolic chain violated: delta0 must be a number, got "0.1"'),
+        ({"noise": {"eps": "0.01"}}, 'noise chain violated: eps must be a number, got "0.01"'),
+        ({"noise": {"eps": None}}, "noise chain violated: eps must be a number, got null"),
+        ({"hyperbolic": {"c": False}}, "hyperbolic chain violated: c must be a number, got false"),
+        ({"tower": {"n_max": True}}, "tower chain violated: n_max must be an integer, got true"),
+        ({"noise": {"seed": 1.5}}, "noise chain violated: seed must be an integer, got 1.5"),
+    ], ids=["delta0-string", "eps-string", "eps-null", "c-bool", "n-max-bool", "seed-float"])
+    def test_wrong_json_type_names_chain(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = run([
+            "simulate-orbit", "--x0", "0.5", "--n", "5",
+            "--config", str(cfg), "--out", str(tmp_path / "o"),
+        ])
+        assert code == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_observable(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"measures": {"phi": "nope"}}))

@@ -1,0 +1,162 @@
+"""The array kernels of one orbit step: byte-equal to reference copies of
+their earlier formulas (tests/conftest.py), and lean in allocation.
+
+Each kernel allocates one fresh float64 array per output and works in place
+on arrays it allocated itself; the guard bounds each call's traced peak as a
+multiple of the input's bytes.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conftest import (
+    assert_same_bytes,
+    dying_ensemble,
+    reference_depths,
+    reference_ensemble_keys,
+    reference_fixture_family,
+    reference_keyed_draws,
+    reference_step,
+)
+from rovella import map_core, noise, orbit
+
+SPECIAL_X = np.array([
+    0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e-8, -1e-8, 0.3, -0.3,
+    0.7071067811865476, -0.7071067811865476, 1.0, -1.0, np.nan, np.inf, -np.inf,
+])
+
+
+@pytest.mark.parametrize("s", [2.0, 2.5, 3.0])
+@pytest.mark.parametrize("kind", [0, 1, 2])
+def test_fixture_callables_match_reference(s, kind):
+    """Both signed zeros, subnormals, the ends and non-finite x, at a shared
+    and at a per-row t."""
+    fam, ref = map_core.fixture_family(s=s), reference_fixture_family(s)
+    name = ("value", "deriv", "second")[kind]
+    rng = np.random.default_rng(5)
+    x = np.concatenate([SPECIAL_X, rng.uniform(-1.0, 1.0, 200)])
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for t in (0.0, -0.07, rng.uniform(-0.1, 0.1, x.size)):
+            got, want = getattr(fam, name)(t, x), getattr(ref, name)(t, x)
+            assert got.dtype == np.float64
+            assert_same_bytes(got, want)
+
+
+class TestDepths:
+    @pytest.mark.parametrize("delta", [0.01, 0.1, 1.0])
+    def test_edges_match_reference(self, delta):
+        """0, -0, negatives, NaN, +-inf, exactly delta and e^-k delta with
+        one ulp on either side, for k up to 40."""
+        edges = np.exp(-np.arange(0.0, 41.0)) * delta
+        prod = np.concatenate([
+            [0.0, -0.0, -1e-3, -1.0, -np.inf, np.inf, np.nan, 1e-300, delta, 1e300],
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+        ])
+        before = prod.copy()
+        got = orbit._depths(prod, delta)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_depths(before, delta))
+        assert_same_bytes(prod, before)  # the input is only read
+
+    def test_random_products_match_reference(self):
+        prod = np.exp(np.random.default_rng(3).uniform(-50.0, 3.0, 5000))
+        assert np.array_equal(orbit._depths(prod, 0.01), reference_depths(prod, 0.01))
+
+
+class TestNoiseKernels:
+    INDICES = (-(2**62), -(10**12), -1, 0, 7, 2**40, 2**62)
+
+    @pytest.mark.parametrize("offset", [0, 2**40])
+    def test_ensemble_keys_match_reference(self, offset):
+        assert np.array_equal(
+            noise.ensemble_keys(7, 50, offset), reference_ensemble_keys(7, 50, offset)
+        )
+
+    @pytest.mark.parametrize("index", INDICES)
+    def test_keyed_draws_match_scalar_get(self, index):
+        offset = 3
+        keys = noise.ensemble_keys(7, 5, offset)
+        streams = [noise.stream(noise.derive_seed(7, offset + i), 0.02) for i in range(5)]
+        got = noise.keyed_draws(keys, 0.02, index)
+        assert np.array_equal(got, [s.get(index) for s in streams])
+        assert_same_bytes(got, reference_keyed_draws(keys, 0.02, index))
+
+    def test_keyed_draws_per_row_index(self):
+        keys = noise.ensemble_keys(7, len(self.INDICES))
+        index = np.array(self.INDICES)
+        assert_same_bytes(
+            noise.keyed_draws(keys, 0.02, index), reference_keyed_draws(keys, 0.02, index)
+        )
+        matrix = noise.keyed_draws(keys[:, None], 0.02, index)
+        assert_same_bytes(matrix, reference_keyed_draws(keys[:, None], 0.02, index))
+
+    @pytest.mark.parametrize("start", [-(10**12), -40, 2**40])
+    def test_values_match_scalar_get(self, start):
+        s = noise.shift(noise.stream(9, 0.05), -17)
+        assert np.array_equal(s.values(start, 30), [s.get(start + k) for k in range(30)])
+
+
+@pytest.mark.parametrize("family", ["fixture_2", "fixture_2.5", "fixture_3", "table_fam"])
+def test_step_matches_reference_on_dying_ensemble(family, request):
+    """All three outputs of every step. The ensemble has a fixture row whose
+    first image is exactly 0 and rows at +-0 and +-1e-300, which die at
+    step 0 where DT * |x| is 0."""
+    if family == "table_fam":
+        fam = ref = request.getfixturevalue("table_fam")
+        planted = map_core.fixture_family(s=2.0)  # the fixture the table copies
+    else:
+        s = float(family.split("_")[1])
+        fam, ref = map_core.fixture_family(s=s), reference_fixture_family(s)
+        planted = fam
+    n = 30
+    samples, x0 = dying_ensemble(planted, 11, 0.01, n)
+    x0 = np.concatenate([x0, [0.0, -0.0, 1e-300, -1e-300]])
+    _, ts = orbit.ensemble_start(11, 0.01, x0.size, n)
+    x = x_ref = x0
+    for k in range(n):
+        x, depth, log_dt = orbit.step(fam, ts[:, k], x, 0.01)
+        x_ref, depth_ref, log_dt_ref = reference_step(ref, ts[:, k], x_ref, 0.01)
+        assert_same_bytes(x, x_ref)
+        assert np.array_equal(depth, depth_ref)
+        assert_same_bytes(log_dt, log_dt_ref)
+    assert np.isnan(x[samples:]).all()
+    if planted is fam:
+        assert np.isnan(x[samples - 1])
+
+
+class TestAllocation:
+    """Traced peak of one call, in units of x.nbytes, with 100,000 rows and a
+    t per row. Before the kernels worked in place the peaks were 3.0 (fixture
+    `value`), 5.0 (`orbit.step`) and 3.0 (`keyed_draws`)."""
+
+    ROWS = 100_000
+
+    @staticmethod
+    def peak_ratio(call, nbytes):
+        call()  # let lazy set-up finish
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / nbytes
+
+    @pytest.fixture(scope="class")
+    def rows(self, fam):
+        keys = noise.ensemble_keys(1, self.ROWS)
+        return keys, orbit.start_points(keys, 0.01), noise.keyed_draws(keys, 0.01, 0)
+
+    def test_fixture_value(self, fam, rows):
+        _, x, t = rows
+        assert self.peak_ratio(lambda: fam.value(t, x), x.nbytes) < 2.5
+
+    def test_step(self, fam, rows):
+        _, x, t = rows
+        assert self.peak_ratio(lambda: orbit.step(fam, t, x, 0.01), x.nbytes) < 4.5
+
+    def test_keyed_draws(self, rows):
+        keys, x, _ = rows
+        assert self.peak_ratio(lambda: noise.keyed_draws(keys, 0.01, 5), x.nbytes) < 2.5
