@@ -16,7 +16,6 @@ reports that honestly.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -186,8 +185,7 @@ class _TableFn:
     between the branches repeats the negative branch's last piece, so that
     its last knot evaluates on that piece as `PPoly` does. `_pieces` finds
     the piece of each x through the buckets of `_bucket_lookup`, and
-    `_power_sum` sums it, which gives `PPoly`'s bytes. A 0-d call runs the
-    same sums on Python floats, with `bisect_right`, or the end piece on a
+    `_power_sum` sums it, which gives `PPoly`'s bytes. A 0-d call runs on a
     one-element array.
     Immutable, so threads share one instance.
     """
@@ -202,8 +200,6 @@ class _TableFn:
     scale: float = field(repr=False)  # buckets per unit of x
     ends: tuple[float, float] = field(repr=False)  # innermost nodes, negative then positive
     coef: tuple[tuple[float, ...], ...] = field(repr=False)  # a (1, s, s (s-1)) per side, same
-    points: tuple[float, ...] = field(repr=False)  # `knots` and the columns of `table`
-    columns: tuple[tuple[float, ...], ...] = field(repr=False)  # as floats
 
     def _pieces(self, x: np.ndarray) -> np.ndarray:
         """np.searchsorted(knots, x, "right") - 1, clipped to the pieces,
@@ -238,26 +234,7 @@ class _TableFn:
             out.append((vals if k == 1 else sign * vals) - (sign if k == 0 else 0.0))
         return out
 
-    def _scalar(self, t: float, x: float) -> float:
-        if self.ends[0] < x < self.ends[1]:
-            # On a one-element array: numpy's array power rounds as for arrays.
-            b = [float(v[0]) for v in self._end_piece(np.array([x]))]
-        else:
-            i = min(max(bisect_right(self.points, x) - 1, 0), len(self.points) - 2)
-            col = self.columns[i]
-            h = x - col[0]
-            h2 = h * h
-            hs = (h, h2, h2 * h)
-            b = [_power_sum(c, hs) for c in (col[1:5], col[5:8], col[8:10])[: self.kind + 1]]
-        if self.kind == 0:
-            return min(max(b[0] + t * (1.0 - b[0] * b[0]), -1.0), 1.0)
-        if self.kind == 1:
-            return b[1] * (1.0 - 2.0 * t * b[0])
-        return b[2] * (1.0 - 2.0 * t * b[0]) - 2.0 * t * (b[1] * b[1])
-
     def __call__(self, t: ArrayLike, x: ArrayLike) -> ArrayLike:
-        if np.ndim(t) == 0 and np.ndim(x) == 0:
-            return self._scalar(float(t), float(x))
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
         b0, *more = (b.reshape(x.shape) for b in self._bases(x.ravel()))
@@ -444,10 +421,8 @@ def table_family(
     start, widths, nxt, scale = _bucket_lookup(knots)
     for arr in (knots, table, nxt, start, *(v for i in inverses for v in (i.knots, i.c, i.nodes))):
         arr.setflags(write=False)
-    points, columns = tuple(knots.tolist()), tuple(map(tuple, table.T.tolist()))
     value, deriv, second = (
-        _TableFn(kind, s, widths, knots, table, nxt, start, scale, (neg_x1, pos_x1),
-                 (neg_coef, pos_coef), points, columns)
+        _TableFn(kind, s, widths, knots, table, nxt, start, scale, (neg_x1, pos_x1), (neg_coef, pos_coef))
         for kind in range(3)
     )
     return MapFamily(
@@ -568,21 +543,18 @@ def critical_neighborhoods(
         raise ValueError("delta must be positive")
     t = float(t)
     _check_domain(family, t, 1.0)
-    top_pos = float(family.value(t, 1.0))
-    bot_neg = float(family.value(t, -1.0))
+    bot_neg, top_pos = family.value(t, np.array([-1.0, 1.0])).tolist()
     if -1.0 + delta > top_pos:
         raise DeltaTooLarge(f"B_delta(-1) with delta={delta} exits the positive branch image")
     if 1.0 - delta < bot_neg:
         raise DeltaTooLarge(f"B_delta(+1) with delta={delta} exits the negative branch image")
 
-    pos_hi, neg_lo = invert_branch(
-        family, t, np.array([-1.0 + delta, 1.0 - delta]), np.array([1.0, -1.0])
-    ).tolist()
-    res_pos = abs(float(family.value(t, pos_hi)) - (-1.0 + delta))
-    res_neg = abs(float(family.value(t, neg_lo)) - (1.0 - delta))
-    if max(res_pos, res_neg) > 1e-10:
+    targets = np.array([-1.0 + delta, 1.0 - delta])
+    pos_hi, neg_lo = invert_branch(family, t, targets, np.array([1.0, -1.0])).tolist()
+    res = float(np.abs(family.value(t, np.array([pos_hi, neg_lo])) - targets).max())
+    if res > 1e-10:
         raise DeltaTooLarge(
-            f"endpoint residual {max(res_pos, res_neg):.3e} after root-finding; "
+            f"endpoint residual {res:.3e} after root-finding; "
             "branch too flat for this delta"
         )
     d_ratio = 2.0 * delta / (pos_hi - neg_lo)
@@ -659,14 +631,14 @@ def unperturbed_orbit(family: MapFamily, v: float, n: int) -> tuple[np.ndarray, 
     critical values: -1 (the limit of T at 0+) and +1.
     """
     pts = np.empty(n + 1)
-    logd = np.zeros(n + 1)
     pts[0] = v
     for k in range(n):
-        logd[k + 1] = logd[k] + np.log(float(family.deriv(0.0, v)))
         v = float(family.value(0.0, v))
         pts[k + 1] = v
         if v == 0.0:
-            return pts[: k + 2], logd[: k + 2]
+            pts = pts[: k + 2]
+            break
+    logd = np.concatenate([[0.0], np.cumsum(np.log(family.deriv(0.0, pts[:-1])))])
     return pts, logd
 
 
@@ -712,20 +684,25 @@ def verify_conditions(family: MapFamily, grid: GridSpec | None = None) -> Condit
 
     # R1: DT^n at the critical values of T_0 beats lambda^n for some lambda > 1.
     n = grid.horizon
+    orbits = [unperturbed_orbit(family, v0, max(n, 200)) for v0 in (-1.0, 1.0)]
     lam_fit = np.inf
     r2_alpha = 0.0
     sum_partial = 0.0
     sum_terms = 0
-    for v0 in (-1.0, 1.0):
-        pts, logd = unperturbed_orbit(family, v0, n)
+    for pts, logd in orbits:
+        pts, logd = pts[: n + 1], logd[: n + 1]
         m = len(pts) - 1
         if m >= 1:
+            # An orbit that lands on the singularity fails both: DT is 0
+            # there, and its R2 term is -log 0 = inf.
+            hit = pts[-1] == 0.0
             rates = logd[1:] / np.arange(1, m + 1)
-            lam_fit = min(lam_fit, float(np.exp(rates.min())))
+            lam_fit = min(lam_fit, 0.0 if hit else float(np.exp(rates.min())))
             # R2: |T^{n-1}(v)| > e^{-alpha n}; empirical alpha is the sup of
             # -log|T^{n-1}(v)| / n over the horizon.
+            terms = pts if hit else pts[:-1]
             with np.errstate(divide="ignore"):
-                alphas = -np.log(np.abs(pts[:-1])) / np.arange(1, m + 1)
+                alphas = -np.log(np.abs(terms)) / np.arange(1, terms.size + 1)
             r2_alpha = max(r2_alpha, float(alphas.max()))
             # Summability partial sums (reported, no pass/fail claim).
             sum_partial += float(np.sum(np.exp(-logd[1:])))
@@ -735,7 +712,7 @@ def verify_conditions(family: MapFamily, grid: GridSpec | None = None) -> Condit
 
     # R3: density of the critical orbits in I, reported via the largest gap
     # left by the union of both orbits.
-    pts_all = np.concatenate([unperturbed_orbit(family, v0, max(n, 200))[0] for v0 in (-1.0, 1.0)])
+    pts_all = np.concatenate([pts for pts, _ in orbits])
     pts_sorted = np.sort(np.concatenate([pts_all, [-1.0, 1.0]]))
     r3_max_gap = float(np.max(np.diff(pts_sorted)))
     r3_ok = r3_max_gap < 0.05

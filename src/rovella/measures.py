@@ -87,16 +87,15 @@ def ulam_row_operator(family: MapFamily, t: float, grid: UniformGrid) -> sp.csr_
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
+    top, bottom = family.value(t, np.array([1.0, -1.0])).tolist()  # T_t(1), T_t(-1)
 
     for side in (1.0, -1.0):
         if side > 0:
             x_lo, x_hi = 0.0, 1.0
-            img_lo = -1.0
-            img_hi = float(family.value(t, 1.0))
+            img_lo, img_hi = -1.0, top
         else:
             x_lo, x_hi = -1.0, 0.0
-            img_lo = float(family.value(t, -1.0))
-            img_hi = 1.0
+            img_lo, img_hi = bottom, 1.0
 
         interior = edges[(edges > img_lo + 1e-15) & (edges < img_hi - 1e-15)]
         cuts = invert_branch(family, t, interior, side)

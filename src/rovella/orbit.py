@@ -63,6 +63,19 @@ def _depths(prod: np.ndarray, delta: float) -> np.ndarray:
     r = pos.astype(np.int64)
     r -= 1
     p = prod[near]
+    tiny = p < delta / np.finfo(float).max
+    if tiny.any():
+        # delta / p overflows there, so those rows take the ceiling and its
+        # nudges in logs (log p >= log delta - r); the others recurse.
+        lp, ld = np.log(p[tiny]), np.log(delta)
+        rt = np.ceil(ld - lp)
+        rt[lp >= ld - (rt - 1.0)] -= 1.0
+        rt[lp < ld - rt] += 1.0
+        rn = np.empty(p.shape, np.int64)
+        rn[tiny] = rt
+        rn[~tiny] = _depths(p[~tiny], delta)
+        r[near] = rn
+        return r
     rn = np.maximum(np.ceil(np.log(delta / p)), 0.0).astype(np.int64)
     # The closed-form ceiling is nudged so exact-boundary cases follow the
     # definition rather than floating-point rounding.

@@ -58,17 +58,19 @@ def test_whole_array_matches_sign_parts(family, part, request):
 
 def counting(fam):
     """(family, calls): each value / derivative callable of `fam` wrapped in
-    a counter."""
+    a counter that records (part, whether the call was 0-d)."""
     calls = []
 
-    def wrap(fn):
+    def wrap(part):
+        fn = getattr(fam, part)
+
         def counted(t, x):
-            calls.append(fn)
+            calls.append((part, np.ndim(t) == np.ndim(x) == 0))
             return fn(t, x)
 
         return counted
 
-    return dataclasses.replace(fam, **{part: wrap(getattr(fam, part)) for part in PARTS}), calls
+    return dataclasses.replace(fam, **{part: wrap(part) for part in PARTS}), calls
 
 
 PUBLIC = {"value": mc.evaluate, "deriv": mc.derivative, "second": mc.second_derivative}
@@ -85,6 +87,23 @@ def test_array_call_count(family, expect, request):
         calls.clear()
         PUBLIC[part](counted, 0.01, np.float64(0.3))
         assert len(calls) == 1
+
+
+def test_one_off_table_points_are_array_calls(table_fam):
+    """An Ulam build and the critical neighborhoods evaluate their one-off
+    points as arrays, so they make no 0-d table call; a critical orbit of
+    T_0 steps point by point and takes its cocycle from one array call."""
+    counted, calls = counting(table_fam)
+    measures.ulam_row_operator(counted, 0.05, measures.UniformGrid(64))
+    assert calls and not any(zero_d for _, zero_d in calls)
+    calls.clear()
+    mc.critical_neighborhoods(counted, 0.03, 0.01)
+    assert calls and not any(zero_d for _, zero_d in calls)
+    for v in (-1.0, 1.0):
+        calls.clear()
+        pts, logd = mc.unperturbed_orbit(counted, v, 40)
+        assert pts.size == logd.size == 41
+        assert sorted(calls) == [("deriv", False)] + [("value", True)] * 40
 
 
 def test_fixture_shares_callables_through_pickle():

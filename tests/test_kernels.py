@@ -8,6 +8,7 @@ multiple of the input's bytes.
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -63,6 +64,25 @@ class TestDepths:
     def test_random_products_match_reference(self):
         prod = np.exp(np.random.default_rng(3).uniform(-50.0, 3.0, 5000))
         assert np.array_equal(orbit._depths(prod, 0.01), reference_depths(prod, 0.01))
+
+    def test_products_below_delta_over_dbl_max(self):
+        """delta / p overflows below delta / DBL_MAX (about 5.6e-311 at
+        delta 0.01); the depth is still the least r >= 0 with
+        p >= e^-r delta, checked in 50-digit arithmetic."""
+        prod = np.array([1e-300, 1e-311, 5e-324])
+        got = orbit._depths(prod, 0.01)
+        assert got.tolist() == [687, 712, 740]
+        with mpmath.workdps(50):
+            for p, r in zip(prod.tolist(), got.tolist()):
+                assert mpmath.mpf(p) >= mpmath.exp(-r) * mpmath.mpf(0.01)
+                assert mpmath.mpf(p) < mpmath.exp(-(r - 1)) * mpmath.mpf(0.01)
+
+    def test_step_keeps_a_subnormal_product_alive(self):
+        """DT * |x| = 4e-320 at x = 1e-160 on the s = 2 fixture; the image
+        -1 is finite, so the row lives on."""
+        x_next, depth, log_dt = orbit.step(map_core.fixture_family(), 0.0, np.array([1e-160, 0.3]), 0.01)
+        assert np.isfinite(x_next).all() and np.isfinite(log_dt).all()
+        assert depth.tolist() == [731, 0]
 
 
 class TestNoiseKernels:

@@ -211,6 +211,22 @@ class TestTableFamily:
                 jump = mc.evaluate(tab, t, node) - mc.evaluate(tab, t, below)
                 assert abs(jump) <= 4 * 2.0**-52
 
+    def test_critical_orbit_on_the_singularity_fails_r1_and_r2(self):
+        """T_0(-1) = 0 on this table, so the orbit of the critical value -1
+        lands on the singularity at its first step: DT is 0 there and the
+        R2 term -log 0 is inf."""
+        fam = mc.table_family(
+            pos_x=[1e-3, 0.5, 1.0], pos_y=[-0.99, -0.5, 1.0],
+            neg_x=[-1.0, -0.5, -1e-3], neg_y=[0.0, 0.5, 0.99],
+            s=2.0, k1=0.1, k2=10.0,
+        )
+        pts, logd = mc.unperturbed_orbit(fam, -1.0, 30)
+        assert pts.tolist() == [-1.0, 0.0] and logd.size == 2
+        report = mc.verify_conditions(fam, mc.GridSpec(n_x=4000, n_t=11, horizon=30))
+        assert not report.r1_ok and report.lambda_fit == 0.0
+        assert not report.r2_ok and report.alpha_fit == math.inf
+        assert not report.required_ok
+
     def test_verify_conditions_monotone(self, tab):
         report = mc.verify_conditions(tab, mc.GridSpec(n_x=4000, n_t=11, horizon=25))
         assert report.c2_monotone_ok and report.k1_fit > 0
