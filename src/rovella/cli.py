@@ -13,6 +13,7 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -192,17 +193,26 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def write_json(path: Path, payload: dict) -> None:
+    """Strict JSON: a non-finite float (inf, NaN) is written as null."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
+        json.dump(_plain(payload), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+def _plain(obj):
+    """`obj` with numpy arrays and scalars as Python lists and numbers, and
+    each non-finite float as None."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+        return _plain(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def config_hash(cfg: dict) -> str:

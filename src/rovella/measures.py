@@ -74,52 +74,58 @@ def ulam_row_operator(family: MapFamily, t: float, grid: UniformGrid) -> sp.csr_
     """Row-stochastic matrix: entry (i, j) is the fraction of cell i mapping
     into cell j under the fiber map at parameter t.
 
-    Exact for monotone branches: the preimages of all cell boundaries are
-    found on each branch by `map_core.invert_branch`, and an interval
-    sweep splits every cell at those breakpoints. Each row sums to 1 up to
-    accumulation roundoff.
+    Exact for monotone branches: the preimages (cuts) of the cell edges
+    inside a branch's image are found by `map_core.invert_branch`, and one
+    merge sweep per branch splits every cell at them. The sorted breaks
+    [x_lo, cuts, x_hi] and the branch's cell edges merge by one searchsorted;
+    a piece starts at the last of each run of equal values, and the running
+    counts of edges and of breaks up to there give its cell (row) and its
+    image cell (column). The negative branch comes first, so rows never
+    decrease; a cell holding 0 lists its positive-branch pieces (the lower
+    columns) first. Each row sums to 1 up to accumulation roundoff.
     """
     import scipy.sparse as sp  # here, so that importing rovella does not load it
 
     m = grid.m
     edges = grid.edges
-    h = grid.h
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
     top, bottom = family.value(t, np.array([1.0, -1.0])).tolist()  # T_t(1), T_t(-1)
+    pieces = []
+    for side, x_lo, x_hi, img_lo, img_hi in ((-1.0, -1.0, 0.0, bottom, 1.0), (1.0, 0.0, 1.0, -1.0, top)):
+        # Cut at the interior edges (never at +-1) strictly inside the image.
+        k_lo = max(int(np.searchsorted(edges, img_lo + 1e-15, side="right")), 1)
+        k_hi = min(int(np.searchsorted(edges, img_hi - 1e-15)), m)
+        breaks = np.concatenate([[x_lo], invert_branch(family, t, edges[k_lo:k_hi], side), [x_hi]])
+        # Image cell of the first piece on this side, and the cell of x_lo.
+        j_start = min(max(int(np.searchsorted(edges, img_lo, side="right")) - 1, 0), m - 1)
+        i_start = int(np.searchsorted(edges, x_lo, side="right")) - 1
+        cell_edges = edges[i_start + 1:np.searchsorted(edges, x_hi)]
+        at = np.searchsorted(breaks, cell_edges)
+        at += np.arange(cell_edges.size)
+        is_edge = np.zeros(breaks.size + cell_edges.size, dtype=bool)
+        is_edge[at] = True
+        merged = np.empty(is_edge.size)
+        merged[at] = cell_edges
+        merged[~is_edge] = breaks
+        last = merged[:-1] != merged[1:]  # a piece starts at the last value of a run
+        n_edges = np.cumsum(is_edge[:-1])[last]  # cell edges up to each piece's start
+        cols = np.flatnonzero(last)  # less n_edges: the breaks there, x_lo not counted
+        cols -= n_edges
+        cols += j_start
+        vals = merged[1:][last]
+        vals -= merged[:-1][last]
+        vals /= grid.h
+        pieces.append((n_edges + i_start, cols, vals))
 
-    for side in (1.0, -1.0):
-        if side > 0:
-            x_lo, x_hi = 0.0, 1.0
-            img_lo, img_hi = -1.0, top
-        else:
-            x_lo, x_hi = -1.0, 0.0
-            img_lo, img_hi = bottom, 1.0
-
-        interior = edges[(edges > img_lo + 1e-15) & (edges < img_hi - 1e-15)]
-        cuts = invert_branch(family, t, interior, side)
-        # Image cell of the first elementary interval on this side.
-        j_start = min(int(np.searchsorted(edges, img_lo, side="right")) - 1, m - 1)
-        j_start = max(j_start, 0)
-        breaks = np.concatenate([[x_lo], cuts, [x_hi]])
-        cell_edges = edges[(edges > x_lo) & (edges < x_hi)]
-        merged = np.unique(np.concatenate([breaks, cell_edges]))
-        u, v = merged[:-1], merged[1:]
-        mid = 0.5 * (u + v)
-        i_idx = np.clip(np.searchsorted(edges, mid, side="right") - 1, 0, m - 1)
-        j_idx = np.clip(
-            j_start + np.searchsorted(breaks, mid, side="right") - 1, 0, m - 1
-        )
-        rows.append(i_idx)
-        cols.append(j_idx)
-        vals.append((v - u) / h)
-
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, m),
-    ).tocsr()
-    return mat
+    (rows_n, cols_n, vals_n), (rows_p, cols_p, vals_p) = pieces
+    a = np.searchsorted(rows_n, rows_p[0])  # negative pieces before a shared cell
+    b = np.searchsorted(rows_p, rows_n[-1], side="right")  # positive pieces in it
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(np.bincount(np.concatenate([rows_n, rows_p]), minlength=m), out=indptr[1:])
+    return sp.csr_matrix((
+        np.concatenate([vals_n[:a], vals_p[:b], vals_n[a:], vals_p[b:]]),
+        np.concatenate([cols_n[:a], cols_p[:b], cols_n[a:], cols_p[b:]], dtype=np.int32),
+        indptr,
+    ), shape=(m, m))
 
 
 class OperatorCache:

@@ -465,3 +465,54 @@ def reference_step(family, t, x, delta):
         log_dt = np.log(dt)
     log_dt[np.isnan(x_next)] = np.nan
     return x_next, depth, log_dt
+
+
+def reference_ulam_row_operator(family, t, grid, lookup="midpoint"):
+    """`measures.ulam_row_operator` as it was built before the merge sweep:
+    `np.unique` merges each side's breaks and cell edges, searchsorted
+    lookups file each piece, and a COO matrix converts to CSR.
+
+    lookup "midpoint" is the old rule, which looks up a piece's cell and
+    image cell at the midpoint of its ends. A piece one ulp wide can have its
+    midpoint round onto its end point, and the lookup then files it in the
+    neighbouring cell. lookup "start" looks both up at the piece's start,
+    which always lies in the piece's cells.
+    """
+    import scipy.sparse as sp
+
+    from rovella.map_core import invert_branch
+
+    m = grid.m
+    edges = grid.edges
+    h = grid.h
+    rows, cols, vals = [], [], []
+    top, bottom = family.value(t, np.array([1.0, -1.0])).tolist()
+    for side in (1.0, -1.0):
+        if side > 0:
+            x_lo, x_hi, img_lo, img_hi = 0.0, 1.0, -1.0, top
+        else:
+            x_lo, x_hi, img_lo, img_hi = -1.0, 0.0, bottom, 1.0
+        interior = edges[(edges > img_lo + 1e-15) & (edges < img_hi - 1e-15)]
+        cuts = invert_branch(family, t, interior, side)
+        j_start = min(int(np.searchsorted(edges, img_lo, side="right")) - 1, m - 1)
+        j_start = max(j_start, 0)
+        breaks = np.concatenate([[x_lo], cuts, [x_hi]])
+        cell_edges = edges[(edges > x_lo) & (edges < x_hi)]
+        merged = np.unique(np.concatenate([breaks, cell_edges]))
+        u, v = merged[:-1], merged[1:]
+        at = 0.5 * (u + v) if lookup == "midpoint" else u
+        i_idx = np.clip(np.searchsorted(edges, at, side="right") - 1, 0, m - 1)
+        j_idx = np.clip(j_start + np.searchsorted(breaks, at, side="right") - 1, 0, m - 1)
+        rows.append(i_idx)
+        cols.append(j_idx)
+        vals.append((v - u) / h)
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(m, m)
+    ).tocsr()
+
+
+def assert_same_csr(a, b):
+    """The same CSR arrays, byte for byte and in dtype."""
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name

@@ -231,6 +231,27 @@ class TestArtifacts:
         assert payload["required_ok"] is True
         assert payload["lambda_fit"] == pytest.approx(4.0)
 
+    def test_verify_family_report_is_strict_json(self, tmp_path):
+        """The critical orbit of -1 lands on the singularity (the family of
+        test_map_core's test_critical_orbit_on_the_singularity_fails_r1_and_r2),
+        so alpha_fit is inf; the report writes it as null, and a parser that
+        rejects Infinity and NaN reads the whole file."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(table_config(
+            K1=0.1, K2=10.0,
+            pos=_nodes([1e-3, 0.5, 1.0], [-0.99, -0.5, 1.0]),
+            neg=_nodes([-1.0, -0.5, -1e-3], [0.0, 0.5, 0.99]),
+        )))
+        assert run(["verify-family", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        json.loads((tmp_path / "manifest-verify-family.json").read_text(), parse_constant=reject)
+        report = json.loads((tmp_path / "family_report.json").read_text(), parse_constant=reject)
+        assert report["alpha_fit"] is None and report["r2_ok"] is False
+        assert report["lambda_fit"] == 0.0 and report["required_ok"] is False
+
     def test_density_artifact(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"measures": {"grid_m": 64, "m_past": 10}}))

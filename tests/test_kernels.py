@@ -1,11 +1,15 @@
-"""The array kernels of one orbit step: byte-equal to reference copies of
-their earlier formulas (tests/conftest.py), and lean in allocation.
+"""The array kernels of one orbit step and the Ulam operator build:
+byte-equal to reference copies of their earlier forms (tests/conftest.py),
+and lean in allocation.
 
-Each kernel allocates one fresh float64 array per output and works in place
-on arrays it allocated itself; the guard bounds each call's traced peak as a
-multiple of the input's bytes.
+Each step kernel allocates one fresh float64 array per output and works in
+place on arrays it allocated itself; the guard bounds each call's traced peak
+as a multiple of the input's bytes. The Ulam build merges each branch's
+breaks and cell edges in one sweep, with no sort, no midpoint lookups and no
+COO matrix; its guard bounds the peak as a multiple of the output's bytes.
 """
 
+import dataclasses
 import tracemalloc
 
 import mpmath
@@ -14,14 +18,16 @@ import pytest
 
 from conftest import (
     assert_same_bytes,
+    assert_same_csr,
     dying_ensemble,
     reference_depths,
     reference_ensemble_keys,
     reference_fixture_family,
     reference_keyed_draws,
     reference_step,
+    reference_ulam_row_operator,
 )
-from rovella import map_core, noise, orbit
+from rovella import map_core, measures, noise, orbit
 
 SPECIAL_X = np.array([
     0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e-8, -1e-8, 0.3, -0.3,
@@ -180,3 +186,111 @@ class TestAllocation:
     def test_keyed_draws(self, rows):
         keys, x, _ = rows
         assert self.peak_ratio(lambda: noise.keyed_draws(keys, 0.01, 5), x.nbytes) < 2.5
+
+
+class TestUlamSweep:
+    # The one (family, m) where a midpoint of the old build rounds onto its
+    # piece's end point, with the t values where it does.
+    MIDPOINT_MOVES = {("fixture", 513): [0.0]}
+
+    @staticmethod
+    def family(name, request):
+        return request.getfixturevalue("fam" if name == "fixture" else "table_fam")
+
+    @pytest.mark.parametrize("m", [16, 17, 513, 2048, 2049])
+    @pytest.mark.parametrize("name", ["fixture", "table"])
+    def test_matches_reference_build(self, name, m, request):
+        """Byte-equal to the old build filed at each piece's start, always;
+        and to the old build filed at midpoints except where a midpoint
+        rounds onto an end point (listed in MIDPOINT_MOVES)."""
+        fam = self.family(name, request)
+        grid = measures.UniformGrid(m)
+        eps = fam.eps_max
+        moved = []
+        for t in [0.0, eps, -eps, *noise.stream(7, eps).values(-10, 20).tolist()]:
+            got = measures.ulam_row_operator(fam, t, grid)
+            assert_same_csr(got, reference_ulam_row_operator(fam, t, grid, lookup="start"))
+            want = reference_ulam_row_operator(fam, t, grid)
+            if not all(getattr(got, k).tobytes() == getattr(want, k).tobytes()
+                       for k in ("data", "indices", "indptr")):
+                moved.append(t)
+        assert moved == self.MIDPOINT_MOVES.get((name, m), [])
+
+    def test_planted_one_ulp_cut(self, fam_lin):
+        """The doubling map's cut at y = 0 is x = 0.5, a cell edge of the
+        64-cell grid; the stub inverse puts it one ulp below. The sliver
+        [0.5 - 2^-54, 0.5] lies in cell 47 and maps into image cell 32. Its
+        midpoint rounds to 0.5, so the old build filed it in cell 48."""
+        inv = fam_lin.inverse_pos
+
+        def planted(t, y):
+            x = inv(t, y)
+            return np.where(np.asarray(y) == 0.0, np.nextafter(x, 0.0), x)
+
+        stub = dataclasses.replace(fam_lin, inverse_pos=planted)
+        grid = measures.UniformGrid(64)
+        assert grid.edges[48] == 0.5
+        mat = measures.ulam_row_operator(stub, 0.0, grid)
+        old = reference_ulam_row_operator(stub, 0.0, grid)
+        sliver = 2.0**-54 / grid.h
+        assert mat[47, 32] == sliver and old[47, 32] == 0.0
+        assert mat[48, 32] == old[48, 32] - sliver
+        rows = np.asarray(mat.sum(axis=1)).ravel()
+        old_rows = np.asarray(old.sum(axis=1)).ravel()
+        assert rows[47] == 1.0 and rows[48] == 1.0
+        assert old_rows[47] == 1.0 - sliver and old_rows[48] == 1.0 + sliver
+        unplanted = measures.ulam_row_operator(fam_lin, 0.0, grid)
+        assert unplanted[47, 32] == 0.0 and unplanted[48, 32] == 0.5
+
+
+class TestUlamInvariants:
+    @pytest.mark.parametrize("m", [17, 2048])
+    @pytest.mark.parametrize("name", ["fixture", "table"])
+    def test_canonical_stochastic_and_push(self, name, m, request):
+        fam = TestUlamSweep.family(name, request)
+        stream = noise.stream(7, 0.05)
+        cache = measures.OperatorCache(fam, stream, measures.UniformGrid(m))
+        masses = np.random.default_rng(2).dirichlet(np.ones(m))
+        for i in range(-3, 3):
+            mat = cache.get(i)
+            assert mat.has_canonical_format
+            assert mat.indices.dtype == np.int32 and mat.indptr.dtype == np.int32
+            assert np.abs(np.asarray(mat.sum(axis=1)).ravel() - 1.0).max() <= 1e-12
+            assert (mat.data > 0).all()
+            assert_same_bytes(cache.push(masses, i), mat.T @ masses)
+
+    def test_image_past_the_interval(self, fam_lin):
+        """T(x) = 2.5 x -+ 1 sends 1 to 1.5 and -1 to -1.5. The edges +-1
+        are never cut at: what maps past them goes to the end cells. The
+        old build cut at the preimage of -1 too, which shifted the negative
+        branch's columns up by one, and it clipped the top column back."""
+
+        def inverse(sign):
+            lo, hi = (0.0, 1.0) if sign > 0 else (-1.0, 0.0)
+            return lambda t, y: np.clip((np.asarray(y) + sign) / 2.5, lo, hi)
+
+        wide = dataclasses.replace(
+            fam_lin,
+            value=lambda t, x: 2.5 * np.asarray(x) - np.where(np.asarray(x) > 0, 1.0, -1.0),
+            inverse_pos=inverse(1.0), inverse_neg=inverse(-1.0),
+        )
+        grid = measures.UniformGrid(64)
+        mat = measures.ulam_row_operator(wide, 0.0, grid)
+        assert mat.has_canonical_format and mat.indices.max() == 63
+        assert np.abs(np.asarray(mat.sum(axis=1)).ravel() - 1.0).max() <= 1e-12
+        # Cell 6, [-0.8125, -0.78125], maps onto [-1.03125, -0.953125]: past
+        # -1 up to x = -0.8, then into image cells 0 and 1, split at -0.7875.
+        assert mat[6].toarray()[0, :3] == pytest.approx([0.8, 0.2, 0.0], abs=1e-14)
+        old = reference_ulam_row_operator(wide, 0.0, grid)
+        assert old[6].toarray()[0, :3] == pytest.approx([0.4, 0.4, 0.2], abs=1e-14)
+        # Cells 58-63 map past 1 on the positive branch; both builds agree there.
+        assert mat[60, 63] == 1.0 and old[60, 63] == 1.0
+
+    def test_build_peak(self, fam):
+        """One m = 2048 fixture build peaks at about 4.0 times the bytes of
+        its CSR arrays; the unique/midpoint/COO build peaked at 5.8."""
+        grid = measures.UniformGrid(2048)
+        t = noise.stream(1, 0.01).get(-3)
+        mat = measures.ulam_row_operator(fam, t, grid)
+        nbytes = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+        assert TestAllocation.peak_ratio(lambda: measures.ulam_row_operator(fam, t, grid), nbytes) < 4.5
