@@ -25,6 +25,8 @@ from .errors import DeltaTooLarge, DomainError
 
 ArrayLike = float | np.ndarray
 MapFn = Callable[[ArrayLike, ArrayLike], ArrayLike]
+PairFn = Callable[[ArrayLike, ArrayLike], tuple[ArrayLike, ArrayLike]]
+InverseFn = Callable[[ArrayLike, ArrayLike, ArrayLike], ArrayLike]
 
 # Innermost point of each branch domain: [1e-300, 1] and [-1, -1e-300].
 _BRANCH_EDGE = 1e-300
@@ -41,12 +43,19 @@ class MapFamily:
     position, so a call on a whole array equals calls on its parts. An array
     call returns a fresh float64 array, which the caller may overwrite.
 
-    `inverse_pos` and `inverse_neg` invert `value` on the positive and the
-    negative branch domain, [1e-300, 1] and [-1, -1e-300]: (t, y) -> x, with
-    a target outside the branch image mapped to the nearest domain endpoint.
-    They are exact for closed forms and exact up to 2 ulp for splines (where
-    a branch is nearly flat, up to the rounding of the spline's cubic over
-    its slope).
+    `inverse` inverts `value` on one branch: (t, y, side) -> x with
+    T_t(x) = y on the positive branch domain [1e-300, 1] where side is +1 and
+    on the negative one [-1, -1e-300] where it is -1, with a target outside
+    the branch image mapped to the nearest domain endpoint. t, y and side
+    broadcast, so the side is given per row or shared, and it is elementwise
+    like `value`: a row of a batch holding both sides gets the bytes it gets
+    alone. It is exact for closed forms and exact up to 2 ulp for splines
+    (where a branch is nearly flat, up to the rounding of the spline's cubic
+    over its slope).
+
+    `value_deriv` (t, x) -> (value(t, x), deriv(t, x)) is set from `value`
+    and `deriv`: a table family's own pair (`_TableFn`) looks up each piece
+    once for both, any other pair is called one after the other.
 
     Immutable after construction; all operations are pure functions of their
     arguments, so instances are safe to share across worker threads.
@@ -57,11 +66,11 @@ class MapFamily:
     value: MapFn
     deriv: MapFn
     second: MapFn
-    inverse_pos: MapFn
-    inverse_neg: MapFn
+    inverse: InverseFn
     k1: float
     k2: float
     label: str = "custom"
+    value_deriv: PairFn = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.s <= 1:
@@ -70,6 +79,25 @@ class MapFamily:
             raise ValueError("eps_max must be positive")
         if not (0 < self.k1 <= self.k2):
             raise ValueError("need 0 < k1 <= k2")
+        value, deriv = self.value, self.deriv
+        fused = (
+            isinstance(value, _TableFn) and isinstance(deriv, _TableFn)
+            and value.kind == 0 and deriv.kind == 1 and value.table is deriv.table
+        )
+        pair = deriv.value_deriv if fused else _TwoCalls(value, deriv)
+        object.__setattr__(self, "value_deriv", pair)
+
+
+@dataclass(frozen=True)
+class _TwoCalls:
+    """Picklable `MapFamily.value_deriv` of any value and derivative pair:
+    one call of each."""
+
+    value: MapFn
+    deriv: MapFn
+
+    def __call__(self, t: ArrayLike, x: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
+        return self.value(t, x), self.deriv(t, x)
 
 
 @dataclass(frozen=True)
@@ -123,17 +151,18 @@ class _FixtureBranchFn:
 
 @dataclass(frozen=True)
 class _FixtureInverse:
-    """Picklable inverse x = sign ((1 + sign y) / (2 - |t|))^(1/s) of the
-    fixture's branch on side `sign`, clamped to the branch domain."""
+    """Picklable inverse x = side ((1 + side y) / (2 - |t|))^(1/s) of the
+    fixture's branch on `side` (+-1), clamped to the branch domain. The side
+    enters through exact multiplications by +-1."""
 
     s: float
-    sign: float
 
-    def __call__(self, t: ArrayLike, y: ArrayLike) -> ArrayLike:
-        ay = self.sign * np.asarray(y, dtype=float)
-        # 1 + sign y < 0 lies outside the image.
+    def __call__(self, t: ArrayLike, y: ArrayLike, side: ArrayLike) -> ArrayLike:
+        side = np.asarray(side)
+        ay = side * np.asarray(y, dtype=float)
+        # 1 + side y < 0 lies outside the image.
         root = np.power(np.maximum(1.0 + ay, 0.0) / (2.0 - np.abs(t)), 1.0 / self.s)
-        return self.sign * np.clip(root, _BRANCH_EDGE, 1.0)
+        return side * np.clip(root, _BRANCH_EDGE, 1.0)
 
 
 def fixture_family(s: float = 2.0, eps_max: float = 0.1) -> MapFamily:
@@ -150,8 +179,7 @@ def fixture_family(s: float = 2.0, eps_max: float = 0.1) -> MapFamily:
         value=value,
         deriv=deriv,
         second=second,
-        inverse_pos=_FixtureInverse(s, 1.0),
-        inverse_neg=_FixtureInverse(s, -1.0),
+        inverse=_FixtureInverse(s),
         k1=k1,
         k2=k2,
         label=f"fixture(s={s:g})",
@@ -210,8 +238,10 @@ class _TableFn:
             i += (self.nxt[i + (w - 1)] <= x) * w
         return i
 
-    def _bases(self, x: np.ndarray) -> list[np.ndarray]:
-        """T_0 and its first `kind` x-derivatives at 1-d x."""
+    def _bases(self, x: ArrayLike) -> list[np.ndarray]:
+        """T_0 and its first `kind` x-derivatives at x, in x's shape."""
+        shape = np.shape(x)
+        x = np.asarray(x, dtype=float).ravel()
         col = np.take(self.table[: (5, 8, 10)[self.kind]], self._pieces(x), axis=1)
         h = x - col[0]
         h2 = h * h
@@ -221,7 +251,7 @@ class _TableFn:
         if inner.any():
             for out, end in zip(bases, self._end_piece(x[inner])):
                 out[inner] = end
-        return bases
+        return [b.reshape(shape) for b in bases]
 
     def _end_piece(self, x: np.ndarray) -> list[np.ndarray]:
         """d^k/dx^k of sign (a |x|^s - 1), k = 0..kind, at 1-d x strictly
@@ -235,31 +265,57 @@ class _TableFn:
         return out
 
     def __call__(self, t: ArrayLike, x: ArrayLike) -> ArrayLike:
-        x = np.asarray(x, dtype=float)
+        return _sheared(self.kind, np.asarray(t, dtype=float), self._bases(x))
+
+    def value_deriv(self, t: ArrayLike, x: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
+        """(T_t(x), DT_t(x)) from one piece lookup, on a kind >= 1 callable:
+        the bytes of the kind 0 and kind 1 calls."""
         t = np.asarray(t, dtype=float)
-        b0, *more = (b.reshape(x.shape) for b in self._bases(x.ravel()))
-        if self.kind == 0:
-            return np.clip(b0 + t * (1.0 - b0**2), -1.0, 1.0)
-        if self.kind == 1:
-            return more[0] * (1.0 - 2.0 * t * b0)
-        return more[1] * (1.0 - 2.0 * t * b0) - 2.0 * t * more[0] ** 2
+        bases = self._bases(x)
+        return _sheared(0, t, bases), _sheared(1, t, bases)
+
+
+def _sheared(kind: int, t: np.ndarray, bases: list[np.ndarray]) -> ArrayLike:
+    """d^kind/dx^kind of the shear T_t = T_0 + t (1 - T_0^2), from T_0 and
+    its x-derivatives `bases` (value clipped to I)."""
+    b0 = bases[0]
+    if kind == 0:
+        return np.clip(b0 + t * (1.0 - b0**2), -1.0, 1.0)
+    if kind == 1:
+        return bases[1] * (1.0 - 2.0 * t * b0)
+    return bases[2] * (1.0 - 2.0 * t * b0) - 2.0 * t * bases[1] ** 2
 
 
 @dataclass(frozen=True, eq=False)
 class _TableInverse:
-    """Picklable inverse of one table branch (`_shear_spline_inverse`): the
-    branch's knots, `PPoly.c` and node values T_0(knots), its innermost
-    node x1 and the end piece sign (a |x|^s - 1) below it."""
+    """Picklable inverse of both table branches (`_shear_spline_inverse`).
+
+    `knots`, `c` and `nodes` hold the negative branch's knots, `PPoly.c` and
+    node values T_0(knots), then the positive branch's from index `first`:
+    piece j of a branch is column j of `c` on the negative side and column
+    first + j on the positive one (column first - 1 is zero, never used).
+    `a` is each branch's end-piece coefficient, negative first, of
+    sign (a |x|^s - 1) below its innermost node. `lims` holds per side
+    (columns negative, positive) its sign, the innermost and the outermost
+    node value times the sign, and a.
+    """
 
     knots: np.ndarray
     c: np.ndarray
     nodes: np.ndarray
-    x1: float
-    a: float
+    first: int
+    a: tuple[float, float]
     s: float
+    lims: np.ndarray = field(init=False, repr=False)
 
-    def __call__(self, t: ArrayLike, y: ArrayLike) -> np.ndarray:
-        return _shear_spline_inverse(self, t, y)
+    def __post_init__(self) -> None:
+        n, f = self.nodes, self.first
+        lims = np.array([[-1.0, 1.0], [-n[f - 1], n[f]], [-n[0], n[-1]], list(self.a)])
+        lims.setflags(write=False)
+        object.__setattr__(self, "lims", lims)
+
+    def __call__(self, t: ArrayLike, y: ArrayLike, side: ArrayLike) -> np.ndarray:
+        return _shear_spline_inverse(self, t, y, side)
 
 
 def _bucket_lookup(knots: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.ndarray, float]:
@@ -289,62 +345,81 @@ def _bucket_lookup(knots: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.n
 _NEWTON_CAP = 100
 
 
-def _shear_spline_inverse(fn: _TableInverse, t: ArrayLike, y: ArrayLike) -> np.ndarray:
-    """x with T_0(x) + t (1 - T_0(x)^2) = y on the branch of `fn`, clamped
-    to the branch domain.
+def _shear_spline_inverse(
+    fn: _TableInverse, t: ArrayLike, y: ArrayLike, side: ArrayLike
+) -> np.ndarray:
+    """x with T_0(x) + t (1 - T_0(x)^2) = y on the branch of `side` (+-1),
+    clamped to the branch domain; both sides' rows run in one loop.
 
     The stable root p = 2 (y - t) / (1 + sqrt(1 - 4 t (y - t))), exact at
     t = 0, undoes the shear. Below the innermost node value the end piece
     inverts in closed form, x = sign ((1 + sign p) / a)^(1/s); past the
     outermost node value x is the outer domain end, and a target with no
     real p goes to the domain end on the side of sign(y). Otherwise the
-    node values pick the spline piece, and a bracketed Newton iteration
-    starts at the secant and bisects when a step leaves the bracket or the
-    slope is not positive. Its residual is summed so that rounding falls on
-    the small terms, not on terms of size 1: the result is within 2 ulp of
-    the exact root of the cubic, plus a few roundings of the cubic's rise
-    from its left knot over the slope, which only matter where the branch
-    is nearly flat. A row stops once its step is at most 2 ulp or lands on
-    its bracket end, so its result does not depend on the other rows.
+    node values pick the spline piece (one search per branch, as the two
+    branches' node values overlap), and a bracketed Newton iteration starts
+    at the secant and bisects when a step leaves the bracket or the slope is
+    not positive. Its residual is summed so that rounding falls on the small
+    terms, not on terms of size 1: the result is within 2 ulp of the exact
+    root of the cubic, plus a few roundings of the cubic's rise from its
+    left knot over the slope, which only matter where the branch is nearly
+    flat. A row stops once its step is at most 2 ulp or lands on its
+    bracket end, so its result does not depend on the other rows. The side
+    enters through exact multiplications by +-1: the negative branch's end
+    tests and clamp run on -p and -x.
     """
     y = np.asarray(y, dtype=float)
     t = np.asarray(t, dtype=float)
-    u = y - t
+    p = y - t
     with np.errstate(invalid="ignore"):  # no real p: past the image
-        p = 2.0 * u / (1.0 + np.sqrt(1.0 - 4.0 * t * u))
+        p = 2.0 * p / (1.0 + np.sqrt(1.0 - 4.0 * t * p))
     p = np.where(np.isnan(p) & ~np.isnan(y), np.copysign(np.inf, y), p)
-    knots, c, nodes = fn.knots, fn.c, fn.nodes
-    under, over = p < nodes[0], p > nodes[-1]
-    active = np.array((p >= nodes[0]) & (p <= nodes[-1]))
-    i = np.clip(np.searchsorted(nodes, p, side="right") - 1, 0, knots.size - 2)
-    c0, c1, c2, c3 = c[0, i], c[1, i], c[2, i], c[3, i]
+    pos = np.asarray(side) > 0
+    if pos.shape != p.shape:
+        p, pos = np.broadcast_arrays(p, pos)
+    sign, inner_lim, outer_lim = np.take(fn.lims[:3], pos, axis=1)
+    q = sign * p
+    active = np.array((q >= inner_lim) & (q <= outer_lim))
+    del sign, inner_lim, outer_lim  # taken again after the loop
+    knots, nodes, first = fn.knots, fn.nodes, fn.first
+    i = np.empty(p.shape, dtype=np.intp)
+    for rows, lo, hi in ((~pos, 0, first), (pos, first, knots.size)):  # a branch's pieces
+        found = np.searchsorted(nodes[lo:hi], p[rows], side="right")
+        i[rows] = np.clip(found + (lo - 1), lo, hi - 2)
+    c0, c1, c2, c3 = np.take(fn.c, i, axis=1)
     left = knots[i]
-    a, b = left, knots[i + 1]
+    i += 1  # the pieces' right ends
+    a, b = left, knots[i]
     with np.errstate(invalid="ignore", divide="ignore"):
-        x = np.where(active, a + (p - c3) / (nodes[i + 1] - c3) * (b - a), np.nan)
+        x = np.where(active, a + (p - c3) / (nodes[i] - c3) * (b - a), np.nan)
+        del i, p  # q stands for p from here on
+        # Each temporary is dropped once dead, so that the loop, which sets
+        # the call's peak memory, holds few rows' worth at a time.
         for _ in range(_NEWTON_CAP):
             h = x - left
             d = h * (c2 + h * (c1 + h * c0))  # spline(x) - c3
             f = ((c3 - y) + d) + t * (((1.0 - c3) - d) * ((1.0 + c3) + d))
             slope = (c2 + h * (2.0 * c1 + 3.0 * c0 * h)) * (1.0 - 2.0 * t * (c3 + d))
+            del h, d
             below = f < 0.0
             a = np.where(below, x, a)
             b = np.where(below, b, x)
             step = x - f / slope
+            del f
             step = np.where((slope > 0.0) & (step >= a) & (step <= b), step, 0.5 * (a + b))
+            del slope
             # np.spacing is negative for x < 0. A step onto a bracket end
             # means the rounded residual changes sign there: nothing to gain.
             done = (np.abs(step - x) <= 2.0 * np.abs(np.spacing(x))) | (step == a) | (step == b)
             x = np.where(active, step, x)
+            del step
             active &= ~done
             if not active.any():
                 break
-    sign = np.copysign(1.0, fn.x1)
-    inner, outer = (under, over) if sign > 0 else (over, under)
-    end = sign * np.power(np.maximum(1.0 + sign * p, 0.0) / fn.a, 1.0 / fn.s)
-    x = np.where(inner, end, np.where(outer, sign, x))
-    lo, hi = (_BRANCH_EDGE, 1.0) if sign > 0 else (-1.0, -_BRANCH_EDGE)
-    return np.clip(x, lo, hi)
+    sign, inner_lim, outer_lim, end_a = np.take(fn.lims, pos, axis=1)
+    end = np.power(np.maximum(1.0 + q, 0.0) / end_a, 1.0 / fn.s)
+    x = np.where(q < inner_lim, end, np.where(q > outer_lim, 1.0, sign * x))
+    return sign * np.clip(x, _BRANCH_EDGE, 1.0)
 
 
 def check_table(pos_x, pos_y, neg_x, neg_y, s, k1, k2, eps_max) -> None:
@@ -396,14 +471,15 @@ def table_family(
     singularity, satisfies |d/dt| <= 1, and preserves monotonicity for
     |t| < 1/2. The singularity order and envelope constants are declared,
     not inferred; `verify_conditions` checks them. One callable per
-    derivative order (`_TableFn`) evaluates the spline in-house, and each
-    branch has its inverse (`_shear_spline_inverse`). scipy builds the
-    spline coefficients and is not called after that.
+    derivative order (`_TableFn`) evaluates the spline in-house (the first
+    derivative's also gives `value_deriv`), and one inverse serves both
+    branches (`_TableInverse`). scipy builds the spline coefficients and is
+    not called after that.
     """
     from scipy.interpolate import PchipInterpolator
 
     check_table(pos_x, pos_y, neg_x, neg_y, s, k1, k2, eps_max)
-    inverses, parts = [], []
+    parts = []
     for xs, ys, inner in ((neg_x, neg_y, -1), (pos_x, pos_y, 0)):
         xs, ys = np.array(xs, dtype=float), np.array(ys, dtype=float)
         spline = PchipInterpolator(xs, ys)
@@ -413,16 +489,19 @@ def table_family(
         cols[(4, 7, 9), :] += 0.0  # PPoly sums from 0.0, so a -0.0 constant term gives 0.0
         h = xs[-1] - xs[-2]
         nodes = np.append(spline.c[3], _power_sum(cols[1:5, -1], (h, h * h, h * h * h)))
-        inverses.append(_TableInverse(xs, spline.c, nodes, x1, a, s))
-        parts.append((xs, cols, x1, tuple(a * f for f in (1.0, s, s * (s - 1.0)))))
-    (neg_xs, neg_cols, neg_x1, neg_coef), (pos_xs, pos_cols, pos_x1, pos_coef) = parts
-    knots = np.concatenate([neg_xs, pos_xs])
-    table = np.hstack([neg_cols, neg_cols[:, -1:], pos_cols])
+        parts.append((xs, cols, spline.c, nodes, x1, a))
+    side_knots, cols, cs, nodes, x1s, amps = zip(*parts)  # each a (negative, positive) pair
+    knots = np.concatenate(side_knots)
+    table = np.hstack([cols[0], cols[0][:, -1:], cols[1]])
     start, widths, nxt, scale = _bucket_lookup(knots)
-    for arr in (knots, table, nxt, start, *(v for i in inverses for v in (i.knots, i.c, i.nodes))):
+    c = np.hstack([cs[0], np.zeros((4, 1)), cs[1]])
+    nodes = np.concatenate(nodes)
+    for arr in (knots, table, nxt, start, c, nodes):
         arr.setflags(write=False)
+    inverse = _TableInverse(knots, c, nodes, side_knots[0].size, amps, s)
+    coef = tuple(tuple(a * f for f in (1.0, s, s * (s - 1.0))) for a in amps)
     value, deriv, second = (
-        _TableFn(kind, s, widths, knots, table, nxt, start, scale, (neg_x1, pos_x1), (neg_coef, pos_coef))
+        _TableFn(kind, s, widths, knots, table, nxt, start, scale, x1s, coef)
         for kind in range(3)
     )
     return MapFamily(
@@ -431,8 +510,7 @@ def table_family(
         value=value,
         deriv=deriv,
         second=second,
-        inverse_pos=inverses[1],
-        inverse_neg=inverses[0],
+        inverse=inverse,
         k1=k1,
         k2=k2,
         label="table",
@@ -452,19 +530,9 @@ def _check_domain(family: MapFamily, t: ArrayLike, x: ArrayLike) -> None:
 
 def invert_branch(family: MapFamily, t: ArrayLike, y: ArrayLike, side: ArrayLike) -> np.ndarray:
     """x on the branch of `side` (+1 or -1, per row or shared) with T_t(x) = y,
-    by the family's inverse of that side; a target outside the branch image
+    by one call of the family's inverse; a target outside the branch image
     maps to the nearest domain endpoint."""
-    y = np.asarray(y, dtype=float)
-    side = np.asarray(side, dtype=float)
-    inv_pos, inv_neg = family.inverse_pos, family.inverse_neg
-    if side.ndim == 0:
-        return np.array((inv_pos if side > 0 else inv_neg)(t, y), dtype=float)
-    pos = np.broadcast_to(side > 0, y.shape)
-    t_arr = np.broadcast_to(np.asarray(t, dtype=float), y.shape)
-    out = np.empty(y.shape)
-    out[pos] = inv_pos(t_arr[pos], y[pos])
-    out[~pos] = inv_neg(t_arr[~pos], y[~pos])
-    return out
+    return np.asarray(family.inverse(t, y, side), dtype=float)
 
 
 def evaluate(family: MapFamily, t: ArrayLike, x: ArrayLike) -> ArrayLike:
@@ -535,7 +603,8 @@ def critical_neighborhoods(
     """Solve for the preimages of [-1, -1+delta] and [1-delta, 1] near x = 0.
 
     The positive branch increases from -1 (at 0+) to T_t(1), the negative one
-    from T_t(-1) to 1 (at 0-); each endpoint is one `invert_branch` call.
+    from T_t(-1) to 1 (at 0-); one `invert_branch` call with a side per row
+    gives both endpoints.
     Raises DeltaTooLarge when the target value exits the branch image or the
     endpoint residual exceeds 1e-10.
     """

@@ -75,26 +75,36 @@ def ulam_row_operator(family: MapFamily, t: float, grid: UniformGrid) -> sp.csr_
     into cell j under the fiber map at parameter t.
 
     Exact for monotone branches: the preimages (cuts) of the cell edges
-    inside a branch's image are found by `map_core.invert_branch`, and one
-    merge sweep per branch splits every cell at them. The sorted breaks
-    [x_lo, cuts, x_hi] and the branch's cell edges merge by one searchsorted;
-    a piece starts at the last of each run of equal values, and the running
-    counts of edges and of breaks up to there give its cell (row) and its
-    image cell (column). The negative branch comes first, so rows never
-    decrease; a cell holding 0 lists its positive-branch pieces (the lower
-    columns) first. Each row sums to 1 up to accumulation roundoff.
+    inside each branch's image come from one `map_core.invert_branch` call
+    with a side per row, and one merge sweep per branch splits every cell at
+    them. The sorted breaks [x_lo, cuts, x_hi] and the branch's cell edges
+    merge by one searchsorted; a piece starts at the last of each run of
+    equal values, and the running counts of edges and of breaks up to there
+    give its cell (row) and its image cell (column). The negative branch
+    comes first, so rows never decrease; a cell holding 0 lists its
+    positive-branch pieces (the lower columns) first. Each row sums to 1 up
+    to accumulation roundoff.
     """
     import scipy.sparse as sp  # here, so that importing rovella does not load it
 
     m = grid.m
     edges = grid.edges
     top, bottom = family.value(t, np.array([1.0, -1.0])).tolist()  # T_t(1), T_t(-1)
+    branches = ((-1.0, 0.0, bottom, 1.0), (0.0, 1.0, -1.0, top))  # x_lo, x_hi, image
+    # Cut at the interior edges (never at +-1) strictly inside each image;
+    # one inversion serves both branches.
+    targets = [
+        edges[max(int(np.searchsorted(edges, img_lo + 1e-15, side="right")), 1):
+              min(int(np.searchsorted(edges, img_hi - 1e-15)), m)]
+        for _, _, img_lo, img_hi in branches
+    ]
+    count = targets[0].size
+    sides = np.ones(count + targets[1].size, dtype=np.int8)
+    sides[:count] = -1
+    cuts = invert_branch(family, t, np.concatenate(targets), sides)
     pieces = []
-    for side, x_lo, x_hi, img_lo, img_hi in ((-1.0, -1.0, 0.0, bottom, 1.0), (1.0, 0.0, 1.0, -1.0, top)):
-        # Cut at the interior edges (never at +-1) strictly inside the image.
-        k_lo = max(int(np.searchsorted(edges, img_lo + 1e-15, side="right")), 1)
-        k_hi = min(int(np.searchsorted(edges, img_hi - 1e-15)), m)
-        breaks = np.concatenate([[x_lo], invert_branch(family, t, edges[k_lo:k_hi], side), [x_hi]])
+    for (x_lo, x_hi, img_lo, _), side_cuts in zip(branches, (cuts[:count], cuts[count:])):
+        breaks = np.concatenate([[x_lo], side_cuts, [x_hi]])
         # Image cell of the first piece on this side, and the cell of x_lo.
         j_start = min(max(int(np.searchsorted(edges, img_lo, side="right")) - 1, 0), m - 1)
         i_start = int(np.searchsorted(edges, x_lo, side="right")) - 1
@@ -115,6 +125,7 @@ def ulam_row_operator(family: MapFamily, t: float, grid: UniformGrid) -> sp.csr_
         vals -= merged[:-1][last]
         vals /= grid.h
         pieces.append((n_edges + i_start, cols, vals))
+    del sides, cuts, side_cuts  # the breaks hold copies of the cuts
 
     (rows_n, cols_n, vals_n), (rows_p, cols_p, vals_p) = pieces
     a = np.searchsorted(rows_n, rows_p[0])  # negative pieces before a shared cell

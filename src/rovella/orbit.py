@@ -61,6 +61,7 @@ def _depths(prod: np.ndarray, delta: float) -> np.ndarray:
     near &= pos
     pos &= prod < np.inf
     r = pos.astype(np.int64)
+    del pos  # freed before the near rows' temporaries
     r -= 1
     p = prod[near]
     tiny = p < delta / np.finfo(float).max
@@ -94,12 +95,16 @@ def return_depths_array(
     return _depths(family.deriv(t, x) * np.abs(x), delta)
 
 
+def _dead_at_zero(y: np.ndarray) -> np.ndarray:
+    """y with every image that rounds to 0 (a dead row) set to NaN, in place."""
+    y[y == 0.0] = np.nan
+    return y
+
+
 def step_values(family: MapFamily, t: ArrayLike, x: np.ndarray) -> np.ndarray:
     """T_t applied to an array of rows. A row whose image rounds to 0 is
     dead: it becomes NaN and stays NaN from then on."""
-    y = family.value(t, x)
-    y[y == 0.0] = np.nan
-    return y
+    return _dead_at_zero(family.value(t, x))
 
 
 def step(
@@ -107,17 +112,18 @@ def step(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One orbit step for an array of rows: (x_next, depth, log_dt).
 
-    depth is the return depth at x and log_dt = log DT_t(x), both from one
-    evaluation of DT. Besides the rows `step_values` kills, a row where
-    DT_t(x) * |x| is not a positive finite number (depth -1) is dead too. A
-    dead row's x_next and log_dt are NaN, so cocycle sums carry the mark.
+    x_next = T_t(x), and depth (the return depth at x) and log_dt =
+    log DT_t(x) come from the same DT_t(x): one `MapFamily.value_deriv`
+    call. Besides the rows `step_values` kills (image exactly 0), a row
+    where DT_t(x) * |x| is not a positive finite number (depth -1) is dead
+    too. A dead row's x_next and log_dt are NaN, so cocycle sums carry the
+    mark.
     """
-    dt = family.deriv(t, x)
+    x_next, dt = family.value_deriv(t, x)
     prod = np.abs(x)
     prod *= dt
     depth = _depths(prod, delta)
-    del prod  # freed before `value` allocates
-    x_next = step_values(family, t, x)
+    _dead_at_zero(x_next)
     x_next[depth < 0] = np.nan
     with np.errstate(divide="ignore", invalid="ignore"):
         log_dt = np.log(dt, out=dt)  # dt is fresh (see `MapFamily`)
@@ -185,8 +191,9 @@ def pull_back(
     branch at step j, per row (shape (rows, k)) or shared (shape (k,)).
 
     All rows share the noise path. Each step is one `map_core.invert_branch`
-    call, so a target past a branch image maps to that branch's domain
-    endpoint. A row's result does not depend on the others.
+    call for all rows, both sides included, so a target past a branch image
+    maps to that branch's domain endpoint. A row's result does not depend on
+    the others.
     """
     sides = np.asarray(sides)
     x = np.asarray(y, dtype=float)

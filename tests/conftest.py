@@ -73,6 +73,23 @@ def table_fam():
     )
 
 
+def _lin_side_inverse(sign):
+    """The doubling family's inverse x = (y +- 1) / 2 on one side, clamped to
+    the branch domain."""
+
+    def inv(t, y):
+        root = (np.asarray(y, dtype=float) + sign) / 2.0
+        return np.clip(root, 1e-300, 1.0) if sign > 0 else np.clip(root, -1.0, -1e-300)
+
+    return inv
+
+
+def _lin_inverse(t, y, side):
+    side = np.asarray(side)
+    root = (np.asarray(y, dtype=float) + side) / 2.0
+    return np.where(side > 0, np.clip(root, 1e-300, 1.0), np.clip(root, -1.0, -1e-300))
+
+
 @pytest.fixture(scope="session")
 def fam_lin():
     """Piecewise-linear doubling family T(x) = 2x -+ 1 built from
@@ -83,53 +100,90 @@ def fam_lin():
         x = np.asarray(x, dtype=float)
         return 2.0 * x - np.where(x > 0, 1.0, -1.0)
 
-    def inverse(sign):
-        def inv(t, y):
-            root = (np.asarray(y, dtype=float) + sign) / 2.0
-            return np.clip(root, 1e-300, 1.0) if sign > 0 else np.clip(root, -1.0, -1e-300)
-
-        return inv
-
     return map_core.MapFamily(
         s=1.5,
         eps_max=0.1,
         value=value,
         deriv=lambda t, x: np.full_like(np.asarray(x, dtype=float), 2.0),
         second=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-        inverse_pos=inverse(1.0),
-        inverse_neg=inverse(-1.0),
+        inverse=_lin_inverse,
         k1=1.0,
         k2=4.0,
     )
 
 
+def _table(neg_x, pos_x):
+    """Table family on the given nodes, y = sign(x) (|x| + x^2) -+ 1, which
+    rises strictly however close the nodes sit to 0."""
+    neg_x, pos_x = np.asarray(neg_x, dtype=float), np.asarray(pos_x, dtype=float)
+    return map_core.table_family(
+        pos_x, pos_x + pos_x**2 - 1.0, neg_x, neg_x - neg_x**2 + 1.0, s=2.0, k1=3.0, k2=4.5
+    )
+
+
+def _on_bucket_edges():
+    """100 knots at -1 + 4j / 200, 0 left out: 400 buckets of width 1/200,
+    so every knot is a bucket edge as `map_core._bucket_lookup` computes it."""
+    knots = -1.0 + np.arange(0, 401, 4) / 200.0
+    return _table(knots[knots < 0], knots[knots > 0])
+
+
+TABLES = {
+    # Dense geometric nodes at the singularity: many knots in one bucket.
+    "geometric": lambda: _table(-np.geomspace(1e-8, 1.0, 120)[::-1], np.geomspace(1e-8, 1.0, 120)),
+    "bucket_edges": _on_bucket_edges,
+    # Different node counts, spacings and innermost nodes on the two sides.
+    "asymmetric": lambda: _table(np.linspace(-1.0, -1e-3, 37), np.geomspace(1e-7, 1.0, 150)),
+}
+
+
+@pytest.fixture(params=["table_fam", *TABLES])
+def any_table(request):
+    """The table family of `table_fam` and each of `TABLES`."""
+    if request.param == "table_fam":
+        return request.getfixturevalue("table_fam")
+    return TABLES[request.param]()
+
+
+def table_sides(fam):
+    """Each branch of the table family `fam`, negative first, as
+    (knots, c, nodes, x1, a): its knots, `PPoly.c` and node values sliced from
+    the inverse, its innermost node and its end-piece coefficient."""
+    inv = fam.inverse
+    f = inv.first
+    return [
+        (inv.knots[:f], inv.c[:, : f - 1], inv.nodes[:f], fam.value.ends[0], inv.a[0]),
+        (inv.knots[f:], inv.c[:, f:], inv.nodes[f:], fam.value.ends[1], inv.a[1]),
+    ]
+
+
 def ppoly_family(fam):
     """The table family `fam` with value and derivative callables that
     evaluate T_0 on each side's rows by scipy's `PPoly` on that branch's
-    knots and coefficients (kept on its inverse), and the power law
+    knots and coefficients (`table_sides`), and the power law
     sign (a |x|^s - 1) below the innermost node: the reference for the
     in-house evaluation."""
     import dataclasses
 
     from scipy.interpolate import PPoly
 
-    def side_base(inv):
-        spline = PPoly(np.array(inv.c), np.array(inv.knots))
+    def side_base(knots, c, nodes, x1, a):
+        spline = PPoly(np.array(c), np.array(knots))
         splines = (spline, spline.derivative(1), spline.derivative(2))
 
         def base(x, k):
             out = np.asarray(splines[k](x))
-            inner = np.abs(x) < abs(inv.x1)
+            inner = np.abs(x) < abs(x1)
             if inner.any():
-                sign = np.copysign(1.0, inv.x1)
-                coef = inv.a * (1.0, inv.s, inv.s * (inv.s - 1.0))[k]
-                vals = coef * np.abs(x[inner]) ** (inv.s - k)
+                sign = np.copysign(1.0, x1)
+                coef = a * (1.0, fam.s, fam.s * (fam.s - 1.0))[k]
+                vals = coef * np.abs(x[inner]) ** (fam.s - k)
                 out[inner] = (vals if k == 1 else sign * vals) - (sign if k == 0 else 0.0)
             return out
 
         return base
 
-    pos_base, neg_base = side_base(fam.inverse_pos), side_base(fam.inverse_neg)
+    neg_base, pos_base = (side_base(*side) for side in table_sides(fam))
 
     def base(x, k):
         x = np.asarray(x, dtype=float)
@@ -270,24 +324,109 @@ def reference_escape_rates(fam, seed, eps, delta, samples, n_cap, x0=None):
 
 
 def bisection_family(fam):
-    """The same family whose inverses bisect its value on the branch domain
+    """The same family whose inverse bisects its value on the branch domain
     with `numerics.bisect_increasing` down to the floating-point floor (200
     halvings of the branch domain): the reference the inverses are checked
     against. A target outside the image stops within 2^-200 of a domain end.
+    Each row halves its own bracket, so it does not depend on the others.
     """
     import dataclasses
 
     from rovella.numerics import bisect_increasing
 
-    def bisecting(lo, hi):
-        def inverse(t, y):
-            return bisect_increasing(lambda x: fam.value(t, x), y, lo, hi, xtol=0.0)
+    def inverse(t, y, side):
+        pos = np.asarray(side) > 0
+        y = np.asarray(y, dtype=float)
+        y = np.broadcast_to(y, np.broadcast_shapes(y.shape, pos.shape))
+        lo, hi = np.where(pos, 1e-300, -1.0), np.where(pos, 1.0, -1e-300)
+        return bisect_increasing(lambda x: fam.value(t, x), y, lo, hi, xtol=0.0)
 
-        return inverse
+    return dataclasses.replace(fam, inverse=inverse)
 
-    return dataclasses.replace(
-        fam, inverse_pos=bisecting(1e-300, 1.0), inverse_neg=bisecting(-1.0, -1e-300)
-    )
+
+def reference_invert_branch(inverse_pos, inverse_neg, t, y, side):
+    """`map_core.invert_branch` as it was when a family carried one inverse
+    per side: the side's callable on a shared side, else each side's rows
+    gathered, inverted by that side's callable and scattered back."""
+    y = np.asarray(y, dtype=float)
+    side = np.asarray(side, dtype=float)
+    if side.ndim == 0:
+        return np.array((inverse_pos if side > 0 else inverse_neg)(t, y), dtype=float)
+    pos = np.broadcast_to(side > 0, y.shape)
+    t_arr = np.broadcast_to(np.asarray(t, dtype=float), y.shape)
+    out = np.empty(y.shape)
+    out[pos] = inverse_pos(t_arr[pos], y[pos])
+    out[~pos] = inverse_neg(t_arr[~pos], y[~pos])
+    return out
+
+
+def _reference_fixture_inverse(s, sign):
+    """The fixture's inverse on one side, as it was."""
+
+    def inv(t, y):
+        ay = sign * np.asarray(y, dtype=float)
+        root = np.power(np.maximum(1.0 + ay, 0.0) / (2.0 - np.abs(t)), 1.0 / s)
+        return sign * np.clip(root, 1e-300, 1.0)
+
+    return inv
+
+
+def _reference_spline_inverse(knots, c, nodes, x1, a, s):
+    """A table branch's inverse, as it was: the spline Newton loop and end
+    piece of one branch."""
+
+    def inv(t, y):
+        y = np.asarray(y, dtype=float)
+        t = np.asarray(t, dtype=float)
+        u = y - t
+        with np.errstate(invalid="ignore"):
+            p = 2.0 * u / (1.0 + np.sqrt(1.0 - 4.0 * t * u))
+        p = np.where(np.isnan(p) & ~np.isnan(y), np.copysign(np.inf, y), p)
+        under, over = p < nodes[0], p > nodes[-1]
+        active = np.array((p >= nodes[0]) & (p <= nodes[-1]))
+        i = np.clip(np.searchsorted(nodes, p, side="right") - 1, 0, knots.size - 2)
+        c0, c1, c2, c3 = c[0, i], c[1, i], c[2, i], c[3, i]
+        left = knots[i]
+        lo, hi = left, knots[i + 1]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            x = np.where(active, lo + (p - c3) / (nodes[i + 1] - c3) * (hi - lo), np.nan)
+            for _ in range(100):
+                h = x - left
+                d = h * (c2 + h * (c1 + h * c0))
+                f = ((c3 - y) + d) + t * (((1.0 - c3) - d) * ((1.0 + c3) + d))
+                slope = (c2 + h * (2.0 * c1 + 3.0 * c0 * h)) * (1.0 - 2.0 * t * (c3 + d))
+                below = f < 0.0
+                lo = np.where(below, x, lo)
+                hi = np.where(below, hi, x)
+                step = x - f / slope
+                step = np.where((slope > 0.0) & (step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+                done = np.abs(step - x) <= 2.0 * np.abs(np.spacing(x))
+                done |= (step == lo) | (step == hi)
+                x = np.where(active, step, x)
+                active &= ~done
+                if not active.any():
+                    break
+        sign = np.copysign(1.0, x1)
+        inner, outer = (under, over) if sign > 0 else (over, under)
+        end = sign * np.power(np.maximum(1.0 + sign * p, 0.0) / a, 1.0 / s)
+        x = np.where(inner, end, np.where(outer, sign, x))
+        return np.clip(x, *((1e-300, 1.0) if sign > 0 else (-1.0, -1e-300)))
+
+    return inv
+
+
+def reference_side_inverses(fam):
+    """(inverse_pos, inverse_neg): the per-side inverses of the fixture, a
+    table family or the doubling family `fam_lin`, in the form they had
+    before one callable inverted both sides."""
+    inv = fam.inverse
+    if isinstance(inv, map_core._FixtureInverse):
+        return _reference_fixture_inverse(fam.s, 1.0), _reference_fixture_inverse(fam.s, -1.0)
+    if isinstance(inv, map_core._TableInverse):
+        neg, pos = (_reference_spline_inverse(*side, fam.s) for side in table_sides(fam))
+        return pos, neg
+    assert inv is _lin_inverse
+    return _lin_side_inverse(1.0), _lin_side_inverse(-1.0)
 
 
 def assert_same_bytes(a, b):

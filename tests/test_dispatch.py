@@ -6,7 +6,9 @@ because they are elementwise: a call on a whole array gives the bytes of
 calls on its x > 0 rows and on its other rows. The table family's in-house
 spline evaluation must also give the bytes of scipy's `PPoly`
 (`conftest.ppoly_family`), and its bucketed piece lookup those of
-`np.searchsorted`.
+`np.searchsorted`. `MapFamily.value_deriv`, which an orbit step calls,
+gives the bytes of the value and derivative calls; a table family's looks
+its pieces up once for both.
 """
 
 import dataclasses
@@ -15,7 +17,7 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import assert_same_bytes, ppoly_family
+from conftest import TABLES, assert_same_bytes, ppoly_family
 from rovella import hyperbolic as hyp
 from rovella import map_core as mc
 from rovella import measures, orbit
@@ -108,7 +110,7 @@ def test_one_off_table_points_are_array_calls(table_fam):
 
 def test_fixture_shares_callables_through_pickle():
     fam = pickle.loads(pickle.dumps(mc.fixture_family(s=2.5)))
-    assert fam.inverse_pos != fam.inverse_neg
+    assert fam.inverse == mc.fixture_family(s=2.5).inverse
     xs = np.array([-0.5, 0.5])
     assert_same_bytes(mc.evaluate(fam, 0.0, xs), mc.evaluate(mc.fixture_family(s=2.5), 0.0, xs))
 
@@ -116,7 +118,7 @@ def test_fixture_shares_callables_through_pickle():
 def test_table_shares_callables_through_pickle(table_fam):
     fam = pickle.loads(pickle.dumps(table_fam))
     assert fam.value.table is fam.deriv.table is fam.second.table
-    assert fam.inverse_pos is not fam.inverse_neg
+    assert fam.inverse.knots is fam.value.knots
     xs = edge_and_uniform_points()
     t_rows = np.random.default_rng(7).uniform(-0.1, 0.1, xs.size)
     for part in PARTS:
@@ -128,36 +130,69 @@ def test_table_shares_callables_through_pickle(table_fam):
         assert_same_bytes(got, mc.invert_branch(table_fam, 0.03, ys, side))
 
 
-def _table(neg_x, pos_x):
-    """Table family on the given nodes, y = sign(x) (|x| + x^2) -+ 1, which
-    rises strictly however close the nodes sit to 0."""
-    neg_x, pos_x = np.asarray(neg_x, dtype=float), np.asarray(pos_x, dtype=float)
-    return mc.table_family(
-        pos_x, pos_x + pos_x**2 - 1.0, neg_x, neg_x - neg_x**2 + 1.0, s=2.0, k1=3.0, k2=4.5
-    )
+def _assert_pair_matches_parts(fam):
+    """`value_deriv` gives the bytes of `value` and `deriv` on the same
+    (t, x): per-row, shared and zero t, and 0-d x."""
+    xs = edge_and_uniform_points()
+    t_rows = np.random.default_rng(9).uniform(-0.1, 0.1, xs.size)
+    for t in (t_rows, 0.0371, 0.0):
+        value, deriv = fam.value_deriv(t, xs)
+        assert_same_bytes(value, fam.value(t, xs))
+        assert_same_bytes(deriv, fam.deriv(t, xs))
+    for x in EDGES:
+        value, deriv = fam.value_deriv(0.0371, np.float64(x))
+        assert np.ndim(value) == np.ndim(deriv) == 0
+        assert_same_bytes(value, fam.value(0.0371, np.float64(x)))
+        assert_same_bytes(deriv, fam.deriv(0.0371, np.float64(x)))
 
 
-def _on_bucket_edges():
-    """100 knots at -1 + 4j / 200, 0 left out: 400 buckets of width 1/200,
-    so every knot is a bucket edge as `map_core._bucket_lookup` computes it."""
-    knots = -1.0 + np.arange(0, 401, 4) / 200.0
-    return _table(knots[knots < 0], knots[knots > 0])
+@pytest.mark.parametrize("family", [2.0, 2.5, 3.0, "fam_lin"])
+def test_value_deriv_matches_parts(family, request):
+    if family == "fam_lin":
+        _assert_pair_matches_parts(request.getfixturevalue(family))
+    else:
+        _assert_pair_matches_parts(mc.fixture_family(s=family, eps_max=0.1))
 
 
-TABLES = {
-    # Dense geometric nodes at the singularity: many knots in one bucket.
-    "geometric": lambda: _table(-np.geomspace(1e-8, 1.0, 120)[::-1], np.geomspace(1e-8, 1.0, 120)),
-    "bucket_edges": _on_bucket_edges,
-    # Different node counts, spacings and innermost nodes on the two sides.
-    "asymmetric": lambda: _table(np.linspace(-1.0, -1e-3, 37), np.geomspace(1e-7, 1.0, 150)),
-}
+def test_table_value_deriv_matches_parts(any_table):
+    _assert_pair_matches_parts(any_table)
 
 
-@pytest.fixture(params=["table_fam", *TABLES])
-def any_table(request):
-    if request.param == "table_fam":
-        return request.getfixturevalue("table_fam")
-    return TABLES[request.param]()
+def test_table_step_looks_up_pieces_once(table_fam, monkeypatch):
+    """One `_TableFn._pieces` call per orbit step, where the separate value
+    and derivative calls made two."""
+    sizes = []
+    lookup = mc._TableFn._pieces
+
+    def counted(self, x):
+        sizes.append(x.size)
+        return lookup(self, x)
+
+    monkeypatch.setattr(mc._TableFn, "_pieces", counted)
+    x, ts = orbit.ensemble_start(1, 0.01, 500, 5)
+    for k in range(5):
+        sizes.clear()
+        x, _, _ = orbit.step(table_fam, ts[:, k], x, 0.01)
+        assert sizes == [500]
+
+
+def test_value_deriv_follows_the_callables(table_fam):
+    """The pair is set from `value` and `deriv`, so a copy with another
+    derivative steps with it: rows where it is 0 die. A pickled table family
+    keeps its own one-lookup pair."""
+
+    def flat(t, x):
+        return np.where(np.abs(x) < 0.2, 0.0, table_fam.deriv(t, x))
+
+    cut = dataclasses.replace(table_fam, deriv=flat)
+    xs = np.array([-0.5, -0.1, 0.1, 0.5])
+    x_next, depth, _ = orbit.step(cut, 0.01, xs, 0.01)
+    assert depth.tolist() == [0, -1, -1, 0]
+    assert np.isnan(x_next).tolist() == [False, True, True, False]
+    clone = pickle.loads(pickle.dumps(table_fam))
+    assert clone.value_deriv.__self__ is clone.deriv
+    for a, b in zip(clone.value_deriv(0.01, xs), table_fam.value_deriv(0.01, xs)):
+        assert_same_bytes(a, b)
 
 
 def _probe_points(fam):

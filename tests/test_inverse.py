@@ -1,7 +1,8 @@
 """Branch inverses: the fixture's closed form, the tabulated family's
 spline and end-piece inverse and the hand-built family's closed form
-against bisection of the branch values, and the spline inverse against
-30-digit roots."""
+against bisection of the branch values, the spline inverse against
+30-digit roots, and the one inverse callable of each family against the
+per-side inverses it replaced (`conftest.reference_invert_branch`)."""
 
 import dataclasses
 import functools
@@ -10,11 +11,18 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import bisection_family
+from conftest import (
+    TABLES,
+    assert_same_bytes,
+    bisection_family,
+    reference_invert_branch,
+    reference_side_inverses,
+    table_sides,
+)
 from rovella import hyperbolic as hyp
 from rovella import map_core as mc
 from rovella import measures as ms
-from rovella import numerics, orbit, tower
+from rovella import noise, numerics, orbit, tower
 from rovella.errors import DomainError, NotHyperbolic
 
 
@@ -217,16 +225,18 @@ class TestFastPathGuard:
         assert a < 0.3 < b
 
 
-def _exact_inverse(branch_inverse, t, y):
+def _exact_inverse(sides, t, y, side):
     """30-digit root of spline(x) + t (1 - spline(x)^2) = y on the spline
-    piece that holds the target, rounded to a double (mpmath, per row), from
-    the knots, coefficients and node values the branch's inverse keeps."""
+    piece of the row's branch that holds the target, rounded to a double
+    (mpmath, per row), from each branch's knots, coefficients and node
+    values (`sides`, as `table_sides` gives them)."""
     mp = pytest.importorskip("mpmath")
-    knots, c = branch_inverse.knots, branch_inverse.c
-    out = np.empty(np.shape(y))
+    out = np.empty(np.broadcast(t, y, side).shape)
     with mp.workdps(30):
-        nodes = [mp.mpf(v) for v in branch_inverse.nodes]
-        for k, (tk, yk) in enumerate(np.broadcast(t, y)):
+        nodes_mp = [[mp.mpf(v) for v in nodes] for _, _, nodes, *_ in sides]
+        for k, (tk, yk, sk) in enumerate(np.broadcast(t, y, side)):
+            knots, c = sides[int(sk > 0)][:2]
+            nodes = nodes_mp[int(sk > 0)]
             tm, ym = mp.mpf(tk), mp.mpf(yk)
             p = 2 * (ym - tm) / (1 + mp.sqrt(1 - 4 * tm * (ym - tm)))
             i = min(max(int(np.searchsorted(nodes, p, side="right")) - 1, 0), knots.size - 2)
@@ -244,12 +254,8 @@ def _exact_inverse(branch_inverse, t, y):
 
 
 def _with_exact_inverse(fam):
-    """`fam` with each spline inverse replaced by `_exact_inverse`."""
-    return dataclasses.replace(
-        fam,
-        inverse_pos=functools.partial(_exact_inverse, fam.inverse_pos),
-        inverse_neg=functools.partial(_exact_inverse, fam.inverse_neg),
-    )
+    """`fam` with its spline inverse replaced by `_exact_inverse`."""
+    return dataclasses.replace(fam, inverse=functools.partial(_exact_inverse, table_sides(fam)))
 
 
 class TestTableInverse:
@@ -275,7 +281,7 @@ class TestTableInverse:
             exact = mc.invert_branch(exact_fam, t, ys, side)
             # 2 ulp, plus a few roundings of the cubic's rise from its left
             # knot over the slope, which dominate where the branch is flat.
-            knots = (table_fam.inverse_pos if side > 0 else table_fam.inverse_neg).knots
+            knots = table_sides(table_fam)[int(side > 0)][0]
             piece = np.clip(np.searchsorted(knots, exact, side="right") - 1, 0, knots.size - 2)
             value = mc.evaluate
             rise = np.abs(value(table_fam, t, exact) - value(table_fam, t, knots[piece]))
@@ -333,6 +339,11 @@ class TestTableInverse:
             batch = mc.invert_branch(table_fam, -0.1, ys, side)
             alone = [mc.invert_branch(table_fam, -0.1, y, side) for y in ys]
             assert batch.tobytes() == np.array(alone).tobytes()
+        # Both sides in one batch, as the Ulam build and pullbacks invert.
+        sides = np.where(np.arange(ys.size) % 3 == 0, 1.0, -1.0)
+        mixed = mc.invert_branch(table_fam, -0.1, ys, sides)
+        alone = [mc.invert_branch(table_fam, -0.1, y, side) for y, side in zip(ys, sides)]
+        assert mixed.tobytes() == np.array(alone).tobytes()
 
     def test_pickle_round_trip_inverts_identically(self, table_fam):
         clone = pickle.loads(pickle.dumps(table_fam))
@@ -341,3 +352,71 @@ class TestTableInverse:
         for t in (-0.1, 0.03):
             fast = mc.invert_branch(table_fam, t, ys, sides)
             assert mc.invert_branch(clone, t, ys, sides).tobytes() == fast.tobytes()
+
+
+@pytest.fixture(params=["fixture_2", "fixture_2.5", "fixture_3", "table_fam", *TABLES, "fam_lin"])
+def any_family(request):
+    """Fixtures s = 2, 2.5 and 3, the `any_table` tables and the doubling
+    family."""
+    name = request.param
+    if name.startswith("fixture_"):
+        return mc.fixture_family(s=float(name.split("_")[1]))
+    if name in TABLES:
+        return TABLES[name]()
+    return request.getfixturevalue(name)
+
+
+SPECIAL_Y = np.array([
+    np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 40.0, -40.0,
+    1.0 - 1e-12, -1.0 + 1e-12, 1.0 + 1e-12, -1.0 - 1e-12,
+])
+
+
+def _targets(fam):
+    """Targets across and past both branch images: uniform, the special
+    values, and each image end at t = 0 with its neighbours."""
+    ends = fam.value(0.0, np.array([-1.0, -1e-300, 1e-300, 1.0]))
+    ends = np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
+    rng = np.random.default_rng(11)
+    return np.concatenate([rng.uniform(-1.3, 1.3, 2000), np.linspace(-1.0, 1.0, 257), ends, SPECIAL_Y])
+
+
+class TestOneInverse:
+    """`MapFamily.inverse` inverts both sides in one call, with the bytes of
+    the per-side inverses and the gather and scatter it replaced."""
+
+    def test_matches_per_side_reference(self, any_family):
+        fam = any_family
+        pos, neg = reference_side_inverses(fam)
+        ys = _targets(fam)
+        rng = np.random.default_rng(12)
+        side_rows = np.where(rng.random(ys.size) < 0.5, 1.0, -1.0)
+        t_rows = rng.uniform(-fam.eps_max, fam.eps_max, ys.size)
+        for t in (0.0, 0.0371, -fam.eps_max, t_rows):
+            for side in (side_rows, side_rows.astype(np.int8), 1.0, -1.0):
+                got = mc.invert_branch(fam, t, ys, side)
+                assert_same_bytes(got, reference_invert_branch(pos, neg, t, ys, side))
+
+    def test_zero_d_matches_per_side_reference(self, any_family):
+        fam = any_family
+        pos, neg = reference_side_inverses(fam)
+        for y in np.concatenate([SPECIAL_Y, [0.3, -0.6]]):
+            for side in (1.0, -1.0, np.array(1), np.array(-1)):
+                got = mc.invert_branch(fam, 0.0371, np.float64(y), side)
+                assert np.ndim(got) == 0
+                assert_same_bytes(got, reference_invert_branch(pos, neg, 0.0371, np.float64(y), side))
+
+    def test_pull_back_matches_per_side_reference(self, any_family):
+        """Itineraries per row (int8, as the tower scans them) and shared."""
+        fam = any_family
+        pos, neg = reference_side_inverses(fam)
+        k, rows = 6, 300
+        t_path = noise.stream(3, fam.eps_max).values(0, k)
+        rng = np.random.default_rng(13)
+        ys = rng.uniform(-1.0, 1.0, rows)
+        per_row = np.where(rng.random((rows, k)) < 0.5, 1, -1).astype(np.int8)
+        for sides in (per_row, per_row[0].astype(float)):
+            want = ys
+            for j in range(k - 1, -1, -1):
+                want = reference_invert_branch(pos, neg, float(t_path[j]), want, sides[..., j])
+            assert_same_bytes(orbit.pull_back(fam, t_path, sides, ys), want)

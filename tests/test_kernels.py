@@ -183,6 +183,12 @@ class TestAllocation:
         _, x, t = rows
         assert self.peak_ratio(lambda: orbit.step(fam, t, x, 0.01), x.nbytes) < 4.5
 
+    def test_table_step(self, table_fam, rows):
+        """The one-lookup step peaks where the separate derivative call did:
+        14.0 (its eight coefficient rows, the powers of h and the sums)."""
+        _, x, t = rows
+        assert self.peak_ratio(lambda: orbit.step(table_fam, t, x, 0.01), x.nbytes) < 14.01
+
     def test_keyed_draws(self, rows):
         keys, x, _ = rows
         assert self.peak_ratio(lambda: noise.keyed_draws(keys, 0.01, 5), x.nbytes) < 2.5
@@ -221,13 +227,14 @@ class TestUlamSweep:
         64-cell grid; the stub inverse puts it one ulp below. The sliver
         [0.5 - 2^-54, 0.5] lies in cell 47 and maps into image cell 32. Its
         midpoint rounds to 0.5, so the old build filed it in cell 48."""
-        inv = fam_lin.inverse_pos
+        inv = fam_lin.inverse
 
-        def planted(t, y):
-            x = inv(t, y)
-            return np.where(np.asarray(y) == 0.0, np.nextafter(x, 0.0), x)
+        def planted(t, y, side):
+            x = inv(t, y, side)
+            cut = (np.asarray(y) == 0.0) & (np.asarray(side) > 0)
+            return np.where(cut, np.nextafter(x, 0.0), x)
 
-        stub = dataclasses.replace(fam_lin, inverse_pos=planted)
+        stub = dataclasses.replace(fam_lin, inverse=planted)
         grid = measures.UniformGrid(64)
         assert grid.edges[48] == 0.5
         mat = measures.ulam_row_operator(stub, 0.0, grid)
@@ -265,14 +272,15 @@ class TestUlamInvariants:
         old build cut at the preimage of -1 too, which shifted the negative
         branch's columns up by one, and it clipped the top column back."""
 
-        def inverse(sign):
-            lo, hi = (0.0, 1.0) if sign > 0 else (-1.0, 0.0)
-            return lambda t, y: np.clip((np.asarray(y) + sign) / 2.5, lo, hi)
+        def inverse(t, y, side):
+            side = np.asarray(side)
+            root = (np.asarray(y) + side) / 2.5
+            return np.where(side > 0, np.clip(root, 0.0, 1.0), np.clip(root, -1.0, 0.0))
 
         wide = dataclasses.replace(
             fam_lin,
             value=lambda t, x: 2.5 * np.asarray(x) - np.where(np.asarray(x) > 0, 1.0, -1.0),
-            inverse_pos=inverse(1.0), inverse_neg=inverse(-1.0),
+            inverse=inverse,
         )
         grid = measures.UniformGrid(64)
         mat = measures.ulam_row_operator(wide, 0.0, grid)
