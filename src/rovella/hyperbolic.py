@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BranchStraddle, DeltaTooLarge, NotHyperbolic, ParamError, SingularHit
-from .map_core import MapFamily, critical_neighborhoods, unperturbed_orbit
+from .map_core import MapFamily, critical_neighborhoods, in_punctured_interval, unperturbed_orbit
 from .noise import NoiseStream, ensemble_keys, ensemble_noise, keyed_draws
-from .orbit import OrbitTrace, iterate, pull_back, start_points, step
+from .orbit import OrbitTrace, _depths, iterate, pull_back, start_points, step
 
 
 # -- combinatorics -----------------------------------------------------------
@@ -76,9 +76,7 @@ class HyperbolicConfig:
 
     def in_base(self, x) -> np.ndarray:
         """Membership in the critical preimage neighborhood at delta0 / 2."""
-        x = np.asarray(x)
-        out = ((x > 0) & (x <= self.base_pos)) | ((x < 0) & (x >= self.base_neg))
-        return bool(out) if np.ndim(out) == 0 else out
+        return in_punctured_interval(x, self.base_neg, self.base_pos)
 
 
 def fit_expansion_rate(
@@ -100,7 +98,7 @@ def fit_expansion_rate(
     downstream constants hold for essentially all events. Each orbit is
     stepped, with its noise drawn per step, only until its first entry, its
     death or step n_cap, so the cost is the number of steps to those events
-    rather than samples * n_cap.
+    rather than samples * n_cap. A step takes log DT and no return depths.
     """
     outer = critical_neighborhoods(family, 0.0, 2.0 * delta)
     keys = ensemble_keys(master_seed, samples)
@@ -110,8 +108,8 @@ def fit_expansion_rate(
     for n in range(1, n_cap + 1):
         if keys.size == 0:
             break
-        x, _, log_dt = step(family, keyed_draws(keys, eps, n - 1), x, delta)
-        log_der = log_der + log_dt
+        x, dt, _ = step(family, keyed_draws(keys, eps, n - 1), x)
+        log_der += np.log(dt, out=dt)
         entered = outer.contains(x)
         if n >= n_min:
             rates.append(log_der[entered] / n)
@@ -316,8 +314,8 @@ def binding_period_check(
         m1 = np.abs(v_pts[j]) - 2.0 * np.abs(y - v_pts[j])
         if not m1.min() >= 0:
             return BindingReport(False, sample, n_steps, (int(m1.argmin()), j, "shadow"), float(m1.min()))
-        y, _, log_dt = step(family, ts[:, j], y, 1.0)  # depths unused
-        logd = logd + log_dt
+        y, dt, _ = step(family, ts[:, j], y)
+        logd += np.log(dt, out=dt)
         ratio = logd - v_logd[j + 1]
         m2 = 1.0 - np.abs(ratio)
         if not m2.min() >= 0:
@@ -520,8 +518,8 @@ def markov_neighborhood(
         if np.sign(ys[0]) != math.copysign(1.0, pts[k]):
             single = False
         dist_total += distortion_estimate(family, t_path[k], float(ys.min()), float(ys.max()))
-        ys, _, log_dt = step(family, t_path[k], ys, cfg.delta)
-        cum_logs.append(cum_logs[-1] + log_dt)
+        ys, dt, _ = step(family, t_path[k], ys)
+        cum_logs.append(cum_logs[-1] + np.log(dt, out=dt))
         if not np.all(np.diff(ys) > 0):
             monotone = False
     total = cum_logs[-1]
@@ -584,8 +582,10 @@ def _tail_chunk(
 
     The orbits are streamed: noise is drawn one step at a time and each row
     keeps only its point, the carried hyperbolic-time reduction, its depth
-    sum and its first hyperbolic time and return. Bad-set flags are kept per
-    step, because an orbit that dies later leaves every count.
+    sum and its first hyperbolic time and return. A step takes return depths
+    and no log DT, and tests base membership only on the rows that are
+    hyperbolic at that step and have no first return yet. Bad-set flags are
+    kept per step, because an orbit that dies later leaves every count.
     """
     keys = ensemble_keys(master_seed, index_hi - index_lo, index_lo)
     x = start_points(keys, eps)
@@ -596,10 +596,14 @@ def _tail_chunk(
     first_ret = np.full(rows, n_max)
     bad = np.empty((n_max, rows), dtype=bool)  # one contiguous row a step
     for k in range(n_max):
-        x, depth, _ = step(family, keyed_draws(keys, eps, k), x, cfg.delta)
+        x, dt, prod = step(family, keyed_draws(keys, eps, k), x)
+        depth = _depths(prod, cfg.delta)
+        del dt, prod  # freed before the bookkeeping and the next step
         hyp = _hyperbolic_flags(depth[:, None], cfg.c_prime, state)[:, 0]  # time k + 1
         first_h[hyp & (first_h > k)] = k
-        first_ret[hyp & cfg.in_base(x) & (first_ret > k)] = k
+        # Base membership only where it can set a first return.
+        open_rows = np.flatnonzero(hyp & (first_ret > k))
+        first_ret[open_rows[cfg.in_base(x[open_rows])]] = k
         depth_sum += depth
         np.greater_equal(depth_sum, cfg.c * (k + 1), out=bad[k])
     alive = ~np.isnan(x)

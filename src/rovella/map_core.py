@@ -55,7 +55,9 @@ class MapFamily:
 
     `value_deriv` (t, x) -> (value(t, x), deriv(t, x)) is set from `value`
     and `deriv`: a table family's own pair (`_TableFn`) looks up each piece
-    once for both, any other pair is called one after the other.
+    once for both, the fixture's (`_FixtureBranchFn` of one s) forms the
+    side, |x| and 2 - |t| once for both, and any other pair is called one
+    after the other.
 
     Immutable after construction; all operations are pure functions of their
     arguments, so instances are safe to share across worker threads.
@@ -80,10 +82,15 @@ class MapFamily:
         if not (0 < self.k1 <= self.k2):
             raise ValueError("need 0 < k1 <= k2")
         value, deriv = self.value, self.deriv
-        fused = (
+        table_pair = (
             isinstance(value, _TableFn) and isinstance(deriv, _TableFn)
-            and value.kind == 0 and deriv.kind == 1 and value.table is deriv.table
+            and value.table is deriv.table
         )
+        fixture_pair = (
+            isinstance(value, _FixtureBranchFn) and isinstance(deriv, _FixtureBranchFn)
+            and value.s == deriv.s
+        )
+        fused = (table_pair or fixture_pair) and value.kind == 0 and deriv.kind == 1
         pair = deriv.value_deriv if fused else _TwoCalls(value, deriv)
         object.__setattr__(self, "value_deriv", pair)
 
@@ -128,25 +135,49 @@ class _FixtureBranchFn:
             if self.kind == 1:
                 return amp * self.s * np.power(ax, self.s - 1.0)
             return sign * amp * self.s * (self.s - 1.0) * np.power(ax, self.s - 2.0)
-        # The 0-d formulas, reordered only where multiplication commutes.
-        sign = (x > 0).view(np.int8)
-        sign *= 2
-        sign -= 1
-        out = np.multiply(sign, x)
+        sign, out = _side_and_abs(x)
         np.power(out, self.s - self.kind, out=out)
-        if self.kind == 0:
+        return self._scaled(self.kind, amp, sign, out)
+
+    def value_deriv(self, t: ArrayLike, x: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
+        """(T_t(x), DT_t(x)) on a kind 1 callable: the bytes of the kind 0 and
+        kind 1 calls, with the side, |x| and 2 - |t| formed once for both."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            return _FixtureBranchFn(self.s, 0)(t, x), self(t, x)
+        amp = 2.0 - np.abs(t)
+        sign, ax = _side_and_abs(x)
+        value = self._scaled(0, amp, sign, np.power(ax, self.s))
+        np.power(ax, self.s - 1.0, out=ax)
+        return value, self._scaled(1, amp, sign, ax)
+
+    def _scaled(self, kind: int, amp: ArrayLike, sign: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The kind's array output from out = |x|^(s - kind), in place (the
+        0-d formulas, reordered only where multiplication commutes). amp =
+        2 - |t| is fresh; kinds 1 and 2 scale it in place, so a caller that
+        needs it unscaled takes kind 0 first."""
+        if kind == 0:
             out *= amp
             out -= 1.0
             out *= sign
             return np.clip(out, -1.0, 1.0, out=out)
-        amp *= self.s  # amp is fresh: 2.0 - |t| allocates it
-        if self.kind == 1:
+        amp *= self.s
+        if kind == 1:
             out *= amp
             return out
         amp *= self.s - 1.0
         out *= amp
         out *= sign
         return out
+
+
+def _side_and_abs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The side of each x as int8 +-1 (x > 0 positive, as in `MapFamily`)
+    and side * x, a fresh float64 array: |x| but for the sign of a zero."""
+    sign = (x > 0).view(np.int8)
+    sign *= 2
+    sign -= 1
+    return sign, np.multiply(sign, x)
 
 
 @dataclass(frozen=True)
@@ -592,9 +623,16 @@ class CriticalNeighborhoods:
         return self.pos_hi - self.neg_lo
 
     def contains(self, x: ArrayLike) -> ArrayLike:
-        x = np.asarray(x)
-        out = ((x > 0) & (x <= self.pos_hi)) | ((x < 0) & (x >= self.neg_lo))
-        return bool(out) if np.ndim(out) == 0 else out
+        return in_punctured_interval(x, self.neg_lo, self.pos_hi)
+
+
+def in_punctured_interval(x: ArrayLike, lo: float, hi: float) -> ArrayLike:
+    """Membership of x in [lo, 0) or (0, hi]: the two components of a
+    critical preimage neighborhood. 0, -0 and NaN are outside; a bool for
+    0-d x, a boolean array otherwise."""
+    x = np.asarray(x)
+    out = ((x > 0) & (x <= hi)) | ((x < 0) & (x >= lo))
+    return bool(out) if np.ndim(out) == 0 else out
 
 
 def critical_neighborhoods(

@@ -95,40 +95,39 @@ def return_depths_array(
     return _depths(family.deriv(t, x) * np.abs(x), delta)
 
 
-def _dead_at_zero(y: np.ndarray) -> np.ndarray:
-    """y with every image that rounds to 0 (a dead row) set to NaN, in place."""
+def step_values(family: MapFamily, t: ArrayLike, x: np.ndarray) -> np.ndarray:
+    """T_t applied to an array of rows. A row whose image rounds to 0 is
+    dead: it becomes NaN and stays NaN from then on."""
+    y = family.value(t, x)
     y[y == 0.0] = np.nan
     return y
 
 
-def step_values(family: MapFamily, t: ArrayLike, x: np.ndarray) -> np.ndarray:
-    """T_t applied to an array of rows. A row whose image rounds to 0 is
-    dead: it becomes NaN and stays NaN from then on."""
-    return _dead_at_zero(family.value(t, x))
-
-
 def step(
-    family: MapFamily, t: ArrayLike, x: np.ndarray, delta: float
+    family: MapFamily, t: ArrayLike, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One orbit step for an array of rows: (x_next, depth, log_dt).
+    """One orbit step for an array of rows: (x_next, dt, prod).
 
-    x_next = T_t(x), and depth (the return depth at x) and log_dt =
-    log DT_t(x) come from the same DT_t(x): one `MapFamily.value_deriv`
-    call. Besides the rows `step_values` kills (image exactly 0), a row
-    where DT_t(x) * |x| is not a positive finite number (depth -1) is dead
-    too. A dead row's x_next and log_dt are NaN, so cocycle sums carry the
-    mark.
+    x_next = T_t(x) and dt = DT_t(x) come from one `MapFamily.value_deriv`
+    call, and prod = DT_t(x) * |x| is the product whose `_depths` is the
+    return depth at x. A row is dead when its image is 0 or NaN, or when
+    prod is not a positive finite number (depth -1); a dead row's x_next
+    and dt are NaN, so `np.log(dt)` is its log DT with the mark that
+    cocycle sums carry. prod is left as computed: a row whose image rounds
+    to 0 keeps the finite depth of x. Callers take only what they read:
+    `_depths(prod, delta)` for depths, `np.log(dt, out=dt)` for the
+    cocycle (every array is fresh).
     """
     x_next, dt = family.value_deriv(t, x)
     prod = np.abs(x)
     prod *= dt
-    depth = _depths(prod, delta)
-    _dead_at_zero(x_next)
-    x_next[depth < 0] = np.nan
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_dt = np.log(dt, out=dt)  # dt is fresh (see `MapFamily`)
-    log_dt[np.isnan(x_next)] = np.nan
-    return x_next, depth, log_dt
+    live = prod > 0
+    live &= prod < np.inf
+    live &= (x_next > 0) | (x_next < 0)
+    dead = np.logical_not(live, out=live)
+    x_next[dead] = np.nan
+    dt[dead] = np.nan
+    return x_next, dt, prod
 
 
 def iterate(
@@ -377,7 +376,8 @@ def ensemble_orbits(
 
     Starting points default to `ensemble_start`. Orbits that die (round onto
     the singularity, or reach a point where DT * |x| is not positive) are
-    masked: NaN from their death on, and counted in `singular_hits`.
+    masked: NaN from their death on, and counted in `singular_hits`. Each
+    step takes both the return depths and log DT.
     """
     x, ts = ensemble_start(master_seed, eps, samples, n)
     if x0 is not None:
@@ -393,8 +393,9 @@ def ensemble_orbits(
     for k in range(n):
         if keep_points:
             points[:, k] = x
-        x, depths[:, k], log_dt = step(family, ts[:, k], x, delta)
-        log_der[:, k + 1] = log_der[:, k] + log_dt
+        x, dt, prod = step(family, ts[:, k], x)
+        depths[:, k] = _depths(prod, delta)
+        np.add(log_der[:, k], np.log(dt, out=dt), out=log_der[:, k + 1])
     if keep_points:
         points[:, n] = x
     return EnsembleOrbits(

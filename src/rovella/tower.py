@@ -25,7 +25,7 @@ from .hyperbolic import HyperbolicConfig, _hyperbolic_flags
 from .map_core import ArrayLike, MapFamily
 from .noise import NoiseStream, shift as shift_stream
 from .numerics import linear_fit
-from .orbit import pull_back, step, step_values
+from .orbit import _depths, pull_back, step, step_values
 
 BOUNDARY_MARGIN = 1e-9
 MARKOV_TOL = 1e-10
@@ -166,7 +166,8 @@ def _candidate_scan(
     depths = np.empty((count, n_max), dtype=np.int64)
     for k in range(n_max):
         signs[:, k] = np.where(x > 0, 1, -1)
-        x, depths[:, k], _ = step(family, t_path[k], x, cfg.delta)
+        x, _, prod = step(family, t_path[k], x)
+        depths[:, k] = _depths(prod, cfg.delta)
         in_base[:, k] = np.abs(x) < radius
     alive = ~np.isnan(x)
     candidate = _hyperbolic_flags(depths, cfg.c_prime) & in_base & alive[:, None]
@@ -673,7 +674,8 @@ def certify_axioms(
     for k, t in enumerate(t_path):
         live = np.flatnonzero(tau > k)
         rows = np.concatenate([live, live + n])
-        images[rows], _, log_dt = step(fam, t, images[rows], cfg.delta)
+        images[rows], dt, _ = step(fam, t, images[rows])
+        log_dt = np.log(dt, out=dt)
         logd[live] += log_dt[: live.size] - log_dt[live.size :]
     # A dead pair is NaN, lands in no element and so is censored.
     sep_img, exact = _separation_times(cache, images[:n], images[n:], tau, max_returns=3)

@@ -150,8 +150,15 @@ def _assert_pair_matches_parts(fam):
 def test_value_deriv_matches_parts(family, request):
     if family == "fam_lin":
         _assert_pair_matches_parts(request.getfixturevalue(family))
-    else:
-        _assert_pair_matches_parts(mc.fixture_family(s=family, eps_max=0.1))
+        return
+    fam = mc.fixture_family(s=family, eps_max=0.1)
+    assert fam.value_deriv.__self__ is fam.deriv  # the fixture's own pair
+    _assert_pair_matches_parts(fam)
+    # Another derivative, of another s or of no fixture kind, is called on its own.
+    for other in (mc.fixture_family(s=family + 1.0).deriv, lambda t, x: fam.deriv(t, x)):
+        mixed = dataclasses.replace(fam, deriv=other)
+        assert isinstance(mixed.value_deriv, mc._TwoCalls)
+        _assert_pair_matches_parts(mixed)
 
 
 def test_table_value_deriv_matches_parts(any_table):
@@ -172,7 +179,7 @@ def test_table_step_looks_up_pieces_once(table_fam, monkeypatch):
     x, ts = orbit.ensemble_start(1, 0.01, 500, 5)
     for k in range(5):
         sizes.clear()
-        x, _, _ = orbit.step(table_fam, ts[:, k], x, 0.01)
+        x, _, _ = orbit.step(table_fam, ts[:, k], x)
         assert sizes == [500]
 
 
@@ -186,8 +193,8 @@ def test_value_deriv_follows_the_callables(table_fam):
 
     cut = dataclasses.replace(table_fam, deriv=flat)
     xs = np.array([-0.5, -0.1, 0.1, 0.5])
-    x_next, depth, _ = orbit.step(cut, 0.01, xs, 0.01)
-    assert depth.tolist() == [0, -1, -1, 0]
+    x_next, _, prod = orbit.step(cut, 0.01, xs)
+    assert orbit._depths(prod, 0.01).tolist() == [0, -1, -1, 0]
     assert np.isnan(x_next).tolist() == [False, True, True, False]
     clone = pickle.loads(pickle.dumps(table_fam))
     assert clone.value_deriv.__self__ is clone.deriv

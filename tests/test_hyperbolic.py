@@ -262,9 +262,9 @@ class TestExpansionFit:
         rows = []
         real_step = hyp.step
 
-        def counting_step(family, t, x, dlt):
+        def counting_step(family, t, x):
             rows.append(x.size)
-            return real_step(family, t, x, dlt)
+            return real_step(family, t, x)
 
         monkeypatch.setattr(hyp, "step", counting_step)
         hyp.fit_expansion_rate(fam, 1, 0.01, delta, samples=4000, n_cap=n_cap)
@@ -457,3 +457,29 @@ class TestTailStatistics:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+def test_depths_only_where_read(fam, hyp_cfg, noisy_stream, quiet_stream, monkeypatch):
+    """Work-count guard: the callers of `orbit.step` that read log DT alone
+    take no return depths, and the tail chunk, which reads depths alone,
+    takes one `_depths` call a step. `markov_neighborhood` reads the depths
+    of its trace: one call, from `orbit.iterate`, for its n + 1 points."""
+    calls = []
+    real_depths = orbit._depths
+
+    def counting_depths(prod, delta):
+        calls.append(prod.size)
+        return real_depths(prod, delta)
+
+    for module in (orbit, hyp):
+        monkeypatch.setattr(module, "_depths", counting_depths)
+    hyp.fit_expansion_rate(fam, 1, 0.01, 0.01)
+    n_steps, w = hyp.binding_window(fam, 0.9, 1e-6)
+    assert n_steps >= 1
+    assert hyp.binding_period_check(fam, noisy_stream, 0.9, 1e-6, n_steps, math.e * w).passed
+    assert calls == []
+    hyp.markov_neighborhood(fam, quiet_stream, 0.9, 3, hyp_cfg)
+    assert calls == [4]
+    calls.clear()
+    hyp.tail_statistics(fam, 1, 0.01, hyp_cfg, samples=300, n_max=20)
+    assert calls == [300] * 20

@@ -1,6 +1,7 @@
 """The array kernels of one orbit step and the Ulam operator build:
 byte-equal to reference copies of their earlier forms (tests/conftest.py),
-and lean in allocation.
+and lean in allocation. `orbit.step` leaves the return depth and log DT to
+its callers; `step_outputs` takes both as `ensemble_orbits` does.
 
 Each step kernel allocates one fresh float64 array per output and works in
 place on arrays it allocated itself; the guard bounds each call's traced peak
@@ -33,6 +34,26 @@ SPECIAL_X = np.array([
     0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e-8, -1e-8, 0.3, -0.3,
     0.7071067811865476, -0.7071067811865476, 1.0, -1.0, np.nan, np.inf, -np.inf,
 ])
+
+
+def step_outputs(fam, t, x, delta):
+    """(x_next, depth, log_dt) of one `orbit.step`, with the depth and the
+    log taken at the caller."""
+    x_next, dt, prod = orbit.step(fam, t, x)
+    return x_next, orbit._depths(prod, delta), np.log(dt, out=dt)
+
+
+def step_families(family, request):
+    """(family, reference family) for a `STEP_FAMILIES` id: the reference
+    fixture formulas, or the table family itself."""
+    if family == "table_fam":
+        fam = request.getfixturevalue("table_fam")
+        return fam, fam
+    s = float(family.split("_")[1])
+    return map_core.fixture_family(s=s), reference_fixture_family(s)
+
+
+STEP_FAMILIES = ["fixture_2", "fixture_2.5", "fixture_3", "table_fam"]
 
 
 @pytest.mark.parametrize("s", [2.0, 2.5, 3.0])
@@ -86,7 +107,7 @@ class TestDepths:
     def test_step_keeps_a_subnormal_product_alive(self):
         """DT * |x| = 4e-320 at x = 1e-160 on the s = 2 fixture; the image
         -1 is finite, so the row lives on."""
-        x_next, depth, log_dt = orbit.step(map_core.fixture_family(), 0.0, np.array([1e-160, 0.3]), 0.01)
+        x_next, depth, log_dt = step_outputs(map_core.fixture_family(), 0.0, np.array([1e-160, 0.3]), 0.01)
         assert np.isfinite(x_next).all() and np.isfinite(log_dt).all()
         assert depth.tolist() == [731, 0]
 
@@ -124,32 +145,59 @@ class TestNoiseKernels:
         assert np.array_equal(s.values(start, 30), [s.get(start + k) for k in range(30)])
 
 
-@pytest.mark.parametrize("family", ["fixture_2", "fixture_2.5", "fixture_3", "table_fam"])
+@pytest.mark.parametrize("family", STEP_FAMILIES)
+def test_step_matches_reference_on_special_points(family, request):
+    """Signed zeros, subnormals, the ends and non-finite x, at a shared and
+    at a per-row t: the point, the depth (-1 where DT * |x| is not a
+    positive finite number) and log DT (NaN on every dead row)."""
+    fam, ref = step_families(family, request)
+    t_row = np.random.default_rng(2).uniform(-0.1, 0.1, SPECIAL_X.size)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for t in (0.0, 0.07, t_row):
+            got = step_outputs(fam, t, SPECIAL_X, 0.01)
+            for a, b in zip(got, reference_step(ref, t, SPECIAL_X, 0.01)):
+                assert_same_bytes(a, b)
+
+
+def test_step_kills_a_nan_image(fam):
+    """A hand-built value that is NaN where DT * |x| is positive: the row
+    is dead, its log DT NaN and its depth finite, as in the reference."""
+
+    def holed(t, x):
+        y = fam.value(t, x)
+        y[np.abs(x) < 0.2] = np.nan
+        return y
+
+    odd = dataclasses.replace(fam, value=holed)
+    xs = np.array([-0.5, -0.1, 0.1, 0.5])
+    got = step_outputs(odd, 0.01, xs, 0.01)
+    assert np.isnan(got[2]).tolist() == [False, True, True, False]
+    for a, b in zip(got, reference_step(odd, 0.01, xs, 0.01)):
+        assert_same_bytes(a, b)
+
+
+@pytest.mark.parametrize("family", STEP_FAMILIES)
 def test_step_matches_reference_on_dying_ensemble(family, request):
-    """All three outputs of every step. The ensemble has a fixture row whose
-    first image is exactly 0 and rows at +-0 and +-1e-300, which die at
-    step 0 where DT * |x| is 0."""
-    if family == "table_fam":
-        fam = ref = request.getfixturevalue("table_fam")
-        planted = map_core.fixture_family(s=2.0)  # the fixture the table copies
-    else:
-        s = float(family.split("_")[1])
-        fam, ref = map_core.fixture_family(s=s), reference_fixture_family(s)
-        planted = fam
+    """All three outputs of every step, at a t per row. The ensemble has a
+    fixture row whose first image is exactly 0, which keeps the finite depth
+    of its point while its image and log DT are NaN, and rows at +-0 and
+    +-1e-300, which die at step 0 where DT * |x| is 0."""
+    fam, ref = step_families(family, request)
+    planted = map_core.fixture_family(s=2.0) if fam is ref else fam  # the table copies s = 2
     n = 30
     samples, x0 = dying_ensemble(planted, 11, 0.01, n)
     x0 = np.concatenate([x0, [0.0, -0.0, 1e-300, -1e-300]])
     _, ts = orbit.ensemble_start(11, 0.01, x0.size, n)
     x = x_ref = x0
     for k in range(n):
-        x, depth, log_dt = orbit.step(fam, ts[:, k], x, 0.01)
+        x, depth, log_dt = step_outputs(fam, ts[:, k], x, 0.01)
         x_ref, depth_ref, log_dt_ref = reference_step(ref, ts[:, k], x_ref, 0.01)
         assert_same_bytes(x, x_ref)
         assert np.array_equal(depth, depth_ref)
         assert_same_bytes(log_dt, log_dt_ref)
+        if k == 0 and planted is fam:
+            assert np.isnan(x[samples - 1]) and depth[samples - 1] >= 0
     assert np.isnan(x[samples:]).all()
-    if planted is fam:
-        assert np.isnan(x[samples - 1])
 
 
 class TestAllocation:
@@ -181,13 +229,13 @@ class TestAllocation:
 
     def test_step(self, fam, rows):
         _, x, t = rows
-        assert self.peak_ratio(lambda: orbit.step(fam, t, x, 0.01), x.nbytes) < 4.5
+        assert self.peak_ratio(lambda: orbit.step(fam, t, x), x.nbytes) < 4.5
 
     def test_table_step(self, table_fam, rows):
         """The one-lookup step peaks where the separate derivative call did:
         14.0 (its eight coefficient rows, the powers of h and the sums)."""
         _, x, t = rows
-        assert self.peak_ratio(lambda: orbit.step(table_fam, t, x, 0.01), x.nbytes) < 14.01
+        assert self.peak_ratio(lambda: orbit.step(table_fam, t, x), x.nbytes) < 14.01
 
     def test_keyed_draws(self, rows):
         keys, x, _ = rows

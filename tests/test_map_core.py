@@ -126,6 +126,24 @@ class TestCriticalNeighborhoods:
         assert cn.contains(0.1) and cn.contains(-0.1)
         assert not cn.contains(0.3) and not cn.contains(0.0)
 
+    def test_membership_edges(self, fam, hyp_cfg):
+        """Both punctured-interval tests, the neighborhood's and the
+        hyperbolic base's, on the signed zeros, the least subnormals, NaN,
+        +-inf and each bound with one ulp outward; arrays and scalars."""
+        cn = mc.critical_neighborhoods(fam, 0.0, 0.1)
+        for test, lo, hi in (
+            (cn.contains, cn.neg_lo, cn.pos_hi),
+            (hyp_cfg.in_base, hyp_cfg.base_neg, hyp_cfg.base_pos),
+        ):
+            x = np.array([
+                0.0, -0.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf,
+                lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+            ])
+            want = [False, False, True, True, False, False, False, True, True, False, False]
+            assert test(x).tolist() == want
+            assert [test(v) for v in x.tolist()] == want
+            assert all(type(test(v)) is bool for v in x.tolist())
+
 
 @pytest.fixture(scope="module")
 def report(fam):

@@ -297,8 +297,8 @@ class TestStepKernel:
         # undefined (-1), not a cast NaN.
         xs = np.array([1e-200, -1e-200, 0.5])
         assert list(orbit.return_depths_array(fam, 0.0, xs, 0.01)) == [-1, -1, 0]
-        x_next, depth, log_dt = orbit.step(fam, 0.0, xs, 0.01)
-        assert np.isnan(x_next[:2]).all() and np.isnan(log_dt[:2]).all()
+        x_next, dt, _ = orbit.step(fam, 0.0, xs)
+        assert np.isnan(x_next[:2]).all() and np.isnan(dt[:2]).all()
         assert x_next[2] == mc.evaluate(fam, 0.0, 0.5)
         with pytest.raises(DomainError):
             orbit.return_depth(fam, 0.0, 1e-200, 0.01)
@@ -323,8 +323,8 @@ class TestStepKernel:
 
     def test_dead_rows_stay_dead(self, fam):
         x = np.array([np.nan, 0.3])
-        x_next, depth, log_dt = orbit.step(fam, 0.0, x, 0.01)
-        assert np.isnan(x_next[0]) and depth[0] == -1 and np.isnan(log_dt[0])
+        x_next, dt, prod = orbit.step(fam, 0.0, x)
+        assert np.isnan(x_next[0]) and orbit._depths(prod, 0.01)[0] == -1 and np.isnan(dt[0])
         assert np.isnan(orbit.step_values(fam, 0.0, x)[0])
 
 
