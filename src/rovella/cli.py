@@ -59,36 +59,52 @@ DEFAULT_CONFIG: dict = {
 def _merge(base: dict, extra: dict) -> dict:
     out = copy.deepcopy(base)
     for key, val in extra.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
+        if isinstance(out.get(key), dict):
+            if not isinstance(val, dict):
+                raise ValidationError(f"{key} must be a JSON object, got {json.dumps(val)}")
             out[key] = _merge(out[key], val)
         else:
             out[key] = val
     return out
 
 
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object in the file at `path`, described as `what` in errors."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"{what} {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} {path} must hold a JSON object, got {json.dumps(data)}")
+    return data
+
+
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path:
-        with open(path) as fh:
-            cfg = _merge(cfg, json.load(fh))
+        cfg = _merge(cfg, _read_json(path, "config"))
     if overrides:
         cfg = _merge(cfg, overrides)
     validate_config(cfg)
     return cfg
 
 
-def _number(chain: str, section: dict, key: str, default=None, integer=False, nullable=False):
-    """section[key], or `default` when absent, if it is a JSON number (an
-    integer where `integer`; null passes where `nullable`). A string, a
-    boolean or any other value violates `chain`."""
-    value = section.get(key, default)
+def _number(chain: str, section: dict, key: str, integer=False, nullable=False, at_least=None):
+    """section[key] if it is a finite JSON number (an integer where
+    `integer`; null passes where `nullable`), at least `at_least` where given.
+    A string, a boolean, NaN, an infinity or any other value violates `chain`."""
+    value = section.get(key)
     if value is None and nullable:
         return None
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+    number = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) < math.inf):
         kind = "an integer" if integer else "a number"
         raise ValidationError(
             f"{chain} chain violated: {key} must be {kind}, got {json.dumps(value)}"
         )
+    if at_least is not None and value < at_least:
+        raise ValidationError(f"{chain} chain violated: {key} >= {at_least} required")
     return value
 
 
@@ -101,8 +117,8 @@ def validate_config(cfg: dict) -> None:
     fam = cfg["family"]
     if fam["kind"] not in ("fixture", "table"):
         raise ValidationError(f"family.kind must be fixture or table, got {fam['kind']}")
-    eps_max = _number("family", fam, "eps_max", 0.1)
-    if fam["kind"] == "fixture" and not _number("family", fam, "s", 2.0) > 1:
+    eps_max = _number("family", fam, "eps_max")
+    if fam["kind"] == "fixture" and not _number("family", fam, "s") > 1:
         raise ValidationError("family chain violated: s > 1 required")
     if not eps_max > 0:
         raise ValidationError("family chain violated: eps_max > 0 required")
@@ -121,29 +137,30 @@ def validate_config(cfg: dict) -> None:
     if eps > eps_max:
         raise ValidationError("noise chain violated: eps <= family.eps_max required")
     hy = cfg["hyperbolic"]
-    if not _number("hyperbolic", hy, "delta") > 0:
-        raise ValidationError("hyperbolic chain violated: delta > 0 required")
-    if hy.get("delta0") is None or not _number("hyperbolic", hy, "delta0") > 0:
-        raise ValidationError("hyperbolic chain violated: delta0 > 0 required")
+    for key in ("delta", "delta0", "prefactor"):
+        if hy[key] is None or not _number("hyperbolic", hy, key) > 0:
+            raise ValidationError(f"hyperbolic chain violated: {key} > 0 required")
     c, cp = (_number("hyperbolic", hy, k, nullable=True) for k in ("c", "c_prime"))
     _number("hyperbolic", hy, "kappa", nullable=True)
-    _number("hyperbolic", hy, "prefactor", 1.0)
     if c is not None and cp is not None and not (0 < c < cp):
         raise ValidationError("hyperbolic chain violated: 0 < c < c_prime required")
     tw = cfg["tower"]
-    _number("tower", tw, "seed_grid", integer=True)
-    if not _number("tower", tw, "n_max", integer=True) >= 1:
-        raise ValidationError("tower chain violated: n_max >= 1 required")
+    _number("tower", tw, "seed_grid", integer=True, at_least=1)
+    _number("tower", tw, "n_max", integer=True, at_least=1)
     ms = cfg["measures"]
     for key in ("m_past", "n_max", "burn_in"):
-        _number("measures", ms, key, integer=True)
-    if _number("measures", ms, "grid_m", integer=True) < 16:
-        raise ValidationError("measures chain violated: grid_m >= 16 required")
-    for key in ("phi", "psi"):
-        if ms[key] not in measures.OBSERVABLES:
+        _number("measures", ms, key, integer=True, at_least=0)
+    _number("measures", ms, "grid_m", integer=True, at_least=16)
+    observables = sorted(measures.OBSERVABLES)
+    for key, choices in (
+        ("phi", observables),
+        ("psi", observables),
+        ("method", ["ulam", "monte_carlo"]),
+        ("direction", ["forward", "backward", "both"]),
+    ):
+        if ms[key] not in choices:
             raise ValidationError(
-                f"measures chain violated: unknown observable {ms[key]!r} "
-                f"(choose from {sorted(measures.OBSERVABLES)})"
+                f"measures chain violated: unknown {key} {ms[key]!r} (choose from {choices})"
             )
 
 
@@ -152,14 +169,14 @@ def _table_args(fam: dict) -> dict:
     pos, neg = fam["pos"], fam["neg"]
     return dict(
         pos_x=pos["x"], pos_y=pos["y"], neg_x=neg["x"], neg_y=neg["y"],
-        s=fam["s"], k1=fam["K1"], k2=fam["K2"], eps_max=fam.get("eps_max", 0.1),
+        s=fam["s"], k1=fam["K1"], k2=fam["K2"], eps_max=fam["eps_max"],
     )
 
 
 def resolve_family(cfg: dict) -> map_core.MapFamily:
     fam = cfg["family"]
     if fam["kind"] == "fixture":
-        return map_core.fixture_family(s=fam.get("s", 2.0), eps_max=fam.get("eps_max", 0.1))
+        return map_core.fixture_family(s=fam["s"], eps_max=fam["eps_max"])
     return map_core.table_family(**_table_args(fam))
 
 
@@ -171,10 +188,10 @@ def resolve_hyperbolic(cfg: dict, family: map_core.MapFamily) -> hyperbolic.Hype
         hy["delta"],
         hy["delta0"],
         master_seed=cfg["noise"]["seed"],
-        kappa=hy.get("kappa"),
-        c=hy.get("c"),
-        c_prime=hy.get("c_prime"),
-        prefactor=hy.get("prefactor", 1.0),
+        kappa=hy["kappa"],
+        c=hy["c"],
+        c_prime=hy["c_prime"],
+        prefactor=hy["prefactor"],
     )
 
 
@@ -185,6 +202,7 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
         writer.writerow(header)
@@ -194,6 +212,7 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 def write_json(path: Path, payload: dict) -> None:
     """Strict JSON: a non-finite float (inf, NaN) is written as null."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(_plain(payload), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
@@ -224,9 +243,13 @@ def config_hash(cfg: dict) -> str:
 
 
 def cmd_simulate_orbit(cfg: dict, args) -> tuple[list[str], int]:
+    n = _at_least(args, "n", 1)
+    x0 = getattr(args, "x0", None)
+    if isinstance(x0, bool) or not isinstance(x0, (int, float)) or not 0 < abs(x0) <= 1:
+        raise ValidationError(f"simulate-orbit --x0 must be nonzero in [-1, 1], got {json.dumps(x0)}")
     family = resolve_family(cfg)
     strm = noise.stream(cfg["noise"]["seed"], cfg["noise"]["eps"])
-    trace = orbit.iterate(family, strm, args.x0, args.n, cfg["hyperbolic"]["delta"])
+    trace = orbit.iterate(family, strm, x0, n, cfg["hyperbolic"]["delta"])
     rows = [
         (i, trace.points[i], trace.log_der[i], int(trace.depths[i]), int(trace.visits[i]))
         for i in range(len(trace) + 1)
@@ -263,6 +286,7 @@ def _tail_table(cfg: dict, args):
     Returns (resolved constants, table, output directory, exit code); the
     code is EXIT_NUMERIC when more than SINGULAR_EPIDEMIC of the orbits died.
     """
+    samples, n_max = _at_least(args, "samples", 1), _at_least(args, "n_max", 1)
     family = resolve_family(cfg)
     hcfg = resolve_hyperbolic(cfg, family)
     table = hyperbolic.tail_statistics(
@@ -270,8 +294,8 @@ def _tail_table(cfg: dict, args):
         cfg["noise"]["seed"],
         cfg["noise"]["eps"],
         hcfg,
-        samples=args.samples,
-        n_max=args.n_max,
+        samples=samples,
+        n_max=n_max,
         workers=args.workers,
     )
     simulated = table.total + table.singular_hits
@@ -431,10 +455,16 @@ def cmd_correlation(cfg: dict, args) -> tuple[list[str], int]:
 
 
 def cmd_fit(cfg: dict, args) -> tuple[list[str], int]:
-    with open(args.input) as fh:
-        reader = csv.DictReader(fh)
-        values = np.array([float(row[args.column]) for row in reader])
-    c, b, r2 = measures.fit_exponential(values, burn_in=args.burn_in)
+    burn_in = _at_least(args, "burn_in", 0)
+    try:
+        with open(args.input) as fh:
+            reader = csv.DictReader(fh)
+            values = np.array([float(row[args.column]) for row in reader])
+    except OSError as exc:
+        raise ValidationError(f"fit --input: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:  # no such column, or a non-number in it
+        raise ValidationError(f"fit --column {args.column!r} of {args.input}: {exc!r}") from None
+    c, b, r2 = measures.fit_exponential(values, burn_in=burn_in)
     out = Path(cfg["output"]["directory"]) / "fit.json"
     write_json(out, {"prefactor": c, "rate": b, "r_squared": r2, "column": args.column})
     return [out.name], EXIT_OK
@@ -454,6 +484,8 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line. A flag that overrides a config key has the dotted key
+    as its dest, shown as its metavar (`--grid MEASURES.GRID_M`)."""
     parser = argparse.ArgumentParser(
         prog="rovella",
         description="Random perturbations of contracting Lorenz maps: "
@@ -463,13 +495,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override noise.seed")
-        p.add_argument("--eps", type=float, default=None, help="override noise.eps")
-        p.add_argument("--delta", type=float, default=None, help="override hyperbolic.delta")
-        p.add_argument("--c", type=float, default=None, help="override hyperbolic.c")
-        p.add_argument("--c-prime", type=float, default=None, help="override hyperbolic.c_prime")
-        p.add_argument("--out", default=None, help="override output.directory")
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--seed", dest="noise.seed", type=int)
+        p.add_argument("--eps", dest="noise.eps", type=float)
+        p.add_argument("--delta", dest="hyperbolic.delta", type=float)
+        p.add_argument("--c", dest="hyperbolic.c", type=float)
+        p.add_argument("--c-prime", dest="hyperbolic.c_prime", type=float)
+        p.add_argument("--out", dest="output.directory")
         p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("simulate-orbit", help="one random orbit with bookkeeping")
@@ -487,16 +519,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         common(p)
         if name == "correlation":
-            p.add_argument("--phi", default=None)
-            p.add_argument("--psi", default=None)
-            p.add_argument("--n-max", type=int, default=None)
-            p.add_argument("--method", default=None, choices=["ulam", "monte_carlo"])
-            p.add_argument("--direction", default=None, choices=["forward", "backward", "both"])
+            for key in ("phi", "psi", "method", "direction"):
+                p.add_argument(f"--{key}", dest=f"measures.{key}")
+            p.add_argument("--n-max", dest="measures.n_max", type=int)
         if name == "density":
-            p.add_argument("--m-past", type=int, default=None)
-            p.add_argument("--grid", type=int, default=None)
+            p.add_argument("--m-past", dest="measures.m_past", type=int)
+            p.add_argument("--grid", dest="measures.grid_m", type=int)
         if name in ("build-partition", "certify-tower"):
-            p.add_argument("--n-max", type=int, default=None)
+            p.add_argument("--n-max", dest="tower.n_max", type=int)
 
     for name in ("hyperbolic-tails", "bad-set-tails"):
         p = sub.add_parser(name, help="ensemble survival tables and fits")
@@ -512,51 +542,55 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rerun", help="replay a subcommand from its manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--out", dest="output.directory")
+    p.add_argument("--workers", type=int)
     return parser
 
 
-def _overrides_from_args(args) -> dict:
+def _overrides(args: argparse.Namespace) -> dict:
+    """The config keys given as flags, as a nested dict."""
     out: dict = {}
-    if getattr(args, "seed", None) is not None:
-        out.setdefault("noise", {})["seed"] = args.seed
-    if getattr(args, "eps", None) is not None:
-        out.setdefault("noise", {})["eps"] = args.eps
-    if getattr(args, "delta", None) is not None:
-        out.setdefault("hyperbolic", {})["delta"] = args.delta
-    if getattr(args, "c", None) is not None:
-        out.setdefault("hyperbolic", {})["c"] = args.c
-    if getattr(args, "c_prime", None) is not None:
-        out.setdefault("hyperbolic", {})["c_prime"] = args.c_prime
-    if getattr(args, "out", None) is not None:
-        out.setdefault("output", {})["directory"] = args.out
-    if getattr(args, "n_max", None) is not None:
-        if args.command in ("build-partition", "certify-tower"):
-            out.setdefault("tower", {})["n_max"] = args.n_max
-        elif args.command == "correlation":
-            out.setdefault("measures", {})["n_max"] = args.n_max
-    for key in ("phi", "psi", "method", "direction"):
-        if getattr(args, key, None) is not None:
-            out.setdefault("measures", {})[key] = getattr(args, key)
-    if getattr(args, "m_past", None) is not None:
-        out.setdefault("measures", {})["m_past"] = args.m_past
-    if getattr(args, "grid", None) is not None:
-        out.setdefault("measures", {})["grid_m"] = args.grid
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, key = dest.split(".")
+            out.setdefault(section, {})[key] = value
     return out
 
 
-def _run(command: str, cfg: dict, args, workers: int) -> int:
-    out_dir = Path(cfg["output"]["directory"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _at_least(args: argparse.Namespace, name: str, low: int) -> int:
+    """Integer command argument `name`, at least `low`; a manifest's may be missing or mistyped."""
+    value = getattr(args, name, None)
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        flag = "--" + name.replace("_", "-")
+        raise ValidationError(
+            f"{args.command} {flag} must be at least {low}, got {json.dumps(value)}"
+        )
+    return value
+
+
+def _from_manifest(args: argparse.Namespace) -> tuple[dict, argparse.Namespace]:
+    """Config and command arguments recorded in a manifest, under the rerun's
+    flags; the config resolves like a config file, defaults included."""
+    manifest = _read_json(args.manifest, "manifest")
+    command, command_args = manifest.get("command"), manifest.get("command_args", {})
+    if not (command in list(COMMANDS) and isinstance(manifest.get("config"), dict)
+            and isinstance(command_args, dict)):
+        raise ValidationError(f"manifest {args.manifest} needs a config object, command_args "
+                              f"object and known command, got command {json.dumps(command)}")
+    cfg = load_config(None, _merge(manifest["config"], _overrides(args)))
+    workers = manifest.get("workers", 1) if args.workers is None else args.workers
+    return cfg, argparse.Namespace(**{**command_args, "command": command, "workers": workers})
+
+
+def _run(cfg: dict, args: argparse.Namespace) -> int:
     started = time.time()
-    artifacts, code = COMMANDS[command](cfg, args)
+    artifacts, code = COMMANDS[args.command](cfg, args)
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": cfg,
         "config_hash": config_hash(cfg),
         "seed": cfg["noise"]["seed"],
-        "workers": workers,
+        "workers": args.workers,
         "versions": {
             "rovella": __version__,
             "numpy": np.__version__,
@@ -568,62 +602,25 @@ def _run(command: str, cfg: dict, args, workers: int) -> int:
         "command_args": {
             k: v
             for k, v in vars(args).items()
-            if k not in ("config", "command", "func") and not k.startswith("_") and v is not None
+            if "." not in k and k not in ("config", "command") and v is not None
         },
     }
-    write_json(out_dir / f"manifest-{command}.json", manifest)
+    write_json(Path(cfg["output"]["directory"]) / f"manifest-{args.command}.json", manifest)
     return code
 
 
-class _ArgsShim:
-    """Arguments reconstructed from a manifest."""
-
-    def __init__(self, command: str, payload: dict) -> None:
-        self.command = command
-        for k, v in payload.items():
-            setattr(self, k.replace("-", "_"), v)
-
-    def __getattr__(self, name):
-        return None
-
-
-def _workers_ok(workers: int) -> bool:
-    if workers >= 1:
-        return True
-    print(f"error: workers must be at least 1, got {workers}", file=sys.stderr)
-    return False
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.command == "rerun":
-        with open(args.manifest) as fh:
-            manifest = json.load(fh)
-        cfg = manifest["config"]
-        if args.out is not None:
-            cfg = _merge(cfg, {"output": {"directory": args.out}})
-        workers = args.workers if args.workers is not None else manifest.get("workers", 1)
-        try:
-            validate_config(cfg)
-        except ValidationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        if not _workers_ok(workers):
-            return EXIT_VALIDATION
-        args = _ArgsShim(manifest["command"], manifest.get("command_args", {}))
-        args.workers = workers
-    else:
-        if not _workers_ok(args.workers):
-            return EXIT_VALIDATION
-        try:
-            cfg = load_config(args.config, _overrides_from_args(args))
-        except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+    args = build_parser().parse_args(argv)
     try:
-        return _run(args.command, cfg, args, args.workers)
+        if args.command == "rerun":
+            cfg, args = _from_manifest(args)
+        else:
+            cfg = load_config(args.config, _overrides(args))
+        _at_least(args, "workers", 1)
+        return _run(cfg, args)
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except RovellaError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

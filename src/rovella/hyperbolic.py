@@ -41,6 +41,8 @@ def pliss_times(a, c1: float, c2: float, big_a: float) -> list[int]:
 
 # -- configuration -----------------------------------------------------------
 
+ADMISSIBILITY_C = 1.5  # fixture-scale admissibility constant of the delta0 margins
+
 
 @dataclass(frozen=True)
 class HyperbolicConfig:
@@ -73,6 +75,10 @@ class HyperbolicConfig:
             raise ParamError(f"need 0 < c < c_prime, got c={self.c}, c_prime={self.c_prime}")
         if self.delta <= 0 or self.delta0 <= 0:
             raise ParamError("delta and delta0 must be positive")
+
+    def radius_cap(self, n: int) -> float:
+        """Largest radius of an expanding neighborhood at hyperbolic time n."""
+        return self.delta0 * math.exp(-self.lambda_prime * n / 2.0) / self.prefactor
 
     def in_base(self, x) -> np.ndarray:
         """Membership in the critical preimage neighborhood at delta0 / 2."""
@@ -141,14 +147,13 @@ def config_for_family(
     c: float | None = None,
     c_prime: float | None = None,
     prefactor: float = 1.0,
-    admissibility_c: float = 1.5,
 ) -> HyperbolicConfig:
     """Resolve a HyperbolicConfig, fitting kappa empirically when not given.
 
     Defaults: c = kappa / 4, c_prime = kappa / 2, delta0 = delta. The two
     delta0 smallness margins (the distortion-sum and step-gap constraints of
     the neighborhood construction) are recorded with the admissibility
-    constant supplied or its fixture-scale default.
+    constant ADMISSIBILITY_C.
     """
     if kappa is None:
         kappa = fit_expansion_rate(family, master_seed, eps, delta)
@@ -158,7 +163,7 @@ def config_for_family(
     delta0 = delta if delta0 is None else delta0
     base = critical_neighborhoods(family, 0.0, delta0 / 2.0)
     gap_rate = lambda_prime / 2.0 - c_prime
-    coeff = admissibility_c / prefactor * family.k2 * delta ** (-1.0 / family.s)
+    coeff = ADMISSIBILITY_C / prefactor * family.k2 * delta ** (-1.0 / family.s)
     margin_step = lambda_prime / 2.0 - coeff * delta0
     if gap_rate > 0:
         margin_sum = 1.0 / (coeff / (1.0 - math.exp(-gap_rate))) - delta0
@@ -432,8 +437,6 @@ def preferred_binding_period(
                 if best is None or (best.period is not None and m > best.period):
                     best = cand
                 break
-        else:
-            continue
     if best is None:
         return PreferredBinding(False, None, None, None, theta, {"reason": "cap exhausted"})
     return best
@@ -493,7 +496,7 @@ def markov_neighborhood(
         raise NotHyperbolic(f"{n} is not a hyperbolic time for this orbit")
 
     pts = trace.points
-    radius = cfg.delta0 * math.exp(-cfg.lambda_prime * n / 2.0) / cfg.prefactor
+    radius = cfg.radius_cap(n)
     ball = np.array([pts[n] - cfg.delta0, pts[n] + cfg.delta0])
     t_path = stream.values(0, n)
     lo, hi = pull_back(family, t_path, np.sign(pts[:n]), ball).tolist()

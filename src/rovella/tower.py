@@ -206,13 +206,12 @@ def _level_elements(
     lo, hi = pull_back(
         family, t_path, np.vstack([sides, sides]), np.repeat([-radius, radius], len(sides))
     ).reshape(2, -1)
-    radius_cap = cfg.delta0 * math.exp(-cfg.lambda_prime * k / 2.0) / cfg.prefactor
     same_side = (np.sign(lo) == np.sign(hi)) & (lo != 0.0) & (hi != 0.0) & (lo < hi)
     inside = (
         (lo >= -radius + BOUNDARY_MARGIN)
         & (hi <= radius - BOUNDARY_MARGIN)
         & ((lo > BOUNDARY_MARGIN) | (hi < -BOUNDARY_MARGIN))
-        & ((hi - lo) <= radius_cap)
+        & ((hi - lo) <= cfg.radius_cap(k))
     )
     ok = same_side & inside
     # Forward residual of both endpoints.

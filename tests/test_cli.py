@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +35,15 @@ def table_config(**changes):
 
 def _nodes(x, y):
     return {"x": list(x), "y": list(y)}
+
+
+ORBIT = ["simulate-orbit", "--x0", "0.4", "--n", "5"]
+TAILS = ["hyperbolic-tails", "--samples", "200", "--n-max", "10"]
+
+
+def _in(tmp_path, text):
+    """`text` with each @name replaced by the path of `name` in tmp_path."""
+    return re.sub(r"@([\w.]+)", lambda m: str(tmp_path / m.group(1)), text)
 
 
 class TestValidation:
@@ -162,6 +173,60 @@ class TestValidation:
         assert run(redo) == cli.EXIT_VALIDATION
         assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize("files, argv, message", [
+        ({}, ["rerun", "--manifest", "@absent.json"], "manifest @absent.json"),
+        ({"m.json": "{not json"}, ["rerun", "--manifest", "@m.json"], "manifest @m.json"),
+        ({"m.json": '{"command": "density"}'}, ["rerun", "--manifest", "@m.json"],
+         "manifest @m.json needs a config object"),
+        ({"m.json": '{"config": {}}'}, ["rerun", "--manifest", "@m.json"], "got command null"),
+        ({"m.json": '{"command": "nope", "config": {}}'}, ["rerun", "--manifest", "@m.json"],
+         'got command "nope"'),
+        ({"c.json": "[1, 2]"}, [*ORBIT, "--config", "@c.json"], "config @c.json must hold a JSON"),
+        ({"c.json": '{"noise": null}'}, [*ORBIT, "--config", "@c.json"],
+         "noise must be a JSON object, got null"),
+        ({}, [*ORBIT, "--eps", "nan"], "eps must be a number, got NaN"),
+        ({}, [*ORBIT, "--delta", "inf"], "delta must be a number, got Infinity"),
+        ({"c.json": '{"measures": {"n_max": -1}}'}, ["correlation", "--config", "@c.json"],
+         "measures chain violated: n_max >= 0 required"),
+        ({"c.json": '{"measures": {"m_past": -1}}'}, ["density", "--config", "@c.json"],
+         "measures chain violated: m_past >= 0 required"),
+        ({"c.json": '{"measures": {"burn_in": -1}}'}, ["correlation", "--config", "@c.json"],
+         "measures chain violated: burn_in >= 0 required"),
+        ({"c.json": '{"measures": {"method": "exact"}}'}, ["correlation", "--config", "@c.json"],
+         "unknown method 'exact'"),
+        ({}, ["correlation", "--direction", "sideways"], "unknown direction 'sideways'"),
+        ({"c.json": '{"tower": {"seed_grid": -1}}'}, ["build-partition", "--config", "@c.json"],
+         "tower chain violated: seed_grid >= 1 required"),
+        ({"c.json": '{"hyperbolic": {"prefactor": 0}}'}, [*ORBIT, "--config", "@c.json"],
+         "hyperbolic chain violated: prefactor > 0 required"),
+        ({}, [*TAILS, "--samples", "0"], "--samples must be at least 1, got 0"),
+        ({}, [*TAILS, "--n-max", "0"], "--n-max must be at least 1, got 0"),
+        ({}, [*ORBIT, "--n", "0"], "--n must be at least 1, got 0"),
+        ({}, [*ORBIT, "--x0", "0"], "--x0 must be nonzero in [-1, 1], got 0.0"),
+        ({}, [*ORBIT, "--x0", "nan"], "--x0 must be nonzero in [-1, 1], got NaN"),
+        ({}, ["fit", "--input", "@absent.csv"], "fit --input: [Errno 2]"),
+        ({"s.csv": "n,C_n\n0,1.0\n"}, ["fit", "--input", "@s.csv", "--column", "C"],
+         "fit --column 'C' of @s.csv: KeyError"),
+        ({"s.csv": "n,C_n\n0,one\n"}, ["fit", "--input", "@s.csv"],
+         "fit --column 'C_n' of @s.csv: ValueError"),
+        ({"s.csv": "n,C_n\n0,1.0\n"}, ["fit", "--input", "@s.csv", "--burn-in", "-1"],
+         "--burn-in must be at least 0, got -1"),
+    ], ids=[
+        "manifest-missing", "manifest-not-json", "manifest-no-config", "manifest-no-command",
+        "manifest-unknown-command", "config-list", "config-null-section", "eps-nan",
+        "delta-inf", "measures-n-max", "m-past", "burn-in", "method", "direction", "seed-grid",
+        "prefactor", "samples", "tails-n-max", "orbit-n", "x0-zero", "x0-nan", "fit-no-input",
+        "fit-no-column", "fit-not-numeric", "fit-burn-in",
+    ])
+    def test_malformed_input_exits_validation(self, tmp_path, capsys, files, argv, message):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        out = tmp_path / "o"
+        code = run([_in(tmp_path, a) for a in argv] + ["--out", str(out)])
+        assert code == cli.EXIT_VALIDATION
+        assert _in(tmp_path, message) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         code = run([
             "simulate-orbit", "--x0", "0.5", "--n", "5",
@@ -208,6 +273,22 @@ class TestDeterminism:
         b = tmp_path / "b"
         assert run(["rerun", "--manifest", str(manifest), "--out", str(b)]) == 0
         assert (a / "orbit.csv").read_bytes() == (b / "orbit.csv").read_bytes()
+
+    def test_manifest_missing_defaulted_keys_reruns(self, tmp_path):
+        # A manifest's config resolves like a config file: keys it lacks take
+        # their defaults.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"measures": {"grid_m": 64, "m_past": 10, "n_max": 12}}))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["correlation", "--config", str(cfg), "--out", str(a)]) == 0
+        manifest = a / "manifest-correlation.json"
+        payload = json.loads(manifest.read_text())
+        del payload["config"]["measures"]["burn_in"]
+        del payload["config"]["hyperbolic"]["prefactor"]
+        manifest.write_text(json.dumps(payload))
+        assert run(["rerun", "--manifest", str(manifest), "--out", str(b)]) == 0
+        for name in ("correlation.csv", "correlation_fit.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_seed_changes_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -364,6 +445,39 @@ class TestArtifacts:
         assert "scipy" in manifest["versions"]
 
 
+# Each config-backed flag: (command, flag, config key, value in a config file,
+# value on the command line). @name stands for a path in the test's tmp_path.
+COMMON_FLAGS = {
+    "--seed": ("noise.seed", 3, 7),
+    "--eps": ("noise.eps", 0.02, 0.03),
+    "--delta": ("hyperbolic.delta", 0.02, 0.03),
+    "--c": ("hyperbolic.c", 0.2, 0.25),
+    "--c-prime": ("hyperbolic.c_prime", 0.5, 0.6),
+    "--out": ("output.directory", "@file-out", "@flag-out"),
+}
+COMMAND_FLAGS = {
+    "correlation": {
+        "--phi": ("measures.phi", "square", "cos_pi"),
+        "--psi": ("measures.psi", "abs", "indicator_right"),
+        "--method": ("measures.method", "monte_carlo", "ulam"),
+        "--direction": ("measures.direction", "backward", "both"),
+        "--n-max": ("measures.n_max", 30, 12),
+    },
+    "density": {
+        "--m-past": ("measures.m_past", 50, 9),
+        "--grid": ("measures.grid_m", 128, 64),
+    },
+    "build-partition": {"--n-max": ("tower.n_max", 8, 6)},
+    "certify-tower": {"--n-max": ("tower.n_max", 8, 6)},
+}
+FLAG_KEYS = [
+    (command, flag, *spec)
+    for command in cli.COMMANDS
+    for flag, spec in {**COMMON_FLAGS, **COMMAND_FLAGS.get(command, {})}.items()
+] + [("rerun", "--out", "output.directory", "@first", "@again")]
+REQUIRED_ARGS = {"simulate-orbit": ORBIT[1:], "fit": ["--input", "absent.csv"]}
+
+
 class TestConfigMerge:
     def test_flag_overrides_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -376,6 +490,45 @@ class TestConfigMerge:
         assert (a / "orbit.csv").read_bytes() == (b / "orbit.csv").read_bytes()
         manifest = json.loads((a / "manifest-simulate-orbit.json").read_text())
         assert manifest["config"]["noise"]["seed"] == 7
+
+
+    def test_each_config_flag_is_pinned(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {
+            (name, action.option_strings[0], action.dest)
+            for name, parser in sub.choices.items()
+            for action in parser._actions
+            if "." in action.dest
+        }
+        assert flags == {(command, flag, key) for command, flag, key, _, _ in FLAG_KEYS}
+
+    @pytest.mark.parametrize(
+        "command, flag, key, in_file, given", FLAG_KEYS,
+        ids=[f"{command}{flag}" for command, flag, *_ in FLAG_KEYS],
+    )
+    def test_flag_sets_its_key_over_the_file(
+        self, tmp_path, monkeypatch, command, flag, key, in_file, given
+    ):
+        # The command itself is not run: only the manifest shows which
+        # config the flags resolved to.
+        section, name = key.split(".")
+        if key == "output.directory":
+            in_file, given = _in(tmp_path, in_file), _in(tmp_path, given)
+        runs = "density" if command == "rerun" else command
+        monkeypatch.setitem(cli.COMMANDS, runs, lambda cfg, args: ([], cli.EXIT_OK))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {name: in_file}}))
+        argv = [runs, *REQUIRED_ARGS.get(runs, []), "--config", str(cfg)]
+        if command == "rerun":  # the manifest of a run stands in for the config file
+            assert run(argv) == 0
+            argv = ["rerun", "--manifest", f"{in_file}/manifest-{runs}.json"]
+        out = Path(given) if flag == "--out" else tmp_path / "o"
+        if flag != "--out":
+            argv += ["--out", str(out)]
+        assert run([*argv, flag, str(given)]) == 0
+        manifest = json.loads((out / f"manifest-{runs}.json").read_text())
+        assert manifest["config"][section][name] == given
 
 
 def test_cli_import_leaves_scipy_submodules_unloaded(tmp_path):
