@@ -6,14 +6,11 @@ Ulam-based quenched correlation estimates."""
 __version__ = "0.1.0"
 
 from .errors import (
-    BranchStraddle,
     CapExceeded,
     DeltaTooLarge,
     DomainError,
-    EmptyIntersection,
     InsufficientData,
     InvalidState,
-    NotHyperbolic,
     ParamError,
     RovellaError,
     SingularHit,
@@ -35,14 +32,10 @@ from .map_core import (
 from .hyperbolic import (
     HyperbolicConfig,
     HyperbolicReport,
-    bad_set_membership,
-    binding_period_check,
     config_for_family,
     fit_expansion_rate,
     hyperbolic_times,
-    markov_neighborhood,
     pliss_times,
-    preferred_binding_period,
     tail_statistics,
 )
 from .measures import (
@@ -56,13 +49,9 @@ from .measures import (
 )
 from .noise import NoiseStream, derive_seed, shift, stream
 from .orbit import (
-    BranchPartition,
     OrbitTrace,
-    branch_partition,
     ensemble_orbits,
-    expansion_sum,
     iterate,
-    preimage_in_branch,
     return_depth,
 )
 from .tower import (

@@ -140,9 +140,15 @@ def validate_config(cfg: dict) -> None:
     for key in ("delta", "delta0", "prefactor"):
         if hy[key] is None or not _number("hyperbolic", hy, key) > 0:
             raise ValidationError(f"hyperbolic chain violated: {key} > 0 required")
-    c, cp = (_number("hyperbolic", hy, k, nullable=True) for k in ("c", "c_prime"))
-    _number("hyperbolic", hy, "kappa", nullable=True)
-    if c is not None and cp is not None and not (0 < c < cp):
+    c, cp, kappa = (_number("hyperbolic", hy, k, nullable=True) for k in ("c", "c_prime", "kappa"))
+    for key, value in (("c", c), ("c_prime", cp), ("kappa", kappa)):
+        if value is not None and not value > 0:
+            raise ValidationError(f"hyperbolic chain violated: {key} > 0 required")
+    # A given kappa fixes the defaults c = kappa/4, c_prime = kappa/2 with no fit.
+    if kappa is not None:
+        c = kappa / 4.0 if c is None else c
+        cp = kappa / 2.0 if cp is None else cp
+    if c is not None and cp is not None and not c < cp:
         raise ValidationError("hyperbolic chain violated: 0 < c < c_prime required")
     tw = cfg["tower"]
     _number("tower", tw, "seed_grid", integer=True, at_least=1)

@@ -21,18 +21,6 @@ class CapExceeded(RovellaError):
     """Branch refinement depth beyond the configured cap."""
 
 
-class EmptyIntersection(RovellaError):
-    """Preimage target does not meet the branch image."""
-
-
-class NotHyperbolic(RovellaError):
-    """Neighborhood construction requested at a non-hyperbolic time."""
-
-
-class BranchStraddle(RovellaError):
-    """Candidate neighborhood crosses a cut point of the branch partition."""
-
-
 class ParamError(RovellaError):
     """Constant ordering required by a combinatorial lemma is violated."""
 

@@ -1,5 +1,6 @@
-"""Pliss-type hyperbolic times, return-depth statistics, binding periods,
-and the expanding neighborhoods used by the return-partition builder.
+"""Pliss-type hyperbolic times, the empirical expansion fit, the constants
+the return-partition builder reads (`HyperbolicConfig`), and ensemble tail
+statistics of hyperbolic times, returns and the bad set.
 
 A time n is hyperbolic for an orbit when every suffix window [k, n) keeps its
 return-depth sum below c' * (n - k); such windows carry uniform backward
@@ -11,14 +12,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchStraddle, DeltaTooLarge, NotHyperbolic, ParamError, SingularHit
-from .map_core import MapFamily, critical_neighborhoods, in_punctured_interval, unperturbed_orbit
-from .noise import NoiseStream, ensemble_keys, ensemble_noise, keyed_draws
-from .orbit import OrbitTrace, _depths, iterate, pull_back, start_points, step
+from .errors import ParamError
+from .map_core import MapFamily, critical_neighborhoods, in_punctured_interval
+from .noise import ensemble_keys, keyed_draws
+from .orbit import OrbitTrace, _depths, start_points, step
 
 
 # -- combinatorics -----------------------------------------------------------
@@ -41,9 +42,6 @@ def pliss_times(a, c1: float, c2: float, big_a: float) -> list[int]:
 
 # -- configuration -----------------------------------------------------------
 
-ADMISSIBILITY_C = 1.5  # fixture-scale admissibility constant of the delta0 margins
-
-
 @dataclass(frozen=True)
 class HyperbolicConfig:
     """Constants for the hyperbolic-time machinery.
@@ -53,10 +51,7 @@ class HyperbolicConfig:
     kappa - c_prime is the certified expansion rate at hyperbolic times.
     base_neg / base_pos bound the two components of the critical-value
     preimage neighborhood at radius delta0 / 2, against which return times
-    are tested. delta0_margins records the two smallness constraints on
-    delta0 behind the neighborhood proposition (positive margin = satisfied);
-    they are existence-only in the theory, so violations are recorded, not
-    fatal.
+    are tested.
     """
 
     delta: float
@@ -68,7 +63,6 @@ class HyperbolicConfig:
     base_neg: float
     base_pos: float
     prefactor: float = 1.0
-    delta0_margins: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if not (0 < self.c < self.c_prime):
@@ -150,10 +144,7 @@ def config_for_family(
 ) -> HyperbolicConfig:
     """Resolve a HyperbolicConfig, fitting kappa empirically when not given.
 
-    Defaults: c = kappa / 4, c_prime = kappa / 2, delta0 = delta. The two
-    delta0 smallness margins (the distortion-sum and step-gap constraints of
-    the neighborhood construction) are recorded with the admissibility
-    constant ADMISSIBILITY_C.
+    Defaults: c = kappa / 4, c_prime = kappa / 2, delta0 = delta.
     """
     if kappa is None:
         kappa = fit_expansion_rate(family, master_seed, eps, delta)
@@ -162,13 +153,6 @@ def config_for_family(
     lambda_prime = kappa - c_prime
     delta0 = delta if delta0 is None else delta0
     base = critical_neighborhoods(family, 0.0, delta0 / 2.0)
-    gap_rate = lambda_prime / 2.0 - c_prime
-    coeff = ADMISSIBILITY_C / prefactor * family.k2 * delta ** (-1.0 / family.s)
-    margin_step = lambda_prime / 2.0 - coeff * delta0
-    if gap_rate > 0:
-        margin_sum = 1.0 / (coeff / (1.0 - math.exp(-gap_rate))) - delta0
-    else:
-        margin_sum = -math.inf  # geometric sum diverges at these constants
     return HyperbolicConfig(
         delta=delta,
         delta0=delta0,
@@ -179,7 +163,6 @@ def config_for_family(
         base_neg=base.neg_lo,
         base_pos=base.pos_hi,
         prefactor=prefactor,
-        delta0_margins=(margin_step, margin_sum),
     )
 
 
@@ -246,307 +229,6 @@ def hyperbolic_times(trace: OrbitTrace, cfg: HyperbolicConfig) -> HyperbolicRepo
         bad=bool(depths.sum() >= cfg.c * n),
         horizon=n,
     )
-
-
-def verify_hyperbolic_report(
-    depths: np.ndarray, cfg: HyperbolicConfig, report: HyperbolicReport
-) -> bool:
-    """Re-check every reported time against the suffix-sum definition."""
-    depths = np.asarray(depths, dtype=float)
-    suffix = np.concatenate([[0.0], np.cumsum(depths)])
-    for t in report.times:
-        windows = suffix[t] - suffix[:t]
-        spans = t - np.arange(t)
-        if not np.all(windows < cfg.c_prime * spans):
-            return False
-    return True
-
-
-def bad_set_membership(trace: OrbitTrace, cfg: HyperbolicConfig, n: int) -> bool:
-    """Depth sum over [0, n) at least c * n: expansion not certifiable."""
-    if n < 1 or n > len(trace):
-        raise ValueError("n out of range for this trace")
-    return bool(trace.depths[:n].sum() >= cfg.c * n)
-
-
-# -- binding periods ---------------------------------------------------------
-
-
-@dataclass
-class BindingReport:
-    """Outcome of sampled binding-period verification."""
-
-    passed: bool
-    samples: int
-    steps: int
-    first_violation: tuple[int, int, str] | None = None
-    worst_margin: float = math.inf
-
-
-def binding_period_check(
-    family: MapFamily,
-    stream: NoiseStream,
-    v: float,
-    eps: float,
-    n_steps: int,
-    c_bind: float,
-    sample: int = 64,
-) -> BindingReport:
-    """Verify the three binding displays on sampled perturbed shadows of v.
-
-    For each sampled y with |v - y| <= eps and noise path omega with
-    amplitude eps, and every 0 <= j < n_steps, checks
-      (1) 2 |y_j - v_j| <= |v_j|,
-      (2) e^{-1} Dv_{j+1} <= Dy_{j+1} <= e Dv_{j+1},
-      (3) c_bind * eps * Dv_{j+1} >= |y_{j+1} - v_{j+1}|,
-    where v_j is the unperturbed orbit. n_steps = 0 passes vacuously.
-    """
-    if v == 0.0:
-        raise ParamError("binding periods are anchored off the singularity")
-    if n_steps == 0:
-        return BindingReport(passed=True, samples=sample, steps=0)
-    v_pts, v_logd = unperturbed_orbit(family, v, n_steps)
-    if len(v_pts) <= n_steps:
-        raise SingularHit(f"the orbit of v={v} hits the singularity at step {len(v_pts) - 1}")
-    offsets = np.linspace(-eps, eps, sample) if eps > 0 else np.zeros(sample)
-    ts = ensemble_noise(stream.master_seed, eps, sample, n_steps, start=0)
-    y = np.clip(v + offsets, -1.0, 1.0)
-    y[y == 0.0] = v
-    logd = np.zeros(sample)
-    worst = math.inf
-    for j in range(n_steps):
-        # A dead shadow (NaN) fails the check it first reaches.
-        m1 = np.abs(v_pts[j]) - 2.0 * np.abs(y - v_pts[j])
-        if not m1.min() >= 0:
-            return BindingReport(False, sample, n_steps, (int(m1.argmin()), j, "shadow"), float(m1.min()))
-        y, dt, _ = step(family, ts[:, j], y)
-        logd += np.log(dt, out=dt)
-        ratio = logd - v_logd[j + 1]
-        m2 = 1.0 - np.abs(ratio)
-        if not m2.min() >= 0:
-            return BindingReport(False, sample, n_steps, (int(m2.argmin()), j, "derivative"), float(m2.min()))
-        m3 = c_bind * eps * math.exp(v_logd[j + 1]) - np.abs(y - v_pts[j + 1])
-        if not m3.min() >= 0:
-            return BindingReport(False, sample, n_steps, (int(m3.argmin()), j, "distance"), float(m3.min()))
-        worst = min(worst, float(m1.min()), float(m2.min()), float(m3.min()))
-    return BindingReport(passed=True, samples=sample, steps=n_steps, worst_margin=worst)
-
-
-def binding_window(
-    family: MapFamily,
-    v: float,
-    eps: float,
-    theta1: float = 0.9 / (4.0 * math.e),
-    cap: int = 200,
-) -> tuple[int, float]:
-    """Largest n with A(v, n) * W(n) <= theta1 / eps along the t = 0 orbit.
-
-    A is the derivative-to-distance sum and W the reciprocal derivative sum
-    1 + sum 1/DT^j(v); the guaranteed binding constant is then e * W. Returns
-    (0, W) when even one step fails the budget.
-    """
-    if eps <= 0:
-        return cap, float("inf")
-    pts, logd = unperturbed_orbit(family, v, cap)
-    a_terms = np.exp(logd[:-1]) / np.abs(pts[:-1])
-    w_terms = np.exp(-logd)
-    a_cum = np.cumsum(a_terms)
-    w_cum = np.cumsum(w_terms)
-    budget = theta1 / eps
-    ok = a_cum * w_cum[1:] <= budget
-    n_best = int(np.flatnonzero(ok).max() + 1) if ok.any() else 0
-    return n_best, float(w_cum[min(n_best, cap)])
-
-
-def critical_reciprocal_sum(family: MapFamily, cap: int = 2000, tol: float = 1e-14) -> tuple[float, bool]:
-    """Sum over n >= 0 of 1 / DT^n at the critical values, with a convergence flag.
-
-    Summed over both one-sided critical values and reported as the larger of
-    the two partial sums; converged means the last term fell below tol.
-    """
-    worst = 0.0
-    converged = True
-    for v0 in (-1.0, 1.0):
-        pts, logd = unperturbed_orbit(family, v0, cap)
-        terms = np.exp(-logd)
-        worst = max(worst, float(terms.sum()))
-        converged &= bool(terms[-1] < tol)
-    return worst, converged
-
-
-@dataclass
-class PreferredBinding:
-    """Preferred binding period of the deterministic critical orbit."""
-
-    found: bool
-    period: int | None
-    expansion: float | None  # DT^{M+1} along the critical orbit
-    side: str | None
-    theta: float
-    detail: dict = field(default_factory=dict)
-
-
-def preferred_binding_period(
-    family: MapFamily,
-    delta: float,
-    theta: float | None = None,
-    big_l: float | None = None,
-    zeta: float | None = None,
-    cap: int = 10_000,
-) -> PreferredBinding:
-    """Direct search for the preferred binding period at scale delta.
-
-    Searches the smallest M such that, along each one-sided critical orbit,
-    (a) the derivative-to-distance sum up to M stays below theta / delta,
-    (b) the first M points avoid the critical preimage neighborhood at
-    radius L * delta, and (c) DT^{M+1} beats (max(|v_M|, delta)/delta)^(1-zeta).
-    These exist only for genuinely chaotic parameters; the search caps out and
-    reports failure honestly (the fixture's critical orbits are fixed points,
-    for which every M satisfies (b) and the search reduces to (a) and (c)).
-    """
-    if zeta is None:
-        zeta = 1.0 / (2.0 * family.s)
-    if big_l is None:
-        big_l = 1.25 * 2.0 ** (family.s + 1.0)
-    if theta is None:
-        w0, _ = critical_reciprocal_sum(family)
-        theta = (0.9 / (4.0 * math.e)) / (4.0 * w0)
-    try:
-        hood = critical_neighborhoods(family, 0.0, big_l * delta)
-    except DeltaTooLarge:
-        return PreferredBinding(False, None, None, None, theta, {"reason": "L*delta too large"})
-
-    best: PreferredBinding | None = None
-    for side, v0 in (("pos", -1.0), ("neg", 1.0)):
-        pts, logd = unperturbed_orbit(family, v0, cap + 1)
-        with np.errstate(over="ignore"):
-            a_cum = np.cumsum(np.exp(logd[:-1]) / np.abs(pts[:-1]))
-        outside = ~hood.contains(pts)
-        all_outside = np.concatenate([[True], np.cumprod(outside[:-1]).astype(bool)])
-        for m in range(1, min(cap, len(pts) - 1)):
-            if a_cum[m - 1] > theta / delta:
-                break
-            if not all_outside[m]:
-                continue
-            target = (max(abs(pts[m]), delta) / delta) ** (1.0 - zeta)
-            if math.exp(logd[m + 1]) >= target:
-                cand = PreferredBinding(
-                    True, m, math.exp(logd[m + 1]), side, theta,
-                    {"a_sum": float(a_cum[m - 1]), "target": target},
-                )
-                if best is None or (best.period is not None and m > best.period):
-                    best = cand
-                break
-    if best is None:
-        return PreferredBinding(False, None, None, None, theta, {"reason": "cap exhausted"})
-    return best
-
-
-# -- expanding neighborhoods at hyperbolic times ------------------------------
-
-
-@dataclass
-class NeighborhoodCertificate:
-    """Numeric evidence that the n-step composition is Markov on the interval."""
-
-    interval: tuple[float, float]
-    image_center: float
-    image_radius: float
-    radius_cap: float
-    single_branch: bool
-    monotone: bool
-    expansion_ok: bool
-    expansion_margin: float
-    distortion_total: float
-    distortion_ok: bool
-    sample_count: int
-
-
-def distortion_estimate(
-    family: MapFamily, t: float, lo: float, hi: float, points: int = 200
-) -> float:
-    """sup D2T/DT over the interval times its length, the one-step distortion."""
-    if hi <= lo:
-        return 0.0
-    xs = np.linspace(lo, hi, points)
-    xs = xs[xs != 0.0]
-    ratio = np.abs(family.second(t, xs)) / family.deriv(t, xs)
-    return float(ratio.max() * (hi - lo))
-
-
-def markov_neighborhood(
-    family: MapFamily,
-    stream: NoiseStream,
-    x: float,
-    n: int,
-    cfg: HyperbolicConfig,
-    sample_points: int = 32,
-) -> tuple[tuple[float, float], NeighborhoodCertificate]:
-    """Interval around x mapped diffeomorphically onto the delta0-ball at step n.
-
-    The interval is the pullback of B(T^n(x), delta0) along the orbit's branch
-    intersected with the ball of radius prefactor^{-1} delta0 e^{-lambda' n/2}
-    around x. Requires n to be a hyperbolic time (NotHyperbolic otherwise);
-    raises BranchStraddle when sampled forward orbits split across the
-    singularity, which indicates the constants are too loose.
-    """
-    trace = iterate(family, stream, x, n, cfg.delta)
-    flags = _hyperbolic_flags(trace.depths[:n], cfg.c_prime)
-    if not flags[n - 1]:
-        raise NotHyperbolic(f"{n} is not a hyperbolic time for this orbit")
-
-    pts = trace.points
-    radius = cfg.radius_cap(n)
-    ball = np.array([pts[n] - cfg.delta0, pts[n] + cfg.delta0])
-    t_path = stream.values(0, n)
-    lo, hi = pull_back(family, t_path, np.sign(pts[:n]), ball).tolist()
-    a = max(lo, x - radius)
-    b = min(hi, x + radius)
-    if not (a < x < b):
-        raise BranchStraddle(f"pullback interval ({lo}, {hi}) does not surround x={x}")
-
-    # Certificate by dense forward sampling of the interval: one pass records
-    # per-step sample positions and cumulative log-derivatives, from which
-    # branch consistency, monotonicity, suffix expansion and the additive
-    # one-step distortion estimate all follow.
-    span = b - a
-    ys = np.linspace(a + 1e-3 * span, b - 1e-3 * span, sample_points)
-    cum_logs = [np.zeros(sample_points)]
-    single = True
-    monotone = True
-    dist_total = 0.0
-    for k in range(n):
-        if not (np.all(ys > 0) or np.all(ys < 0)):
-            raise BranchStraddle(f"samples split across the singularity at step {k}")
-        if np.sign(ys[0]) != math.copysign(1.0, pts[k]):
-            single = False
-        dist_total += distortion_estimate(family, t_path[k], float(ys.min()), float(ys.max()))
-        ys, dt, _ = step(family, t_path[k], ys)
-        cum_logs.append(cum_logs[-1] + np.log(dt, out=dt))
-        if not np.all(np.diff(ys) > 0):
-            monotone = False
-    total = cum_logs[-1]
-    margins = [
-        float((total - cum_logs[k]).min())
-        - (math.log(cfg.prefactor) + cfg.lambda_prime * (n - k) / 2.0)
-        for k in range(n)
-    ]
-    exp_margin = float(np.min(margins))  # unlike min(), keeps a NaN (dead sample)
-
-    cert = NeighborhoodCertificate(
-        interval=(a, b),
-        image_center=float(pts[n]),
-        image_radius=cfg.delta0,
-        radius_cap=radius,
-        single_branch=single,
-        monotone=monotone,
-        expansion_ok=exp_margin >= 0.0,
-        expansion_margin=exp_margin,
-        distortion_total=dist_total,
-        distortion_ok=dist_total < 1.0,
-        sample_count=sample_points,
-    )
-    return (a, b), cert
 
 
 # -- ensemble tail statistics -------------------------------------------------

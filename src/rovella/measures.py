@@ -372,14 +372,6 @@ def _mc_correlation(
     return out
 
 
-def holder_seminorm(f: Callable[[np.ndarray], np.ndarray], eta: float, m: int = 4096) -> float:
-    """Grid proxy for the eta-Holder seminorm on [-1, 1] (reporting only)."""
-    xs = np.linspace(-1.0, 1.0, m)
-    vals = np.asarray(f(xs), dtype=float)
-    d = np.abs(np.diff(vals)) / np.diff(xs) ** eta
-    return float(d.max())
-
-
 OBSERVABLES: dict[str, tuple[Callable[[np.ndarray], np.ndarray], float]] = {
     "x": (lambda x: x, 1.0),
     "sign": (np.sign, 1.0),  # bounded, not Holder; valid as the L-infinity factor

@@ -1,4 +1,5 @@
-"""Random orbits with derivative bookkeeping, and exact branch structure.
+"""Random orbits with derivative bookkeeping, the one-step kernel, and the
+pullback of targets along a branch itinerary.
 
 Derivative cocycles are accumulated in the log domain: over 10^4-step orbits
 near the expanding boundary DT^n grows geometrically and would overflow as a
@@ -7,11 +8,11 @@ raw product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, DomainError, EmptyIntersection, SingularHit
+from .errors import DomainError, SingularHit
 from .map_core import ArrayLike, MapFamily, critical_neighborhoods, invert_branch
 from .noise import NoiseStream, ensemble_keys, keyed_draws
 
@@ -169,19 +170,6 @@ def iterate(
     )
 
 
-def expansion_sum(trace: OrbitTrace, n: int) -> float:
-    """Sum over i < n of DT^i(x0) / |x_i|, the derivative-to-distance sum.
-
-    The i = 0 term is 1 / |x0| (empty derivative product), so the sum starts
-    at the reciprocal distance to the singularity and is nondecreasing in n.
-    """
-    if n < 1 or n > len(trace):
-        raise ValueError("n out of range for this trace")
-    return float(
-        np.sum(np.exp(trace.log_der[:n]) / np.abs(trace.points[:n]))
-    )
-
-
 def pull_back(
     family: MapFamily, t_path: np.ndarray, sides: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
@@ -199,124 +187,6 @@ def pull_back(
     for j in range(sides.shape[-1] - 1, -1, -1):
         x = invert_branch(family, float(t_path[j]), x, sides[..., j])
     return x
-
-
-@dataclass(frozen=True)
-class BranchInterval:
-    """A maximal open interval on which the n-step composition is monotone.
-
-    sides[j] is the sign (+1 or -1) of T_omega^j on the interval for j < n:
-    the itinerary along which `pull_back` inverts the composition.
-    """
-
-    left: float
-    right: float
-    image_left: float
-    image_right: float
-    sides: tuple[int, ...]
-
-
-@dataclass
-class BranchPartition:
-    """Exact branch (cylinder) structure of the n-step composition.
-
-    cut_points holds +-1, 0 and every preimage of 0 under the first k < n
-    steps; branches are the open intervals between consecutive cuts, each
-    carrying its image interval and itinerary. Points within 1e-12 of a cut
-    are rejected from queries: the discontinuity is honest, not interpolated.
-    """
-
-    family: MapFamily
-    stream: NoiseStream
-    n: int
-    cut_points: np.ndarray
-    branches: list[BranchInterval] = field(default_factory=list)
-
-    CUT_MARGIN = 1e-12
-
-    def locate(self, x: float) -> BranchInterval:
-        idx = int(np.searchsorted(self.cut_points, x)) - 1
-        if idx < 0 or idx >= len(self.branches):
-            raise DomainError(f"{x} outside [-1, 1]")
-        if (
-            x - self.cut_points[idx] < self.CUT_MARGIN
-            or self.cut_points[idx + 1] - x < self.CUT_MARGIN
-        ):
-            raise DomainError(f"{x} within {self.CUT_MARGIN} of a cut point")
-        return self.branches[idx]
-
-
-def branch_partition(
-    family: MapFamily, stream: NoiseStream, n: int, cap: int = 40
-) -> BranchPartition:
-    """Branch structure of the n-step composition by iterated refinement.
-
-    Each branch of the k-step composition is monotone increasing; if its
-    image straddles 0 the branch splits at the preimage of 0 along its
-    itinerary (one `pull_back` for all such branches of a level), and the
-    two halves pick up image limits +-1 on the freshly cut side. Branch
-    count is at most 2^n, so n is capped.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds branch refinement cap {cap}")
-
-    t_path = stream.values(0, n)
-
-    def image(k: int, y: float, limit: float) -> float:
-        # T_k at an image end; the one-sided limit where that end is 0.
-        return limit if y == 0.0 else float(family.value(t_path[k], y))
-
-    # Level 0 is all of I, whose image straddles 0: its empty itinerary
-    # pulls 0 back to the cut 0. Images are one-sided limits at the cuts.
-    branches = [BranchInterval(-1.0, 1.0, -1.0, 1.0, ())]
-    cuts = [-1.0, 1.0]
-    for k in range(n):
-        # T_omega^k crosses the singularity inside the straddling branches.
-        straddle = [i for i, br in enumerate(branches) if br.image_left < 0.0 < br.image_right]
-        sides = [branches[i].sides for i in straddle]
-        zeros = pull_back(family, t_path, sides, np.zeros(len(sides)))
-        cut_at = dict(zip(straddle, zeros.tolist()))
-        cuts.extend(cut_at.values())
-        new_branches: list[BranchInterval] = []
-        for i, br in enumerate(branches):
-            iu, iv = image(k, br.image_left, -1.0), image(k, br.image_right, 1.0)
-            if i in cut_at:
-                c = cut_at[i]
-                new_branches.append(BranchInterval(br.left, c, iu, 1.0, br.sides + (-1,)))
-                new_branches.append(BranchInterval(c, br.right, -1.0, iv, br.sides + (1,)))
-            else:
-                side = 1 if br.image_left >= 0.0 else -1
-                new_branches.append(BranchInterval(br.left, br.right, iu, iv, br.sides + (side,)))
-        branches = new_branches
-
-    return BranchPartition(
-        family=family, stream=stream, n=n, cut_points=np.array(sorted(cuts)), branches=branches
-    )
-
-
-def preimage_in_branch(
-    partition: BranchPartition,
-    branch: BranchInterval,
-    target: tuple[float, float],
-) -> tuple[float, float]:
-    """Interval J inside the branch with T_omega^n(J) = target, by `pull_back`
-    along the branch's itinerary.
-
-    Raises EmptyIntersection when the target misses the branch image; targets
-    reaching past the image are clipped to it, so the returned endpoints map
-    onto target intersected with the image.
-    """
-    lo, hi = target
-    if lo > hi:
-        raise ValueError("target interval is reversed")
-    u, v = branch.image_left, branch.image_right
-    if hi < u or lo > v:
-        raise EmptyIntersection(f"target {target} misses branch image ({u}, {v})")
-    t_path = partition.stream.values(0, partition.n)
-    a, b = pull_back(partition.family, t_path, branch.sides, np.array([lo, hi]))
-    return (branch.left if lo <= u else float(a)), (branch.right if hi >= v else float(b))
 
 
 @dataclass

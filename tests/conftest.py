@@ -64,6 +64,19 @@ def brute_force_hyperbolic_flags(depths: np.ndarray, c_prime: float) -> np.ndarr
     return ok.all(axis=0)
 
 
+def verify_hyperbolic_report(depths, cfg, report) -> bool:
+    """Re-check every time of a `hyperbolic.HyperbolicReport` against the
+    suffix-sum definition: each window [k, t) has depth sum below c' (t - k)."""
+    depths = np.asarray(depths, dtype=float)
+    suffix = np.concatenate([[0.0], np.cumsum(depths)])
+    for t in report.times:
+        windows = suffix[t] - suffix[:t]
+        spans = t - np.arange(t)
+        if not np.all(windows < cfg.c_prime * spans):
+            return False
+    return True
+
+
 @pytest.fixture(scope="session")
 def table_fam():
     """PCHIP-tabulated copy of the s = 2 fixture on nodes in [1e-6, 1]."""

@@ -199,6 +199,13 @@ class TestValidation:
          "tower chain violated: seed_grid >= 1 required"),
         ({"c.json": '{"hyperbolic": {"prefactor": 0}}'}, [*ORBIT, "--config", "@c.json"],
          "hyperbolic chain violated: prefactor > 0 required"),
+        ({"c.json": '{"hyperbolic": {"c": 0}}'}, [*TAILS, "--config", "@c.json"],
+         "hyperbolic chain violated: c > 0 required"),
+        ({"c.json": '{"hyperbolic": {"kappa": -1}}'}, [*TAILS, "--config", "@c.json"],
+         "hyperbolic chain violated: kappa > 0 required"),
+        # kappa/2 = 0.5 is the default c_prime, which the given c exceeds.
+        ({"c.json": '{"hyperbolic": {"kappa": 1.0, "c": 0.6}}'}, [*TAILS, "--config", "@c.json"],
+         "hyperbolic chain violated: 0 < c < c_prime required"),
         ({}, [*TAILS, "--samples", "0"], "--samples must be at least 1, got 0"),
         ({}, [*TAILS, "--n-max", "0"], "--n-max must be at least 1, got 0"),
         ({}, [*ORBIT, "--n", "0"], "--n must be at least 1, got 0"),
@@ -215,8 +222,9 @@ class TestValidation:
         "manifest-missing", "manifest-not-json", "manifest-no-config", "manifest-no-command",
         "manifest-unknown-command", "config-list", "config-null-section", "eps-nan",
         "delta-inf", "measures-n-max", "m-past", "burn-in", "method", "direction", "seed-grid",
-        "prefactor", "samples", "tails-n-max", "orbit-n", "x0-zero", "x0-nan", "fit-no-input",
-        "fit-no-column", "fit-not-numeric", "fit-burn-in",
+        "prefactor", "c-zero", "kappa-negative", "c-above-kappa-default", "samples",
+        "tails-n-max", "orbit-n", "x0-zero", "x0-nan", "fit-no-input", "fit-no-column",
+        "fit-not-numeric", "fit-burn-in",
     ])
     def test_malformed_input_exits_validation(self, tmp_path, capsys, files, argv, message):
         for name, text in files.items():

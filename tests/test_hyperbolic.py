@@ -1,4 +1,3 @@
-import math
 import sys
 import tracemalloc
 
@@ -15,11 +14,12 @@ from conftest import (
     plant_start_points,
     reference_escape_rates,
     reference_tail_table,
+    verify_hyperbolic_report,
 )
 from rovella import hyperbolic as hyp
 from rovella import map_core as mc
-from rovella import noise, orbit
-from rovella.errors import BranchStraddle, NotHyperbolic, ParamError
+from rovella import orbit
+from rovella.errors import ParamError
 
 
 class TestPliss:
@@ -116,7 +116,7 @@ class TestHyperbolicTimes:
         assert set(report.return_times) <= set(report.times)
         if report.times:
             assert report.first == report.times[0]
-        assert hyp.verify_hyperbolic_report(trace.depths[:120], hyp_cfg, report)
+        assert verify_hyperbolic_report(trace.depths[:120], hyp_cfg, report)
         for t in report.return_times:
             assert hyp_cfg.in_base(trace.points[t])
 
@@ -169,14 +169,18 @@ class TestHyperbolicTimes:
 
 
 class TestBadSet:
+    """`HyperbolicReport.bad`: the depth sum over the trace is at least c * n."""
+
     def test_zero_depths_never_bad(self, fam, quiet_stream, hyp_cfg):
+        for n in (1, 10):
+            trace = orbit.iterate(fam, quiet_stream, 1.0, n, hyp_cfg.delta)
+            assert not hyp.hyperbolic_times(trace, hyp_cfg).bad
         trace = orbit.iterate(fam, quiet_stream, 1.0, 50, hyp_cfg.delta)
         assert np.all(trace.depths == 0)
-        for n in (1, 10, 50):
-            assert not hyp.bad_set_membership(trace, hyp_cfg, n)
         # all depths zero: every time is hyperbolic, the first is 1, and the
         # boundary fixed point never visits the base
         report = hyp.hyperbolic_times(trace, hyp_cfg)
+        assert not report.bad
         assert report.first == 1
         assert report.times == list(range(1, 51))
         assert report.return_times == []
@@ -184,7 +188,7 @@ class TestBadSet:
 
     def test_deep_orbit_is_bad(self, fam, noisy_stream, hyp_cfg):
         trace = orbit.iterate(fam, noisy_stream, 1e-5, 1, hyp_cfg.delta)
-        assert hyp.bad_set_membership(trace, hyp_cfg, 1)
+        assert hyp.hyperbolic_times(trace, hyp_cfg).bad
 
 
 class TestConfig:
@@ -200,7 +204,6 @@ class TestConfig:
         assert cfg.c == pytest.approx(kappa_fixture / 4)
         assert cfg.c_prime == pytest.approx(kappa_fixture / 2)
         assert cfg.lambda_prime == pytest.approx(kappa_fixture / 2)
-        assert cfg.delta0_margins is not None
         hood = mc.critical_neighborhoods(fam, 0.0, 0.05)
         assert cfg.base_pos == pytest.approx(hood.pos_hi, rel=1e-12)
 
@@ -270,102 +273,6 @@ class TestExpansionFit:
         hyp.fit_expansion_rate(fam, 1, 0.01, delta, samples=4000, n_cap=n_cap)
         assert sum(rows) == expect
         assert expect < 4000 * n_cap // 20
-
-
-class TestBindingPeriods:
-    def test_zero_steps_vacuous(self, fam, noisy_stream):
-        rep = hyp.binding_period_check(fam, noisy_stream, 0.9, 1e-6, 0, 1.0)
-        assert rep.passed and rep.steps == 0
-
-    def test_self_shadowing(self, fam):
-        strm = noise.stream(1, 0.0)
-        rep = hyp.binding_period_check(fam, strm, 0.8, 0.0, 10, 1.0, sample=8)
-        assert rep.passed
-
-    def test_derived_window(self, fam, noisy_stream):
-        # largest N allowed by the reciprocal-sum budget, then the check
-        # passes with the guaranteed constant e * W
-        eps = 1e-6
-        n_steps, w = hyp.binding_window(fam, 0.9, eps)
-        assert n_steps >= 1
-        rep = hyp.binding_period_check(
-            fam, noisy_stream, 0.9, eps, n_steps, math.e * w, sample=64
-        )
-        assert rep.passed, rep.first_violation
-
-    def test_critical_reciprocal_sum(self, fam):
-        # both critical values are fixed with DT = 4: sum = 4/3
-        total, converged = hyp.critical_reciprocal_sum(fam)
-        assert converged
-        assert total == pytest.approx(4.0 / 3.0, rel=1e-12)
-
-    def test_preferred_binding_period(self, fam):
-        # at delta = 1e-4 the budget and expansion conditions pin M = 4 on
-        # the fixed critical orbit (hand computation with theta from the
-        # default reciprocal-sum budget)
-        pb = hyp.preferred_binding_period(fam, 1e-4)
-        assert pb.found
-        assert pb.period == 4
-        assert pb.expansion == pytest.approx(4.0**5, rel=1e-12)
-
-    def test_preferred_binding_caps_honestly(self, fam):
-        pb = hyp.preferred_binding_period(fam, 0.05)
-        assert not pb.found
-
-    @pytest.mark.parametrize("delta", [-0.01, 0.0])
-    def test_preferred_binding_rejects_nonpositive_delta(self, fam, delta):
-        # only DeltaTooLarge means "L*delta too large"; a bad delta raises
-        with pytest.raises(ValueError):
-            hyp.preferred_binding_period(fam, delta)
-
-
-class TestMarkovNeighborhood:
-    def test_single_step_far_from_singularity(self, fam, noisy_stream, hyp_cfg):
-        (a, b), cert = hyp.markov_neighborhood(fam, noisy_stream, 0.5, 1, hyp_cfg)
-        assert a < 0.5 < b
-        assert cert.single_branch and cert.monotone
-        # image is the delta0-ball around T(x), pulled back
-        img_lo = mc.evaluate(fam, noisy_stream.get(0), a)
-        img_hi = mc.evaluate(fam, noisy_stream.get(0), b)
-        target = mc.evaluate(fam, noisy_stream.get(0), 0.5)
-        assert img_lo >= target - hyp_cfg.delta0 - 1e-9
-        assert img_hi <= target + hyp_cfg.delta0 + 1e-9
-
-    def test_deterministic_three_step(self, fam, quiet_stream, kappa_fixture):
-        # tight constants so the certificate passes outright: small delta0
-        # keeps the one-step distortion sum below 1 and a sub-unit prefactor
-        # absorbs the last step's derivative dip
-        cfg = hyp.config_for_family(
-            fam, 0.0, 0.01, 0.01, master_seed=1, kappa=kappa_fixture,
-            c=0.35, c_prime=0.45, prefactor=0.2,
-        )
-        (a, b), cert = hyp.markov_neighborhood(fam, quiet_stream, 0.9, 3, cfg)
-        # oracle: dense grid around x confirms monotonicity and the image cap
-        xs = np.linspace(a, b, 4001)
-        vals = xs.copy()
-        for k in range(3):
-            vals = mc.evaluate(fam, 0.0, vals)
-        assert np.all(np.diff(vals) > 0)
-        center = 0.9
-        for k in range(3):
-            center = mc.evaluate(fam, 0.0, center)
-        assert np.all(np.abs(vals - center) <= cfg.delta0 * (1 + 1e-9))
-        assert cert.distortion_total < 1.0 and cert.distortion_ok
-        assert cert.expansion_ok, cert.expansion_margin
-
-    def test_loose_constants_reported_not_hidden(self, fam, quiet_stream, hyp_cfg):
-        # at delta0 = 0.1 the recorded smallness margins are violated, and
-        # the certificate must say so rather than fail silently
-        assert hyp_cfg.delta0_margins[0] < 0
-        (_, _), cert = hyp.markov_neighborhood(fam, quiet_stream, 0.9, 3, hyp_cfg)
-        assert cert.monotone and cert.single_branch
-        assert not cert.distortion_ok
-        assert math.isfinite(cert.distortion_total)
-
-    def test_not_hyperbolic_raises(self, fam, noisy_stream, hyp_cfg):
-        # starting deep in the singular zone, time 1 carries a large depth
-        with pytest.raises(NotHyperbolic):
-            hyp.markov_neighborhood(fam, noisy_stream, 1e-4, 1, hyp_cfg)
 
 
 class TestTailStatistics:
@@ -459,11 +366,10 @@ class TestTailStatistics:
         assert peak < 8e6
 
 
-def test_depths_only_where_read(fam, hyp_cfg, noisy_stream, quiet_stream, monkeypatch):
-    """Work-count guard: the callers of `orbit.step` that read log DT alone
-    take no return depths, and the tail chunk, which reads depths alone,
-    takes one `_depths` call a step. `markov_neighborhood` reads the depths
-    of its trace: one call, from `orbit.iterate`, for its n + 1 points."""
+def test_depths_only_where_read(fam, hyp_cfg, monkeypatch):
+    """Work-count guard: the kappa fit, a caller of `orbit.step` that reads
+    log DT alone, takes no return depths, and the tail chunk, which reads
+    depths alone, takes one `_depths` call a step."""
     calls = []
     real_depths = orbit._depths
 
@@ -474,12 +380,6 @@ def test_depths_only_where_read(fam, hyp_cfg, noisy_stream, quiet_stream, monkey
     for module in (orbit, hyp):
         monkeypatch.setattr(module, "_depths", counting_depths)
     hyp.fit_expansion_rate(fam, 1, 0.01, 0.01)
-    n_steps, w = hyp.binding_window(fam, 0.9, 1e-6)
-    assert n_steps >= 1
-    assert hyp.binding_period_check(fam, noisy_stream, 0.9, 1e-6, n_steps, math.e * w).passed
     assert calls == []
-    hyp.markov_neighborhood(fam, quiet_stream, 0.9, 3, hyp_cfg)
-    assert calls == [4]
-    calls.clear()
     hyp.tail_statistics(fam, 1, 0.01, hyp_cfg, samples=300, n_max=20)
     assert calls == [300] * 20

@@ -23,7 +23,6 @@ from rovella import hyperbolic as hyp
 from rovella import map_core as mc
 from rovella import measures as ms
 from rovella import noise, numerics, orbit, tower
-from rovella.errors import DomainError, NotHyperbolic
 
 
 def _image(fam, t, side, first_node=None):
@@ -155,8 +154,8 @@ class TestFallback:
 class TestFastPathGuard:
     """No library path bisects: with `numerics.bisect_increasing` refusing
     to run, every inversion caller works on the fixture, the table family
-    (its Markov neighborhoods included, whose pullbacks send targets past a
-    branch image to the domain end) and the hand-built family."""
+    and the hand-built family, and a pullback sends targets past a branch
+    image to the branch's domain ends."""
 
     class Bisected(Exception):
         pass
@@ -172,33 +171,16 @@ class TestFastPathGuard:
 
     @staticmethod
     def _inversions(family, stream, cfg):
-        """The Ulam build, a return partition, critical neighborhoods, a
-        branch partition and a preimage in it."""
+        """The Ulam build, a return partition, critical neighborhoods, and a
+        pullback of targets past each branch image."""
         mat = ms.ulam_row_operator(family, 0.01, ms.UniformGrid(256))
         assert np.abs(np.asarray(mat.sum(axis=1)).ravel() - 1.0).max() <= 1e-12
         tower.build_return_partition(family, stream, cfg, 8, seed_grid=256)
         hood = mc.critical_neighborhoods(family, 0.03, 0.01)
         assert 0.0 < hood.pos_hi and hood.neg_lo < 0.0
-        bp = orbit.branch_partition(family, stream, 6)
-        br = bp.branches[len(bp.branches) // 3]
-        mid = 0.5 * (br.image_left + br.image_right)
-        w = br.image_right - br.image_left
-        a, b = orbit.preimage_in_branch(bp, br, (mid - 0.2 * w, mid + 0.2 * w))
-        assert br.left < a < b < br.right
-
-    @staticmethod
-    def _markov_neighborhoods(family, stream, cfg):
-        """How many of the 39 starts x n = 1..8 Markov neighborhoods exist."""
-        built = 0
-        for x in np.linspace(-0.95, 0.95, 39):
-            for n in range(1, 9):
-                try:
-                    (a, b), _ = hyp.markov_neighborhood(family, stream, float(x), n, cfg)
-                except (NotHyperbolic, DomainError):
-                    continue
-                assert a < x < b
-                built += 1
-        return built
+        sides = np.array([[1], [1], [-1], [-1]])
+        ends = orbit.pull_back(family, stream.values(0, 1), sides, np.array([3.0, -3.0, 3.0, -3.0]))
+        assert ends.tolist() == [1.0, 1e-300, -1e-300, -1.0]
 
     def test_no_module_refers_to_bisection(self):
         import pathlib
@@ -209,20 +191,16 @@ class TestFastPathGuard:
 
     def test_fixture_runs_without_bisection(self, fam, noisy_stream, hyp_cfg, no_bisection):
         self._inversions(fam, noisy_stream, hyp_cfg)
-        assert self._markov_neighborhoods(fam, noisy_stream, hyp_cfg) == 286
 
     def test_table_family_runs_without_bisection(
         self, table_fam, noisy_stream, hyp_cfg, no_bisection
     ):
         self._inversions(table_fam, noisy_stream, hyp_cfg)
-        assert self._markov_neighborhoods(table_fam, noisy_stream, hyp_cfg) == 269
 
     def test_three_callable_family_runs_without_bisection(
         self, fam_lin, noisy_stream, hyp_cfg, no_bisection
     ):
         self._inversions(fam_lin, noisy_stream, hyp_cfg)
-        (a, b), _ = hyp.markov_neighborhood(fam_lin, noisy_stream, 0.3, 2, hyp_cfg)
-        assert a < 0.3 < b
 
 
 def _exact_inverse(sides, t, y, side):

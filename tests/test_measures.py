@@ -247,7 +247,3 @@ class TestObservables:
             vals = np.asarray(f(xs))
             assert vals.shape == xs.shape
             assert 0 < eta <= 1
-
-    def test_holder_seminorm(self):
-        assert ms.holder_seminorm(lambda x: x, 1.0) == pytest.approx(1.0, rel=1e-6)
-        assert ms.holder_seminorm(lambda x: np.zeros_like(x), 1.0) == 0.0

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import dying_ensemble, reference_orbits
 from rovella import map_core as mc
-from rovella import noise, orbit
-from rovella.errors import CapExceeded, DomainError, EmptyIntersection, SingularHit
+from rovella import noise, orbit, tower
+from rovella.errors import DomainError, SingularHit
 
 SQRT_005 = 0.22360679774997896
 SQRT_01 = 0.31622776601683794
@@ -47,25 +47,6 @@ class TestIterate:
     def test_domain_error_at_zero(self, fam, quiet_stream):
         with pytest.raises(DomainError):
             orbit.iterate(fam, quiet_stream, 0.0, 3, 0.1)
-
-
-class TestExpansionSum:
-    def test_single_term(self, fam, noisy_stream):
-        tr = orbit.iterate(fam, noisy_stream, 0.3, 5, 0.1)
-        assert orbit.expansion_sum(tr, 1) == 1.0 / 0.3
-
-    def test_fixed_point_geometric(self, fam, quiet_stream):
-        tr = orbit.iterate(fam, quiet_stream, 1.0, 3, 0.1)
-        assert orbit.expansion_sum(tr, 3) == pytest.approx(21.0, rel=1e-13)
-
-    def test_two_terms(self, fam, quiet_stream):
-        tr = orbit.iterate(fam, quiet_stream, 0.5, 2, 0.1)
-        assert orbit.expansion_sum(tr, 2) == pytest.approx(6.0, rel=1e-13)
-
-    def test_monotone_in_n(self, fam, noisy_stream):
-        tr = orbit.iterate(fam, noisy_stream, 0.62, 40, 0.1)
-        sums = [orbit.expansion_sum(tr, n) for n in range(1, 41)]
-        assert all(b >= a for a, b in zip(sums, sums[1:]))
 
 
 class TestReturnDepth:
@@ -121,127 +102,110 @@ class TestCocycle:
             assert via_logs == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
 
+def _itineraries(fam, t_path, xs):
+    """signs[i, k]: the side (+1 or -1) of T_omega^k(xs[i]) for k < len(t_path),
+    and the points after len(t_path) steps."""
+    signs = np.empty((xs.size, len(t_path)), dtype=np.int8)
+    vals = xs.copy()
+    for k, t in enumerate(t_path):
+        signs[:, k] = np.where(vals > 0, 1, -1)
+        vals = mc.evaluate(fam, t, np.where(vals == 0, 1e-300, vals))
+    return signs, vals
+
+
 class TestBranchPartition:
-    def test_one_step(self, fam, quiet_stream):
-        bp = orbit.branch_partition(fam, quiet_stream, 1)
-        assert [(b.left, b.right) for b in bp.branches] == [(-1.0, 0.0), (0.0, 1.0)]
+    """The branch (cylinder) structure of the n-step composition, by
+    `pull_back`: two neighbouring branches share their itinerary up to the
+    step k whose image crosses 0, and the cut between them is the pullback
+    of 0 along those k sides."""
 
     def test_two_step_cuts(self, fam, quiet_stream):
-        bp = orbit.branch_partition(fam, quiet_stream, 2)
-        assert len(bp.branches) == 4
-        # T(x) = 0 at |x| = 1/sqrt(2)
-        assert bp.cut_points[1] == pytest.approx(-INV_SQRT2, abs=1e-12)
-        assert bp.cut_points[3] == pytest.approx(INV_SQRT2, abs=1e-12)
-
-    def test_three_step_count(self, fam, quiet_stream):
-        bp = orbit.branch_partition(fam, quiet_stream, 3)
-        assert len(bp.branches) == 8
+        # T(x) = 0 at |x| = 1/sqrt(2): the cuts of T^2 besides 0
+        cuts = orbit.pull_back(fam, quiet_stream.values(0, 1), [[-1], [1]], np.zeros(2))
+        assert cuts[0] == pytest.approx(-INV_SQRT2, abs=1e-12)
+        assert cuts[1] == pytest.approx(INV_SQRT2, abs=1e-12)
 
     @pytest.mark.parametrize("family", ["fam", "table_fam"])
     def test_sign_scan_oracle(self, family, noisy_stream, request):
-        # uniform grid scan: monotone inside every branch, a cut between
-        # consecutive branches
+        # uniform grid scan: monotone inside every branch, and the pulled
+        # back cut between each two neighbouring branches
         fam = request.getfixturevalue(family)
         n = 5
-        bp = orbit.branch_partition(fam, noisy_stream, n)
+        t_path = noisy_stream.values(0, n)
         xs = np.linspace(-1 + 1e-9, 1 - 1e-9, 200_001)
-        vals = xs.copy()
+        signs, vals = _itineraries(fam, t_path, xs)
+        differ = signs[1:] != signs[:-1]
+        same_branch = ~differ.any(axis=1)
+        assert np.all(np.diff(vals)[same_branch] > 0)
+        edges = np.flatnonzero(~same_branch)
+        first = differ[edges].argmax(axis=1)  # the step whose image crosses 0
+        assert edges.size >= 2**n - 1
         for k in range(n):
-            vals = mc.evaluate(fam, noisy_stream.get(k), np.where(vals == 0, 1e-300, vals))
-        inside = np.searchsorted(bp.cut_points, xs) - 1
-        diffs = np.diff(vals)
-        same_branch = inside[:-1] == inside[1:]
-        assert np.all(diffs[same_branch] > 0)
-
-    def test_images_match_orbit_limits(self, fam, noisy_stream):
-        # probe 1e-11 inside the branch: far past the cut's own error (about
-        # 1e-15 in x), and DT^4 <= 256 keeps the image within ~3e-9 of the
-        # one-sided limit
-        bp = orbit.branch_partition(fam, noisy_stream, 4)
-        for br in bp.branches:
-            val_l, val_r = br.left + 1e-11, br.right - 1e-11
-            for k in range(4):
-                val_l = mc.evaluate(fam, noisy_stream.get(k), val_l)
-                val_r = mc.evaluate(fam, noisy_stream.get(k), val_r)
-            assert val_l == pytest.approx(br.image_left, abs=1e-8)
-            assert val_r == pytest.approx(br.image_right, abs=1e-8)
+            rows = edges[first == k]
+            cuts = orbit.pull_back(fam, t_path, signs[rows, :k], np.zeros(rows.size))
+            assert np.all((xs[rows] <= cuts) & (cuts <= xs[rows + 1]))
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_cuts_match_exact_preimages(self, fam, seed):
-        """Each cut is the preimage of 0 along the itinerary its two
-        neighbouring branches share: within 1e-15 of the 40-digit root of
-        the fixture composite (s = 2) at the same noise values."""
+    def test_cuts_match_exact_preimages(self, fam, hyp_cfg, seed):
+        """Among the itineraries that the partition's candidate scan records
+        for seeds across the interval, each one of length k <= 8 that both
+        sides continue at step k ends at a cut: the pullback of 0 along it
+        is within 1e-15 of the 40-digit root of the fixture composite
+        (s = 2) at the same noise values."""
         mp = pytest.importorskip("mpmath")
-        stream = noise.stream(seed, 0.01)
-        bp = orbit.branch_partition(fam, stream, 8)
-        ts = stream.values(0, 8)
-        cuts = bp.cut_points[1:-1]
-        assert len(cuts) == len(bp.branches) - 1 > 100
+        ts = noise.stream(seed, 0.01).values(0, 9)
+        seeds = np.linspace(-1.0, 1.0, 4096)
+        signs, _, _ = tower._candidate_scan(fam, hyp_cfg, 0.05, ts, seeds, 9)
+        checked = 0
         with mp.workdps(40):
-            for left, right in zip(bp.branches[:-1], bp.branches[1:]):
-                c = left.right
-                assert c == right.left
-                # The itinerary up to the step whose image crosses 0.
-                k = next(j for j, (a, b) in enumerate(zip(left.sides, right.sides)) if a != b)
-                x = mp.mpf(0)
-                for j in range(k - 1, -1, -1):
-                    side = left.sides[j]
-                    x = side * mp.sqrt((1 + side * x) / (2 - abs(mp.mpf(ts[j]))))
-                assert abs(c - x) <= 1e-15
-
-    def test_cap(self, fam, quiet_stream):
-        with pytest.raises(CapExceeded):
-            orbit.branch_partition(fam, quiet_stream, 50)
-
-    def test_locate_rejects_cuts(self, fam, quiet_stream):
-        bp = orbit.branch_partition(fam, quiet_stream, 2)
-        with pytest.raises(DomainError):
-            bp.locate(INV_SQRT2 + 1e-14)
-        assert bp.locate(0.3).left == 0.0
+            for k in range(1, 9):
+                ends = np.unique(signs[:, : k + 1], axis=0)  # sorted: -1 then +1
+                split = np.all(ends[1:, :k] == ends[:-1, :k], axis=1)
+                sides = ends[:-1][split, :k]
+                cuts = orbit.pull_back(fam, ts, sides, np.zeros(len(sides)))
+                for row, c in zip(sides, cuts):
+                    x = mp.mpf(0)
+                    for j in range(k - 1, -1, -1):
+                        side = int(row[j])
+                        x = side * mp.sqrt((1 + side * x) / (2 - abs(mp.mpf(ts[j]))))
+                    assert abs(c - x) <= 1e-15
+                checked += len(sides)
+        assert checked > 400
 
 
 class TestPreimageInBranch:
+    """`pull_back` of a target interval along a branch's itinerary is the
+    interval inside that branch which the composition maps onto it."""
+
     def test_full_image_returns_branch(self, fam, quiet_stream):
-        bp = orbit.branch_partition(fam, quiet_stream, 1)
-        br = bp.branches[1]
-        a, b = orbit.preimage_in_branch(bp, br, (br.image_left, br.image_right))
-        assert (a, b) == (br.left, br.right)
+        # the positive branch [1e-300, 1] maps onto [-1, 1]
+        a, b = orbit.pull_back(fam, quiet_stream.values(0, 1), [1], np.array([-1.0, 1.0]))
+        assert (a, b) == (1e-300, 1.0)
 
     def test_invert_quadratic(self, fam, quiet_stream):
-        bp = orbit.branch_partition(fam, quiet_stream, 1)
-        a, b = orbit.preimage_in_branch(bp, bp.branches[1], (-0.9, -0.8))
+        a, b = orbit.pull_back(fam, quiet_stream.values(0, 1), [1], np.array([-0.9, -0.8]))
         assert a == pytest.approx(SQRT_005, abs=1e-9)
         assert b == pytest.approx(SQRT_01, abs=1e-9)
 
     def test_nested_targets_nested_preimages(self, fam, noisy_stream):
-        bp = orbit.branch_partition(fam, noisy_stream, 3)
-        br = bp.branches[5]
-        mid = 0.5 * (br.image_left + br.image_right)
-        w = br.image_right - br.image_left
-        outer = orbit.preimage_in_branch(bp, br, (mid - 0.3 * w, mid + 0.3 * w))
-        inner = orbit.preimage_in_branch(bp, br, (mid - 0.1 * w, mid + 0.1 * w))
-        assert outer[0] <= inner[0] <= inner[1] <= outer[1]
+        t_path = noisy_stream.values(0, 3)
+        signs, y = _itineraries(fam, t_path, np.array([0.3]))
+        outer = orbit.pull_back(fam, t_path, signs[0], y + [-0.03, 0.03])
+        inner = orbit.pull_back(fam, t_path, signs[0], y + [-0.01, 0.01])
+        assert outer[0] <= inner[0] <= 0.3 <= inner[1] <= outer[1]
 
     @pytest.mark.parametrize("family", ["fam", "table_fam"])
     def test_roundtrip_endpoints(self, family, noisy_stream, request):
         fam = request.getfixturevalue(family)
-        bp = orbit.branch_partition(fam, noisy_stream, 3)
-        br = bp.branches[2]
-        mid = 0.5 * (br.image_left + br.image_right)
-        w = br.image_right - br.image_left
-        target = (mid - 0.2 * w, mid + 0.25 * w)
-        a, b = orbit.preimage_in_branch(bp, br, target)
+        t_path = noisy_stream.values(0, 3)
+        signs, y = _itineraries(fam, t_path, np.array([0.3]))
+        target = y + [-0.02, 0.025]
+        a, b = orbit.pull_back(fam, t_path, signs[0], target)
         for k in range(3):
             a = mc.evaluate(fam, noisy_stream.get(k), a)
             b = mc.evaluate(fam, noisy_stream.get(k), b)
         assert a == pytest.approx(target[0], abs=1e-9)
         assert b == pytest.approx(target[1], abs=1e-9)
-
-    def test_empty_intersection(self, fam, quiet_stream):
-        bp = orbit.branch_partition(fam, quiet_stream, 1)
-        br = bp.branches[1]  # image (-1, 1]
-        with pytest.raises(EmptyIntersection):
-            orbit.preimage_in_branch(bp, bp.branches[0], (br.image_left - 3, br.image_left - 2))
 
 
 class TestEnsembleOrbits:
