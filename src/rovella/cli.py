@@ -413,7 +413,7 @@ def cmd_density(cfg: dict, args) -> tuple[list[str], int]:
     write_csv(
         out,
         ["cell_left", "cell_right", "weight"],
-        [(edges[i], edges[i + 1], dens.weights[i]) for i in range(grid.m)],
+        zip(edges[:-1].tolist(), edges[1:].tolist(), dens.weights.tolist()),
     )
     return [out.name], EXIT_OK
 
@@ -500,18 +500,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", dest="noise.seed", type=int)
-        p.add_argument("--eps", dest="noise.eps", type=float)
-        p.add_argument("--delta", dest="hyperbolic.delta", type=float)
-        p.add_argument("--c", dest="hyperbolic.c", type=float)
-        p.add_argument("--c-prime", dest="hyperbolic.c_prime", type=float)
-        p.add_argument("--out", dest="output.directory")
-        p.add_argument("--workers", type=int, default=1)
+    # The flags every command but rerun takes, declared once.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file")
+    common.add_argument("--seed", dest="noise.seed", type=int)
+    common.add_argument("--eps", dest="noise.eps", type=float)
+    common.add_argument("--delta", dest="hyperbolic.delta", type=float)
+    common.add_argument("--c", dest="hyperbolic.c", type=float)
+    common.add_argument("--c-prime", dest="hyperbolic.c_prime", type=float)
+    common.add_argument("--out", dest="output.directory")
+    common.add_argument("--workers", type=int, default=1)
 
-    p = sub.add_parser("simulate-orbit", help="one random orbit with bookkeeping")
-    common(p)
+    p = sub.add_parser("simulate-orbit", parents=[common],
+                       help="one random orbit with bookkeeping")
     p.add_argument("--x0", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
 
@@ -522,8 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("density", "equivariant density by pullback"),
         ("correlation", "quenched correlation series"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        common(p)
+        p = sub.add_parser(name, parents=[common], help=help_text)
         if name == "correlation":
             for key in ("phi", "psi", "method", "direction"):
                 p.add_argument(f"--{key}", dest=f"measures.{key}")
@@ -535,13 +535,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n-max", dest="tower.n_max", type=int)
 
     for name in ("hyperbolic-tails", "bad-set-tails"):
-        p = sub.add_parser(name, help="ensemble survival tables and fits")
-        common(p)
+        p = sub.add_parser(name, parents=[common], help="ensemble survival tables and fits")
         p.add_argument("--samples", type=int, default=10_000)
         p.add_argument("--n-max", type=int, default=60)
 
-    p = sub.add_parser("fit", help="exponential fit of a CSV column")
-    common(p)
+    p = sub.add_parser("fit", parents=[common], help="exponential fit of a CSV column")
     p.add_argument("--input", required=True)
     p.add_argument("--column", default="C_n")
     p.add_argument("--burn-in", type=int, default=0)

@@ -12,6 +12,7 @@ which makes the constant-observable cancellation exact up to roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -28,7 +29,8 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class UniformGrid:
-    """m uniform cells over [-1, 1]."""
+    """m uniform cells over [-1, 1]. Its geometry (edges, centers, the cells
+    on each side of 0) is computed once per grid, in read-only arrays."""
 
     m: int
 
@@ -40,14 +42,26 @@ class UniformGrid:
     def h(self) -> float:
         return 2.0 / self.m
 
-    @property
+    @cached_property
     def edges(self) -> np.ndarray:
-        return np.linspace(-1.0, 1.0, self.m + 1)
+        edges = np.linspace(-1.0, 1.0, self.m + 1)
+        edges.flags.writeable = False
+        return edges
 
-    @property
+    @cached_property
     def centers(self) -> np.ndarray:
         e = self.edges
-        return 0.5 * (e[:-1] + e[1:])
+        centers = 0.5 * (e[:-1] + e[1:])
+        centers.flags.writeable = False
+        return centers
+
+    @cached_property
+    def _branch_cells(self) -> tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]]:
+        """For [-1, 0] and then [0, 1]: the cell holding its left end, and
+        the cell edges strictly inside it."""
+        e = self.edges
+        right = int(np.searchsorted(e, 0.0, side="right"))
+        return (0, e[1:np.searchsorted(e, 0.0)]), (right - 1, e[right:self.m])
 
 
 @dataclass
@@ -72,7 +86,18 @@ class DensityVector:
 
 def ulam_row_operator(family: MapFamily, t: float, grid: UniformGrid) -> sp.csr_matrix:
     """Row-stochastic matrix: entry (i, j) is the fraction of cell i mapping
-    into cell j under the fiber map at parameter t.
+    into cell j under the fiber map at parameter t (see `_ulam_arrays`)."""
+    import scipy.sparse as sp  # here, so that importing rovella does not load it
+
+    return sp.csr_matrix(_ulam_arrays(family, t, grid), shape=(grid.m, grid.m))
+
+
+def _ulam_arrays(
+    family: MapFamily, t: float, grid: UniformGrid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The canonical int32 CSR arrays (data, indices, indptr) of the Ulam
+    row operator at parameter t. Read as CSC, the same arrays are its
+    transpose, which pushes masses forward.
 
     Exact for monotone branches: the preimages (cuts) of the cell edges
     inside each branch's image come from one `map_core.invert_branch` call
@@ -85,30 +110,24 @@ def ulam_row_operator(family: MapFamily, t: float, grid: UniformGrid) -> sp.csr_
     positive-branch pieces (the lower columns) first. Each row sums to 1 up
     to accumulation roundoff.
     """
-    import scipy.sparse as sp  # here, so that importing rovella does not load it
-
     m = grid.m
     edges = grid.edges
     top, bottom = family.value(t, np.array([1.0, -1.0])).tolist()  # T_t(1), T_t(-1)
-    branches = ((-1.0, 0.0, bottom, 1.0), (0.0, 1.0, -1.0, top))  # x_lo, x_hi, image
-    # Cut at the interior edges (never at +-1) strictly inside each image;
-    # one inversion serves both branches.
-    targets = [
-        edges[max(int(np.searchsorted(edges, img_lo + 1e-15, side="right")), 1):
-              min(int(np.searchsorted(edges, img_hi - 1e-15)), m)]
-        for _, _, img_lo, img_hi in branches
-    ]
-    count = targets[0].size
-    sides = np.ones(count + targets[1].size, dtype=np.int8)
+    # Cut at the interior edges (never at +-1) strictly inside each image,
+    # [bottom, 1] and [-1, top]; one inversion serves both branches.
+    neg_targets = edges[max(int(np.searchsorted(edges, bottom + 1e-15, side="right")), 1):m]
+    pos_targets = edges[1:min(int(np.searchsorted(edges, top - 1e-15)), m)]
+    count = neg_targets.size
+    sides = np.ones(count + pos_targets.size, dtype=np.int8)
     sides[:count] = -1
-    cuts = invert_branch(family, t, np.concatenate(targets), sides)
+    cuts = invert_branch(family, t, np.concatenate([neg_targets, pos_targets]), sides)
+    # Image cell of each branch's first piece: that of bottom, and cell 0.
+    j_starts = (min(max(int(np.searchsorted(edges, bottom, side="right")) - 1, 0), m - 1), 0)
     pieces = []
-    for (x_lo, x_hi, img_lo, _), side_cuts in zip(branches, (cuts[:count], cuts[count:])):
+    for (i_start, cell_edges), (x_lo, x_hi), j_start, side_cuts in zip(
+        grid._branch_cells, ((-1.0, 0.0), (0.0, 1.0)), j_starts, (cuts[:count], cuts[count:])
+    ):
         breaks = np.concatenate([[x_lo], side_cuts, [x_hi]])
-        # Image cell of the first piece on this side, and the cell of x_lo.
-        j_start = min(max(int(np.searchsorted(edges, img_lo, side="right")) - 1, 0), m - 1)
-        i_start = int(np.searchsorted(edges, x_lo, side="right")) - 1
-        cell_edges = edges[i_start + 1:np.searchsorted(edges, x_hi)]
         at = np.searchsorted(breaks, cell_edges)
         at += np.arange(cell_edges.size)
         is_edge = np.zeros(breaks.size + cell_edges.size, dtype=bool)
@@ -132,33 +151,39 @@ def ulam_row_operator(family: MapFamily, t: float, grid: UniformGrid) -> sp.csr_
     b = np.searchsorted(rows_p, rows_n[-1], side="right")  # positive pieces in it
     indptr = np.zeros(m + 1, dtype=np.int32)
     np.cumsum(np.bincount(np.concatenate([rows_n, rows_p]), minlength=m), out=indptr[1:])
-    return sp.csr_matrix((
+    return (
         np.concatenate([vals_n[:a], vals_p[:b], vals_n[a:], vals_p[b:]]),
         np.concatenate([cols_n[:a], cols_p[:b], cols_n[a:], cols_p[b:]], dtype=np.int32),
         indptr,
-    ), shape=(m, m))
+    )
 
 
 class OperatorCache:
-    """Ulam matrices per noise index, built on demand, and their transposes,
-    which share the matrices' arrays and push masses forward."""
+    """Ulam operators per noise index, built on demand and held once, as the
+    CSC push matrices (the transposes) that move masses forward."""
 
     def __init__(self, family: MapFamily, stream: NoiseStream, grid: UniformGrid) -> None:
         self.family = family
         self.stream = stream
         self.grid = grid
-        self._ops: dict[int, sp.csr_matrix] = {}
         self._pushes: dict[int, sp.csc_matrix] = {}
 
+    def _push_matrix(self, index: int) -> sp.csc_matrix:
+        if index not in self._pushes:
+            import scipy.sparse as sp
+
+            arrays = _ulam_arrays(self.family, self.stream.get(index), self.grid)
+            self._pushes[index] = sp.csc_matrix(arrays, shape=(self.grid.m, self.grid.m))
+        return self._pushes[index]
+
     def get(self, index: int) -> sp.csr_matrix:
-        if index not in self._ops:
-            self._ops[index] = ulam_row_operator(self.family, self.stream.get(index), self.grid)
-        return self._ops[index]
+        """The row operator: a CSR view of the push matrix's arrays."""
+        return self._push_matrix(index).T
 
     def push(self, masses: np.ndarray, index: int) -> np.ndarray:
-        if index not in self._pushes:
-            self._pushes[index] = self.get(index).T
-        return self._pushes[index] @ masses
+        """Masses pushed through the map at `index`: one vector, or each
+        column of an (m, k) block."""
+        return self._push_matrix(index) @ masses
 
 
 def equivariant_density(
@@ -311,14 +336,19 @@ def _ulam_correlation(
         nxt = cache.push(past_masses[-1], -n)
         past_masses.append(nxt / nxt.sum())
     past_masses.reverse()  # past_masses[n] is the mass vector at sigma^{-n} omega
-    mu0 = past_masses[0]
-    phi_mean0 = float(phi_c @ mu0)
+    # Column n of the block is the chain psi mu_n pushed from index -n to -1:
+    # it starts at operator -n, and each operator pushes every started chain
+    # in one product, which adds into each column in the order a single
+    # push does.
+    block = np.empty((grid.m, n_max + 1))
+    block[:, 0] = psi_c * past_masses[0]
+    for j in range(n_max, 0, -1):
+        block[:, j] = psi_c * past_masses[j]
+        block[:, j:] = cache.push(block[:, j:], -j)
+    signed = np.ascontiguousarray(block.T)  # chain n; a strided dot sums in another order
+    phi_mean0 = float(phi_c @ past_masses[0])
     for n in range(n_max + 1):
-        mu_n = past_masses[n]
-        signed = psi_c * mu_n
-        for j in range(n, 0, -1):
-            signed = cache.push(signed, -j)
-        out[n] = abs(float(phi_c @ signed) - phi_mean0 * float(psi_c @ mu_n))
+        out[n] = abs(float(phi_c @ signed[n]) - phi_mean0 * float(psi_c @ past_masses[n]))
     return out
 
 
@@ -353,8 +383,8 @@ def _mc_correlation(
         x = step_values(family, t, x)
         snaps.append(x)
     alive = ~np.isnan(x)
-    for i, snap in enumerate(snaps):
-        snaps[i] = snap[alive]
+    if not alive.all():
+        snaps = [snap[alive] for snap in snaps]
 
     out = np.empty(n_max + 1)
     if direction == "forward":

@@ -668,3 +668,64 @@ def assert_same_csr(a, b):
     for name in ("data", "indices", "indptr"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def reference_ulam_correlation(phi, psi, n_max, cache, m_past):
+    """The backward Ulam series as `measures._ulam_correlation` computed it
+    before the block push: one deep pullback gives the past measures mu_n,
+    then each n pushes its own vector psi mu_n from index -n to -1."""
+    centers = cache.grid.centers
+    phi_c = np.asarray(phi(centers), dtype=float)
+    psi_c = np.asarray(psi(centers), dtype=float)
+    out = np.empty(n_max + 1)
+    deep = np.full(cache.grid.m, 1.0 / cache.grid.m)
+    for j in range(n_max + m_past, n_max, -1):
+        deep = cache.push(deep, -j)
+    past_masses = [deep / deep.sum()]
+    for n in range(n_max, 0, -1):
+        nxt = cache.push(past_masses[-1], -n)
+        past_masses.append(nxt / nxt.sum())
+    past_masses.reverse()
+    phi_mean0 = float(phi_c @ past_masses[0])
+    for n in range(n_max + 1):
+        mu_n = past_masses[n]
+        signed = psi_c * mu_n
+        for j in range(n, 0, -1):
+            signed = cache.push(signed, -j)
+        out[n] = abs(float(phi_c @ signed) - phi_mean0 * float(psi_c @ mu_n))
+    return out
+
+
+def reference_mc_correlation(family, stream, phi, psi, n_max, m_past, direction, samples):
+    """`measures._mc_correlation` as it was before it skipped the compaction
+    when every sample is alive: every snapshot is copied through the alive
+    mask."""
+    from rovella.orbit import step_values
+
+    half = (np.arange(samples // 2) + 0.5) / (samples // 2)
+    starts = np.concatenate([2.0 * half - 1.0, 1.0 - 2.0 * half])
+    x = starts[starts != 0.0]
+    origin = -m_past if direction == "forward" else -(m_past + n_max)
+    t_path = stream.values(origin, m_past + n_max)
+    for t in t_path[:m_past]:
+        x = step_values(family, t, x)
+    snaps = [x]
+    for t in t_path[m_past:]:
+        x = step_values(family, t, x)
+        snaps.append(x)
+    alive = ~np.isnan(x)
+    snaps = [snap[alive] for snap in snaps]
+    out = np.empty(n_max + 1)
+    if direction == "forward":
+        psi0 = np.asarray(psi(snaps[0]), dtype=float)
+        psi_mean = psi0.mean()
+        for n in range(n_max + 1):
+            phi_n = np.asarray(phi(snaps[n]), dtype=float)
+            out[n] = abs(float((phi_n * psi0).mean()) - float(phi_n.mean()) * psi_mean)
+    else:
+        phi_end = np.asarray(phi(snaps[n_max]), dtype=float)
+        phi_mean = phi_end.mean()
+        for n in range(n_max + 1):
+            psi_n = np.asarray(psi(snaps[n_max - n]), dtype=float)
+            out[n] = abs(float((phi_end * psi_n).mean()) - phi_mean * float(psi_n.mean()))
+    return out

@@ -538,6 +538,17 @@ class TestConfigMerge:
         manifest = json.loads((out / f"manifest-{runs}.json").read_text())
         assert manifest["config"][section][name] == given
 
+    # The top level's and every subcommand's --help at 80 columns, as
+    # printed when each subparser declared the shared flags itself.
+    HELP = json.loads((Path(__file__).parent / "data" / "cli_help.json").read_text())
+
+    @pytest.mark.parametrize("command", list(HELP), ids=lambda c: c or "rovella")
+    def test_help_text_is_pinned(self, monkeypatch, capsys, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([command, "--help"] if command else ["--help"])
+        assert capsys.readouterr().out == self.HELP[command]
+
 
 def test_cli_import_leaves_scipy_submodules_unloaded(tmp_path):
     # scipy.sparse serves only Ulam operators and scipy.interpolate only

@@ -21,6 +21,8 @@ LIBRARY_ONLY = {
     "sample_tower_orbits": "acceptance criterion 06",
     "second_derivative": "acceptance criterion 09",
     "tower_step": "benchmark import (benchmarks/layers.py)",
+    "ulam_row_operator": "benchmark import (benchmarks/harness.py) and test reference: "
+    "the row operator that `OperatorCache.get` views",
 }
 
 

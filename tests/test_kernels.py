@@ -1,7 +1,8 @@
-"""The array kernels of one orbit step and the Ulam operator build:
-byte-equal to reference copies of their earlier forms (tests/conftest.py),
-and lean in allocation. `orbit.step` leaves the return depth and log DT to
-its callers; `step_outputs` takes both as `ensemble_orbits` does.
+"""The array kernels of one orbit step, the Ulam operator build and the
+backward correlation's block push: byte-equal to reference copies of their
+earlier forms (tests/conftest.py), and lean in allocation. `orbit.step`
+leaves the return depth and log DT to its callers; `step_outputs` takes both
+as `ensemble_orbits` does.
 
 Each step kernel allocates one fresh float64 array per output and works in
 place on arrays it allocated itself; the guard bounds each call's traced peak
@@ -26,6 +27,7 @@ from conftest import (
     reference_fixture_family,
     reference_keyed_draws,
     reference_step,
+    reference_ulam_correlation,
     reference_ulam_row_operator,
 )
 from rovella import map_core, measures, noise, orbit
@@ -350,3 +352,49 @@ class TestUlamInvariants:
         mat = measures.ulam_row_operator(fam, t, grid)
         nbytes = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
         assert TestAllocation.peak_ratio(lambda: measures.ulam_row_operator(fam, t, grid), nbytes) < 4.5
+
+
+class TestBackwardBlockPush:
+    # (phi, psi): (x, sign), (x, x), a constant phi and a constant psi.
+    PAIRS = [
+        (lambda x: x, np.sign),
+        (lambda x: x, lambda x: x),
+        (np.ones_like, np.sign),
+        (lambda x: x, np.ones_like),
+    ]
+
+    @pytest.mark.parametrize("m", [17, 128, 2048])
+    @pytest.mark.parametrize("name", ["fixture", "table"])
+    def test_matches_per_n_pushes(self, name, m, request):
+        """Each C_n of the block push has the bytes of its own chain of
+        single-vector pushes."""
+        fam = TestUlamSweep.family(name, request)
+        stream = noise.stream(3, 0.05)
+        cache = measures.OperatorCache(fam, stream, measures.UniformGrid(m))
+        for phi, psi in self.PAIRS:
+            for n_max in (0, 1, 12, 40):
+                got = measures.quenched_correlation(
+                    fam, stream, phi, psi, n_max, m_past=20, direction="backward", cache=cache
+                )
+                want = reference_ulam_correlation(phi, psi, n_max, cache, 20)
+                assert_same_bytes(got.values, want)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 12])
+    def test_push_count(self, fam, noisy_stream, n_max):
+        """m_past + n_max single-vector pushes build the past measures, and
+        one block product per operator -n_max..-1 pushes the chains."""
+        cache = measures.OperatorCache(fam, noisy_stream, measures.UniformGrid(64))
+        calls = []
+        push = cache.push
+
+        def counted(masses, index):
+            calls.append((masses.ndim, index))
+            return push(masses, index)
+
+        cache.push = counted
+        measures.quenched_correlation(
+            fam, noisy_stream, lambda x: x, np.sign, n_max, m_past=7, direction="backward",
+            cache=cache,
+        )
+        assert [c for c in calls if c[0] == 1] == [(1, -j) for j in range(n_max + 7, 0, -1)]
+        assert [c for c in calls if c[0] == 2] == [(2, -j) for j in range(n_max, 0, -1)]

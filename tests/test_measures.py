@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import reference_mc_correlation
 from rovella import map_core as mc
 from rovella import measures as ms
 from rovella import noise
@@ -177,18 +178,39 @@ class TestQuenchedCorrelation:
         )
         np.testing.assert_allclose(series.values, expected, rtol=1e-12, atol=1e-15)
 
-    def test_shared_cache_matches_separate_builds(self, fam, noisy_stream):
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_monte_carlo_all_alive_matches_copying_form(self, fam, noisy_stream, direction):
+        # No sample dies here, so the estimator reads the snapshots without
+        # compacting them; the bytes are those of the always-copying form.
+        args = (fam, noisy_stream, lambda x: x, np.sign, 20)
+        series = ms.quenched_correlation(
+            *args, method="monte_carlo", m_past=30, direction=direction, mc_samples=20_000
+        )
+        want = reference_mc_correlation(*args, 30, direction, 20_000)
+        assert series.values.tobytes() == want.tobytes()
+
+    def test_shared_cache_matches_separate_builds(self, fam, noisy_stream, monkeypatch):
         grid = ms.UniformGrid(128)
         args = (fam, noisy_stream, lambda x: x, np.sign, 12)
         cache = ms.OperatorCache(fam, noisy_stream, grid)
+        build, builds = ms._ulam_arrays, []
+
+        def counted(family, t, grid):
+            builds.append(t)
+            return build(family, t, grid)
+
         for direction in ("forward", "backward"):
             alone = ms.quenched_correlation(*args, grid=grid, m_past=20, direction=direction)
-            shared = ms.quenched_correlation(
-                *args, grid=grid, m_past=20, direction=direction, cache=cache
-            )
+            with monkeypatch.context() as patch:
+                patch.setattr(ms, "_ulam_arrays", counted)
+                shared = ms.quenched_correlation(
+                    *args, grid=grid, m_past=20, direction=direction, cache=cache
+                )
             assert shared.values.tobytes() == alone.values.tobytes()
-        # Forward uses indices -20..11, backward -32..-1: 44 distinct operators.
-        assert sorted(cache._ops) == list(range(-32, 12))
+        # Forward uses indices -20..11, backward -32..-1: 44 distinct operators,
+        # each built once.
+        assert sorted(cache._pushes) == list(range(-32, 12))
+        assert builds == [noisy_stream.get(i) for i in [*range(-20, 12), *range(-32, -20)]]
         with pytest.raises(ValueError):
             ms.quenched_correlation(*args, grid=ms.UniformGrid(64), cache=cache)
         with pytest.raises(ValueError):
