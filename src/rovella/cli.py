@@ -23,6 +23,7 @@ import scipy
 
 from . import __version__, hyperbolic, map_core, measures, noise, orbit, tower
 from .errors import RovellaError, ValidationError
+from .numerics import linear_fit
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -275,12 +276,12 @@ def cmd_verify_family(cfg: dict, args) -> tuple[list[str], int]:
     return [out.name], EXIT_OK
 
 
-def _tail_fit(n: np.ndarray, counts: np.ndarray, total: int, min_survivors: int = 100):
-    mask = counts >= min_survivors
+def _tail_fit(n: np.ndarray, counts: np.ndarray, total: int):
+    # A count below 100 has a Poisson relative error above 10%, which the
+    # log of a thin tail would turn into fit noise, so those points are dropped.
+    mask = counts >= 100
     if mask.sum() < 3:
         return None
-    from .numerics import linear_fit
-
     intercept, slope, r2 = linear_fit(n[mask].astype(float), np.log(counts[mask] / total))
     return {"prefactor": float(np.exp(intercept)), "rate": -float(slope), "r_squared": r2,
             "points": int(mask.sum())}

@@ -21,6 +21,8 @@ from .map_core import MapFamily, critical_neighborhoods, in_punctured_interval
 from .noise import ensemble_keys, keyed_draws
 from .orbit import OrbitTrace, _depths, start_points, step
 
+ESCAPE_N_MIN = 5  # earliest step whose escape event `fit_expansion_rate` counts
+
 
 # -- combinatorics -----------------------------------------------------------
 
@@ -86,12 +88,11 @@ def fit_expansion_rate(
     delta: float,
     samples: int = 4000,
     n_cap: int = 400,
-    n_min: int = 5,
     percentile: float = 1.0,
 ) -> float:
     """Empirical expansion exponent from escape-orbit events.
 
-    An event is an orbit's first entry, at a step n >= n_min, into the
+    An event is an orbit's first entry, at a step n >= ESCAPE_N_MIN, into the
     critical preimage neighborhood at radius 2 * delta (the starting point is
     not tested), with the orbit alive through that entry (see `orbit.step`);
     its rate is log DT^n / n. The exponent is fitted as a low percentile so
@@ -111,7 +112,7 @@ def fit_expansion_rate(
         x, dt, _ = step(family, keyed_draws(keys, eps, n - 1), x)
         log_der += np.log(dt, out=dt)
         entered = outer.contains(x)
-        if n >= n_min:
+        if n >= ESCAPE_N_MIN:
             rates.append(log_der[entered] / n)
         searching = ~entered & ~np.isnan(x)
         keys, x, log_der = keys[searching], x[searching], log_der[searching]

@@ -26,6 +26,8 @@ from .orbit import step_values
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
+FIT_FLOOR = 1e-14  # `fit_exponential` drops entries at or below this
+
 
 @dataclass(frozen=True)
 class UniformGrid:
@@ -231,19 +233,17 @@ class CorrelationSeries:
         return self.prefactor, self.rate, self.r_squared
 
 
-def fit_exponential(
-    series: np.ndarray, burn_in: int = 0, floor: float = 1e-14
-) -> tuple[float, float, float]:
+def fit_exponential(series: np.ndarray, burn_in: int = 0) -> tuple[float, float, float]:
     """Least squares on (n, log C_n): returns (C, b, r_squared) with rate b
     positive when the series decays.
 
     Entries are indexed by n starting at 0; points before burn_in or at or
-    below the floor are dropped. A constant series fits with b = 0 and
+    below FIT_FLOOR are dropped. A constant series fits with b = 0 and
     r_squared = 0 by convention. Raises InsufficientData below 5 points.
     """
     series = np.asarray(series, dtype=float)
     n = np.arange(series.size)
-    mask = (n >= burn_in) & (series > floor)
+    mask = (n >= burn_in) & (series > FIT_FLOOR)
     if mask.sum() < 5:
         raise InsufficientData(f"only {int(mask.sum())} usable points after burn-in/floor")
     intercept, slope, r2 = linear_fit(n[mask].astype(float), np.log(series[mask]))

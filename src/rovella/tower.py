@@ -6,8 +6,9 @@ return time k is the pullback of the base along the branch of a seed orbit
 whose time k is hyperbolic and whose image lies inside the base; each element
 maps diffeomorphically onto the whole base after exactly k steps, which is
 the Markov property the tower needs. Elements are admitted greedily by
-increasing return time; four elements with coprime return times carry the
-aperiodicity certificate. Partial coverage is the expected outcome: the
+increasing return time; the smallest distinct return times, from the first
+four on up to the first coprime prefix, carry the aperiodicity certificate
+(`_seeded_times`). Partial coverage is the expected outcome: the
 uncovered remainder is reported, never hidden.
 """
 
@@ -29,6 +30,9 @@ from .orbit import _depths, pull_back, step, step_values
 
 BOUNDARY_MARGIN = 1e-9
 MARKOV_TOL = 1e-10
+HORIZON_CAP = 60  # largest horizon a partition is built to
+MARKOV_SAMPLES = 100  # interior points per element in `verify_markov`
+DISTORTION_ELEMENTS = 40  # widest elements that seed the distortion pairs
 
 
 @dataclass(frozen=True)
@@ -40,7 +44,6 @@ class PartitionElement:
     tau: int
     branch_id: str
     residual: float
-    seeded: bool = False
 
     @property
     def width(self) -> float:
@@ -88,6 +91,17 @@ class ReturnPartition:
 
 def _gcd_all(values) -> int:
     return reduce(math.gcd, values) if values else 0
+
+
+def _seeded_times(taus) -> list[int]:
+    """The aperiodicity certificate: the smallest distinct return times, at
+    least four, up to the first prefix whose gcd is 1; all of them when no
+    prefix is coprime, as when fewer than four exist."""
+    times = sorted(set(taus))
+    for n in range(4, len(times) + 1):
+        if _gcd_all(times[:n]) == 1:
+            return times[:n]
+    return times
 
 
 def _images(
@@ -174,6 +188,18 @@ def _candidate_scan(
     return signs, candidate, int(count - alive.sum())
 
 
+def _admissible(lo: np.ndarray, hi: np.ndarray, radius: float, cap: float) -> np.ndarray:
+    """Nonempty pullbacks [lo, hi] that clear the base boundary and 0 by
+    BOUNDARY_MARGIN, so lie on one side of 0, and fit the cap; NaN fails."""
+    return (
+        (lo < hi)
+        & (lo >= -radius + BOUNDARY_MARGIN)
+        & (hi <= radius - BOUNDARY_MARGIN)
+        & ((lo > BOUNDARY_MARGIN) | (hi < -BOUNDARY_MARGIN))
+        & ((hi - lo) <= cap)
+    )
+
+
 def _level_elements(
     family: MapFamily,
     cfg: HyperbolicConfig,
@@ -206,34 +232,16 @@ def _level_elements(
     lo, hi = pull_back(
         family, t_path, np.vstack([sides, sides]), np.repeat([-radius, radius], len(sides))
     ).reshape(2, -1)
-    same_side = (np.sign(lo) == np.sign(hi)) & (lo != 0.0) & (hi != 0.0) & (lo < hi)
-    inside = (
-        (lo >= -radius + BOUNDARY_MARGIN)
-        & (hi <= radius - BOUNDARY_MARGIN)
-        & ((lo > BOUNDARY_MARGIN) | (hi < -BOUNDARY_MARGIN))
-        & ((hi - lo) <= cfg.radius_cap(k))
-    )
-    ok = same_side & inside
+    ok = np.flatnonzero(_admissible(lo, hi, radius, cfg.radius_cap(k)))
     # Forward residual of both endpoints.
     w = _images(family, t_path, np.concatenate([lo[ok], hi[ok]]), k)
-    m = int(ok.sum())
-    res = np.maximum(np.abs(w[:m] + radius), np.abs(w[m:] - radius))
-    verified = []
-    for idx, (a, b, r) in enumerate(zip(lo[ok], hi[ok], res)):
-        if not r <= MARKOV_TOL:  # a NaN residual (dead endpoint) fails too
-            continue
-        key = fresh_keys[int(np.flatnonzero(ok)[idx])]
-        verified.append(
-            PartitionElement(
-                left=float(a),
-                right=float(b),
-                tau=k,
-                branch_id=f"{k}:{key.hex()}",
-                residual=float(r),
-            )
-        )
-    rejects = len(fresh_rows) - len(verified)
-    return verified, len(fresh_rows), rejects
+    res = np.maximum(np.abs(w[: ok.size] + radius), np.abs(w[ok.size :] - radius))
+    verified = [
+        PartitionElement(float(lo[i]), float(hi[i]), k, f"{k}:{fresh_keys[i].hex()}", r)
+        for i, r in zip(ok.tolist(), res.tolist())
+        if r <= MARKOV_TOL  # a NaN residual (dead endpoint) fails too
+    ]
+    return verified, len(fresh_rows), len(fresh_rows) - len(verified)
 
 
 def build_return_partition(
@@ -242,7 +250,6 @@ def build_return_partition(
     cfg: HyperbolicConfig,
     n_max: int,
     seed_grid: int = 4096,
-    cap: int = 60,
     refine_passes: int = 6,
     gap_resolution: float = 5e-6,
 ) -> ReturnPartition:
@@ -258,10 +265,10 @@ def build_return_partition(
     clearance of the boundary set and the hyperbolic-time radius cap, then
     admitted if disjoint from everything admitted at earlier times (ties at
     equal k resolved left to right; same-k branches are disjoint by
-    construction, so the smallest-time elements enter unconditionally). One
-    element from each of the smallest distinct return times is marked seeded
-    until the marked times are coprime, preferring four, which is the
-    aperiodicity certificate.
+    construction, so the smallest-time elements enter unconditionally). The
+    aperiodicity certificate is read off the return times (`_seeded_times`):
+    the smallest distinct ones, at least four, up to the first coprime
+    prefix, or all of them when no prefix is coprime.
 
     A fixed grid misses branches thinner than its spacing, so up to
     `refine_passes` deterministic refinement rounds drop fresh seeds into
@@ -271,8 +278,8 @@ def build_return_partition(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if n_max > cap:
-        raise CapExceeded(f"n_max={n_max} exceeds the refinement cap {cap}")
+    if n_max > HORIZON_CAP:
+        raise CapExceeded(f"n_max={n_max} exceeds the refinement cap {HORIZON_CAP}")
     radius = cfg.delta0 / 2.0
     half = np.geomspace(radius * 1e-6, radius * (1.0 - 1e-9), seed_grid)
     seeds = np.concatenate([-half[::-1], half])
@@ -319,25 +326,7 @@ def build_return_partition(
         if pass_no > 0 and added == 0:
             break
 
-    # Aperiodicity: mark one admitted element from each of the smallest
-    # distinct return times, preferring four, until the marked times are
-    # globally coprime; fewer are accepted (and recorded) when four coprime
-    # times do not exist below the horizon. With the greedy order above the
-    # smallest-time elements are admitted unconditionally, so marking after
-    # the fact selects the same elements that seeding first would have.
     elements = admitted.elements
-    chosen: dict[int, PartitionElement] = {}
-    for e in sorted(elements, key=lambda e: (e.tau, e.left)):
-        if e.tau not in chosen:
-            chosen[e.tau] = e
-            if len(chosen) >= 4 and _gcd_all(list(chosen)) == 1:
-                break
-    marked = {id(e) for e in chosen.values()}
-    elements = [
-        PartitionElement(e.left, e.right, e.tau, e.branch_id, e.residual, seeded=id(e) in marked)
-        for e in elements
-    ]
-
     covered = sum(e.width for e in elements)
     return ReturnPartition(
         family=family,
@@ -354,11 +343,11 @@ def build_return_partition(
     )
 
 
-def verify_markov(partition: ReturnPartition, samples: int = 100) -> dict:
+def verify_markov(partition: ReturnPartition) -> dict:
     """Independent re-check of every element: monotone interior, image onto base.
 
     Returns the worst endpoint residual and the count of monotonicity
-    violations across `samples` interior points per element. All samples
+    violations across MARKOV_SAMPLES interior points per element. All samples
     are stepped together, one `step_values` call a step. A sample that dies
     on the way (see `orbit.step_values`) makes its element non-monotone, and
     a dead endpoint makes the residual NaN, so the check fails.
@@ -370,9 +359,10 @@ def verify_markov(partition: ReturnPartition, samples: int = 100) -> dict:
     """
     elements = partition.elements
     taus = np.array([e.tau for e in elements], dtype=np.int64)
-    xs = np.linspace([e.left for e in elements], [e.right for e in elements], samples, axis=1)
+    n = MARKOV_SAMPLES
+    xs = np.linspace([e.left for e in elements], [e.right for e in elements], n, axis=1)
     t_path = partition.stream.values(0, int(taus.max(initial=0)))
-    xs = _images(partition.family, t_path, xs.ravel(), np.repeat(taus, samples)).reshape(xs.shape)
+    xs = _images(partition.family, t_path, xs.ravel(), np.repeat(taus, n)).reshape(xs.shape)
     # np.max keeps a NaN residual; a NaN difference is not > 0.
     r = partition.base_radius
     worst = float(np.max(np.maximum(np.abs(xs[:, 0] + r), np.abs(xs[:, -1] - r)), initial=0.0))
@@ -630,18 +620,16 @@ def _separation_times(
 
 
 def certify_axioms(
-    partition: ReturnPartition,
-    cache: PartitionCache | None = None,
-    pair_samples: int = 40,
+    partition: ReturnPartition, cache: PartitionCache | None = None
 ) -> AxiomReport:
     """Numeric verdicts for the six tower axioms on this partition.
 
-    Distortion pairs are drawn inside the widest elements; their separation
-    times (in tower steps) bin the Jacobian ratios, and a least-squares line
-    through the bin maxima yields the distortion constant and contraction
-    factor. The refinement diameter uses the certified geometric bound
-    d_n <= d_1 (e d_1 / |base|)^(n-1) from uniform expansion plus bounded
-    distortion. Separation-time consistency re-checks the recursive identity
+    Distortion pairs are drawn inside the DISTORTION_ELEMENTS widest
+    elements; their separation times (in tower steps) bin the Jacobian
+    ratios, and a least-squares line through the bin maxima yields the
+    distortion constant and contraction factor. The refinement diameter
+    uses the certified geometric bound d_n <= d_1 (e d_1 / |base|)^(n-1)
+    from uniform expansion plus bounded distortion. Separation-time consistency re-checks the recursive identity
     on the sampled pairs. A supplied cache has its time-0 entry pinned to
     this partition.
     """
@@ -660,7 +648,7 @@ def certify_axioms(
     # dyadic in-element separations so the separation times spread across
     # bins. Pairs whose images stall in uncovered parts of the shifted
     # partitions are censored, which finite coverage makes unavoidable.
-    elements = sorted(partition.elements, key=lambda e: -e.width)[:pair_samples]
+    elements = sorted(partition.elements, key=lambda e: -e.width)[:DISTORTION_ELEMENTS]
     half_fracs = 0.5 * np.array([0.8, 0.4, 0.2, 0.1, 0.05])
     widths = np.array([e.width for e in elements])[:, None]
     mid = np.array([e.left for e in elements])[:, None] + 0.5 * widths
@@ -733,5 +721,5 @@ def certify_axioms(
         tail_rate=tail_rate,
         tail_r_squared=tail_r2,
         gcd_return_times=_gcd_all(taus),
-        seeded_times=sorted(e.tau for e in partition.elements if e.seeded),
+        seeded_times=_seeded_times(taus),
     )

@@ -317,7 +317,7 @@ def reference_escape_rates(fam, seed, eps, delta, samples, n_cap, x0=None):
     `reference_orbits`, independent of the fit's retirement loop.
 
     Every row runs all n_cap steps (from `x0` when given). A row's event is
-    its first entry at a step n >= 5 (the fit's default n_min) into the
+    its first entry at a step n >= 5 (`hyperbolic.ESCAPE_N_MIN`) into the
     critical preimage neighborhood at radius 2 * delta, the starting point
     not tested. A dead row is NaN from its death on, so it can enter only
     while alive; a later death does not remove its event.
@@ -522,6 +522,76 @@ def reference_separation(family, stream, get, x, y, base_time, max_returns):
         total += tau
         base_time += tau
     return total, False
+
+
+def reference_seeded_times(taus):
+    """The aperiodicity marking loop that `tower.build_return_partition`
+    ran over its elements in (tau, left) order, on their return times: mark
+    one time at a time in increasing order, and stop once at least four are
+    marked and their gcd is 1."""
+    from rovella.tower import _gcd_all
+
+    chosen = {}
+    for tau in sorted(taus):
+        if tau not in chosen:
+            chosen[tau] = True
+            if len(chosen) >= 4 and _gcd_all(list(chosen)) == 1:
+                break
+    return sorted(chosen)
+
+
+def reference_admission(lo, hi, radius, cap):
+    """The two admission masks of `tower._level_elements`, one-sidedness
+    and clearance tested apart: `same_side & inside`."""
+    from rovella.tower import BOUNDARY_MARGIN
+
+    same_side = (np.sign(lo) == np.sign(hi)) & (lo != 0.0) & (hi != 0.0) & (lo < hi)
+    inside = (
+        (lo >= -radius + BOUNDARY_MARGIN)
+        & (hi <= radius - BOUNDARY_MARGIN)
+        & ((lo > BOUNDARY_MARGIN) | (hi < -BOUNDARY_MARGIN))
+        & ((hi - lo) <= cap)
+    )
+    return same_side & inside
+
+
+def reference_grid_checks(family, grid):
+    """The (t, x)-grid fields of `map_core.verify_conditions` by two loops:
+    C2, envelope, C3 and range over the t slices, then the t-Lipschitz
+    secants with both slices of every neighbouring pair evaluated afresh,
+    and |x|^(s-1) recomputed per slice."""
+    from rovella.map_core import schwarzian
+
+    xs = grid.x_points()
+    ts = grid.t_points(family.eps_max)
+    monotone_ok = True
+    envelope_lo = np.inf
+    envelope_hi = -np.inf
+    c3_max = -np.inf
+    range_ok = True
+    for t in ts:
+        d = family.deriv(t, xs)
+        monotone_ok &= bool(np.all(d > 0))
+        ratio = d / np.abs(xs) ** (family.s - 1.0)
+        envelope_lo = min(envelope_lo, float(ratio.min()))
+        envelope_hi = max(envelope_hi, float(ratio.max()))
+        c3_max = max(c3_max, float(np.max(schwarzian(family, t, xs))))
+        vals = family.value(t, xs)
+        range_ok &= bool(np.all(np.abs(vals) <= 1.0 + 1e-15))
+    t_lip_ok = True
+    for i in range(len(ts) - 1):
+        gap = np.abs(family.value(ts[i + 1], xs) - family.value(ts[i], xs)).max()
+        t_lip_ok &= bool(gap <= abs(ts[i + 1] - ts[i]) + 1e-12)
+    return {
+        "c2_monotone_ok": monotone_ok,
+        "k1_fit": float(envelope_lo),
+        "k2_fit": float(envelope_hi),
+        "envelope_ok": family.k1 <= envelope_lo + 1e-9 and envelope_hi <= family.k2 + 1e-9,
+        "c3_ok": c3_max < 0.0,
+        "c3_max": c3_max,
+        "range_ok": range_ok,
+        "t_lipschitz_ok": t_lip_ok,
+    }
 
 
 def reference_verify_markov(partition, samples=100):

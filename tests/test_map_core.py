@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_grid_checks
 from rovella import map_core as mc
 from rovella.errors import DeltaTooLarge, DomainError
 
@@ -200,6 +202,26 @@ class TestVerifyConditions:
         # partial sums only; no pass/fail claim
         assert report.summability_partial > 0
         assert report.summability_terms > 0
+
+    @pytest.mark.parametrize("name", ["fam", "fam3", "table_fam", "wobble"])
+    def test_grid_checks_match_two_loops(self, request, fam, name):
+        """The one (t, x) grid loop, comparing each slice with the one
+        before it, gives the report of the two-loop form byte for byte, at
+        the default grid (t step 0.005). `wobble` adds 0.004 sin(1000 t)
+        for t > 0 to the fixture: secants between neighbouring slices reach
+        1.6, so its t-Lipschitz check fails, though no slice is more than
+        0.004 from the first one."""
+        if name == "wobble":
+            def value(t, x):
+                return fam.value(t, x) + (0.004 * math.sin(1000.0 * t) if t > 0 else 0.0)
+
+            family = dataclasses.replace(fam, value=value)
+        else:
+            family = request.getfixturevalue(name)
+        report = mc.verify_conditions(family)
+        want = dataclasses.replace(report, **reference_grid_checks(family, mc.GridSpec()))
+        assert repr(report) == repr(want)
+        assert report.t_lipschitz_ok == (name != "wobble")
 
 
 class TestTableFamily:

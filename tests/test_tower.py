@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    reference_admission,
+    reference_seeded_times,
     reference_separation,
     reference_tower_orbits,
     reference_verify_markov,
@@ -44,9 +46,48 @@ class TestBuild:
     def test_gcd_one_with_seeded_elements(self, part):
         taus = [e.tau for e in part.elements]
         assert tower._gcd_all(taus) == 1
-        seeded = [e.tau for e in part.elements if e.seeded]
+        seeded = tower._seeded_times(taus)
         assert 1 <= len(seeded) <= 4
         assert tower._gcd_all(sorted(set(taus))[: len(seeded)]) == tower._gcd_all(seeded)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("family", ["fam", "table_fam"])
+    def test_seeded_times_match_marking_loop(self, request, family, seed, hyp_cfg):
+        p = tower.build_return_partition(
+            request.getfixturevalue(family), noise.stream(seed, 0.01), hyp_cfg, 20, seed_grid=512
+        )
+        taus = [e.tau for e in p.elements]
+        assert len(set(taus)) >= 4
+        assert tower._seeded_times(taus) == reference_seeded_times(taus)
+
+    @pytest.mark.parametrize(
+        "taus, want",
+        [
+            ([3, 4, 5, 7], [3, 4, 5, 7]),  # coprime within four
+            ([9, 2, 8, 4, 6, 4, 11], [2, 4, 6, 8, 9]),  # needs a fifth
+            ([2, 4, 6, 8, 10], [2, 4, 6, 8, 10]),  # never coprime: all of them
+            ([7, 5, 7], [5, 7]),  # fewer than four distinct times
+            ([], []),
+        ],
+    )
+    def test_seeded_times_rule(self, taus, want):
+        assert tower._seeded_times(taus) == reference_seeded_times(taus) == want
+
+    def test_one_admission_mask(self):
+        """The single admission mask equals one-sidedness and clearance
+        tested apart, on every ordered pair of edge values: NaN, signed
+        zeros and subnormal-scale ends, the margins around 0 and the base
+        boundary, equal and swapped ends."""
+        r, m = 0.05, tower.BOUNDARY_MARGIN
+        edges = [math.nan, 0.0, -0.0, 1e-300, -1e-300, m, -m, 2 * m, -2 * m,
+                 r - m, -(r - m), r - m / 2, -(r - m / 2), r / 3, -r / 3, r, -r]
+        lo, hi = (a.ravel() for a in np.meshgrid(edges, edges, indexing="ij"))
+        admitted = 0
+        for cap in (math.inf, r / 2, 1e-3, math.nan):
+            got = tower._admissible(lo, hi, r, cap)
+            assert np.array_equal(got, reference_admission(lo, hi, r, cap))
+            admitted += int(got.sum())
+        assert admitted > 0
 
     def test_horizon_below_first_return_gives_nothing(self, fam, noisy_stream, hyp_cfg):
         tiny = tower.build_return_partition(fam, noisy_stream, hyp_cfg, 2, seed_grid=256)
@@ -366,7 +407,11 @@ class TestCertifyAxioms:
         assert not rep.verdicts()["aperiodicity"]
 
     def test_seeded_coprime_case_passes(self, part):
-        seeded = [e for e in part.elements if e.seeded]
+        # The leftmost element of each seeded time.
+        seeded = [
+            next(e for e in part.elements if e.tau == tau)
+            for tau in tower._seeded_times([e.tau for e in part.elements])
+        ]
         sub = tower.ReturnPartition(
             family=part.family,
             stream=part.stream,
