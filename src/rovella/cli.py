@@ -19,7 +19,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, hyperbolic, map_core, measures, noise, orbit, tower
 from .errors import RovellaError, ValidationError
@@ -588,6 +587,8 @@ def _from_manifest(args: argparse.Namespace) -> tuple[dict, argparse.Namespace]:
 
 
 def _run(cfg: dict, args: argparse.Namespace) -> int:
+    import scipy  # for its version only, so that loading a config loads no scipy
+
     started = time.time()
     artifacts, code = COMMANDS[args.command](cfg, args)
     manifest = {

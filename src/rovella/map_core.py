@@ -219,8 +219,9 @@ def fixture_family(s: float = 2.0, eps_max: float = 0.1) -> MapFamily:
 
 def _power_sum(c, hs):
     """c[-1] + c[-2] h + c[-3] (h h) + ... for hs = (h, h h, (h h) h), in
-    the order and association of scipy's `PPoly` (coefficients highest power
-    first), so arrays and floats get PPoly's bytes."""
+    the order and association of scipy's `PPoly` evaluation (coefficients
+    highest power first), so arrays and floats get PPoly's bytes without
+    calling it."""
     out = c[-1] + c[-2] * hs[0]
     for k in range(2, len(c)):
         out += c[-1 - k] * hs[k - 1]
@@ -240,7 +241,8 @@ class _TableFn:
 
     `knots` holds both branches' knots in order. Column j of `table` holds
     the left knot of piece j, then the coefficients of T_0, T_0' and T_0''
-    on it as scipy's `PPoly.c` and `derivative()` give them; the piece
+    on it (`_pchip_coefficients`, with the bytes of scipy's `PPoly.c` and
+    `derivative()`); the piece
     between the branches repeats the negative branch's last piece, so that
     its last knot evaluates on that piece as `PPoly` does. `_pieces` finds
     the piece of each x through the buckets of `_bucket_lookup`, and
@@ -453,6 +455,48 @@ def _shear_spline_inverse(
     return sign * np.clip(x, _BRANCH_EDGE, 1.0)
 
 
+# The rising factorials that scipy's `PPoly.derivative` multiplies the
+# leading coefficient rows by, for the first and the second derivative.
+_D1 = np.array([[3.0], [2.0], [1.0]])
+_D2 = np.array([[6.0], [2.0]])
+
+
+def _pchip_coefficients(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """(4, n - 1) coefficients, highest power first, of the monotone PCHIP
+    spline through n >= 2 nodes with strictly increasing float64 xs.
+
+    The node slopes are Fritsch & Butland's weighted harmonic means of the
+    neighbouring secants, 0 where those differ in sign or one is 0 (SIAM J.
+    Sci. Stat. Comput. 5, 1984), with Moler's one-sided three-point end
+    slopes (Numerical Computing with MATLAB, 3.6), and two nodes give the
+    secant at both. Each piece is the cubic Hermite form on its ends. The
+    arithmetic is scipy 1.17's `PchipInterpolator` (`_find_derivatives`,
+    `_edge_case`, `CubicHermiteSpline`) operation for operation, so the
+    result has the bytes of its `PPoly.c`.
+    """
+    h = xs[1:] - xs[:-1]
+    m = (ys[1:] - ys[:-1]) / h
+    if m.size == 1:
+        d = np.array([m[0], m[0]])
+    else:
+        d = np.zeros_like(ys)
+        sm = np.sign(m)
+        harmonic = (sm[1:] == sm[:-1]) & (m[1:] != 0) & (m[:-1] != 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):  # rows kept at 0
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1][harmonic] = 1.0 / whmean[harmonic]
+        # Both ends at once: the secants and widths counted from each end.
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        flips = np.sign(end) != np.sign(m0)
+        steep = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
+        d[[0, -1]] = np.where(flips, 0.0, np.where(steep, 3.0 * m0, end))
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], ys[:-1]))
+
+
 def check_table(pos_x, pos_y, neg_x, neg_y, s, k1, k2, eps_max) -> None:
     """Raise ValueError unless the arguments of `table_family` define a
     family: on each branch strictly increasing x and y, the outermost node
@@ -504,23 +548,21 @@ def table_family(
     not inferred; `verify_conditions` checks them. One callable per
     derivative order (`_TableFn`) evaluates the spline in-house (the first
     derivative's also gives `value_deriv`), and one inverse serves both
-    branches (`_TableInverse`). scipy builds the spline coefficients and is
-    not called after that.
+    branches (`_TableInverse`). The spline coefficients come from
+    `_pchip_coefficients`; no scipy module is loaded.
     """
-    from scipy.interpolate import PchipInterpolator
-
     check_table(pos_x, pos_y, neg_x, neg_y, s, k1, k2, eps_max)
     parts = []
     for xs, ys, inner in ((neg_x, neg_y, -1), (pos_x, pos_y, 0)):
         xs, ys = np.array(xs, dtype=float), np.array(ys, dtype=float)
-        spline = PchipInterpolator(xs, ys)
+        c = _pchip_coefficients(xs, ys)
         x1 = float(xs[inner])
         a = float((1.0 + np.copysign(1.0, x1) * ys[inner]) / abs(x1) ** s)
-        cols = np.vstack([xs[:-1], spline.c, spline.derivative(1).c, spline.derivative(2).c])
+        cols = np.vstack([xs[:-1], c, c[:3] * _D1, c[:2] * _D2])
         cols[(4, 7, 9), :] += 0.0  # PPoly sums from 0.0, so a -0.0 constant term gives 0.0
         h = xs[-1] - xs[-2]
-        nodes = np.append(spline.c[3], _power_sum(cols[1:5, -1], (h, h * h, h * h * h)))
-        parts.append((xs, cols, spline.c, nodes, x1, a))
+        nodes = np.append(c[3], _power_sum(cols[1:5, -1], (h, h * h, h * h * h)))
+        parts.append((xs, cols, c, nodes, x1, a))
     side_knots, cols, cs, nodes, x1s, amps = zip(*parts)  # each a (negative, positive) pair
     knots = np.concatenate(side_knots)
     table = np.hstack([cols[0], cols[0][:, -1:], cols[1]])

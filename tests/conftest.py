@@ -220,6 +220,35 @@ def ppoly_family(fam):
     return dataclasses.replace(fam, value=value, deriv=deriv, second=second)
 
 
+def reference_pchip(xs, ys):
+    """`PPoly.c` of scipy's `PchipInterpolator` through the nodes and of its
+    first and second derivative: the reference for
+    `map_core._pchip_coefficients`."""
+    from scipy.interpolate import PchipInterpolator
+
+    spline = PchipInterpolator(xs, ys)
+    return spline.c, spline.derivative(1).c, spline.derivative(2).c
+
+
+def reference_table_arrays(pos_x, pos_y, neg_x, neg_y):
+    """(knots, table, c, nodes) of `map_core.table_family` on these nodes,
+    built as they were when scipy's `PchipInterpolator` gave the spline."""
+    knots, cols, cs, nodes = [], [], [], []
+    for xs, ys in ((neg_x, neg_y), (pos_x, pos_y)):
+        xs, ys = np.array(xs, dtype=float), np.array(ys, dtype=float)
+        c, d1, d2 = reference_pchip(xs, ys)
+        col = np.vstack([xs[:-1], c, d1, d2])
+        col[(4, 7, 9), :] += 0.0
+        h = xs[-1] - xs[-2]
+        nodes.append(np.append(c[3], map_core._power_sum(col[1:5, -1], (h, h * h, h * h * h))))
+        knots.append(xs)
+        cols.append(col)
+        cs.append(c)
+    table = np.hstack([cols[0], cols[0][:, -1:], cols[1]])
+    c = np.hstack([cs[0], np.zeros((4, 1)), cs[1]])
+    return np.concatenate(knots), table, c, np.concatenate(nodes)
+
+
 def zero_preimage(fam, t: float, span: int = 4000):
     """A float x > 0 whose fixture image T_t(x) rounds to exactly 0, or None.
 

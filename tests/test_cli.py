@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -550,20 +551,54 @@ class TestConfigMerge:
         assert capsys.readouterr().out == self.HELP[command]
 
 
-def test_cli_import_leaves_scipy_submodules_unloaded(tmp_path):
-    # scipy.sparse serves only Ulam operators and scipy.interpolate only
-    # tabulated families; a command that needs neither does not pay for them,
-    # and validating a table config builds no spline.
+def _python_with_src(code, *args):
+    """Run `code` in a fresh interpreter that imports rovella from this
+    checkout; its standard output, stripped."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_submodules_unloaded(tmp_path):
+    # scipy.sparse serves only Ulam operators, and the manifest imports
+    # scipy for its version when a command has run: importing the CLI and
+    # validating a table config load no scipy module at all.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(table_config()))
     code = (
         "import sys, rovella.cli; rovella.cli.load_config(sys.argv[1]); "
-        "print(sorted(m for m in ('scipy.sparse', 'scipy.interpolate') if m in sys.modules))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code, str(cfg)], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert _python_with_src(code, cfg) == "[]"
+
+
+def test_table_commands_load_scipy_sparse_for_ulam_only(tmp_path):
+    """A table family's spline is built without scipy: the commands with no
+    Ulam step load no scipy subpackage (scipy.interpolate and scipy.sparse
+    included), and correlation loads scipy.sparse only. `import scipy`
+    itself, which the manifest does, loads private modules and
+    scipy.version."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        **table_config(),
+        "hyperbolic": {"c": 0.35, "c_prime": 0.45},
+        "measures": {"grid_m": 64, "m_past": 5, "n_max": 5, "direction": "forward"},
+    }))
+    code = textwrap.dedent("""
+        import json, sys, rovella.cli
+        cfg, out = sys.argv[1:]
+        def run(*argv):
+            assert rovella.cli.main([*argv, "--config", cfg, "--out", out]) == 0, argv
+            names = {m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}
+            print(json.dumps(sorted(n for n in names if n[0] != "_" and n != "version")))
+        run("verify-family")
+        run("build-partition", "--n-max", "6")
+        run("hyperbolic-tails", "--samples", "500", "--n-max", "10")
+        run("correlation")
+    """)
+    loaded = [json.loads(line) for line in _python_with_src(code, cfg, tmp_path).splitlines()]
+    assert loaded == [[], [], [], ["sparse"]]

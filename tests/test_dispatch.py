@@ -253,7 +253,7 @@ def test_table_matches_ppoly(any_table, part):
 def test_table_family_runs_without_ppoly(table_fam, hyp_cfg, monkeypatch):
     """With `PPoly.__call__` refusing to run, a table family builds, steps
     ensembles, streams chunked tails, builds an Ulam operator and inverts:
-    scipy only builds its coefficients."""
+    no table path calls scipy's splines."""
     from scipy.interpolate import PPoly
 
     def refuse(*args, **kwargs):

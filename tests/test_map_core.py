@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_grid_checks
+from conftest import (
+    assert_same_bytes,
+    reference_grid_checks,
+    reference_pchip,
+    reference_table_arrays,
+)
 from rovella import map_core as mc
 from rovella.errors import DeltaTooLarge, DomainError
 
@@ -276,3 +282,92 @@ class TestTableFamily:
         xs = xs[xs != 0]
         gap = np.abs(mc.evaluate(tab, 0.08, xs) - mc.evaluate(tab, -0.02, xs))
         assert gap.max() <= 0.1 + 1e-12
+
+
+# Node sets of one branch: two nodes, three nodes (one non-monotone), and
+# a kink where Moler's one-sided end slope at the first node comes out
+# negative, so the shape-preserving rule sets it to 0.
+BRANCHES = {
+    "two": ([0.0, 1.0], [-1.0, 0.5]),
+    "three": ([-1.0, -0.5, -1e-3], [0.0, 0.5, 0.99]),
+    "three_turning": ([0.0, 0.25, 1.0], [0.0, 2.0, 1.0]),
+    "kink": ([0.1, 0.2, 0.3, 1.0], [-0.9, -0.89, 0.5, 1.0]),
+}
+
+
+def _table_nodes(as_json=False):
+    """The 200 nodes a side of `conftest.table_fam`, and, as_json, as the
+    benchmark's table workload passes them from its JSON config."""
+    xs = np.linspace(1e-6, 1.0, 200)
+    nodes = dict(pos_x=xs, pos_y=2 * xs**2 - 1, neg_x=-xs[::-1], neg_y=-(2 * xs[::-1] ** 2 - 1))
+    if as_json:
+        nodes = {k: json.loads(json.dumps(v.tolist())) for k, v in nodes.items()}
+    return nodes
+
+
+def _kink_table():
+    xs, ys = (np.array(v) for v in BRANCHES["kink"])
+    return dict(pos_x=xs, pos_y=ys, neg_x=-xs[::-1], neg_y=-ys[::-1])
+
+
+@st.composite
+def node_sets(draw):
+    """Strictly increasing x; y rising strictly, or moving either way
+    (flat steps included) so that every slope rule runs."""
+    n = draw(st.integers(2, 30))
+    gaps = draw(st.lists(st.floats(1e-6, 10.0), min_size=n - 1, max_size=n - 1))
+    if draw(st.booleans()):
+        rises = draw(st.lists(st.floats(1e-9, 1e3), min_size=n - 1, max_size=n - 1))
+    else:
+        rises = draw(st.lists(st.floats(-1e3, 1e3), min_size=n - 1, max_size=n - 1))
+    x0, y0 = draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))
+    return x0 + np.cumsum([0.0, *gaps]), y0 + np.cumsum([0.0, *rises])
+
+
+class TestPchipCoefficients:
+    """`map_core._pchip_coefficients` and the derivative rows it implies
+    have the bytes of scipy's `PchipInterpolator`, and so do the arrays
+    `table_family` builds from them."""
+
+    @staticmethod
+    def assert_scipy_bytes(xs, ys):
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        c = mc._pchip_coefficients(xs, ys)
+        ours = (c, c[:3] * mc._D1, c[:2] * mc._D2)
+        for got, want in zip(ours, reference_pchip(xs, ys)):
+            assert_same_bytes(got, want)
+        return c
+
+    @pytest.mark.parametrize("name", BRANCHES)
+    def test_small_branches(self, name):
+        self.assert_scipy_bytes(*BRANCHES[name])
+
+    def test_kink_end_slope_is_zero(self):
+        xs, ys = BRANCHES["kink"]
+        c = self.assert_scipy_bytes(xs, ys)
+        m0, m1 = (ys[1] - ys[0]) / 0.1, (ys[2] - ys[1]) / 0.1
+        assert (3 * m0 - m1) / 2 < 0  # the one-sided three-point slope
+        assert c[2, 0] == 0.0
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["table_fam", "workload"])
+    def test_table_branches(self, as_json):
+        nodes = _table_nodes(as_json)
+        self.assert_scipy_bytes(nodes["pos_x"], nodes["pos_y"])
+        self.assert_scipy_bytes(nodes["neg_x"], nodes["neg_y"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(node_sets())
+    def test_random_node_sets(self, nodes):
+        self.assert_scipy_bytes(*nodes)
+
+    @pytest.mark.parametrize(
+        "nodes", [_table_nodes(), _table_nodes(as_json=True), _kink_table()],
+        ids=["table_fam", "workload", "kink"],
+    )
+    def test_table_family_arrays(self, nodes):
+        fam = mc.table_family(**nodes, s=2.0, k1=0.1, k2=10.0)
+        knots, table, c, node_values = reference_table_arrays(**nodes)
+        for got, want in ((fam.value.knots, knots), (fam.inverse.knots, knots),
+                          (fam.value.table, table), (fam.inverse.c, c),
+                          (fam.inverse.nodes, node_values)):
+            assert_same_bytes(got, want)
