@@ -19,7 +19,6 @@ from .errors import (
 from .map_core import (
     ConditionReport,
     CriticalNeighborhoods,
-    GridSpec,
     MapFamily,
     critical_neighborhoods,
     derivative,
@@ -40,7 +39,6 @@ from .hyperbolic import (
 )
 from .measures import (
     CorrelationSeries,
-    DensityVector,
     UniformGrid,
     equivariant_density,
     fit_exponential,

@@ -152,7 +152,8 @@ def validate_config(cfg: dict) -> None:
         raise ValidationError("hyperbolic chain violated: 0 < c < c_prime required")
     tw = cfg["tower"]
     _number("tower", tw, "seed_grid", integer=True, at_least=1)
-    _number("tower", tw, "n_max", integer=True, at_least=1)
+    if _number("tower", tw, "n_max", integer=True, at_least=1) > tower.HORIZON_CAP:
+        raise ValidationError(f"tower chain violated: n_max <= {tower.HORIZON_CAP} required")
     ms = cfg["measures"]
     for key in ("m_past", "n_max", "burn_in"):
         _number("measures", ms, key, integer=True, at_least=0)
@@ -168,6 +169,9 @@ def validate_config(cfg: dict) -> None:
             raise ValidationError(
                 f"measures chain violated: unknown {key} {ms[key]!r} (choose from {choices})"
             )
+    directory = cfg["output"]["directory"]
+    if not isinstance(directory, str):
+        raise ValidationError(f"output.directory must be a string, got {json.dumps(directory)}")
 
 
 def _table_args(fam: dict) -> dict:
@@ -413,7 +417,7 @@ def cmd_density(cfg: dict, args) -> tuple[list[str], int]:
     write_csv(
         out,
         ["cell_left", "cell_right", "weight"],
-        zip(edges[:-1].tolist(), edges[1:].tolist(), dens.weights.tolist()),
+        zip(edges[:-1].tolist(), edges[1:].tolist(), dens.tolist()),
     )
     return [out.name], EXIT_OK
 

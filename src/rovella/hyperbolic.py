@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParamError
-from .map_core import MapFamily, critical_neighborhoods, in_punctured_interval
+from .map_core import CriticalNeighborhoods, MapFamily, critical_neighborhoods
 from .noise import ensemble_keys, keyed_draws
 from .orbit import OrbitTrace, _depths, start_points, step
 
@@ -51,9 +51,8 @@ class HyperbolicConfig:
     kappa is the empirical expansion exponent; the defaults c = kappa / 4 and
     c_prime = kappa / 2 follow the chain 0 < c < c_prime, and lambda_prime =
     kappa - c_prime is the certified expansion rate at hyperbolic times.
-    base_neg / base_pos bound the two components of the critical-value
-    preimage neighborhood at radius delta0 / 2, against which return times
-    are tested.
+    base is the critical-value preimage neighborhood at radius delta0 / 2,
+    against which return times are tested (`base.contains`).
     """
 
     delta: float
@@ -62,8 +61,7 @@ class HyperbolicConfig:
     c_prime: float
     kappa: float
     lambda_prime: float
-    base_neg: float
-    base_pos: float
+    base: CriticalNeighborhoods
     prefactor: float = 1.0
 
     def __post_init__(self) -> None:
@@ -75,10 +73,6 @@ class HyperbolicConfig:
     def radius_cap(self, n: int) -> float:
         """Largest radius of an expanding neighborhood at hyperbolic time n."""
         return self.delta0 * math.exp(-self.lambda_prime * n / 2.0) / self.prefactor
-
-    def in_base(self, x) -> np.ndarray:
-        """Membership in the critical preimage neighborhood at delta0 / 2."""
-        return in_punctured_interval(x, self.base_neg, self.base_pos)
 
 
 def fit_expansion_rate(
@@ -153,7 +147,6 @@ def config_for_family(
     c_prime = kappa / 2.0 if c_prime is None else c_prime
     lambda_prime = kappa - c_prime
     delta0 = delta if delta0 is None else delta0
-    base = critical_neighborhoods(family, 0.0, delta0 / 2.0)
     return HyperbolicConfig(
         delta=delta,
         delta0=delta0,
@@ -161,8 +154,7 @@ def config_for_family(
         c_prime=c_prime,
         kappa=kappa,
         lambda_prime=lambda_prime,
-        base_neg=base.neg_lo,
-        base_pos=base.pos_hi,
+        base=critical_neighborhoods(family, 0.0, delta0 / 2.0),
         prefactor=prefactor,
     )
 
@@ -220,7 +212,7 @@ def hyperbolic_times(trace: OrbitTrace, cfg: HyperbolicConfig) -> HyperbolicRepo
     depths = trace.depths[:n]
     flags = _hyperbolic_flags(depths, cfg.c_prime)
     times = list(np.flatnonzero(flags) + 1)
-    in_base = cfg.in_base(trace.points)
+    in_base = cfg.base.contains(trace.points)
     return_times = [t for t in times if in_base[t]]
     return HyperbolicReport(
         times=times,
@@ -289,7 +281,7 @@ def _tail_chunk(
         first_h[hyp & (first_h > k)] = k
         # Base membership only where it can set a first return.
         open_rows = np.flatnonzero(hyp & (first_ret > k))
-        first_ret[open_rows[cfg.in_base(x[open_rows])]] = k
+        first_ret[open_rows[cfg.base.contains(x[open_rows])]] = k
         depth_sum += depth
         np.greater_equal(depth_sum, cfg.c * (k + 1), out=bad[k])
     alive = ~np.isnan(x)

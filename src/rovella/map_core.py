@@ -484,7 +484,9 @@ def _pchip_coefficients(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         harmonic = (sm[1:] == sm[:-1]) & (m[1:] != 0) & (m[:-1] != 0)
         w1 = 2 * h[1:] + h[:-1]
         w2 = h[1:] + 2 * h[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):  # rows kept at 0
+        # Rows with a 0 secant are kept at 0; a subnormal secant overflows
+        # its term to inf, which gives the slope 0, as in scipy.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
         d[1:-1][harmonic] = 1.0 / whmean[harmonic]
         # Both ends at once: the secants and widths counted from each end.
@@ -665,16 +667,11 @@ class CriticalNeighborhoods:
         return self.pos_hi - self.neg_lo
 
     def contains(self, x: ArrayLike) -> ArrayLike:
-        return in_punctured_interval(x, self.neg_lo, self.pos_hi)
-
-
-def in_punctured_interval(x: ArrayLike, lo: float, hi: float) -> ArrayLike:
-    """Membership of x in [lo, 0) or (0, hi]: the two components of a
-    critical preimage neighborhood. 0, -0 and NaN are outside; a bool for
-    0-d x, a boolean array otherwise."""
-    x = np.asarray(x)
-    out = ((x > 0) & (x <= hi)) | ((x < 0) & (x >= lo))
-    return bool(out) if np.ndim(out) == 0 else out
+        """Membership of x in [neg_lo, 0) or (0, pos_hi]. 0, -0 and NaN are
+        outside; a bool for 0-d x, a boolean array otherwise."""
+        x = np.asarray(x)
+        out = ((x > 0) & (x <= self.pos_hi)) | ((x < 0) & (x >= self.neg_lo))
+        return bool(out) if np.ndim(out) == 0 else out
 
 
 def critical_neighborhoods(
@@ -710,22 +707,15 @@ def critical_neighborhoods(
     return CriticalNeighborhoods(delta=delta, neg_lo=neg_lo, pos_hi=pos_hi, d_ratio=d_ratio)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Sampling plan for the numerical condition checks."""
-
-    n_x: int = 10_000
-    n_t: int = 41
-    horizon: int = 30
-    x_min: float = 1e-9
-    limit_tol: float = 1e-3
-
-    def x_points(self) -> np.ndarray:
-        half = np.geomspace(self.x_min, 1.0, self.n_x // 2)
-        return np.concatenate([-half[::-1], half])
-
-    def t_points(self, eps_max: float) -> np.ndarray:
-        return np.linspace(-eps_max, eps_max, self.n_t)
+# Sampling plan of `verify_conditions`: CHECK_N_X points of x, log-spaced
+# from CHECK_X_MIN to 1 on each side of 0, at CHECK_N_T values of t across
+# [-eps_max, eps_max]; critical orbits to CHECK_HORIZON steps; and the
+# tolerance of the one-sided limits at the singularity.
+CHECK_N_X = 10_000
+CHECK_N_T = 41
+CHECK_HORIZON = 30
+CHECK_X_MIN = 1e-9
+CHECK_LIMIT_TOL = 1e-3
 
 
 @dataclass
@@ -791,26 +781,26 @@ def unperturbed_orbit(family: MapFamily, v: float, n: int) -> tuple[np.ndarray, 
     return pts, logd
 
 
-def verify_conditions(family: MapFamily, grid: GridSpec | None = None) -> ConditionReport:
+def verify_conditions(family: MapFamily) -> ConditionReport:
     """Grid-sampled verification of the map conditions and the Rovella checks.
 
     Families are supplied as callables, so every check samples rather than
     reasons symbolically. R1/R2 run along the critical orbits of the t = 0
-    map up to `grid.horizon`; the admissibility distortion constant is the
+    map up to CHECK_HORIZON; the admissibility distortion constant is the
     empirical sup over sampled pairs with 2|x - y| < |x|.
     """
-    grid = grid or GridSpec()
-    xs = grid.x_points()
-    ts = grid.t_points(family.eps_max)
+    half = np.geomspace(CHECK_X_MIN, 1.0, CHECK_N_X // 2)
+    xs = np.concatenate([-half[::-1], half])
+    ts = np.linspace(-family.eps_max, family.eps_max, CHECK_N_T)
 
     # C1: one-sided limits at the singularity on a shrinking grid.
-    shrink = np.geomspace(grid.x_min, 1e-4, 32)
+    shrink = np.geomspace(CHECK_X_MIN, 1e-4, 32)
     gaps = []
     for t in (0.0, family.eps_max, -family.eps_max):
         gaps.append(np.abs(family.value(t, shrink) - (-1.0)).max())
         gaps.append(np.abs(family.value(t, -shrink) - 1.0).max())
     c1_gap = float(max(gaps))
-    c1_ok = c1_gap <= grid.limit_tol
+    c1_ok = c1_gap <= CHECK_LIMIT_TOL
 
     # C2 + envelope + C3 + range over the (t, x) grid, and admissibility
     # |d/dt T_t(x)| <= 1 via secants between neighbouring t slices.
@@ -839,7 +829,7 @@ def verify_conditions(family: MapFamily, grid: GridSpec | None = None) -> Condit
     )
 
     # R1: DT^n at the critical values of T_0 beats lambda^n for some lambda > 1.
-    n = grid.horizon
+    n = CHECK_HORIZON
     orbits = [unperturbed_orbit(family, v0, max(n, 200)) for v0 in (-1.0, 1.0)]
     lam_fit = np.inf
     r2_alpha = 0.0

@@ -66,26 +66,6 @@ class UniformGrid:
         return (0, e[1:np.searchsorted(e, 0.0)]), (right - 1, e[right:self.m])
 
 
-@dataclass
-class DensityVector:
-    """Piecewise-constant density on a uniform grid; integrates to one."""
-
-    grid: UniformGrid
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.weights.shape != (self.grid.m,):
-            raise ValueError("weights shape does not match the grid")
-        if np.any(self.weights < 0):
-            raise ValueError("density weights must be nonnegative")
-        total = float(self.weights.sum() * self.grid.h)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"density integrates to {total}, not 1")
-
-    def masses(self) -> np.ndarray:
-        return self.weights * self.grid.h
-
-
 def ulam_row_operator(family: MapFamily, t: float, grid: UniformGrid) -> sp.csr_matrix:
     """Row-stochastic matrix: entry (i, j) is the fraction of cell i mapping
     into cell j under the fiber map at parameter t (see `_ulam_arrays`)."""
@@ -194,21 +174,22 @@ def equivariant_density(
     m_past: int,
     grid: UniformGrid,
     cache: OperatorCache | None = None,
-) -> DensityVector:
-    """Sample-measure density at the stream's origin by finite pullback.
+) -> np.ndarray:
+    """Cell weights of the sample-measure density at the stream's origin:
+    `_pullback` to index 0 over the cell width. The equivariant family is
+    omega-dependent, so no fixed-point solve can replace the pullback."""
+    return _pullback(cache or OperatorCache(family, stream, grid), m_past, 0) / grid.h
 
-    Pushes the uniform density through the operators of the maps at noise
-    indices -m_past, ..., -1 in order and renormalizes. m_past = 0 returns
-    the uniform density; the equivariant family is omega-dependent, so there
-    is no fixed-point solve to replace this.
-    """
-    cache = cache or OperatorCache(family, stream, grid)
-    masses = np.full(grid.m, 1.0 / grid.m)
-    for j in range(m_past, 0, -1):
-        masses = cache.push(masses, -j)
-    masses = np.maximum(masses, 0.0)
-    masses /= masses.sum()
-    return DensityVector(grid=grid, weights=masses / grid.h)
+
+def _pullback(cache: OperatorCache, m_past: int, origin: int) -> np.ndarray:
+    """Cell masses of the sample measure at noise index `origin`: the
+    uniform masses pushed through the operators at origin - m_past, ...,
+    origin - 1 in order, then normalized. m_past = 0 gives the uniform
+    masses."""
+    masses = np.full(cache.grid.m, 1.0 / cache.grid.m)
+    for j in range(origin - m_past, origin):
+        masses = cache.push(masses, j)
+    return masses / masses.sum()
 
 
 @dataclass
@@ -316,7 +297,9 @@ def _ulam_correlation(
     out = np.empty(n_max + 1)
 
     if direction == "forward":
-        base = equivariant_density(family, stream, m_past, grid, cache=cache).masses()
+        # Via the density (/ h, then * h): where h is not a power of 2 that
+        # round trip rounds, and the series' bytes depend on it.
+        base = equivariant_density(family, stream, m_past, grid, cache) * grid.h
         psi_mean = float(psi_c @ base)
         signed = psi_c * base
         running = base.copy()
@@ -327,11 +310,8 @@ def _ulam_correlation(
             out[n] = abs(float(phi_c @ signed) - float(phi_c @ running) * psi_mean)
         return out
 
-    # Backward: measures at sigma^{-n} omega, built from one deep pullback.
-    deep = np.full(grid.m, 1.0 / grid.m)
-    for j in range(n_max + m_past, n_max, -1):
-        deep = cache.push(deep, -j)
-    past_masses: list[np.ndarray] = [deep / deep.sum()]
+    # Backward: measures at sigma^{-n} omega, from one pullback to -n_max.
+    past_masses = [_pullback(cache, m_past, -n_max)]
     for n in range(n_max, 0, -1):
         nxt = cache.push(past_masses[-1], -n)
         past_masses.append(nxt / nxt.sum())

@@ -10,7 +10,7 @@ chunks on worker threads without sharing generator state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,13 +27,6 @@ def _splitmix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
-
-
-def _hash_pair(seed: int, index: int) -> int:
-    # Two mixing rounds give full avalanche between seed and index lanes.
-    h = _splitmix64((seed & _MASK) ^ _STREAM_SALT)
-    h = _splitmix64(h ^ (index & _MASK))
-    return h
 
 
 def _splitmix64_np(z: np.ndarray) -> np.ndarray:
@@ -69,31 +62,32 @@ class NoiseStream:
     """Lazily indexable two-sided sequence of uniform draws on [-eps, eps].
 
     Immutable and cheap to share: `get` is a pure function of
-    (master_seed, origin_offset + i).
+    (master_seed, origin_offset + i), by two mixing rounds: `key`, the
+    seed's, is computed once per stream; each draw mixes it with its index.
     """
 
     master_seed: int
     eps: float
     origin_offset: int = 0
+    key: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
+        object.__setattr__(self, "key", _splitmix64((self.master_seed & _MASK) ^ _STREAM_SALT))
 
     def get(self, i: int) -> float:
-        h = _hash_pair(self.master_seed, i + self.origin_offset)
+        h = _splitmix64(self.key ^ ((i + self.origin_offset) & _MASK))
         return self.eps * (2.0 * _to_unit(h) - 1.0)
 
     def values(self, start: int, count: int) -> np.ndarray:
         """Draws at indices start, ..., start+count-1 (vectorized)."""
-        key = np.uint64(_splitmix64((self.master_seed & _MASK) ^ _STREAM_SALT))
-        return keyed_draws(key, self.eps, np.arange(start, start + count) + self.origin_offset)
+        idx = np.arange(start, start + count) + self.origin_offset
+        return keyed_draws(np.uint64(self.key), self.eps, idx)
 
 
 def stream(master_seed: int, eps: float) -> NoiseStream:
     """Build a two-sided noise stream with uniform marginals on [-eps, eps]."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
     return NoiseStream(master_seed=int(master_seed), eps=float(eps))
 
 
@@ -105,9 +99,9 @@ def shift(s: NoiseStream, k: int) -> NoiseStream:
 def ensemble_keys(master_seed: int, n_samples: int, sample_offset: int = 0) -> np.ndarray:
     """Stream keys of orbits sample_offset..sample_offset+n_samples-1.
 
-    Key i is the first `_hash_pair` round (the stream-salt round) of the
-    stream seeded by derive_seed(master_seed, sample_offset + i), so
-    `keyed_draws` of key i at index k reproduces that stream's get(k).
+    Key i is the `NoiseStream.key` of the stream seeded by
+    derive_seed(master_seed, sample_offset + i), so `keyed_draws` of key i
+    at index k reproduces that stream's get(k).
     """
     ids = np.arange(sample_offset, sample_offset + n_samples, dtype=np.int64).view(np.uint64)
     ids ^= np.uint64(_splitmix64((master_seed & _MASK) ^ _DERIVE_SALT))
@@ -120,7 +114,7 @@ def keyed_draws(keys: np.ndarray, eps: float, index) -> np.ndarray:
     """Draws on [-eps, eps] of the streams with these keys at noise index
     `index`: an integer, or an integer array broadcast against keys."""
     idx = np.asarray(index, dtype=np.int64).view(np.uint64)  # two's complement, as `& _MASK`
-    h = _splitmix64_np(keys ^ idx)  # the second _hash_pair round
+    h = _splitmix64_np(keys ^ idx)  # the index round of `NoiseStream.get`
     h >>= np.uint64(11)
     # eps (2 unit - 1) with unit = h 2^-53, as `get` computes it; scaling
     # by 2 and 2^-53 is exact, so it is one multiplication by 2^-52.

@@ -223,15 +223,6 @@ def start_points(keys: np.ndarray, eps: float) -> np.ndarray:
     return keyed_draws(keys, 1.0, -1)
 
 
-def ensemble_start(
-    master_seed: int, eps: float, count: int, n: int, sample_offset: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Starting points (`start_points`) and n steps of noise for orbits
-    sample_offset + 0..count-1: (x0 of shape (count,), noise of shape (count, n))."""
-    keys = ensemble_keys(master_seed, count, sample_offset)
-    return start_points(keys, eps), keyed_draws(keys[:, None], eps, np.arange(n))
-
-
 def ensemble_orbits(
     family: MapFamily,
     master_seed: int,
@@ -244,13 +235,16 @@ def ensemble_orbits(
 ) -> EnsembleOrbits:
     """Simulate `samples` random orbits for n steps, fully vectorized.
 
-    Starting points default to `ensemble_start`. Orbits that die (round onto
-    the singularity, or reach a point where DT * |x| is not positive) are
-    masked: NaN from their death on, and counted in `singular_hits`. Each
-    step takes both the return depths and log DT.
+    Starting points default to `start_points`; each step draws its noise
+    from the orbits' keys. Orbits that die (round onto the singularity, or
+    reach a point where DT * |x| is not positive) are masked: NaN from their
+    death on, and counted in `singular_hits`. Each step takes both the
+    return depths and log DT.
     """
-    x, ts = ensemble_start(master_seed, eps, samples, n)
-    if x0 is not None:
+    keys = ensemble_keys(master_seed, samples)
+    if x0 is None:
+        x = start_points(keys, eps)
+    else:
         x = np.asarray(x0, dtype=float).copy()
         if x.shape != (samples,):
             raise ValueError("x0 must have shape (samples,)")
@@ -263,7 +257,7 @@ def ensemble_orbits(
     for k in range(n):
         if keep_points:
             points[:, k] = x
-        x, dt, prod = step(family, ts[:, k], x)
+        x, dt, prod = step(family, keyed_draws(keys, eps, k), x)
         depths[:, k] = _depths(prod, delta)
         np.add(log_der[:, k], np.log(dt, out=dt), out=log_der[:, k + 1])
     if keep_points:

@@ -226,7 +226,8 @@ def reference_pchip(xs, ys):
     `map_core._pchip_coefficients`."""
     from scipy.interpolate import PchipInterpolator
 
-    spline = PchipInterpolator(xs, ys)
+    with np.errstate(over="ignore"):  # scipy divides by subnormal secants unguarded
+        spline = PchipInterpolator(xs, ys)
     return spline.c, spline.derivative(1).c, spline.derivative(2).c
 
 
@@ -261,14 +262,14 @@ def zero_preimage(fam, t: float, span: int = 4000):
     return float(hits[0]) if hits.size else None
 
 
-def dying_ensemble(fam, seed, eps, n):
+def dying_ensemble(fam, seed, eps):
     """(samples, x0) for a fixture ensemble whose last row's first image is
     exactly 0; the other rows keep their default starting points."""
     from rovella import orbit
 
     for samples in range(8, 200):
-        x0, ts = orbit.ensemble_start(seed, eps, samples, n)
-        x_dead = zero_preimage(fam, ts[-1, 0])
+        x0 = orbit.start_points(noise.ensemble_keys(seed, samples), eps)
+        x_dead = zero_preimage(fam, noise.ensemble_noise(seed, eps, samples, 1)[-1, 0])
         if x_dead is not None:
             x0[-1] = x_dead
             return samples, x0
@@ -301,7 +302,7 @@ def reference_tail_table(fam, seed, eps, cfg, samples, n_max, x0=None):
     live = int(alive.sum())
     hyp = np.array([brute_force_hyperbolic_flags(d, cfg.c_prime) for d in ens.depths])
     hyp &= alive[:, None]
-    ret = hyp & cfg.in_base(ens.points[:, 1:])
+    ret = hyp & cfg.base.contains(ens.points[:, 1:])
     bad = (np.cumsum(ens.depths, axis=1) >= cfg.c * np.arange(1, n_max + 1)) & alive[:, None]
 
     def survivors(flags):
@@ -353,10 +354,10 @@ def reference_escape_rates(fam, seed, eps, delta, samples, n_cap, x0=None):
     """
     from rovella import orbit
 
-    x_start, ts = orbit.ensemble_start(seed, eps, samples, n_cap)
-    if x0 is not None:
-        x_start = x0
-    points, log_der, _ = reference_orbits(fam, x_start, ts, delta)
+    if x0 is None:
+        x0 = orbit.start_points(noise.ensemble_keys(seed, samples), eps)
+    ts = noise.ensemble_noise(seed, eps, samples, n_cap)
+    points, log_der, _ = reference_orbits(fam, x0, ts, delta)
     outer = map_core.critical_neighborhoods(fam, 0.0, 2.0 * delta)
     inside = outer.contains(points)
     inside[:, 0] = False
@@ -584,15 +585,16 @@ def reference_admission(lo, hi, radius, cap):
     return same_side & inside
 
 
-def reference_grid_checks(family, grid):
+def reference_grid_checks(family):
     """The (t, x)-grid fields of `map_core.verify_conditions` by two loops:
     C2, envelope, C3 and range over the t slices, then the t-Lipschitz
     secants with both slices of every neighbouring pair evaluated afresh,
     and |x|^(s-1) recomputed per slice."""
-    from rovella.map_core import schwarzian
+    from rovella.map_core import CHECK_N_T, CHECK_N_X, CHECK_X_MIN, schwarzian
 
-    xs = grid.x_points()
-    ts = grid.t_points(family.eps_max)
+    half = np.geomspace(CHECK_X_MIN, 1.0, CHECK_N_X // 2)
+    xs = np.concatenate([-half[::-1], half])
+    ts = np.linspace(-family.eps_max, family.eps_max, CHECK_N_T)
     monotone_ok = True
     envelope_lo = np.inf
     envelope_hi = -np.inf

@@ -1,0 +1,126 @@
+"""Golden artifacts: the SHA-256 of every non-manifest artifact of a small run
+of each CLI command, on the fixture and on a tabulated family. A refactor
+keeps these bytes; a change to them is a change of results."""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from rovella import cli
+
+RUNS = [
+    ["simulate-orbit", "--x0", "0.4", "--n", "200"],
+    ["verify-family"],
+    ["hyperbolic-tails", "--samples", "2000", "--n-max", "20"],
+    ["bad-set-tails", "--samples", "2000", "--n-max", "20"],
+    ["build-partition"],
+    ["certify-tower"],
+    ["density"],
+    ["correlation"],
+    ["fit", "--input", "@correlation/correlation.csv", "--burn-in", "5"],
+]
+
+SETTINGS = {
+    "hyperbolic": {"c": 0.35, "c_prime": 0.45},
+    "tower": {"n_max": 10, "seed_grid": 512},
+    "measures": {"grid_m": 512, "m_past": 20, "n_max": 20, "direction": "both"},
+}
+
+
+def _table_family() -> dict:
+    """200 nodes of 2x^2 - 1 on [1e-6, 1], mirrored for the negative branch."""
+    xs = np.linspace(1e-6, 1.0, 200)
+    return {
+        "kind": "table", "s": 2.0, "K1": 3.0, "K2": 4.5, "eps_max": 0.1,
+        "pos": {"x": xs.tolist(), "y": (2 * xs**2 - 1).tolist()},
+        "neg": {"x": (-xs[::-1]).tolist(), "y": (-(2 * xs[::-1] ** 2 - 1)).tolist()},
+    }
+
+
+FAMILIES = {"fixture": {}, "table": {"family": _table_family()}}
+
+GOLDEN = {
+    "fixture": {
+        "simulate-orbit/orbit.csv":
+            "99a61c7f93620e3f6da7d533226d7282dc6fb6ec750134420816183667873fd2",
+        "verify-family/family_report.json":
+            "f3f1ecc7781866f1a4ac7c7eab001f889c6a95f24f54219c8945838b1f147029",
+        "hyperbolic-tails/hyperbolic_return_tails.csv":
+            "ec0896ac5cf9534f62dd92a3eaaffd7df3afe33ccd8a5a7b740fcf8e991a38eb",
+        "hyperbolic-tails/hyperbolic_tails.csv":
+            "51fcfb4f1ad1713233a8c7018a810199047b984ad4bd1306982d87f5ccfe0e1b",
+        "hyperbolic-tails/hyperbolic_tails_fits.json":
+            "17c660d8ac26b41ce910cd3428d0dc5b847997a2b41eb4aced999e55103a158f",
+        "bad-set-tails/bad_set_tails.csv":
+            "1e9120edf277d32ba61fdce09c39ab8b0a60b6ee8c79e7638de19d09a8e04d91",
+        "bad-set-tails/bad_set_tails_fit.json":
+            "c014a10b0fcf057ae5703b860811d6e1ab55367accbafc642c3311a97cd32c7a",
+        "build-partition/partition.csv":
+            "74d3d381b12627395e7f774952328dc02728c7446a03a5e4cc646438a5c4e785",
+        "build-partition/partition_summary.json":
+            "edd509cbda707b23ee0e4a01e57e1da8a9b762025a10f870a71b3a1c326cd69c",
+        "certify-tower/axioms.json":
+            "3f3ecf6ba70c33ef5a25823bf0e8dea6f212f681a42c99a38b64963e1f177227",
+        "density/density.csv":
+            "88588754a7ac6418deaa337e57ecd05c26716d364a6cbb0ed314340a3ab9c052",
+        "correlation/correlation.csv":
+            "fd2bf2b44c1dbeaaa4c24de6e5f4ff26dcf821ebb4d84d628c22ae9ebb4dc804",
+        "correlation/correlation_fit.json":
+            "016c1595fdac4257d97d8a16bd860dddf7e1b63fa4e77b56f91f79c56f56facd",
+        "fit/fit.json":
+            "9fc41e62d66b4eab78cc911dc53829462703b4110eb24658e169a0dff2248161",
+    },
+    "table": {
+        "simulate-orbit/orbit.csv":
+            "839902a8bb9a1e7a7958fddc57bbcc786aee0a4e805844f2daee3c2f4c92bd29",
+        "verify-family/family_report.json":
+            "435c918d2f7caac5bc5788217027c9613e22c98563400fdc2c8a99a91b4b6907",
+        "hyperbolic-tails/hyperbolic_return_tails.csv":
+            "035c42f2e7703116f47d8a544854a62f7ea2ea8271ba0cd047c7c004830af239",
+        "hyperbolic-tails/hyperbolic_tails.csv":
+            "79841dfabf07154dba047daa8d3cb69b0017602b865a3a397bca60ff633a603b",
+        "hyperbolic-tails/hyperbolic_tails_fits.json":
+            "611092a16628f7beb3f6e0edce950d5a9db06c794caeca21a05ce16fe19413c7",
+        "bad-set-tails/bad_set_tails.csv":
+            "1421d1b918b32a2f792f8c11c6e73dea9b052f65bb82927646b1829942c3758d",
+        "bad-set-tails/bad_set_tails_fit.json":
+            "7a77390257c744cd7029a19c1c7c074cae86363e4baead26cac39a005994e805",
+        "build-partition/partition.csv":
+            "0828f5dde0098d84c4af02eb6a86da4c358925fa26a095e2ef8fd05b68f45bd4",
+        "build-partition/partition_summary.json":
+            "d0846b984f17d894c983b51efe38cce7045694845e8ea9bd160ab9feeb590e7e",
+        "certify-tower/axioms.json":
+            "3be70a0970225e4f461672e3d471c903858be4b39ab0f6cb45e7912ddc4ec445",
+        "density/density.csv":
+            "d53d625e608fbc37697d03e4498b9315b8bc543a3cdbfa409917888f9f87dfb8",
+        "correlation/correlation.csv":
+            "3083902d261faf81a048f7fed08cbd5c1a2d144f8dd6b13ecfb1151aabc3d1fb",
+        "correlation/correlation_fit.json":
+            "6931febefedc98f2e9e0b0358cb6cec868b88961fc519ddbcf9580f325946e84",
+        "fit/fit.json":
+            "ca30d2c657a9da02f8c2db917623edc23f1bd239d46fefbed9672824117cc724",
+    },
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_artifacts_are_byte_identical(tmp_path, family):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**SETTINGS, **FAMILIES[family]}))
+    digests = {}
+    for argv in RUNS:
+        out = tmp_path / argv[0]
+        argv = [a.replace("@", f"{tmp_path}/") for a in argv]
+        assert cli.main([*argv, "--config", str(config), "--out", str(out)]) == 0, argv[0]
+        for path in sorted(out.iterdir()):
+            if not path.name.startswith("manifest-"):
+                digests[f"{argv[0]}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    changed = sorted(k for k in digests.keys() | GOLDEN[family].keys()
+                     if digests.get(k) != GOLDEN[family].get(k))
+    assert not changed, (
+        f"artifacts of the {family} runs changed: {changed}. A change of results must be "
+        "a declared correctness fix: say what changed and why in CHANGES.md, then update "
+        f"GOLDEN. New digests: { {k: digests.get(k) for k in changed} }"
+    )

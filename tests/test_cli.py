@@ -198,6 +198,9 @@ class TestValidation:
         ({}, ["correlation", "--direction", "sideways"], "unknown direction 'sideways'"),
         ({"c.json": '{"tower": {"seed_grid": -1}}'}, ["build-partition", "--config", "@c.json"],
          "tower chain violated: seed_grid >= 1 required"),
+        ({}, ["certify-tower", "--n-max", "61"], "tower chain violated: n_max <= 60 required"),
+        *(({"c.json": f'{{"output": {{"directory": {value}}}}}'}, [*ORBIT, "--config", "@c.json"],
+           f"output.directory must be a string, got {value}") for value in ("5", "null", '["a"]')),
         ({"c.json": '{"hyperbolic": {"prefactor": 0}}'}, [*ORBIT, "--config", "@c.json"],
          "hyperbolic chain violated: prefactor > 0 required"),
         ({"c.json": '{"hyperbolic": {"c": 0}}'}, [*TAILS, "--config", "@c.json"],
@@ -223,6 +226,7 @@ class TestValidation:
         "manifest-missing", "manifest-not-json", "manifest-no-config", "manifest-no-command",
         "manifest-unknown-command", "config-list", "config-null-section", "eps-nan",
         "delta-inf", "measures-n-max", "m-past", "burn-in", "method", "direction", "seed-grid",
+        "tower-n-max-cap", "directory-number", "directory-null", "directory-list",
         "prefactor", "c-zero", "kappa-negative", "c-above-kappa-default", "samples",
         "tails-n-max", "orbit-n", "x0-zero", "x0-nan", "fit-no-input", "fit-no-column",
         "fit-not-numeric", "fit-burn-in",
@@ -231,7 +235,9 @@ class TestValidation:
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         out = tmp_path / "o"
-        code = run([_in(tmp_path, a) for a in argv] + ["--out", str(out)])
+        # `--out` would override a config's own output.directory.
+        flags = [] if '"output"' in "".join(files.values()) else ["--out", str(out)]
+        code = run([_in(tmp_path, a) for a in argv] + flags)
         assert code == cli.EXIT_VALIDATION
         assert _in(tmp_path, message) in capsys.readouterr().err
         assert not out.exists()

@@ -20,7 +20,7 @@ import pytest
 from conftest import TABLES, assert_same_bytes, ppoly_family
 from rovella import hyperbolic as hyp
 from rovella import map_core as mc
-from rovella import measures, orbit
+from rovella import measures, noise, orbit
 
 PARTS = ("value", "deriv", "second")
 EDGES = np.array([1e-300, -1e-300, 1.0, -1.0, 0.0, -0.0, np.nan])
@@ -176,7 +176,8 @@ def test_table_step_looks_up_pieces_once(table_fam, monkeypatch):
         return lookup(self, x)
 
     monkeypatch.setattr(mc._TableFn, "_pieces", counted)
-    x, ts = orbit.ensemble_start(1, 0.01, 500, 5)
+    x = orbit.start_points(noise.ensemble_keys(1, 500), 0.01)
+    ts = noise.ensemble_noise(1, 0.01, 500, 5)
     for k in range(5):
         sizes.clear()
         x, _, _ = orbit.step(table_fam, ts[:, k], x)

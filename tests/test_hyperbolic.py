@@ -18,7 +18,7 @@ from conftest import (
 )
 from rovella import hyperbolic as hyp
 from rovella import map_core as mc
-from rovella import orbit
+from rovella import noise, orbit
 from rovella.errors import ParamError
 
 
@@ -118,7 +118,7 @@ class TestHyperbolicTimes:
             assert report.first == report.times[0]
         assert verify_hyperbolic_report(trace.depths[:120], hyp_cfg, report)
         for t in report.return_times:
-            assert hyp_cfg.in_base(trace.points[t])
+            assert hyp_cfg.base.contains(trace.points[t])
 
     def test_concatenation_property(self, hyp_cfg):
         # n1 hyperbolic for the sequence and n2 - n1 for the shifted tail
@@ -196,7 +196,8 @@ class TestConfig:
         with pytest.raises(ParamError):
             hyp.HyperbolicConfig(
                 delta=0.01, delta0=0.1, c=0.5, c_prime=0.4, kappa=1.0,
-                lambda_prime=0.5, base_neg=-0.1, base_pos=0.1,
+                lambda_prime=0.5,
+                base=mc.CriticalNeighborhoods(delta=0.05, neg_lo=-0.1, pos_hi=0.1, d_ratio=0.5),
             )
 
     def test_factory_defaults(self, fam, kappa_fixture):
@@ -205,7 +206,7 @@ class TestConfig:
         assert cfg.c_prime == pytest.approx(kappa_fixture / 2)
         assert cfg.lambda_prime == pytest.approx(kappa_fixture / 2)
         hood = mc.critical_neighborhoods(fam, 0.0, 0.05)
-        assert cfg.base_pos == pytest.approx(hood.pos_hi, rel=1e-12)
+        assert cfg.base.pos_hi == pytest.approx(hood.pos_hi, rel=1e-12)
 
     def test_kappa_fit_positive(self, kappa_fixture):
         assert 0.3 < kappa_fixture < 1.5
@@ -233,7 +234,7 @@ class TestExpansionFit:
     def test_death_after_first_entry_keeps_event(self, fam_lin, monkeypatch):
         # Doubling map: row 0 enters (0, 0.01] at step 5 (x = 2^-7), then
         # runs -1 + 2^-6, ..., -0.5 and dies at step 12, before n_cap.
-        x0, _ = orbit.ensemble_start(1, 0.01, 20, 20)
+        x0 = orbit.start_points(noise.ensemble_keys(1, 20), 0.01)
         x0[0] = 0.968994140625
         rates = reference_escape_rates(fam_lin, 1, 0.01, 0.01, samples=20, n_cap=20, x0=x0)
         monkeypatch.setattr(hyp, "start_points", lambda keys, eps: x0.copy())
@@ -243,7 +244,7 @@ class TestExpansionFit:
         assert rates.size == rest.size + 1
 
     def test_death_before_first_entry_gives_no_event(self, fam, monkeypatch):
-        samples, x0 = dying_ensemble(fam, 1, 0.01, 40)
+        samples, x0 = dying_ensemble(fam, 1, 0.01)
         rates = reference_escape_rates(fam, 1, 0.01, 0.01, samples=samples, n_cap=40, x0=x0)
         monkeypatch.setattr(hyp, "start_points", lambda keys, eps: x0.copy())
         with pytest.raises(ParamError, match=f"only {rates.size} escape events"):
@@ -315,7 +316,7 @@ class TestTailStatistics:
         assert (serial.total, serial.singular_hits) == (pooled.total, pooled.singular_hits)
 
     def test_dead_orbit_leaves_every_count(self, fam, hyp_cfg, monkeypatch):
-        samples, x0 = dying_ensemble(fam, 1, 0.01, 30)
+        samples, x0 = dying_ensemble(fam, 1, 0.01)
         plant_start_points(monkeypatch, 1, x0)
         dead = hyp.tail_statistics(
             fam, 1, 0.01, hyp_cfg, samples=samples, n_max=30, chunk=samples // 2 + 1
@@ -335,7 +336,7 @@ class TestTailStatistics:
         # start at 1e-200, where DT * |x| underflows; on the linear family a
         # start whose depth 2 puts it in the bad set for five steps before it
         # reaches 0 at step 10, and one that reaches 0 at step 2.
-        samples, x0 = dying_ensemble(fam, 1, 0.01, 30)
+        samples, x0 = dying_ensemble(fam, 1, 0.01)
         if family == "table_fam":
             x0[-1] = 1e-200
         elif family == "fam_lin":

@@ -187,9 +187,9 @@ def test_step_matches_reference_on_dying_ensemble(family, request):
     fam, ref = step_families(family, request)
     planted = map_core.fixture_family(s=2.0) if fam is ref else fam  # the table copies s = 2
     n = 30
-    samples, x0 = dying_ensemble(planted, 11, 0.01, n)
+    samples, x0 = dying_ensemble(planted, 11, 0.01)
     x0 = np.concatenate([x0, [0.0, -0.0, 1e-300, -1e-300]])
-    _, ts = orbit.ensemble_start(11, 0.01, x0.size, n)
+    ts = noise.ensemble_noise(11, 0.01, x0.size, n)
     x = x_ref = x0
     for k in range(n):
         x, depth, log_dt = step_outputs(fam, ts[:, k], x, 0.01)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -135,14 +135,12 @@ class TestCriticalNeighborhoods:
         assert not cn.contains(0.3) and not cn.contains(0.0)
 
     def test_membership_edges(self, fam, hyp_cfg):
-        """Both punctured-interval tests, the neighborhood's and the
-        hyperbolic base's, on the signed zeros, the least subnormals, NaN,
+        """`CriticalNeighborhoods.contains`, of a neighborhood and of the
+        hyperbolic base, on the signed zeros, the least subnormals, NaN,
         +-inf and each bound with one ulp outward; arrays and scalars."""
         cn = mc.critical_neighborhoods(fam, 0.0, 0.1)
-        for test, lo, hi in (
-            (cn.contains, cn.neg_lo, cn.pos_hi),
-            (hyp_cfg.in_base, hyp_cfg.base_neg, hyp_cfg.base_pos),
-        ):
+        for hood in (cn, hyp_cfg.base):
+            test, lo, hi = hood.contains, hood.neg_lo, hood.pos_hi
             x = np.array([
                 0.0, -0.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf,
                 lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
@@ -155,7 +153,7 @@ class TestCriticalNeighborhoods:
 
 @pytest.fixture(scope="module")
 def report(fam):
-    return mc.verify_conditions(fam, mc.GridSpec(n_x=4000, n_t=11, horizon=25))
+    return mc.verify_conditions(fam)
 
 
 @pytest.fixture(scope="module")
@@ -225,7 +223,7 @@ class TestVerifyConditions:
         else:
             family = request.getfixturevalue(name)
         report = mc.verify_conditions(family)
-        want = dataclasses.replace(report, **reference_grid_checks(family, mc.GridSpec()))
+        want = dataclasses.replace(report, **reference_grid_checks(family))
         assert repr(report) == repr(want)
         assert report.t_lipschitz_ok == (name != "wobble")
 
@@ -268,13 +266,13 @@ class TestTableFamily:
         )
         pts, logd = mc.unperturbed_orbit(fam, -1.0, 30)
         assert pts.tolist() == [-1.0, 0.0] and logd.size == 2
-        report = mc.verify_conditions(fam, mc.GridSpec(n_x=4000, n_t=11, horizon=30))
+        report = mc.verify_conditions(fam)
         assert not report.r1_ok and report.lambda_fit == 0.0
         assert not report.r2_ok and report.alpha_fit == math.inf
         assert not report.required_ok
 
     def test_verify_conditions_monotone(self, tab):
-        report = mc.verify_conditions(tab, mc.GridSpec(n_x=4000, n_t=11, horizon=25))
+        report = mc.verify_conditions(tab)
         assert report.c2_monotone_ok and report.k1_fit > 0
 
     def test_t_lipschitz(self, tab):
@@ -357,6 +355,7 @@ class TestPchipCoefficients:
 
     @settings(max_examples=300, deadline=None)
     @given(node_sets())
+    @example((np.arange(22.0), np.append(np.zeros(21), 2.225e-311)))  # a subnormal secant
     def test_random_node_sets(self, nodes):
         self.assert_scipy_bytes(*nodes)
 

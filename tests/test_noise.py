@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from rovella import noise, orbit
+from rovella import map_core, noise, orbit
 
 
 class TestDeterminism:
@@ -47,6 +49,24 @@ class TestShift:
         s = noise.stream(1, 0.01)
         for n in (1, 5, 17):
             assert noise.shift(s, -n).get(n) == s.get(0)
+
+    def test_key_is_derived(self):
+        # The seed's mixing round is computed once per stream. It stays out
+        # of ==, hash and repr, and every new stream computes its own.
+        s = noise.stream(1, 0.01)
+        forged = noise.stream(1, 0.01)
+        object.__setattr__(forged, "key", 0)
+        assert forged == s and hash(forged) == hash(s)
+        assert "key" not in repr(s)
+        reseeded = dataclasses.replace(s, master_seed=2)
+        assert reseeded.key == noise.stream(2, 0.01).key != s.key
+        assert reseeded.get(4) == noise.stream(2, 0.01).get(4)
+        assert dataclasses.replace(s, origin_offset=3).get(0) == s.get(3)
+        assert dataclasses.replace(forged, eps=0.02).key == s.key
+        assert noise.shift(forged, 3).key == s.key
+        assert noise.shift(forged, 3).get(0) == s.get(3)
+        keys = noise.ensemble_keys(7, 3)
+        assert [noise.stream(noise.derive_seed(7, i), 0.01).key for i in range(3)] == keys.tolist()
 
     @given(a=st.integers(-1000, 1000), b=st.integers(-1000, 1000), i=st.integers(-100, 100))
     @settings(max_examples=60, deadline=None)
@@ -108,9 +128,14 @@ class TestEnsemble:
         col = noise.ensemble_noise(11, eps or 1.0, 6, 1, start=-1, sample_offset=6)[subset, 0]
         expect = col / eps if eps > 0 else col
         assert np.array_equal(orbit.start_points(keys, eps), expect)
-        x0, ts = orbit.ensemble_start(11, eps, 6, 4, sample_offset=6)
-        assert np.array_equal(x0[subset], expect)
-        assert np.array_equal(ts, noise.ensemble_noise(11, eps, 6, 4, sample_offset=6))
+        # An ensemble starts there by default and steps on its rows' noise.
+        fam = map_core.fixture_family()
+        ens = orbit.ensemble_orbits(fam, 11, eps, 4, 12, 0.01)
+        assert np.array_equal(ens.x0[6:][subset], expect)
+        x = ens.x0
+        for k, t in enumerate(noise.ensemble_noise(11, eps, 12, 4).T):
+            x = orbit.step_values(fam, t, x)
+            assert np.array_equal(ens.points[:, k + 1], x, equal_nan=True)
 
     def test_sample_offset_consistency(self):
         full = noise.ensemble_noise(11, 0.02, 10, 5)

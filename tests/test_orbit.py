@@ -245,10 +245,10 @@ class TestStepKernel:
         # Row 0 starts where DT * |x| underflows to 0; the last row's first
         # image is exactly 0 for the fixture's noise.
         tab = request.getfixturevalue(family)
-        samples, x0 = dying_ensemble(fam, 3, 0.01, 10)
+        samples, x0 = dying_ensemble(fam, 3, 0.01)
         x0[0] = 1e-200
         ens = orbit.ensemble_orbits(tab, 3, 0.01, 10, samples, 0.05, x0=x0)
-        _, ts = orbit.ensemble_start(3, 0.01, samples, 10)
+        ts = noise.ensemble_noise(3, 0.01, samples, 10)
         pts, log_der, depths = reference_orbits(tab, x0, ts, 0.05)
         assert np.array_equal(ens.points, pts, equal_nan=True)
         assert np.array_equal(ens.log_der, log_der, equal_nan=True)
@@ -294,7 +294,7 @@ class TestStepKernel:
 
 class TestSingularHits:
     def test_ensemble_masks_and_counts(self, fam):
-        samples, x0 = dying_ensemble(fam, 1, 0.01, 20)
+        samples, x0 = dying_ensemble(fam, 1, 0.01)
         ens = orbit.ensemble_orbits(fam, 1, 0.01, 20, samples, 0.05, x0=x0)
         assert ens.singular_hits == 1
         assert list(np.flatnonzero(~ens.alive)) == [samples - 1]
@@ -306,7 +306,7 @@ class TestSingularHits:
         assert rest.singular_hits == 0 and rest.alive.all()
 
     def test_iterate_raises(self, fam):
-        samples, x0 = dying_ensemble(fam, 1, 0.01, 2)
+        samples, x0 = dying_ensemble(fam, 1, 0.01)
         strm = noise.stream(noise.derive_seed(1, samples - 1), 0.01)
         with pytest.raises(SingularHit):
             orbit.iterate(fam, strm, x0[-1], 2, 0.05)
