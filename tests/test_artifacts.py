@@ -10,17 +10,18 @@ import pytest
 
 from rovella import cli
 
-RUNS = [
-    ["simulate-orbit", "--x0", "0.4", "--n", "200"],
-    ["verify-family"],
-    ["hyperbolic-tails", "--samples", "2000", "--n-max", "20"],
-    ["bad-set-tails", "--samples", "2000", "--n-max", "20"],
-    ["build-partition"],
-    ["certify-tower"],
-    ["density"],
-    ["correlation"],
-    ["fit", "--input", "@correlation/correlation.csv", "--burn-in", "5"],
-]
+RUNS = {  # output directory -> argv; `fit` reads `@correlation/`
+    "simulate-orbit": ["simulate-orbit", "--x0", "0.4", "--n", "200"],
+    "verify-family": ["verify-family"],
+    "hyperbolic-tails": ["hyperbolic-tails", "--samples", "2000", "--n-max", "20"],
+    "bad-set-tails": ["bad-set-tails", "--samples", "2000", "--n-max", "20"],
+    "build-partition": ["build-partition"],
+    "certify-tower": ["certify-tower"],
+    "density": ["density"],
+    "correlation": ["correlation"],
+    "correlation-mc": ["correlation", "--method", "monte_carlo", "--direction", "both"],
+    "fit": ["fit", "--input", "@correlation/correlation.csv", "--burn-in", "5"],
+}
 
 SETTINGS = {
     "hyperbolic": {"c": 0.35, "c_prime": 0.45},
@@ -69,6 +70,10 @@ GOLDEN = {
             "fd2bf2b44c1dbeaaa4c24de6e5f4ff26dcf821ebb4d84d628c22ae9ebb4dc804",
         "correlation/correlation_fit.json":
             "016c1595fdac4257d97d8a16bd860dddf7e1b63fa4e77b56f91f79c56f56facd",
+        "correlation-mc/correlation.csv":
+            "32347865b090b2da89500dbf25dc31fe1e480ca5404b249518139861cf6ceb26",
+        "correlation-mc/correlation_fit.json":
+            "0c9fb1eb9ae6e1921a3d2a3d9849a45beed63fdf615401976b4764dbf9daa961",
         "fit/fit.json":
             "9fc41e62d66b4eab78cc911dc53829462703b4110eb24658e169a0dff2248161",
     },
@@ -99,6 +104,10 @@ GOLDEN = {
             "3083902d261faf81a048f7fed08cbd5c1a2d144f8dd6b13ecfb1151aabc3d1fb",
         "correlation/correlation_fit.json":
             "6931febefedc98f2e9e0b0358cb6cec868b88961fc519ddbcf9580f325946e84",
+        "correlation-mc/correlation.csv":
+            "b6f2937a25db9f5da0b9a96145a69928acfeb88a1a0a5b30007207fe2637df35",
+        "correlation-mc/correlation_fit.json":
+            "ea1cbbcb7854a66352f937514b36f60d185f47e4dd750a982ff32ae33ff2c79b",
         "fit/fit.json":
             "ca30d2c657a9da02f8c2db917623edc23f1bd239d46fefbed9672824117cc724",
     },
@@ -110,13 +119,13 @@ def test_artifacts_are_byte_identical(tmp_path, family):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**SETTINGS, **FAMILIES[family]}))
     digests = {}
-    for argv in RUNS:
-        out = tmp_path / argv[0]
+    for name, argv in RUNS.items():
+        out = tmp_path / name
         argv = [a.replace("@", f"{tmp_path}/") for a in argv]
-        assert cli.main([*argv, "--config", str(config), "--out", str(out)]) == 0, argv[0]
+        assert cli.main([*argv, "--config", str(config), "--out", str(out)]) == 0, name
         for path in sorted(out.iterdir()):
             if not path.name.startswith("manifest-"):
-                digests[f"{argv[0]}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+                digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     changed = sorted(k for k in digests.keys() | GOLDEN[family].keys()
                      if digests.get(k) != GOLDEN[family].get(k))
     assert not changed, (
