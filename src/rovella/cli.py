@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -172,6 +173,16 @@ def validate_config(cfg: dict) -> None:
     directory = cfg["output"]["directory"]
     if not isinstance(directory, str):
         raise ValidationError(f"output.directory must be a string, got {json.dumps(directory)}")
+    # The artifacts' `mkdir` makes the missing part, so the nearest existing
+    # path must be a directory this process can write into.
+    existing = Path(directory)
+    while not os.path.exists(existing) and existing != existing.parent:
+        existing = existing.parent
+    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+        raise ValidationError(
+            f"output.directory {directory!r} cannot be made: "
+            f"{existing} is not a writable directory"
+        )
 
 
 def _table_args(fam: dict) -> dict:

@@ -349,6 +349,16 @@ def _mc_correlation(
     measure of this omega, not an average over noise. A sample that dies
     (see `orbit.step_values`) leaves every mean: the estimator averages
     over the samples alive at the end of the run.
+
+    The window's states are never stored: the estimator holds a constant
+    number of ensemble arrays whatever n_max is (a traced peak of 5.7 of
+    them forward and 5.8 backward at 100,000 samples, where stored
+    snapshots took 44.6 at n_max 40). Forward accumulates C_n as it steps,
+    in one pass over the window, plus a pass over the survivors only when
+    a sample died. Backward steps the window once for phi at the end and
+    the survivors, then re-steps the survivors. Both give the bytes of the
+    stored-snapshot form because `step_values` is row-wise: a row's image
+    does not depend on the other rows.
     """
     half = (np.arange(samples // 2) + 0.5) / (samples // 2)
     starts = np.concatenate([2.0 * half - 1.0, 1.0 - 2.0 * half])
@@ -357,29 +367,48 @@ def _mc_correlation(
     t_path = stream.values(origin, m_past + n_max)
     for t in t_path[:m_past]:
         x = step_values(family, t, x)
-
-    snaps = [x]
-    for t in t_path[m_past:]:
-        x = step_values(family, t, x)
-        snaps.append(x)
-    alive = ~np.isnan(x)
-    if not alive.all():
-        snaps = [snap[alive] for snap in snaps]
+    window = t_path[m_past:]
 
     out = np.empty(n_max + 1)
     if direction == "forward":
-        psi0 = np.asarray(psi(snaps[0]), dtype=float)
-        psi_mean = psi0.mean()
-        for n in range(n_max + 1):
-            phi_n = np.asarray(phi(snaps[n]), dtype=float)
-            out[n] = abs(float((phi_n * psi0).mean()) - float(phi_n.mean()) * psi_mean)
-    else:
-        phi_end = np.asarray(phi(snaps[n_max]), dtype=float)
-        phi_mean = phi_end.mean()
-        for n in range(n_max + 1):
-            psi_n = np.asarray(psi(snaps[n_max - n]), dtype=float)
-            out[n] = abs(float((phi_end * psi_n).mean()) - phi_mean * float(psi_n.mean()))
+        alive = ~np.isnan(_mc_forward(family, window, x, phi, psi, out))
+        if not alive.all():  # the survivors' pass rewrites every entry
+            _mc_forward(family, window, x[alive], phi, psi, out)
+        return out
+
+    end = x
+    for t in window:
+        end = step_values(family, t, end)
+    alive = ~np.isnan(end)
+    if not alive.all():
+        x, end = x[alive], end[alive]
+    phi_end = np.asarray(phi(end), dtype=float)
+    phi_mean = phi_end.mean()
+    states = _window_states(family, window, x)
+    del x, end  # the generator holds the start, and drops it after one step
+    for k, x_k in enumerate(states):
+        psi_n = np.asarray(psi(x_k), dtype=float)
+        out[n_max - k] = abs(float((phi_end * psi_n).mean()) - phi_mean * float(psi_n.mean()))
     return out
+
+
+def _window_states(family: MapFamily, window: np.ndarray, x: np.ndarray):
+    """x, then its image after each step of the window, one at a time."""
+    yield x
+    for t in window:
+        x = step_values(family, t, x)
+        yield x
+
+
+def _mc_forward(family, window, x0, phi, psi, out: np.ndarray) -> np.ndarray:
+    """Forward Monte Carlo C_n into `out`, from the ensemble x0 at time 0;
+    returns the ensemble at the end of the window."""
+    psi0 = np.asarray(psi(x0), dtype=float)
+    psi_mean = psi0.mean()
+    for n, x in enumerate(_window_states(family, window, x0)):
+        phi_n = np.asarray(phi(x), dtype=float)
+        out[n] = abs(float((phi_n * psi0).mean()) - float(phi_n.mean()) * psi_mean)
+    return x
 
 
 OBSERVABLES: dict[str, tuple[Callable[[np.ndarray], np.ndarray], float]] = {

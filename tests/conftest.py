@@ -798,9 +798,8 @@ def reference_ulam_correlation(phi, psi, n_max, cache, m_past):
 
 
 def reference_mc_correlation(family, stream, phi, psi, n_max, m_past, direction, samples):
-    """`measures._mc_correlation` as it was before it skipped the compaction
-    when every sample is alive: every snapshot is copied through the alive
-    mask."""
+    """`measures._mc_correlation` in its stored-snapshot form: every state of
+    the window is kept, and each is copied through the alive mask."""
     from rovella.orbit import step_values
 
     half = (np.arange(samples // 2) + 0.5) / (samples // 2)

@@ -249,6 +249,24 @@ class TestValidation:
         ])
         assert code == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("under", ["afile", "afile/sub"])
+    def test_out_under_a_file_exits_before_work(self, tmp_path, capsys, monkeypatch, under):
+        assert run(["verify-family", "--out", str(tmp_path / "a")]) == 0
+        manifest = tmp_path / "a" / "manifest-verify-family.json"
+        (tmp_path / "afile").write_text("not a directory")
+        out = tmp_path / under
+
+        def no_work(cfg, args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setitem(cli.COMMANDS, "verify-family", no_work)
+        for argv in (["verify-family"], ["rerun", "--manifest", str(manifest)]):
+            assert run([*argv, "--out", str(out)]) == cli.EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err == (f"error: output.directory {str(out)!r} cannot be made: "
+                           f"{tmp_path / 'afile'} is not a writable directory\n")
+        assert (tmp_path / "afile").read_text() == "not a directory"
+
 
 class TestDeterminism:
     def test_identical_reruns(self, tmp_path):
