@@ -400,7 +400,9 @@ def _window_states(family: MapFamily, window: np.ndarray, x: np.ndarray):
         yield x
 
 
-def _mc_forward(family, window, x0, phi, psi, out: np.ndarray) -> np.ndarray:
+def _mc_forward(
+    family: MapFamily, window: np.ndarray, x0: np.ndarray, phi, psi, out: np.ndarray
+) -> np.ndarray:
     """Forward Monte Carlo C_n into `out`, from the ensemble x0 at time 0;
     returns the ensemble at the end of the window."""
     psi0 = np.asarray(psi(x0), dtype=float)
