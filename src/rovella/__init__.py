@@ -43,6 +43,7 @@ from .measures import (
     equivariant_density,
     fit_exponential,
     quenched_correlation,
+    quenched_correlations,
     ulam_row_operator,
 )
 from .noise import NoiseStream, derive_seed, shift, stream

@@ -439,40 +439,24 @@ def cmd_correlation(cfg: dict, args) -> tuple[list[str], int]:
     mcfg = cfg["measures"]
     phi, _ = measures.OBSERVABLES[mcfg["phi"]]
     psi, _ = measures.OBSERVABLES[mcfg["psi"]]
-    directions = (
-        ["forward", "backward"] if mcfg["direction"] == "both" else [mcfg["direction"]]
+    all_series = measures.quenched_correlations(
+        family, strm, phi, psi, mcfg["n_max"], method=mcfg["method"],
+        grid=measures.UniformGrid(mcfg["grid_m"]), m_past=mcfg["m_past"], burn_in=mcfg["burn_in"],
+        directions=("forward", "backward") if mcfg["direction"] == "both" else (mcfg["direction"],),
     )
+    rows = [(n, c, d) for d, series in all_series.items() for n, c in enumerate(series.values)]
+    fits = {d: _fit_entry(series) for d, series in all_series.items()}
     out_dir = Path(cfg["output"]["directory"])
-    grid = measures.UniformGrid(mcfg["grid_m"])
-    # Both directions push through the same operators; build each once.
-    cache = measures.OperatorCache(family, strm, grid) if mcfg["method"] == "ulam" else None
-    rows = []
-    fits = {}
-    for direction in directions:
-        series = measures.quenched_correlation(
-            family,
-            strm,
-            phi,
-            psi,
-            mcfg["n_max"],
-            method=mcfg["method"],
-            grid=grid,
-            m_past=mcfg["m_past"],
-            direction=direction,
-            burn_in=mcfg["burn_in"],
-            cache=cache,
-        )
-        rows.extend((n, series.values[n], direction) for n in range(mcfg["n_max"] + 1))
-        fits[direction] = (
-            {"prefactor": series.prefactor, "rate": series.rate, "r_squared": series.r_squared}
-            if series.rate is not None
-            else None
-        )
     path = out_dir / "correlation.csv"
     write_csv(path, ["n", "C_n", "direction"], rows)
     fit_path = out_dir / "correlation_fit.json"
     write_json(fit_path, {"fits": fits, "phi": mcfg["phi"], "psi": mcfg["psi"]})
     return [path.name, fit_path.name], EXIT_OK
+
+
+def _fit_entry(series: measures.CorrelationSeries) -> dict | None:
+    fit = {"prefactor": series.prefactor, "rate": series.rate, "r_squared": series.r_squared}
+    return None if series.rate is None else fit
 
 
 def cmd_fit(cfg: dict, args) -> tuple[list[str], int]:

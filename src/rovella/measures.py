@@ -69,9 +69,7 @@ class UniformGrid:
 def ulam_row_operator(family: MapFamily, t: float, grid: UniformGrid) -> sp.csr_matrix:
     """Row-stochastic matrix: entry (i, j) is the fraction of cell i mapping
     into cell j under the fiber map at parameter t (see `_ulam_arrays`)."""
-    import scipy.sparse as sp  # here, so that importing rovella does not load it
-
-    return sp.csr_matrix(_ulam_arrays(family, t, grid), shape=(grid.m, grid.m))
+    return _push_matrix(family, t, grid).T
 
 
 def _ulam_arrays(
@@ -140,9 +138,19 @@ def _ulam_arrays(
     )
 
 
+def _push_matrix(family: MapFamily, t: float, grid: UniformGrid) -> sp.csc_matrix:
+    """The Ulam operator at parameter t in the push layout: the CSC matrix
+    of `_ulam_arrays`, the transpose of the row operator."""
+    import scipy.sparse as sp  # here, so that importing rovella does not load it
+
+    return sp.csc_matrix(_ulam_arrays(family, t, grid), shape=(grid.m, grid.m))
+
+
 class OperatorCache:
     """Ulam operators per noise index, built on demand and held once, as the
-    CSC push matrices (the transposes) that move masses forward."""
+    CSC push matrices (the transposes) that move masses forward. Densities
+    and series need none (they drop each operator after its index); it
+    serves callers that push through an index again, and lends to those."""
 
     def __init__(self, family: MapFamily, stream: NoiseStream, grid: UniformGrid) -> None:
         self.family = family
@@ -152,10 +160,7 @@ class OperatorCache:
 
     def _push_matrix(self, index: int) -> sp.csc_matrix:
         if index not in self._pushes:
-            import scipy.sparse as sp
-
-            arrays = _ulam_arrays(self.family, self.stream.get(index), self.grid)
-            self._pushes[index] = sp.csc_matrix(arrays, shape=(self.grid.m, self.grid.m))
+            self._pushes[index] = _push_matrix(self.family, self.stream.get(index), self.grid)
         return self._pushes[index]
 
     def get(self, index: int) -> sp.csr_matrix:
@@ -168,28 +173,27 @@ class OperatorCache:
         return self._push_matrix(index) @ masses
 
 
+def _pusher(family, stream, grid, cache: OperatorCache | None, index: int):
+    """Pushes masses through the operator at `index`: the cache's, or one
+    built now that lives as long as the returned function."""
+    if cache is not None:
+        return lambda masses: cache.push(masses, index)
+    return _push_matrix(family, stream.get(index), grid).__matmul__
+
+
 def equivariant_density(
-    family: MapFamily,
-    stream: NoiseStream,
-    m_past: int,
-    grid: UniformGrid,
+    family: MapFamily, stream: NoiseStream, m_past: int, grid: UniformGrid,
     cache: OperatorCache | None = None,
 ) -> np.ndarray:
     """Cell weights of the sample-measure density at the stream's origin:
-    `_pullback` to index 0 over the cell width. The equivariant family is
-    omega-dependent, so no fixed-point solve can replace the pullback."""
-    return _pullback(cache or OperatorCache(family, stream, grid), m_past, 0) / grid.h
-
-
-def _pullback(cache: OperatorCache, m_past: int, origin: int) -> np.ndarray:
-    """Cell masses of the sample measure at noise index `origin`: the
-    uniform masses pushed through the operators at origin - m_past, ...,
-    origin - 1 in order, then normalized. m_past = 0 gives the uniform
-    masses."""
-    masses = np.full(cache.grid.m, 1.0 / cache.grid.m)
-    for j in range(origin - m_past, origin):
-        masses = cache.push(masses, j)
-    return masses / masses.sum()
+    the uniform masses pushed through the operators at -m_past, ..., -1,
+    each built for its push (or lent by `cache`), normalized, over the cell
+    width. The equivariant family is omega-dependent, so no fixed-point
+    solve can replace the pullback."""
+    masses = np.full(grid.m, 1.0 / grid.m)
+    for index in range(-m_past, 0):
+        masses = _pusher(family, stream, grid, cache, index)(masses)
+    return masses / masses.sum() / grid.h
 
 
 @dataclass
@@ -207,6 +211,15 @@ class CorrelationSeries:
     prefactor: float | None = None
     rate: float | None = None
     r_squared: float | None = None
+
+    @classmethod
+    def from_values(cls, direction: str, values: np.ndarray, burn_in: int) -> CorrelationSeries:
+        """`values` with their `fit_exponential`, if it has enough points."""
+        try:
+            c, b, r2 = fit_exponential(values, burn_in=burn_in)
+        except InsufficientData:
+            c = b = r2 = None
+        return cls(direction, values, burn_in, c, b, r2)
 
     def fitted(self) -> tuple[float, float, float]:
         if self.rate is None:
@@ -231,104 +244,97 @@ def fit_exponential(series: np.ndarray, burn_in: int = 0) -> tuple[float, float,
     return float(np.exp(intercept)), -float(slope), float(r2)
 
 
-def _try_fit(values: np.ndarray, burn_in: int) -> tuple[float | None, float | None, float | None]:
-    try:
-        c, b, r2 = fit_exponential(values, burn_in=burn_in)
-        return c, b, r2
-    except InsufficientData:
-        return None, None, None
-
-
 def quenched_correlation(
-    family: MapFamily,
-    stream: NoiseStream,
-    phi: Callable[[np.ndarray], np.ndarray],
-    psi: Callable[[np.ndarray], np.ndarray],
-    n_max: int,
-    method: str = "ulam",
-    grid: UniformGrid | None = None,
-    m_past: int = 200,
-    direction: str = "forward",
-    burn_in: int = 5,
-    mc_samples: int = 100_000,
-    cache: OperatorCache | None = None,
+    family, stream, phi, psi, n_max: int, *, direction: str = "forward", **options
 ) -> CorrelationSeries:
-    """Quenched correlation series |cor(phi o T^n, psi)| for n = 0..n_max.
+    """`quenched_correlations` in one `direction`, with the same `options`."""
+    return quenched_correlations(family, stream, phi, psi, n_max, directions=(direction,),
+                                 **options)[direction]
+
+
+def quenched_correlations(
+    family: MapFamily, stream: NoiseStream, phi: Callable[[np.ndarray], np.ndarray],
+    psi: Callable[[np.ndarray], np.ndarray], n_max: int, method: str = "ulam",
+    grid: UniformGrid | None = None, m_past: int = 200,
+    directions: tuple[str, ...] = ("forward", "backward"), burn_in: int = 5,
+    mc_samples: int = 100_000, cache: OperatorCache | None = None,
+) -> dict[str, CorrelationSeries]:
+    """Quenched correlation series |cor(phi o T^n, psi)| for n = 0..n_max,
+    one per direction asked, keyed in the order asked.
 
     Ulam method: integrals against pullback densities, with the time-n
     observable integrated via the pushforward of the signed measure psi d mu,
-    so constant phi or psi cancels exactly. A supplied `cache` (same family,
-    stream and grid) lends its operators, so several directions build each
-    one once. Monte Carlo method: ensembles initialized in the far past of
-    the same stream (antithetic uniform starts); same estimator algebra.
+    so constant phi or psi cancels exactly. All directions come from one
+    pass (`_ulam_series`) that builds each operator once and holds one at a
+    time; a supplied `cache` (same family, stream and grid) lends operators
+    and keeps them. Monte Carlo method: ensembles initialized in the far
+    past of the same stream (antithetic uniform starts); same algebra.
     """
-    if direction not in ("forward", "backward"):
+    if not directions or not set(directions) <= {"forward", "backward"}:
         raise ValueError("direction must be forward or backward")
     if method == "ulam":
-        if cache is None:
-            cache = OperatorCache(family, stream, grid or UniformGrid(2**11))
-        elif (cache.family, cache.stream, cache.grid) != (family, stream, grid or cache.grid):
+        grid = grid or (cache.grid if cache is not None else UniformGrid(2**11))
+        if cache is not None and (cache.family, cache.stream, cache.grid) != (family, stream, grid):
             raise ValueError("operator cache was built for another family, stream or grid")
-        values = _ulam_correlation(phi, psi, n_max, cache, m_past, direction)
+        values = _ulam_series(family, stream, grid, cache, phi, psi, n_max, m_past, directions)
     elif method == "monte_carlo":
-        values = _mc_correlation(
-            family, stream, phi, psi, n_max, m_past, direction, mc_samples
-        )
+        values = {d: _mc_correlation(family, stream, phi, psi, n_max, m_past, d, mc_samples)
+                  for d in directions}
     else:
         raise ValueError(f"unknown method {method!r}")
-    c, b, r2 = _try_fit(values, burn_in)
-    return CorrelationSeries(
-        direction=direction,
-        values=values,
-        burn_in=burn_in,
-        prefactor=c,
-        rate=b,
-        r_squared=r2,
-    )
+    return {d: CorrelationSeries.from_values(d, values[d], burn_in) for d in directions}
 
 
-def _ulam_correlation(
-    phi, psi, n_max: int, cache: OperatorCache, m_past: int, direction: str
-) -> np.ndarray:
-    family, stream, grid = cache.family, cache.stream, cache.grid
-    centers = grid.centers
-    phi_c = np.asarray(phi(centers), dtype=float)
-    psi_c = np.asarray(psi(centers), dtype=float)
-    out = np.empty(n_max + 1)
+def _ulam_series(
+    family, stream, grid, cache, phi, psi, n_max: int, m_past: int, directions
+) -> dict[str, np.ndarray]:
+    """The Ulam C_n of each direction asked, from one pass over the noise
+    indices from -(m_past + n_max) (-m_past for forward alone) to n_max - 1
+    (-1 for backward alone): each operator pushes every vector whose path
+    crosses its index, then is dropped before the next is built.
 
-    if direction == "forward":
-        # Via the density (/ h, then * h): where h is not a power of 2 that
-        # round trip rounds, and the series' bytes depend on it.
-        base = equivariant_density(family, stream, m_past, grid, cache) * grid.h
-        psi_mean = float(psi_c @ base)
-        signed = psi_c * base
-        running = base.copy()
-        out[0] = abs(float(phi_c @ signed) - float(phi_c @ running) * psi_mean)
-        for n in range(1, n_max + 1):
-            signed = cache.push(signed, n - 1)
-            running = cache.push(running, n - 1)
-            out[n] = abs(float(phi_c @ signed) - float(phi_c @ running) * psi_mean)
-        return out
-
-    # Backward: measures at sigma^{-n} omega, from one pullback to -n_max.
-    past_masses = [_pullback(cache, m_past, -n_max)]
-    for n in range(n_max, 0, -1):
-        nxt = cache.push(past_masses[-1], -n)
-        past_masses.append(nxt / nxt.sum())
-    past_masses.reverse()  # past_masses[n] is the mass vector at sigma^{-n} omega
-    # Column n of the block is the chain psi mu_n pushed from index -n to -1:
-    # it starts at operator -n, and each operator pushes every started chain
-    # in one product, which adds into each column in the order a single
-    # push does.
-    block = np.empty((grid.m, n_max + 1))
-    block[:, 0] = psi_c * past_masses[0]
-    for j in range(n_max, 0, -1):
-        block[:, j] = psi_c * past_masses[j]
-        block[:, j:] = cache.push(block[:, j:], -j)
-    signed = np.ascontiguousarray(block.T)  # chain n; a strided dot sums in another order
-    phi_mean0 = float(phi_c @ past_masses[0])
-    for n in range(n_max + 1):
-        out[n] = abs(float(phi_c @ signed[n]) - phi_mean0 * float(psi_c @ past_masses[n]))
+    Forward pulls back from -m_past to mu at 0, then pushes psi mu
+    (`signed`) and mu (`running`). Backward pulls back from -(m_past + n_max);
+    from -n_max on `past` is mu_n at -n, and block column n, the chain psi
+    mu_n, starts at operator -n. One product per operator pushes every
+    started chain, adding into each column in a single push's order."""
+    phi_c, psi_c = (np.asarray(f(grid.centers), dtype=float) for f in (phi, psi))
+    forward, backward = "forward" in directions, "backward" in directions
+    out = {d: np.empty(n_max + 1) for d in directions}
+    pulled = past = np.full(grid.m, 1.0 / grid.m)
+    block = np.empty((grid.m, n_max + 1) if backward else 0)
+    psi_means = np.empty(n_max + 1)  # psi_c @ mu_n
+    stop = n_max if forward else 0
+    for index in range(-(m_past + n_max) if backward else -m_past, stop + 1):
+        if forward and index == 0:
+            # Via the density (/ h, then * h): where h is not a power of 2
+            # that round trip rounds, and the series' bytes depend on it.
+            running = pulled / pulled.sum() / grid.h * grid.h
+            psi_mean = float(psi_c @ running)
+            signed = psi_c * running
+        if forward and index >= 0:
+            out["forward"][index] = abs(float(phi_c @ signed) - float(phi_c @ running) * psi_mean)
+        if backward and -n_max <= index <= 0:
+            past = past / past.sum()
+            psi_means[-index] = float(psi_c @ past)
+            block[:, -index] = psi_c * past
+        if index == stop:
+            break
+        push = _pusher(family, stream, grid, cache, index)
+        if forward and -m_past <= index < 0:
+            pulled = push(pulled)
+        elif forward and index >= 0:
+            signed, running = push(signed), push(running)
+        if backward and -n_max <= index < 0:
+            block[:, -index:] = push(block[:, -index:])
+        if backward and index < 0:
+            past = push(past)
+        del push  # drops a built operator before the next one is built
+    if backward:
+        phi_mean0 = float(phi_c @ past)
+        for n in range(n_max + 1):
+            chain = np.ascontiguousarray(block[:, n])  # a strided dot sums in another order
+            out["backward"][n] = abs(float(phi_c @ chain) - phi_mean0 * psi_means[n])
     return out
 
 
