@@ -460,18 +460,28 @@ def _fit_entry(series: measures.CorrelationSeries) -> dict | None:
 
 
 def cmd_fit(cfg: dict, args) -> tuple[list[str], int]:
+    """An exponential fit of the column; where a `direction` column holds
+    several directions, one fit per direction, as `correlation` writes it."""
     burn_in = _at_least(args, "burn_in", 0)
+    columns: dict[str, list[float]] = {}
     try:
         with open(args.input) as fh:
-            reader = csv.DictReader(fh)
-            values = np.array([float(row[args.column]) for row in reader])
+            for row in csv.DictReader(fh):
+                columns.setdefault(row.get("direction") or "", []).append(float(row[args.column]))
     except OSError as exc:
         raise ValidationError(f"fit --input: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:  # no such column, or a non-number in it
         raise ValidationError(f"fit --column {args.column!r} of {args.input}: {exc!r}") from None
-    c, b, r2 = measures.fit_exponential(values, burn_in=burn_in)
+    if len(columns) > 1:
+        series = (measures.CorrelationSeries.from_values(d, np.array(v), burn_in)
+                  for d, v in columns.items())
+        payload = {"fits": {s.direction: _fit_entry(s) for s in series}}
+    else:
+        values = np.array(next(iter(columns.values()), []))
+        c, b, r2 = measures.fit_exponential(values, burn_in=burn_in)
+        payload = {"prefactor": c, "rate": b, "r_squared": r2}
     out = Path(cfg["output"]["directory"]) / "fit.json"
-    write_json(out, {"prefactor": c, "rate": b, "r_squared": r2, "column": args.column})
+    write_json(out, {**payload, "column": args.column})
     return [out.name], EXIT_OK
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rovella import cli
+from rovella import cli, measures
 
 
 def run(args):
@@ -396,6 +396,29 @@ class TestArtifacts:
         ]) == 0
         fit = json.loads((tmp_path / "fit.json").read_text())
         assert fit["rate"] > 0
+        assert set(fit) == {"prefactor", "rate", "r_squared", "column"}
+        # The unfiltered table: one fit per direction, each with the bytes
+        # of the fit `correlation` wrote at the same burn-in.
+        assert run([
+            "fit", "--input", str(tmp_path / "correlation.csv"), "--column", "C_n",
+            "--burn-in", "5", "--out", str(tmp_path),
+        ]) == 0
+        fit = json.loads((tmp_path / "fit.json").read_text())
+        assert set(fit) == {"fits", "column"}
+        for direction in ("forward", "backward"):
+            got, want = fit["fits"][direction], fits["fits"][direction]
+            assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+            assert got["rate"] > 0
+
+    def test_fit_without_direction_column_is_one_series(self, tmp_path):
+        values = 0.8 * np.exp(-0.5 * np.arange(12))
+        rows = "".join(f"{n},{v!r}\n" for n, v in enumerate(values.tolist()))
+        series = tmp_path / "s.csv"
+        series.write_text("n,C_n\n" + rows)
+        assert run(["fit", "--input", str(series), "--burn-in", "2", "--out", str(tmp_path)]) == 0
+        c, b, r2 = measures.fit_exponential(values, burn_in=2)
+        want = {"column": "C_n", "prefactor": c, "r_squared": r2, "rate": b}
+        assert (tmp_path / "fit.json").read_text() == json.dumps(want, indent=2) + "\n"
 
     def test_tails_performance_budget(self, tmp_path):
         import time
