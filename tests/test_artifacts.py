@@ -75,7 +75,7 @@ GOLDEN = {
         "correlation-mc/correlation_fit.json":
             "0c9fb1eb9ae6e1921a3d2a3d9849a45beed63fdf615401976b4764dbf9daa961",
         "fit/fit.json":
-            "9fc41e62d66b4eab78cc911dc53829462703b4110eb24658e169a0dff2248161",
+            "e1b5be1c3107578f2642c49f4f6d8173b593f95d0935baa98d7a2ccb5feb5008",
     },
     "table": {
         "simulate-orbit/orbit.csv":
@@ -109,7 +109,7 @@ GOLDEN = {
         "correlation-mc/correlation_fit.json":
             "ea1cbbcb7854a66352f937514b36f60d185f47e4dd750a982ff32ae33ff2c79b",
         "fit/fit.json":
-            "ca30d2c657a9da02f8c2db917623edc23f1bd239d46fefbed9672824117cc724",
+            "ceeb56b2f392b8b0a1f9fa1f3b6b9ccd1dc1be9c6209fd8a66badbfb91256121",
     },
 }
 
