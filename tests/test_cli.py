@@ -410,6 +410,16 @@ class TestArtifacts:
             assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
             assert got["rate"] > 0
 
+    def test_fit_direction_without_usable_points_is_null(self, tmp_path):
+        # As in correlation_fit.json: n_max 3 leaves no direction 5 points.
+        assert run(["correlation", "--n-max", "3", "--direction", "both",
+                    "--out", str(tmp_path)]) == 0
+        assert run(["fit", "--input", str(tmp_path / "correlation.csv"),
+                    "--out", str(tmp_path)]) == 0
+        fit = json.loads((tmp_path / "fit.json").read_text())
+        assert fit["fits"] == {"forward": None, "backward": None}
+        assert fit["fits"] == json.loads((tmp_path / "correlation_fit.json").read_text())["fits"]
+
     def test_fit_without_direction_column_is_one_series(self, tmp_path):
         values = 0.8 * np.exp(-0.5 * np.arange(12))
         rows = "".join(f"{n},{v!r}\n" for n, v in enumerate(values.tolist()))
