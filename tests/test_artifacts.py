@@ -15,6 +15,11 @@ RUNS = {  # output directory -> argv; `fit` reads `@correlation/`
     "verify-family": ["verify-family"],
     "hyperbolic-tails": ["hyperbolic-tails", "--samples", "2000", "--n-max", "20"],
     "bad-set-tails": ["bad-set-tails", "--samples", "2000", "--n-max", "20"],
+    # 20,001 rows exceed the 20,000-row chunk: two chunks, and a thread pool.
+    "hyperbolic-tails-2chunks": [
+        "hyperbolic-tails", "--samples", "20001", "--n-max", "20", "--workers", "2"
+    ],
+    "bad-set-tails-2chunks": ["bad-set-tails", "--samples", "20001", "--n-max", "20"],
     "build-partition": ["build-partition"],
     "certify-tower": ["certify-tower"],
     "density": ["density"],
@@ -58,6 +63,16 @@ GOLDEN = {
             "1e9120edf277d32ba61fdce09c39ab8b0a60b6ee8c79e7638de19d09a8e04d91",
         "bad-set-tails/bad_set_tails_fit.json":
             "c014a10b0fcf057ae5703b860811d6e1ab55367accbafc642c3311a97cd32c7a",
+        "hyperbolic-tails-2chunks/hyperbolic_return_tails.csv":
+            "bd9205516a14309487c71685e511a334c65dab03eea8ec8e5c411bb11a49221c",
+        "hyperbolic-tails-2chunks/hyperbolic_tails.csv":
+            "2dd6ae3fbe810f3244e251883d6e971faed058707a10b10571fcd60d93a1e2d7",
+        "hyperbolic-tails-2chunks/hyperbolic_tails_fits.json":
+            "989033b4f37f481c84cfee7fd2907e6ba6c4b4a7076d896ad08425347f2ae05b",
+        "bad-set-tails-2chunks/bad_set_tails.csv":
+            "b2dc1265b2204c856ebfbd41be84e28e59e9e192dd491fca2803b38f8231ee70",
+        "bad-set-tails-2chunks/bad_set_tails_fit.json":
+            "1e7117ab94addb4c9d8c2c0788ca959edc79925dfda4f19d37d4f4af374d8ff0",
         "build-partition/partition.csv":
             "74d3d381b12627395e7f774952328dc02728c7446a03a5e4cc646438a5c4e785",
         "build-partition/partition_summary.json":
@@ -92,6 +107,16 @@ GOLDEN = {
             "1421d1b918b32a2f792f8c11c6e73dea9b052f65bb82927646b1829942c3758d",
         "bad-set-tails/bad_set_tails_fit.json":
             "7a77390257c744cd7029a19c1c7c074cae86363e4baead26cac39a005994e805",
+        "hyperbolic-tails-2chunks/hyperbolic_return_tails.csv":
+            "3a0eb3e2beb9947d9abfecfd17cef67e80074948a38f2bbdc50ec80b7dc356ac",
+        "hyperbolic-tails-2chunks/hyperbolic_tails.csv":
+            "b9393f4fbb80e4854ad17b7d1ced0769d0ee790ef2ec75d63378470195316cfe",
+        "hyperbolic-tails-2chunks/hyperbolic_tails_fits.json":
+            "676e16575854cf83ea68f7ed803a2261cbf9285d541aebae030a7099b846cafa",
+        "bad-set-tails-2chunks/bad_set_tails.csv":
+            "57a59d149b44557e68bde9745e0ed0b8e960af3d7525e06a1cae8e2bb5a4addf",
+        "bad-set-tails-2chunks/bad_set_tails_fit.json":
+            "9ef4fffe2ed0423898c83828b458f930a213baad50f4c9636bcbb31363cdfc89",
         "build-partition/partition.csv":
             "0828f5dde0098d84c4af02eb6a86da4c358925fa26a095e2ef8fd05b68f45bd4",
         "build-partition/partition_summary.json":
