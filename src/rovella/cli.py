@@ -301,8 +301,9 @@ def _tail_fit(n: np.ndarray, counts: np.ndarray, total: int):
             "points": int(mask.sum())}
 
 
-def _tail_table(cfg: dict, args):
-    """Shared run of `hyperbolic-tails` and `bad-set-tails`.
+def _tail_table(cfg: dict, args, tables: tuple[str, ...]):
+    """Shared run of `hyperbolic-tails` and `bad-set-tails`, computing only
+    the `tables` of `hyperbolic.tail_statistics` that the command writes.
 
     Returns (resolved constants, table, output directory, exit code); the
     code is EXIT_NUMERIC when more than SINGULAR_EPIDEMIC of the orbits died.
@@ -318,6 +319,7 @@ def _tail_table(cfg: dict, args):
         samples=samples,
         n_max=n_max,
         workers=args.workers,
+        tables=tables,
     )
     simulated = table.total + table.singular_hits
     code = EXIT_NUMERIC if table.singular_hits > SINGULAR_EPIDEMIC * simulated else EXIT_OK
@@ -333,7 +335,7 @@ def _write_survivors(path: Path, table: hyperbolic.TailTable, counts: np.ndarray
 
 
 def cmd_hyperbolic_tails(cfg: dict, args) -> tuple[list[str], int]:
-    hcfg, table, out_dir, code = _tail_table(cfg, args)
+    hcfg, table, out_dir, code = _tail_table(cfg, args, ("hyperbolic",))
     names = []
     for stem, counts in (
         ("hyperbolic_tails", table.h_survivors),
@@ -355,7 +357,7 @@ def cmd_hyperbolic_tails(cfg: dict, args) -> tuple[list[str], int]:
 
 
 def cmd_bad_set_tails(cfg: dict, args) -> tuple[list[str], int]:
-    hcfg, table, out_dir, code = _tail_table(cfg, args)
+    hcfg, table, out_dir, code = _tail_table(cfg, args, ("bad_set",))
     path = out_dir / "bad_set_tails.csv"
     _write_survivors(path, table, table.bad_members)
     fit_path = out_dir / "bad_set_tails_fit.json"

@@ -227,21 +227,26 @@ def hyperbolic_times(trace: OrbitTrace, cfg: HyperbolicConfig) -> HyperbolicRepo
 # -- ensemble tail statistics -------------------------------------------------
 
 
+TAIL_TABLES = ("hyperbolic", "bad_set")  # the tables `tail_statistics` can compute
+
+
 @dataclass
 class TailTable:
     """Survival counts over an ensemble, for exponential tail fits.
 
-    Row n (1-based) counts orbits with first hyperbolic time > n, first
-    hyperbolic return > n, and membership in the depth-sum bad set at n.
+    Row n (1-based) counts orbits with first hyperbolic time > n and first
+    hyperbolic return > n (the "hyperbolic" table: `h_survivors`,
+    `hstar_survivors`), and membership in the depth-sum bad set at n (the
+    "bad_set" table: `bad_members`). A table that was not asked for is None.
     Orbits that die within the horizon (see `orbit.step`) enter no count and
     not `total`; they are counted in `singular_hits`, so total +
     singular_hits is the number of orbits simulated.
     """
 
     n: np.ndarray
-    h_survivors: np.ndarray
-    hstar_survivors: np.ndarray
-    bad_members: np.ndarray
+    h_survivors: np.ndarray | None
+    hstar_survivors: np.ndarray | None
+    bad_members: np.ndarray | None
     total: int
     singular_hits: int = 0
 
@@ -254,36 +259,54 @@ def _tail_chunk(
     n_max: int,
     index_lo: int,
     index_hi: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Survivor and bad-set counts of orbits index_lo..index_hi-1, then the
-    number of live orbits and of dead ones.
+    tables: tuple[str, ...],
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None, int, int]:
+    """Survivor and bad-set counts of orbits index_lo..index_hi-1 (None for a
+    table not in `tables`), then the number of live orbits and of dead ones.
 
     The orbits are streamed: noise is drawn one step at a time and each row
-    keeps only its point, the carried hyperbolic-time reduction, its depth
-    sum and its first hyperbolic time and return. A step takes return depths
-    and no log DT, and tests base membership only on the rows that are
-    hyperbolic at that step and have no first return yet. Bad-set flags are
-    kept per step, because an orbit that dies later leaves every count.
+    keeps only its point and the bookkeeping of the tables asked for. A step
+    takes no log DT, and return depths only on the rows with DT * |x| <
+    delta; every other row has depth 0. The bad set adds those depths into
+    the depth sums and keeps one flag row per step. The carried
+    hyperbolic-time reduction runs only on the open rows, those with no
+    first hyperbolic return yet, and base membership is tested only on the
+    open rows that are hyperbolic at that step; a row leaves the open set,
+    and its carried state, at its first return, when its first hyperbolic
+    time is set too. Every row is still stepped to n_max, because an orbit
+    that dies later leaves every count.
     """
+    hyperbolic, bad_set = "hyperbolic" in tables, "bad_set" in tables
     keys = ensemble_keys(master_seed, index_hi - index_lo, index_lo)
     x = start_points(keys, eps)
     rows = x.size
-    state = np.zeros(rows), np.zeros(rows)
+    depth = np.zeros(rows, dtype=np.int64)  # 0 off the near rows of a step
     depth_sum = np.zeros(rows, dtype=np.int64)
+    bad = np.empty((n_max if bad_set else 0, rows), dtype=bool)  # one row a step
+    open_rows = np.arange(rows if hyperbolic else 0)
+    state = np.zeros(open_rows.size), np.zeros(open_rows.size)
     first_h = np.full(rows, n_max)  # step index of the first time; n_max: none yet
     first_ret = np.full(rows, n_max)
-    bad = np.empty((n_max, rows), dtype=bool)  # one contiguous row a step
     for k in range(n_max):
         x, dt, prod = step(family, keyed_draws(keys, eps, k), x)
-        depth = _depths(prod, cfg.delta)
+        near = np.flatnonzero(prod < cfg.delta)
+        near_depth = _depths(prod[near], cfg.delta)
         del dt, prod  # freed before the bookkeeping and the next step
-        hyp = _hyperbolic_flags(depth[:, None], cfg.c_prime, state)[:, 0]  # time k + 1
-        first_h[hyp & (first_h > k)] = k
-        # Base membership only where it can set a first return.
-        open_rows = np.flatnonzero(hyp & (first_ret > k))
-        first_ret[open_rows[cfg.base.contains(x[open_rows])]] = k
-        depth_sum += depth
-        np.greater_equal(depth_sum, cfg.c * (k + 1), out=bad[k])
+        if bad_set:
+            depth_sum[near] += near_depth
+            np.greater_equal(depth_sum, cfg.c * (k + 1), out=bad[k])
+        if hyperbolic:
+            depth[near] = near_depth
+            hyp = _hyperbolic_flags(depth[open_rows, None], cfg.c_prime, state)[:, 0]
+            depth[near] = 0
+            now = open_rows[hyp]  # hyperbolic at time k + 1, no first return yet
+            first_h[now[first_h[now] > k]] = k
+            returned = cfg.base.contains(x[now])
+            if returned.any():
+                first_ret[now[returned]] = k
+                hyp[hyp] = returned
+                stay = np.logical_not(hyp, out=hyp)
+                open_rows, state = open_rows[stay], (state[0][stay], state[1][stay])
     alive = ~np.isnan(x)
     live = int(alive.sum())
 
@@ -291,8 +314,9 @@ def _tail_chunk(
         # survivors[n-1] = # live rows with no flagged time <= n
         return live - np.cumsum(np.bincount(first[alive], minlength=n_max + 1)[:n_max])
 
-    bad_members = bad.sum(axis=1, where=alive)
-    return survivors(first_h), survivors(first_ret), bad_members, live, rows - live
+    h, hstar = (survivors(first_h), survivors(first_ret)) if hyperbolic else (None, None)
+    bad_members = bad.sum(axis=1, where=alive) if bad_set else None
+    return h, hstar, bad_members, live, rows - live
 
 
 def tail_statistics(
@@ -304,34 +328,43 @@ def tail_statistics(
     n_max: int,
     workers: int = 1,
     chunk: int = 20_000,
+    tables: tuple[str, ...] = TAIL_TABLES,
 ) -> TailTable:
-    """Ensemble survival curves for h, h-star and bad-set membership.
+    """Ensemble survival curves for h and h-star (the "hyperbolic" table) and
+    bad-set membership (the "bad_set" table), each only when in `tables`.
 
-    Work is split into fixed-size chunks whose results are summed in index
-    order, so the table is independent of the worker count. With workers > 1
-    the chunks run on a pool of threads (numpy releases the GIL in its array
-    loops); each chunk streams its orbits in memory linear in its rows.
-    Starting points are uniform on (-1, 1), one stream per orbit index
+    A caller computes only the tables it reads: the hyperbolic bookkeeping
+    and the bad-set flags are each skipped when not asked for, and the
+    table left out is None. Work is split into fixed-size chunks whose
+    results are summed in index order, so the table is independent of the
+    worker count. With workers > 1 the chunks run on a pool of threads
+    (numpy releases the GIL in its array loops); each chunk streams its
+    orbits in memory linear in its rows (`_tail_chunk`). Starting points
+    are uniform on (-1, 1), one stream per orbit index
     (`orbit.start_points`).
     """
+    tables = tuple(tables)
+    if not tables or not set(tables) <= set(TAIL_TABLES):
+        raise ValueError(f"tables must be a non-empty subset of {TAIL_TABLES}, got {tables!r}")
     bounds = [(lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)]
 
     def run(bound: tuple[int, int]):
-        return _tail_chunk(family, master_seed, eps, cfg, n_max, *bound)
+        return _tail_chunk(family, master_seed, eps, cfg, n_max, *bound, tables)
 
     if workers > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(min(workers, len(bounds))) as pool:
             parts = list(pool.map(run, bounds))
     else:
         parts = [run(b) for b in bounds]
-    h = np.sum([p[0] for p in parts], axis=0)
-    hstar = np.sum([p[1] for p in parts], axis=0)
-    bad = np.sum([p[2] for p in parts], axis=0)
+
+    def summed(i: int, table: str) -> np.ndarray | None:
+        return np.sum([p[i] for p in parts], axis=0) if table in tables else None
+
     return TailTable(
         n=np.arange(1, n_max + 1),
-        h_survivors=h,
-        hstar_survivors=hstar,
-        bad_members=bad,
+        h_survivors=summed(0, "hyperbolic"),
+        hstar_survivors=summed(1, "hyperbolic"),
+        bad_members=summed(2, "bad_set"),
         total=sum(p[3] for p in parts),
         singular_hits=sum(p[4] for p in parts),
     )

@@ -332,6 +332,36 @@ class TestTailStatistics:
     def test_stream_matches_whole_matrix_reference(
         self, family, workers, fam, hyp_cfg, monkeypatch, request
     ):
+        self._check_reference(family, workers, hyp.TAIL_TABLES, fam, hyp_cfg, monkeypatch,
+                              request)
+
+    @pytest.mark.parametrize("tables", [("hyperbolic",), ("bad_set",)])
+    @pytest.mark.parametrize("family", ["fam", "table_fam", "fam_lin"])
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_one_table_matches_whole_matrix_reference(
+        self, family, workers, tables, fam, hyp_cfg, monkeypatch, request
+    ):
+        self._check_reference(family, workers, tables, fam, hyp_cfg, monkeypatch, request)
+
+    @pytest.mark.parametrize("tables", [("hyperbolic",), ("bad_set",)])
+    def test_one_table_matches_reference_over_many_rows(self, tables, fam, hyp_cfg):
+        # Enough rows that DT * |x| < delta, and first returns, occur at
+        # every step, so a depth carried over from an earlier step shows.
+        expect = reference_tail_table(fam, 1, 0.01, hyp_cfg, 2000, 30)
+        table = hyp.tail_statistics(
+            fam, 1, 0.01, hyp_cfg, samples=2000, n_max=30, chunk=700, tables=tables
+        )
+        got = (table.h_survivors, table.hstar_survivors, table.bad_members)
+        for a, b, name in zip(got, expect, ("hyperbolic", "hyperbolic", "bad_set")):
+            if name in tables:
+                assert_same_bytes(a, b)
+            else:
+                assert a is None
+
+    @staticmethod
+    def _check_reference(family, workers, tables, fam, hyp_cfg, monkeypatch, request):
+        """Each table asked for equals `reference_tail_table` byte for byte,
+        each one left out is None, and total and singular_hits hold."""
         # Planted rows that die: the fixture's first image exactly 0; a table
         # start at 1e-200, where DT * |x| underflows; on the linear family a
         # start whose depth 2 puts it in the bad set for five steps before it
@@ -345,15 +375,24 @@ class TestTailStatistics:
         expect = reference_tail_table(family, 1, 0.01, hyp_cfg, samples, 30, x0)
         assert expect[4] == (2 if x0[0] == 0.75 else 1)
         plant_start_points(monkeypatch, 1, x0)
+        chosen = {} if tables == hyp.TAIL_TABLES else {"tables": tables}  # the default
         table = hyp.tail_statistics(
             family, 1, 0.01, hyp_cfg, samples=samples, n_max=30, workers=workers,
-            chunk=samples // 3 + 1,
+            chunk=samples // 3 + 1, **chosen,
         )
         got = (table.h_survivors, table.hstar_survivors, table.bad_members)
-        for a, b in zip(got, expect):
+        for a, b, name in zip(got, expect, ("hyperbolic", "hyperbolic", "bad_set")):
+            if name not in tables:
+                assert a is None
+                continue
             assert a.dtype == b.dtype
             assert_same_bytes(a, b)
         assert (table.total, table.singular_hits) == expect[3:]
+
+    @pytest.mark.parametrize("tables", [(), ("bad set",), ("hyperbolic", "h_star"), "hyperbolic"])
+    def test_unknown_or_empty_tables_raise(self, fam, hyp_cfg, tables):
+        with pytest.raises(ValueError, match="tables"):
+            hyp.tail_statistics(fam, 1, 0.01, hyp_cfg, samples=10, n_max=5, tables=tables)
 
     def test_stream_memory_is_linear_in_rows(self, fam, hyp_cfg):
         # A (rows, n_max) float matrix alone is 9.6 MB at this size.
@@ -369,18 +408,61 @@ class TestTailStatistics:
 
 def test_depths_only_where_read(fam, hyp_cfg, monkeypatch):
     """Work-count guard: the kappa fit, a caller of `orbit.step` that reads
-    log DT alone, takes no return depths, and the tail chunk, which reads
-    depths alone, takes one `_depths` call a step."""
-    calls = []
-    real_depths = orbit._depths
+    log DT alone, takes no return depths, and the tail chunk takes one
+    `_depths` call a step, on exactly the rows with DT * |x| < delta: every
+    other row has depth 0."""
+    calls, near = [], []
+    real_depths, real_step = orbit._depths, hyp.step
 
     def counting_depths(prod, delta):
         calls.append(prod.size)
         return real_depths(prod, delta)
 
+    def counting_step(family, t, x):
+        out = real_step(family, t, x)
+        near.append(int(np.count_nonzero(out[2] < hyp_cfg.delta)))
+        return out
+
     for module in (orbit, hyp):
         monkeypatch.setattr(module, "_depths", counting_depths)
     hyp.fit_expansion_rate(fam, 1, 0.01, 0.01)
     assert calls == []
-    hyp.tail_statistics(fam, 1, 0.01, hyp_cfg, samples=300, n_max=20)
-    assert calls == [300] * 20
+    monkeypatch.setattr(hyp, "step", counting_step)
+    for tables in (hyp.TAIL_TABLES, ("hyperbolic",), ("bad_set",)):
+        calls.clear()
+        near.clear()
+        hyp.tail_statistics(fam, 1, 0.01, hyp_cfg, samples=300, n_max=20, tables=tables)
+        assert len(calls) == 20
+        assert calls == near
+        assert max(calls) < 300
+
+
+def _flag_rows(fam, hyp_cfg, monkeypatch, samples, n_max, tables):
+    """Rows passed to `_hyperbolic_flags` by one tail run."""
+    rows = []
+    real = hyp._hyperbolic_flags
+
+    def counting_flags(depths, c_prime, state=None):
+        rows.append(np.shape(depths)[0])
+        return real(depths, c_prime, state)
+
+    monkeypatch.setattr(hyp, "_hyperbolic_flags", counting_flags)
+    hyp.tail_statistics(fam, 1, 0.01, hyp_cfg, samples=samples, n_max=n_max, tables=tables)
+    monkeypatch.undo()
+    return rows
+
+
+def test_bad_set_alone_runs_no_hyperbolic_bookkeeping(fam, hyp_cfg, monkeypatch):
+    """Work-count guard: the bad-set table never calls `_hyperbolic_flags`."""
+    assert _flag_rows(fam, hyp_cfg, monkeypatch, 2000, 60, ("bad_set",)) == []
+
+
+def test_hyperbolic_bookkeeping_only_on_open_rows(fam, hyp_cfg, monkeypatch):
+    """Work-count guard: a row leaves the carried reduction at its first
+    hyperbolic return, so the hyperbolic table passes at most a fifth of the
+    samples * n_max rows to `_hyperbolic_flags` on the fixture (about 0.12
+    of them at 2,000 x 60), one call a step on shrinking row sets."""
+    rows = _flag_rows(fam, hyp_cfg, monkeypatch, 2000, 60, ("hyperbolic",))
+    assert len(rows) == 60 and rows[0] == 2000
+    assert all(a >= b for a, b in zip(rows, rows[1:]))
+    assert sum(rows) <= 0.2 * 2000 * 60
