@@ -304,7 +304,7 @@ def _tail_chunk(
             returned = cfg.base.contains(x[now])
             if returned.any():
                 first_ret[now[returned]] = k
-                hyp[hyp] = returned
+                hyp[hyp] = returned  # now marks the rows that leave
                 stay = np.logical_not(hyp, out=hyp)
                 open_rows, state = open_rows[stay], (state[0][stay], state[1][stay])
     alive = ~np.isnan(x)
