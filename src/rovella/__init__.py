@@ -47,12 +47,7 @@ from .measures import (
     ulam_row_operator,
 )
 from .noise import NoiseStream, derive_seed, shift, stream
-from .orbit import (
-    OrbitTrace,
-    ensemble_orbits,
-    iterate,
-    return_depth,
-)
+from .orbit import OrbitTrace, ensemble_orbits, iterate
 from .tower import (
     PartitionCache,
     ReturnPartition,

@@ -114,7 +114,7 @@ def fit_expansion_rate(
     if rates.size < 50:
         raise ParamError(
             f"only {rates.size} escape events at delta={delta}; "
-            "increase samples or n_cap"
+            "give kappa explicitly (config hyperbolic.kappa) to skip the fit"
         )
     kappa = float(np.percentile(rates, percentile))
     if kappa <= 0:
@@ -129,7 +129,7 @@ def config_for_family(
     family: MapFamily,
     eps: float,
     delta: float,
-    delta0: float | None = None,
+    delta0: float,
     *,
     master_seed: int = 1,
     kappa: float | None = None,
@@ -139,14 +139,13 @@ def config_for_family(
 ) -> HyperbolicConfig:
     """Resolve a HyperbolicConfig, fitting kappa empirically when not given.
 
-    Defaults: c = kappa / 4, c_prime = kappa / 2, delta0 = delta.
+    Defaults: c = kappa / 4, c_prime = kappa / 2.
     """
     if kappa is None:
         kappa = fit_expansion_rate(family, master_seed, eps, delta)
     c = kappa / 4.0 if c is None else c
     c_prime = kappa / 2.0 if c_prime is None else c_prime
     lambda_prime = kappa - c_prime
-    delta0 = delta if delta0 is None else delta0
     return HyperbolicConfig(
         delta=delta,
         delta0=delta0,

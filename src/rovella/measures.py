@@ -149,8 +149,9 @@ def _push_matrix(family: MapFamily, t: float, grid: UniformGrid) -> sp.csc_matri
 class OperatorCache:
     """Ulam operators per noise index, built on demand and held once, as the
     CSC push matrices (the transposes) that move masses forward. Densities
-    and series need none (they drop each operator after its index); it
-    serves callers that push through an index again, and lends to those."""
+    and series need none: they build each operator for its index and drop
+    it. The cache serves callers that push through an index again, such as
+    the per-layer benchmark, which times its `get` and `push`."""
 
     def __init__(self, family: MapFamily, stream: NoiseStream, grid: UniformGrid) -> None:
         self.family = family
@@ -173,26 +174,17 @@ class OperatorCache:
         return self._push_matrix(index) @ masses
 
 
-def _pusher(family, stream, grid, cache: OperatorCache | None, index: int):
-    """Pushes masses through the operator at `index`: the cache's, or one
-    built now that lives as long as the returned function."""
-    if cache is not None:
-        return lambda masses: cache.push(masses, index)
-    return _push_matrix(family, stream.get(index), grid).__matmul__
-
-
 def equivariant_density(
-    family: MapFamily, stream: NoiseStream, m_past: int, grid: UniformGrid,
-    cache: OperatorCache | None = None,
+    family: MapFamily, stream: NoiseStream, m_past: int, grid: UniformGrid
 ) -> np.ndarray:
     """Cell weights of the sample-measure density at the stream's origin:
     the uniform masses pushed through the operators at -m_past, ..., -1,
-    each built for its push (or lent by `cache`), normalized, over the cell
-    width. The equivariant family is omega-dependent, so no fixed-point
-    solve can replace the pullback."""
+    each built for its push and dropped, normalized, over the cell width.
+    The equivariant family is omega-dependent, so no fixed-point solve can
+    replace the pullback."""
     masses = np.full(grid.m, 1.0 / grid.m)
     for index in range(-m_past, 0):
-        masses = _pusher(family, stream, grid, cache, index)(masses)
+        masses = _push_matrix(family, stream.get(index), grid) @ masses
     return masses / masses.sum() / grid.h
 
 
@@ -257,7 +249,7 @@ def quenched_correlations(
     psi: Callable[[np.ndarray], np.ndarray], n_max: int, method: str = "ulam",
     grid: UniformGrid | None = None, m_past: int = 200,
     directions: tuple[str, ...] = ("forward", "backward"), burn_in: int = 5,
-    mc_samples: int = 100_000, cache: OperatorCache | None = None,
+    mc_samples: int = 100_000,
 ) -> dict[str, CorrelationSeries]:
     """Quenched correlation series |cor(phi o T^n, psi)| for n = 0..n_max,
     one per direction asked, keyed in the order asked.
@@ -266,17 +258,14 @@ def quenched_correlations(
     observable integrated via the pushforward of the signed measure psi d mu,
     so constant phi or psi cancels exactly. All directions come from one
     pass (`_ulam_series`) that builds each operator once and holds one at a
-    time; a supplied `cache` (same family, stream and grid) lends operators
-    and keeps them. Monte Carlo method: ensembles initialized in the far
-    past of the same stream (antithetic uniform starts); same algebra.
+    time. Monte Carlo method: ensembles initialized in the far past of the
+    same stream (antithetic uniform starts); same algebra.
     """
     if not directions or not set(directions) <= {"forward", "backward"}:
         raise ValueError("direction must be forward or backward")
     if method == "ulam":
-        grid = grid or (cache.grid if cache is not None else UniformGrid(2**11))
-        if cache is not None and (cache.family, cache.stream, cache.grid) != (family, stream, grid):
-            raise ValueError("operator cache was built for another family, stream or grid")
-        values = _ulam_series(family, stream, grid, cache, phi, psi, n_max, m_past, directions)
+        values = _ulam_series(family, stream, grid or UniformGrid(2**11), phi, psi, n_max, m_past,
+                              directions)
     elif method == "monte_carlo":
         values = {d: _mc_correlation(family, stream, phi, psi, n_max, m_past, d, mc_samples)
                   for d in directions}
@@ -286,7 +275,7 @@ def quenched_correlations(
 
 
 def _ulam_series(
-    family, stream, grid, cache, phi, psi, n_max: int, m_past: int, directions
+    family, stream, grid, phi, psi, n_max: int, m_past: int, directions
 ) -> dict[str, np.ndarray]:
     """The Ulam C_n of each direction asked, from one pass over the noise
     indices from -(m_past + n_max) (-m_past for forward alone) to n_max - 1
@@ -320,16 +309,16 @@ def _ulam_series(
             block[:, -index] = psi_c * past
         if index == stop:
             break
-        push = _pusher(family, stream, grid, cache, index)
+        op = _push_matrix(family, stream.get(index), grid)
         if forward and -m_past <= index < 0:
-            pulled = push(pulled)
+            pulled = op @ pulled
         elif forward and index >= 0:
-            signed, running = push(signed), push(running)
+            signed, running = op @ signed, op @ running
         if backward and -n_max <= index < 0:
-            block[:, -index:] = push(block[:, -index:])
+            block[:, -index:] = op @ block[:, -index:]
         if backward and index < 0:
-            past = push(past)
-        del push  # drops a built operator before the next one is built
+            past = op @ past
+        del op  # dropped before the next one is built
     if backward:
         phi_mean0 = float(phi_c @ past)
         for n in range(n_max + 1):

@@ -39,22 +39,6 @@ class OrbitTrace:
         return len(self.points) - 1
 
 
-def return_depth(family: MapFamily, t: float, x: float, delta: float) -> int:
-    """Least r >= 0 with DT_t(x) * |x| >= e^{-r} * delta.
-
-    r = 0 is the common case away from the singularity. The scalar form of
-    `return_depths_array`; raises DomainError where the depth is undefined.
-    """
-    if x == 0.0:
-        raise DomainError("return depth undefined at the singularity")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    r = int(return_depths_array(family, t, np.array([x]), delta)[0])
-    if r < 0:
-        raise DomainError(f"DT * |x| is not a positive finite number at x={x}")
-    return r
-
-
 def _depths(prod: np.ndarray, delta: float) -> np.ndarray:
     """Return depths of DT * |x| values; -1 where prod is not in (0, inf)."""
     pos = prod > 0
@@ -90,8 +74,9 @@ def _depths(prod: np.ndarray, delta: float) -> np.ndarray:
 def return_depths_array(
     family: MapFamily, t: np.ndarray, x: np.ndarray, delta: float
 ) -> np.ndarray:
-    """Vectorized return depths; same convention as `return_depth`, with -1
-    where DT_t(x) * |x| is not a positive finite number."""
+    """Least r >= 0 with DT_t(x) * |x| >= e^{-r} * delta, per row (r = 0 is
+    the common case away from the singularity); -1 where DT_t(x) * |x| is
+    not a positive finite number."""
     x = np.asarray(x, dtype=float)
     return _depths(family.deriv(t, x) * np.abs(x), delta)
 

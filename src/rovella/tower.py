@@ -31,6 +31,8 @@ from .orbit import _depths, pull_back, step, step_values
 BOUNDARY_MARGIN = 1e-9
 MARKOV_TOL = 1e-10
 HORIZON_CAP = 60  # largest horizon a partition is built to
+CACHE_REFINE_PASSES = 2  # refinement rounds of each `PartitionCache` build
+CACHE_GAP_RESOLUTION = 2e-5  # gap width per refinement seed of those builds
 MARKOV_SAMPLES = 100  # interior points per element in `verify_markov`
 DISTORTION_ELEMENTS = 40  # widest elements that seed the distortion pairs
 
@@ -430,16 +432,12 @@ class PartitionCache:
         cfg: HyperbolicConfig,
         n_max: int,
         seed_grid: int = 1024,
-        refine_passes: int = 2,
-        gap_resolution: float = 2e-5,
     ) -> None:
         self.family = family
         self.stream = stream
         self.cfg = cfg
         self.n_max = n_max
         self.seed_grid = seed_grid
-        self.refine_passes = refine_passes
-        self.gap_resolution = gap_resolution
         self._cache: dict[int, ReturnPartition] = {}
 
     def get(self, time_shift: int) -> ReturnPartition:
@@ -450,8 +448,8 @@ class PartitionCache:
                 self.cfg,
                 self.n_max,
                 seed_grid=self.seed_grid,
-                refine_passes=self.refine_passes,
-                gap_resolution=self.gap_resolution,
+                refine_passes=CACHE_REFINE_PASSES,
+                gap_resolution=CACHE_GAP_RESOLUTION,
             )
             part.time_origin = time_shift
             self._cache[time_shift] = part

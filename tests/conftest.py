@@ -86,17 +86,6 @@ def table_fam():
     )
 
 
-def _lin_side_inverse(sign):
-    """The doubling family's inverse x = (y +- 1) / 2 on one side, clamped to
-    the branch domain."""
-
-    def inv(t, y):
-        root = (np.asarray(y, dtype=float) + sign) / 2.0
-        return np.clip(root, 1e-300, 1.0) if sign > 0 else np.clip(root, -1.0, -1e-300)
-
-    return inv
-
-
 def _lin_inverse(t, y, side):
     side = np.asarray(side)
     root = (np.asarray(y, dtype=float) + side) / 2.0
@@ -387,91 +376,6 @@ def bisection_family(fam):
     return dataclasses.replace(fam, inverse=inverse)
 
 
-def reference_invert_branch(inverse_pos, inverse_neg, t, y, side):
-    """`map_core.invert_branch` as it was when a family carried one inverse
-    per side: the side's callable on a shared side, else each side's rows
-    gathered, inverted by that side's callable and scattered back."""
-    y = np.asarray(y, dtype=float)
-    side = np.asarray(side, dtype=float)
-    if side.ndim == 0:
-        return np.array((inverse_pos if side > 0 else inverse_neg)(t, y), dtype=float)
-    pos = np.broadcast_to(side > 0, y.shape)
-    t_arr = np.broadcast_to(np.asarray(t, dtype=float), y.shape)
-    out = np.empty(y.shape)
-    out[pos] = inverse_pos(t_arr[pos], y[pos])
-    out[~pos] = inverse_neg(t_arr[~pos], y[~pos])
-    return out
-
-
-def _reference_fixture_inverse(s, sign):
-    """The fixture's inverse on one side, as it was."""
-
-    def inv(t, y):
-        ay = sign * np.asarray(y, dtype=float)
-        root = np.power(np.maximum(1.0 + ay, 0.0) / (2.0 - np.abs(t)), 1.0 / s)
-        return sign * np.clip(root, 1e-300, 1.0)
-
-    return inv
-
-
-def _reference_spline_inverse(knots, c, nodes, x1, a, s):
-    """A table branch's inverse, as it was: the spline Newton loop and end
-    piece of one branch."""
-
-    def inv(t, y):
-        y = np.asarray(y, dtype=float)
-        t = np.asarray(t, dtype=float)
-        u = y - t
-        with np.errstate(invalid="ignore"):
-            p = 2.0 * u / (1.0 + np.sqrt(1.0 - 4.0 * t * u))
-        p = np.where(np.isnan(p) & ~np.isnan(y), np.copysign(np.inf, y), p)
-        under, over = p < nodes[0], p > nodes[-1]
-        active = np.array((p >= nodes[0]) & (p <= nodes[-1]))
-        i = np.clip(np.searchsorted(nodes, p, side="right") - 1, 0, knots.size - 2)
-        c0, c1, c2, c3 = c[0, i], c[1, i], c[2, i], c[3, i]
-        left = knots[i]
-        lo, hi = left, knots[i + 1]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            x = np.where(active, lo + (p - c3) / (nodes[i + 1] - c3) * (hi - lo), np.nan)
-            for _ in range(100):
-                h = x - left
-                d = h * (c2 + h * (c1 + h * c0))
-                f = ((c3 - y) + d) + t * (((1.0 - c3) - d) * ((1.0 + c3) + d))
-                slope = (c2 + h * (2.0 * c1 + 3.0 * c0 * h)) * (1.0 - 2.0 * t * (c3 + d))
-                below = f < 0.0
-                lo = np.where(below, x, lo)
-                hi = np.where(below, hi, x)
-                step = x - f / slope
-                step = np.where((slope > 0.0) & (step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-                done = np.abs(step - x) <= 2.0 * np.abs(np.spacing(x))
-                done |= (step == lo) | (step == hi)
-                x = np.where(active, step, x)
-                active &= ~done
-                if not active.any():
-                    break
-        sign = np.copysign(1.0, x1)
-        inner, outer = (under, over) if sign > 0 else (over, under)
-        end = sign * np.power(np.maximum(1.0 + sign * p, 0.0) / a, 1.0 / s)
-        x = np.where(inner, end, np.where(outer, sign, x))
-        return np.clip(x, *((1e-300, 1.0) if sign > 0 else (-1.0, -1e-300)))
-
-    return inv
-
-
-def reference_side_inverses(fam):
-    """(inverse_pos, inverse_neg): the per-side inverses of the fixture, a
-    table family or the doubling family `fam_lin`, in the form they had
-    before one callable inverted both sides."""
-    inv = fam.inverse
-    if isinstance(inv, map_core._FixtureInverse):
-        return _reference_fixture_inverse(fam.s, 1.0), _reference_fixture_inverse(fam.s, -1.0)
-    if isinstance(inv, map_core._TableInverse):
-        neg, pos = (_reference_spline_inverse(*side, fam.s) for side in table_sides(fam))
-        return pos, neg
-    assert inv is _lin_inverse
-    return _lin_side_inverse(1.0), _lin_side_inverse(-1.0)
-
-
 def assert_same_bytes(a, b):
     """Equal shapes, NaN in the same positions and the other entries equal
     as bytes (so -0.0 differs from 0.0)."""
@@ -554,22 +458,6 @@ def reference_separation(family, stream, get, x, y, base_time, max_returns):
     return total, False
 
 
-def reference_seeded_times(taus):
-    """The aperiodicity marking loop that `tower.build_return_partition`
-    ran over its elements in (tau, left) order, on their return times: mark
-    one time at a time in increasing order, and stop once at least four are
-    marked and their gcd is 1."""
-    from rovella.tower import _gcd_all
-
-    chosen = {}
-    for tau in sorted(taus):
-        if tau not in chosen:
-            chosen[tau] = True
-            if len(chosen) >= 4 and _gcd_all(list(chosen)) == 1:
-                break
-    return sorted(chosen)
-
-
 def reference_admission(lo, hi, radius, cap):
     """The two admission masks of `tower._level_elements`, one-sidedness
     and clearance tested apart: `same_side & inside`."""
@@ -623,209 +511,3 @@ def reference_grid_checks(family):
         "range_ok": range_ok,
         "t_lipschitz_ok": t_lip_ok,
     }
-
-
-def reference_verify_markov(partition, samples=100):
-    """`tower.verify_markov` one element at a time: each element's samples
-    stepped on their own, one `orbit.step_values` call per element and step."""
-    from rovella.orbit import step_values
-
-    worst = 0.0
-    non_monotone = 0
-    for e in partition.elements:
-        xs = np.linspace(e.left, e.right, samples)
-        for k in range(e.tau):
-            xs = step_values(partition.family, partition.stream.get(k), xs)
-        if not np.all(np.diff(xs) > 0):
-            non_monotone += 1
-        worst = float(np.max([
-            worst,
-            abs(xs[0] - (-partition.base_radius)),
-            abs(xs[-1] - partition.base_radius),
-        ]))
-    return {"max_residual": worst, "non_monotone": non_monotone, "elements": len(partition.elements)}
-
-
-# Reference copies of the array kernels in the form they had before they
-# were made to work in place: the kernels must keep their bytes exactly.
-
-
-def _reference_splitmix64(z):
-    z = (z + np.uint64(noise._GAMMA)).astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(noise._MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(noise._MIX2)
-    return z ^ (z >> np.uint64(31))
-
-
-def reference_ensemble_keys(master_seed, n_samples, sample_offset=0):
-    base = _reference_splitmix64(
-        np.full(n_samples, (master_seed & noise._MASK) ^ noise._DERIVE_SALT, np.uint64)
-    )
-    ids = np.arange(sample_offset, sample_offset + n_samples, dtype=np.int64).astype(np.uint64)
-    seeds = _reference_splitmix64(base ^ ids)
-    return _reference_splitmix64(seeds ^ np.uint64(noise._STREAM_SALT))
-
-
-def reference_keyed_draws(keys, eps, index):
-    idx = np.asarray(index, dtype=np.int64).astype(np.uint64)
-    h = _reference_splitmix64(keys ^ idx)
-    unit = (h >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
-    return eps * (2.0 * unit - 1.0)
-
-
-def reference_fixture_family(s):
-    """The s fixture with value and derivative callables that take the side
-    as a float64 +-1 from `np.where`."""
-    import dataclasses
-
-    def callable_of(kind):
-        def call(t, x):
-            amp = 2.0 - np.abs(t)
-            x = np.asarray(x, dtype=float)
-            sign = np.where(x > 0, 1.0, -1.0)
-            out = np.power(sign * x, s - kind)
-            if kind == 0:
-                return np.clip(sign * (out * amp - 1.0), -1.0, 1.0)
-            if kind == 1:
-                return out * (amp * s)
-            return out * (amp * s * (s - 1.0)) * sign
-
-        return call
-
-    value, deriv, second = (callable_of(kind) for kind in range(3))
-    fam = map_core.fixture_family(s=s)
-    return dataclasses.replace(fam, value=value, deriv=deriv, second=second)
-
-
-def reference_depths(prod, delta):
-    r = np.where((prod > 0) & (prod < np.inf), 0, -1)
-    near = (prod > 0) & (prod < delta)
-    p = prod[near]
-    rn = np.maximum(np.ceil(np.log(delta / p)), 0.0).astype(np.int64)
-    rn[(rn > 0) & (p >= np.exp(-(rn - 1.0)) * delta)] -= 1
-    rn[p < np.exp(-rn.astype(float)) * delta] += 1
-    r[near] = rn
-    return r
-
-
-def reference_step(family, t, x, delta):
-    dt = family.deriv(t, x)
-    depth = reference_depths(dt * np.abs(x), delta)
-    x_next = family.value(t, x)
-    x_next[x_next == 0.0] = np.nan
-    x_next[depth < 0] = np.nan
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_dt = np.log(dt)
-    log_dt[np.isnan(x_next)] = np.nan
-    return x_next, depth, log_dt
-
-
-def reference_ulam_row_operator(family, t, grid, lookup="midpoint"):
-    """`measures.ulam_row_operator` as it was built before the merge sweep:
-    `np.unique` merges each side's breaks and cell edges, searchsorted
-    lookups file each piece, and a COO matrix converts to CSR.
-
-    lookup "midpoint" is the old rule, which looks up a piece's cell and
-    image cell at the midpoint of its ends. A piece one ulp wide can have its
-    midpoint round onto its end point, and the lookup then files it in the
-    neighbouring cell. lookup "start" looks both up at the piece's start,
-    which always lies in the piece's cells.
-    """
-    import scipy.sparse as sp
-
-    from rovella.map_core import invert_branch
-
-    m = grid.m
-    edges = grid.edges
-    h = grid.h
-    rows, cols, vals = [], [], []
-    top, bottom = family.value(t, np.array([1.0, -1.0])).tolist()
-    for side in (1.0, -1.0):
-        if side > 0:
-            x_lo, x_hi, img_lo, img_hi = 0.0, 1.0, -1.0, top
-        else:
-            x_lo, x_hi, img_lo, img_hi = -1.0, 0.0, bottom, 1.0
-        interior = edges[(edges > img_lo + 1e-15) & (edges < img_hi - 1e-15)]
-        cuts = invert_branch(family, t, interior, side)
-        j_start = min(int(np.searchsorted(edges, img_lo, side="right")) - 1, m - 1)
-        j_start = max(j_start, 0)
-        breaks = np.concatenate([[x_lo], cuts, [x_hi]])
-        cell_edges = edges[(edges > x_lo) & (edges < x_hi)]
-        merged = np.unique(np.concatenate([breaks, cell_edges]))
-        u, v = merged[:-1], merged[1:]
-        at = 0.5 * (u + v) if lookup == "midpoint" else u
-        i_idx = np.clip(np.searchsorted(edges, at, side="right") - 1, 0, m - 1)
-        j_idx = np.clip(j_start + np.searchsorted(breaks, at, side="right") - 1, 0, m - 1)
-        rows.append(i_idx)
-        cols.append(j_idx)
-        vals.append((v - u) / h)
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(m, m)
-    ).tocsr()
-
-
-def assert_same_csr(a, b):
-    """The same CSR arrays, byte for byte and in dtype."""
-    for name in ("data", "indices", "indptr"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
-
-
-def reference_ulam_correlation(phi, psi, n_max, cache, m_past):
-    """The backward Ulam series as `measures._ulam_correlation` computed it
-    before the block push: one deep pullback gives the past measures mu_n,
-    then each n pushes its own vector psi mu_n from index -n to -1."""
-    centers = cache.grid.centers
-    phi_c = np.asarray(phi(centers), dtype=float)
-    psi_c = np.asarray(psi(centers), dtype=float)
-    out = np.empty(n_max + 1)
-    deep = np.full(cache.grid.m, 1.0 / cache.grid.m)
-    for j in range(n_max + m_past, n_max, -1):
-        deep = cache.push(deep, -j)
-    past_masses = [deep / deep.sum()]
-    for n in range(n_max, 0, -1):
-        nxt = cache.push(past_masses[-1], -n)
-        past_masses.append(nxt / nxt.sum())
-    past_masses.reverse()
-    phi_mean0 = float(phi_c @ past_masses[0])
-    for n in range(n_max + 1):
-        mu_n = past_masses[n]
-        signed = psi_c * mu_n
-        for j in range(n, 0, -1):
-            signed = cache.push(signed, -j)
-        out[n] = abs(float(phi_c @ signed) - phi_mean0 * float(psi_c @ mu_n))
-    return out
-
-
-def reference_mc_correlation(family, stream, phi, psi, n_max, m_past, direction, samples):
-    """`measures._mc_correlation` in its stored-snapshot form: every state of
-    the window is kept, and each is copied through the alive mask."""
-    from rovella.orbit import step_values
-
-    half = (np.arange(samples // 2) + 0.5) / (samples // 2)
-    starts = np.concatenate([2.0 * half - 1.0, 1.0 - 2.0 * half])
-    x = starts[starts != 0.0]
-    origin = -m_past if direction == "forward" else -(m_past + n_max)
-    t_path = stream.values(origin, m_past + n_max)
-    for t in t_path[:m_past]:
-        x = step_values(family, t, x)
-    snaps = [x]
-    for t in t_path[m_past:]:
-        x = step_values(family, t, x)
-        snaps.append(x)
-    alive = ~np.isnan(x)
-    snaps = [snap[alive] for snap in snaps]
-    out = np.empty(n_max + 1)
-    if direction == "forward":
-        psi0 = np.asarray(psi(snaps[0]), dtype=float)
-        psi_mean = psi0.mean()
-        for n in range(n_max + 1):
-            phi_n = np.asarray(phi(snaps[n]), dtype=float)
-            out[n] = abs(float((phi_n * psi0).mean()) - float(phi_n.mean()) * psi_mean)
-    else:
-        phi_end = np.asarray(phi(snaps[n_max]), dtype=float)
-        phi_mean = phi_end.mean()
-        for n in range(n_max + 1):
-            psi_n = np.asarray(psi(snaps[n_max - n]), dtype=float)
-            out[n] = abs(float((phi_end * psi_n).mean()) - phi_mean * float(psi_n.mean()))
-    return out

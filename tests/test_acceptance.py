@@ -166,10 +166,7 @@ def test_criterion_05_partition_certification(fam, acc_cfg, noisy_stream):
 
 
 def test_criterion_06_tower_semiconjugacy(fam, acc_cfg, noisy_stream):
-    cache = tower.PartitionCache(
-        fam, noisy_stream, acc_cfg, 25, seed_grid=1024, refine_passes=2,
-        gap_resolution=2e-5,
-    )
+    cache = tower.PartitionCache(fam, noisy_stream, acc_cfg, 25, seed_grid=1024)
     orbits, attempts = tower.sample_tower_orbits(cache, 1000, 50, seed=99)
     t_path = noisy_stream.values(0, 50)
     # Direct orbits of every starting point, and each state's projection

@@ -141,6 +141,16 @@ class TestValidation:
                                    "hyperbolic": {"kappa": 0.7}}))
         assert run([*args, "--out", str(tmp_path / "given")]) == 0
 
+    def test_too_few_escape_events_names_override(self, tmp_path, capsys):
+        # At delta 1e-9 the 2 delta neighbourhood is too thin for 50 escape
+        # events; the message names the config key that skips the fit.
+        args = ["hyperbolic-tails", "--samples", "200", "--n-max", "10", "--delta", "1e-9",
+                "--out", str(tmp_path / "o")]
+        assert run(args) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "only 37 escape events at delta=1e-09" in err
+        assert "give kappa explicitly (config hyperbolic.kappa) to skip the fit" in err
+
     def test_rerun_numeric_failure_exits_numeric(self, tmp_path, capsys):
         # A rerun goes through the same RovellaError handler as the
         # subcommand: the s = 3 kappa fit fails with exit 3, not a traceback.

@@ -23,7 +23,6 @@ LIBRARY_ONLY = {
     "pliss_times": "acceptance criterion 02",
     "quenched_correlation": "benchmark import (benchmarks/layers.py) and the README's library "
     "sketch: one direction of `quenched_correlations`, which the CLI calls",
-    "return_depth": "test reference: the scalar form of `orbit.return_depths_array`",
     "sample_tower_orbits": "acceptance criterion 06",
     "second_derivative": "acceptance criterion 09",
     "tower_step": "benchmark import (benchmarks/layers.py)",

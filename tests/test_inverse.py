@@ -1,8 +1,8 @@
 """Branch inverses: the fixture's closed form, the tabulated family's
 spline and end-piece inverse and the hand-built family's closed form
 against bisection of the branch values, the spline inverse against
-30-digit roots, and the one inverse callable of each family against the
-per-side inverses it replaced (`conftest.reference_invert_branch`)."""
+30-digit roots, and the one inverse callable of each family, per row, against
+its calls with one shared side."""
 
 import dataclasses
 import functools
@@ -15,8 +15,6 @@ from conftest import (
     TABLES,
     assert_same_bytes,
     bisection_family,
-    reference_invert_branch,
-    reference_side_inverses,
     table_sides,
 )
 from rovella import hyperbolic as hyp
@@ -359,35 +357,47 @@ def _targets(fam):
     return np.concatenate([rng.uniform(-1.3, 1.3, 2000), np.linspace(-1.0, 1.0, 257), ends, SPECIAL_Y])
 
 
+def per_side(fam, t, ys, side):
+    """`invert_branch` of the rows of each side by one call with that side
+    shared (and t, when per row, gathered), scattered back."""
+    pos = np.broadcast_to(np.asarray(side) > 0, ys.shape)
+    out = np.empty(ys.shape)
+    for rows, sign in ((pos, 1.0), (~pos, -1.0)):
+        t_rows = t if np.ndim(t) == 0 else np.broadcast_to(t, ys.shape)[rows]
+        out[rows] = mc.invert_branch(fam, t_rows, ys[rows], sign)
+    return out
+
+
 class TestOneInverse:
-    """`MapFamily.inverse` inverts both sides in one call, with the bytes of
-    the per-side inverses and the gather and scatter it replaced."""
+    """`MapFamily.inverse` inverts both sides in one call: each row gets the
+    bytes that a call with its side shared gives it."""
 
     def test_matches_per_side_reference(self, any_family):
         fam = any_family
-        pos, neg = reference_side_inverses(fam)
         ys = _targets(fam)
         rng = np.random.default_rng(12)
         side_rows = np.where(rng.random(ys.size) < 0.5, 1.0, -1.0)
         t_rows = rng.uniform(-fam.eps_max, fam.eps_max, ys.size)
         for t in (0.0, 0.0371, -fam.eps_max, t_rows):
-            for side in (side_rows, side_rows.astype(np.int8), 1.0, -1.0):
-                got = mc.invert_branch(fam, t, ys, side)
-                assert_same_bytes(got, reference_invert_branch(pos, neg, t, ys, side))
+            want = per_side(fam, t, ys, side_rows)
+            for side in (side_rows, side_rows.astype(np.int8)):
+                assert_same_bytes(mc.invert_branch(fam, t, ys, side), want)
+            for sign in (1, -1):
+                rows = np.full(ys.size, sign, dtype=np.int8)
+                assert_same_bytes(mc.invert_branch(fam, t, ys, rows), per_side(fam, t, ys, rows))
 
     def test_zero_d_matches_per_side_reference(self, any_family):
         fam = any_family
-        pos, neg = reference_side_inverses(fam)
         for y in np.concatenate([SPECIAL_Y, [0.3, -0.6]]):
             for side in (1.0, -1.0, np.array(1), np.array(-1)):
                 got = mc.invert_branch(fam, 0.0371, np.float64(y), side)
                 assert np.ndim(got) == 0
-                assert_same_bytes(got, reference_invert_branch(pos, neg, 0.0371, np.float64(y), side))
+                want = mc.invert_branch(fam, 0.0371, np.array([y]), float(side))
+                assert_same_bytes(got, want[0])
 
     def test_pull_back_matches_per_side_reference(self, any_family):
         """Itineraries per row (int8, as the tower scans them) and shared."""
         fam = any_family
-        pos, neg = reference_side_inverses(fam)
         k, rows = 6, 300
         t_path = noise.stream(3, fam.eps_max).values(0, k)
         rng = np.random.default_rng(13)
@@ -396,5 +406,5 @@ class TestOneInverse:
         for sides in (per_row, per_row[0].astype(float)):
             want = ys
             for j in range(k - 1, -1, -1):
-                want = reference_invert_branch(pos, neg, float(t_path[j]), want, sides[..., j])
+                want = per_side(fam, float(t_path[j]), want, sides[..., j])
             assert_same_bytes(orbit.pull_back(fam, t_path, sides, ys), want)

@@ -1,8 +1,9 @@
-"""The array kernels of one orbit step, the Ulam operator build and the
-backward correlation's block push: byte-equal to reference copies of their
-earlier forms (tests/conftest.py), and lean in allocation. `orbit.step`
-leaves the return depth and log DT to its callers; `step_outputs` takes both
-as `ensemble_orbits` does.
+"""The array kernels of one orbit step, the noise draws, the Ulam operator
+build and the backward correlation's block push, against independent forms:
+the fixture's 0-d formulas, a per-row step rule, a depth scan, the scalar
+noise stream and the Ulam operator's definition as cell overlaps; and their
+allocation. `orbit.step` leaves the return depth and log DT to its callers;
+`step_outputs` takes both as `ensemble_orbits` does.
 
 Each step kernel allocates one fresh float64 array per output and works in
 place on arrays it allocated itself; the guard bounds each call's traced peak
@@ -18,24 +19,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import (
-    assert_same_bytes,
-    assert_same_csr,
-    dying_ensemble,
-    reference_depths,
-    reference_ensemble_keys,
-    reference_fixture_family,
-    reference_keyed_draws,
-    reference_step,
-    reference_ulam_correlation,
-    reference_ulam_row_operator,
-)
+from conftest import assert_same_bytes, dying_ensemble
 from rovella import map_core, measures, noise, orbit
 
 SPECIAL_X = np.array([
     0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e-8, -1e-8, 0.3, -0.3,
     0.7071067811865476, -0.7071067811865476, 1.0, -1.0, np.nan, np.inf, -np.inf,
 ])
+STEP_FAMILIES = ["fixture_2", "fixture_2.5", "fixture_3", "table_fam"]
 
 
 def step_outputs(fam, t, x, delta):
@@ -45,40 +36,59 @@ def step_outputs(fam, t, x, delta):
     return x_next, orbit._depths(prod, delta), np.log(dt, out=dt)
 
 
-def step_families(family, request):
-    """(family, reference family) for a `STEP_FAMILIES` id: the reference
-    fixture formulas, or the table family itself."""
-    if family == "table_fam":
-        fam = request.getfixturevalue("table_fam")
-        return fam, fam
-    s = float(family.split("_")[1])
-    return map_core.fixture_family(s=s), reference_fixture_family(s)
-
-
-STEP_FAMILIES = ["fixture_2", "fixture_2.5", "fixture_3", "table_fam"]
+def scan_depths(prod, delta):
+    """Return depths by the definition: the number of r >= 0 with
+    p < e^-r delta (np.exp, as the kernel compares), which is the least r
+    with p >= e^-r delta; -1 where p is not in (0, inf)."""
+    r = (prod[:, None] < np.exp(-np.arange(800.0)) * delta).sum(axis=1)
+    return np.where((prod > 0) & (prod < np.inf), r, -1)
 
 
 @pytest.mark.parametrize("s", [2.0, 2.5, 3.0])
 @pytest.mark.parametrize("kind", [0, 1, 2])
 def test_fixture_callables_match_reference(s, kind):
-    """Both signed zeros, subnormals, the ends and non-finite x, at a shared
+    """The array path gives each element the bytes of the 0-d formulas, on
+    both signed zeros, subnormals, the ends and non-finite x, at a shared
     and at a per-row t."""
-    fam, ref = map_core.fixture_family(s=s), reference_fixture_family(s)
-    name = ("value", "deriv", "second")[kind]
+    fam = map_core.fixture_family(s=s)
+    fn = (fam.value, fam.deriv, fam.second)[kind]
     rng = np.random.default_rng(5)
     x = np.concatenate([SPECIAL_X, rng.uniform(-1.0, 1.0, 200)])
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for t in (0.0, -0.07, rng.uniform(-0.1, 0.1, x.size)):
-            got, want = getattr(fam, name)(t, x), getattr(ref, name)(t, x)
+            got = fn(t, x)
             assert got.dtype == np.float64
-            assert_same_bytes(got, want)
+            t_rows = np.broadcast_to(t, x.shape)
+            assert_same_bytes(got, [fn(ti, np.float64(xi)) for ti, xi in zip(t_rows, x)])
+
+
+def step_rule(fam, t, x, delta):
+    """(x_next, depth, log_dt) of one step by the rule that `orbit.step`
+    states, row by row through the family's 0-d value and derivative: a row
+    is dead where DT * |x| is not in (0, inf) or its image is 0 or NaN, and
+    a dead row's image and log DT are NaN; its depth is `scan_depths`."""
+    t = np.broadcast_to(t, x.shape)
+    y = np.array([fam.value(ti, np.float64(xi)) for ti, xi in zip(t, x)])
+    d = np.array([fam.deriv(ti, np.float64(xi)) for ti, xi in zip(t, x)])
+    prod = d * np.abs(x)
+    dead = ~((prod > 0) & (prod < np.inf) & ((y > 0) | (y < 0)))
+    y[dead] = np.nan
+    d[dead] = np.nan
+    return y, scan_depths(prod, delta), np.log(d)
+
+
+def step_family(name, request):
+    """The family of a `STEP_FAMILIES` id."""
+    if name == "table_fam":
+        return request.getfixturevalue(name)
+    return map_core.fixture_family(s=float(name.split("_")[1]))
 
 
 class TestDepths:
     @pytest.mark.parametrize("delta", [0.01, 0.1, 1.0])
     def test_edges_match_reference(self, delta):
         """0, -0, negatives, NaN, +-inf, exactly delta and e^-k delta with
-        one ulp on either side, for k up to 40."""
+        one ulp on either side, for k up to 40, against `scan_depths`."""
         edges = np.exp(-np.arange(0.0, 41.0)) * delta
         prod = np.concatenate([
             [0.0, -0.0, -1e-3, -1.0, -np.inf, np.inf, np.nan, 1e-300, delta, 1e300],
@@ -87,12 +97,12 @@ class TestDepths:
         before = prod.copy()
         got = orbit._depths(prod, delta)
         assert got.dtype == np.int64
-        assert np.array_equal(got, reference_depths(before, delta))
+        assert np.array_equal(got, scan_depths(before, delta))
         assert_same_bytes(prod, before)  # the input is only read
 
     def test_random_products_match_reference(self):
         prod = np.exp(np.random.default_rng(3).uniform(-50.0, 3.0, 5000))
-        assert np.array_equal(orbit._depths(prod, 0.01), reference_depths(prod, 0.01))
+        assert np.array_equal(orbit._depths(prod, 0.01), scan_depths(prod, 0.01))
 
     def test_products_below_delta_over_dbl_max(self):
         """delta / p overflows below delta / DBL_MAX (about 5.6e-311 at
@@ -119,9 +129,9 @@ class TestNoiseKernels:
 
     @pytest.mark.parametrize("offset", [0, 2**40])
     def test_ensemble_keys_match_reference(self, offset):
-        assert np.array_equal(
-            noise.ensemble_keys(7, 50, offset), reference_ensemble_keys(7, 50, offset)
-        )
+        """Key i is the scalar `NoiseStream.key` of seed derive_seed(7, offset + i)."""
+        want = [noise.stream(noise.derive_seed(7, offset + i), 0.0).key for i in range(50)]
+        assert noise.ensemble_keys(7, 50, offset).tolist() == want
 
     @pytest.mark.parametrize("index", INDICES)
     def test_keyed_draws_match_scalar_get(self, index):
@@ -129,17 +139,17 @@ class TestNoiseKernels:
         keys = noise.ensemble_keys(7, 5, offset)
         streams = [noise.stream(noise.derive_seed(7, offset + i), 0.02) for i in range(5)]
         got = noise.keyed_draws(keys, 0.02, index)
-        assert np.array_equal(got, [s.get(index) for s in streams])
-        assert_same_bytes(got, reference_keyed_draws(keys, 0.02, index))
+        assert_same_bytes(got, [s.get(index) for s in streams])
 
     def test_keyed_draws_per_row_index(self):
         keys = noise.ensemble_keys(7, len(self.INDICES))
+        streams = [noise.stream(noise.derive_seed(7, i), 0.02) for i in range(keys.size)]
         index = np.array(self.INDICES)
         assert_same_bytes(
-            noise.keyed_draws(keys, 0.02, index), reference_keyed_draws(keys, 0.02, index)
+            noise.keyed_draws(keys, 0.02, index), [s.get(i) for s, i in zip(streams, self.INDICES)]
         )
         matrix = noise.keyed_draws(keys[:, None], 0.02, index)
-        assert_same_bytes(matrix, reference_keyed_draws(keys[:, None], 0.02, index))
+        assert_same_bytes(matrix, [[s.get(i) for i in self.INDICES] for s in streams])
 
     @pytest.mark.parametrize("start", [-(10**12), -40, 2**40])
     def test_values_match_scalar_get(self, start):
@@ -150,20 +160,47 @@ class TestNoiseKernels:
 @pytest.mark.parametrize("family", STEP_FAMILIES)
 def test_step_matches_reference_on_special_points(family, request):
     """Signed zeros, subnormals, the ends and non-finite x, at a shared and
-    at a per-row t: the point, the depth (-1 where DT * |x| is not a
-    positive finite number) and log DT (NaN on every dead row)."""
-    fam, ref = step_families(family, request)
+    at a per-row t, against `step_rule`: the point, the depth (-1 where
+    DT * |x| is not a positive finite number) and log DT (NaN on every dead
+    row)."""
+    fam = step_family(family, request)
     t_row = np.random.default_rng(2).uniform(-0.1, 0.1, SPECIAL_X.size)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for t in (0.0, 0.07, t_row):
             got = step_outputs(fam, t, SPECIAL_X, 0.01)
-            for a, b in zip(got, reference_step(ref, t, SPECIAL_X, 0.01)):
+            for a, b in zip(got, step_rule(fam, t, SPECIAL_X, 0.01)):
                 assert_same_bytes(a, b)
+
+
+@pytest.mark.parametrize("family", STEP_FAMILIES)
+def test_step_matches_reference_on_dying_ensemble(family, request):
+    """All three outputs of every step, at a t per row, against
+    `step_rule`. The ensemble has a fixture row whose first image is
+    exactly 0, which keeps the finite depth of its point while its image and
+    log DT are NaN, and rows at +-0 and +-1e-300, which die at step 0 where
+    DT * |x| is 0."""
+    fam = step_family(family, request)
+    planted = map_core.fixture_family(s=2.0) if family == "table_fam" else fam  # the table copies s = 2
+    n = 30
+    samples, x0 = dying_ensemble(planted, 11, 0.01)
+    x0 = np.concatenate([x0, [0.0, -0.0, 1e-300, -1e-300]])
+    ts = noise.ensemble_noise(11, 0.01, x0.size, n)
+    x = x_ref = x0
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for k in range(n):
+            x, depth, log_dt = step_outputs(fam, ts[:, k], x, 0.01)
+            x_ref, depth_ref, log_dt_ref = step_rule(fam, ts[:, k], x_ref, 0.01)
+            assert_same_bytes(x, x_ref)
+            assert np.array_equal(depth, depth_ref)
+            assert_same_bytes(log_dt, log_dt_ref)
+            if k == 0 and planted is fam:
+                assert np.isnan(x[samples - 1]) and depth[samples - 1] >= 0
+    assert np.isnan(x[samples:]).all()
 
 
 def test_step_kills_a_nan_image(fam):
     """A hand-built value that is NaN where DT * |x| is positive: the row
-    is dead, its log DT NaN and its depth finite, as in the reference."""
+    is dead, its log DT NaN and its depth finite."""
 
     def holed(t, x):
         y = fam.value(t, x)
@@ -172,34 +209,12 @@ def test_step_kills_a_nan_image(fam):
 
     odd = dataclasses.replace(fam, value=holed)
     xs = np.array([-0.5, -0.1, 0.1, 0.5])
-    got = step_outputs(odd, 0.01, xs, 0.01)
-    assert np.isnan(got[2]).tolist() == [False, True, True, False]
-    for a, b in zip(got, reference_step(odd, 0.01, xs, 0.01)):
-        assert_same_bytes(a, b)
-
-
-@pytest.mark.parametrize("family", STEP_FAMILIES)
-def test_step_matches_reference_on_dying_ensemble(family, request):
-    """All three outputs of every step, at a t per row. The ensemble has a
-    fixture row whose first image is exactly 0, which keeps the finite depth
-    of its point while its image and log DT are NaN, and rows at +-0 and
-    +-1e-300, which die at step 0 where DT * |x| is 0."""
-    fam, ref = step_families(family, request)
-    planted = map_core.fixture_family(s=2.0) if fam is ref else fam  # the table copies s = 2
-    n = 30
-    samples, x0 = dying_ensemble(planted, 11, 0.01)
-    x0 = np.concatenate([x0, [0.0, -0.0, 1e-300, -1e-300]])
-    ts = noise.ensemble_noise(11, 0.01, x0.size, n)
-    x = x_ref = x0
-    for k in range(n):
-        x, depth, log_dt = step_outputs(fam, ts[:, k], x, 0.01)
-        x_ref, depth_ref, log_dt_ref = reference_step(ref, ts[:, k], x_ref, 0.01)
-        assert_same_bytes(x, x_ref)
-        assert np.array_equal(depth, depth_ref)
-        assert_same_bytes(log_dt, log_dt_ref)
-        if k == 0 and planted is fam:
-            assert np.isnan(x[samples - 1]) and depth[samples - 1] >= 0
-    assert np.isnan(x[samples:]).all()
+    x_next, depth, log_dt = step_outputs(odd, 0.01, xs, 0.01)
+    dead = np.array([False, True, True, False])
+    assert np.isnan(x_next).tolist() == np.isnan(log_dt).tolist() == dead.tolist()
+    assert_same_bytes(x_next[~dead], fam.value(0.01, xs[~dead]))
+    assert_same_bytes(log_dt[~dead], np.log(fam.deriv(0.01, xs[~dead])))
+    assert depth.tolist() == orbit._depths(fam.deriv(0.01, xs) * np.abs(xs), 0.01).tolist()
 
 
 class TestAllocation:
@@ -244,39 +259,55 @@ class TestAllocation:
         assert self.peak_ratio(lambda: noise.keyed_draws(keys, 0.01, 5), x.nbytes) < 2.5
 
 
+def ulam_by_definition(family, t, grid, rows):
+    """Rows `rows` (a slice) of the dense Ulam row operator by its definition: entry
+    (i, j) is the length of the part of cell i that a branch maps into cell
+    j, over h. On each monotone branch that part is cell i intersected with
+    [x(e_j), x(e_j+1)], where x(e) is `invert_branch` of the cell edge e
+    when e lies inside the branch's image by more than 1e-15, and the
+    branch's domain end (0 for the inner one) otherwise. The columns left
+    out of the products lie wholly outside the rows' cells."""
+    edges = grid.edges
+    cells_lo, cells_hi = edges[rows][:, None], edges[rows.start + 1:rows.stop + 1][:, None]
+    out = np.zeros((cells_lo.size, grid.m))
+    top, bottom = family.value(t, np.array([1.0, -1.0])).tolist()
+    for side, (x_lo, x_hi), (img_lo, img_hi) in (
+        (1.0, (0.0, 1.0), (-1.0, top)), (-1.0, (-1.0, 0.0), (bottom, 1.0))
+    ):
+        inside = (edges > img_lo + 1e-15) & (edges < img_hi - 1e-15)
+        pre = np.where(edges <= img_lo + 1e-15, x_lo, x_hi)
+        pre[inside] = map_core.invert_branch(family, t, edges[inside], side)
+        a = max(int(np.searchsorted(pre, cells_lo[0, 0], side="right")) - 1, 0)
+        b = min(int(np.searchsorted(pre, cells_hi[-1, 0])), grid.m)
+        lo = np.maximum(pre[None, a:b], cells_lo)
+        hi = np.minimum(pre[None, a + 1:b + 1], cells_hi)
+        out[:, a:b] += np.maximum(hi - lo, 0.0) / grid.h
+    return out
+
+
 class TestUlamSweep:
-    # The one (family, m) where a midpoint of the old build rounds onto its
-    # piece's end point, with the t values where it does.
-    MIDPOINT_MOVES = {("fixture", 513): [0.0]}
-
-    @staticmethod
-    def family(name, request):
-        return request.getfixturevalue("fam" if name == "fixture" else "table_fam")
-
     @pytest.mark.parametrize("m", [16, 17, 513, 2048, 2049])
     @pytest.mark.parametrize("name", ["fixture", "table"])
     def test_matches_reference_build(self, name, m, request):
-        """Byte-equal to the old build filed at each piece's start, always;
-        and to the old build filed at midpoints except where a midpoint
-        rounds onto an end point (listed in MIDPOINT_MOVES)."""
-        fam = self.family(name, request)
+        """Byte-equal to `ulam_by_definition`, cell by cell, at t = 0,
+        +-eps_max and 5 stream values. At m = 513 and t = 0 a piece of the
+        fixture's build is so thin that its midpoint rounds onto its end
+        point: a midpoint lookup files it one cell off."""
+        fam = request.getfixturevalue("fam" if name == "fixture" else "table_fam")
         grid = measures.UniformGrid(m)
         eps = fam.eps_max
-        moved = []
-        for t in [0.0, eps, -eps, *noise.stream(7, eps).values(-10, 20).tolist()]:
+        for t in [0.0, eps, -eps, *noise.stream(7, eps).values(-10, 5).tolist()]:
             got = measures.ulam_row_operator(fam, t, grid)
-            assert_same_csr(got, reference_ulam_row_operator(fam, t, grid, lookup="start"))
-            want = reference_ulam_row_operator(fam, t, grid)
-            if not all(getattr(got, k).tobytes() == getattr(want, k).tobytes()
-                       for k in ("data", "indices", "indptr")):
-                moved.append(t)
-        assert moved == self.MIDPOINT_MOVES.get((name, m), [])
+            for start in range(0, m, 256):
+                rows = slice(start, min(start + 256, m))
+                assert_same_bytes(got[rows].toarray(), ulam_by_definition(fam, t, grid, rows))
 
     def test_planted_one_ulp_cut(self, fam_lin):
         """The doubling map's cut at y = 0 is x = 0.5, a cell edge of the
         64-cell grid; the stub inverse puts it one ulp below. The sliver
         [0.5 - 2^-54, 0.5] lies in cell 47 and maps into image cell 32. Its
-        midpoint rounds to 0.5, so the old build filed it in cell 48."""
+        midpoint rounds to 0.5, where a midpoint lookup would file it in
+        cell 48; the sweep files it in the cell that holds it."""
         inv = fam_lin.inverse
 
         def planted(t, y, side):
@@ -288,14 +319,10 @@ class TestUlamSweep:
         grid = measures.UniformGrid(64)
         assert grid.edges[48] == 0.5
         mat = measures.ulam_row_operator(stub, 0.0, grid)
-        old = reference_ulam_row_operator(stub, 0.0, grid)
         sliver = 2.0**-54 / grid.h
-        assert mat[47, 32] == sliver and old[47, 32] == 0.0
-        assert mat[48, 32] == old[48, 32] - sliver
+        assert mat[47, 32] == sliver and mat[48, 32] == 0.5
         rows = np.asarray(mat.sum(axis=1)).ravel()
-        old_rows = np.asarray(old.sum(axis=1)).ravel()
         assert rows[47] == 1.0 and rows[48] == 1.0
-        assert old_rows[47] == 1.0 - sliver and old_rows[48] == 1.0 + sliver
         unplanted = measures.ulam_row_operator(fam_lin, 0.0, grid)
         assert unplanted[47, 32] == 0.0 and unplanted[48, 32] == 0.5
 
@@ -304,7 +331,7 @@ class TestUlamInvariants:
     @pytest.mark.parametrize("m", [17, 2048])
     @pytest.mark.parametrize("name", ["fixture", "table"])
     def test_canonical_stochastic_and_push(self, name, m, request):
-        fam = TestUlamSweep.family(name, request)
+        fam = request.getfixturevalue("fam" if name == "fixture" else "table_fam")
         stream = noise.stream(7, 0.05)
         cache = measures.OperatorCache(fam, stream, measures.UniformGrid(m))
         masses = np.random.default_rng(2).dirichlet(np.ones(m))
@@ -318,9 +345,9 @@ class TestUlamInvariants:
 
     def test_image_past_the_interval(self, fam_lin):
         """T(x) = 2.5 x -+ 1 sends 1 to 1.5 and -1 to -1.5. The edges +-1
-        are never cut at: what maps past them goes to the end cells. The
-        old build cut at the preimage of -1 too, which shifted the negative
-        branch's columns up by one, and it clipped the top column back."""
+        are never cut at: what maps past them goes to the end cells. A cut
+        at the preimage of -1 would shift the negative branch's columns up
+        by one (row 6 would read 0.4, 0.4, 0.2)."""
 
         def inverse(t, y, side):
             side = np.asarray(side)
@@ -339,10 +366,8 @@ class TestUlamInvariants:
         # Cell 6, [-0.8125, -0.78125], maps onto [-1.03125, -0.953125]: past
         # -1 up to x = -0.8, then into image cells 0 and 1, split at -0.7875.
         assert mat[6].toarray()[0, :3] == pytest.approx([0.8, 0.2, 0.0], abs=1e-14)
-        old = reference_ulam_row_operator(wide, 0.0, grid)
-        assert old[6].toarray()[0, :3] == pytest.approx([0.4, 0.4, 0.2], abs=1e-14)
-        # Cells 58-63 map past 1 on the positive branch; both builds agree there.
-        assert mat[60, 63] == 1.0 and old[60, 63] == 1.0
+        # Cells 58-63 map past 1 on the positive branch, into the end cell.
+        assert mat[60, 63] == 1.0
 
     def test_build_peak(self, fam):
         """One m = 2048 fixture build peaks at about 4.0 times the bytes of
@@ -355,46 +380,25 @@ class TestUlamInvariants:
 
 
 class TestBackwardBlockPush:
-    # (phi, psi): (x, sign), (x, x), a constant phi and a constant psi.
-    PAIRS = [
-        (lambda x: x, np.sign),
-        (lambda x: x, lambda x: x),
-        (np.ones_like, np.sign),
-        (lambda x: x, np.ones_like),
-    ]
-
-    @pytest.mark.parametrize("m", [17, 128, 2048])
-    @pytest.mark.parametrize("name", ["fixture", "table"])
-    def test_matches_per_n_pushes(self, name, m, request):
-        """Each C_n of the block push has the bytes of its own chain of
-        single-vector pushes."""
-        fam = TestUlamSweep.family(name, request)
-        stream = noise.stream(3, 0.05)
-        cache = measures.OperatorCache(fam, stream, measures.UniformGrid(m))
-        for phi, psi in self.PAIRS:
-            for n_max in (0, 1, 12, 40):
-                got = measures.quenched_correlation(
-                    fam, stream, phi, psi, n_max, m_past=20, direction="backward", cache=cache
-                )
-                want = reference_ulam_correlation(phi, psi, n_max, cache, 20)
-                assert_same_bytes(got.values, want)
-
     @pytest.mark.parametrize("n_max", [0, 1, 12])
-    def test_push_count(self, fam, noisy_stream, n_max):
+    def test_push_count(self, fam, noisy_stream, monkeypatch, n_max):
         """m_past + n_max single-vector pushes build the past measures, and
         one block product per operator -n_max..-1 pushes the chains."""
-        cache = measures.OperatorCache(fam, noisy_stream, measures.UniformGrid(64))
-        calls = []
-        push = cache.push
+        build, calls = measures._push_matrix, []
 
-        def counted(masses, index):
-            calls.append((masses.ndim, index))
-            return push(masses, index)
+        class Counted:
+            def __init__(self, family, t, grid):
+                self.t, self.op = t, build(family, t, grid)
 
-        cache.push = counted
+            def __matmul__(self, masses):
+                calls.append((masses.ndim, self.t))
+                return self.op @ masses
+
+        monkeypatch.setattr(measures, "_push_matrix", Counted)
         measures.quenched_correlation(
             fam, noisy_stream, lambda x: x, np.sign, n_max, m_past=7, direction="backward",
-            cache=cache,
+            grid=measures.UniformGrid(64),
         )
-        assert [c for c in calls if c[0] == 1] == [(1, -j) for j in range(n_max + 7, 0, -1)]
-        assert [c for c in calls if c[0] == 2] == [(2, -j) for j in range(n_max, 0, -1)]
+        t = noisy_stream.get
+        assert [c for c in calls if c[0] == 1] == [(1, t(-j)) for j in range(n_max + 7, 0, -1)]
+        assert [c for c in calls if c[0] == 2] == [(2, t(-j)) for j in range(n_max, 0, -1)]

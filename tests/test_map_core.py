@@ -207,19 +207,25 @@ class TestVerifyConditions:
         assert report.summability_partial > 0
         assert report.summability_terms > 0
 
-    @pytest.mark.parametrize("name", ["fam", "fam3", "table_fam", "wobble"])
+    @pytest.mark.parametrize("name", ["fam", "fam3", "table_fam", "wobble", "steep"])
     def test_grid_checks_match_two_loops(self, request, fam, name):
         """The one (t, x) grid loop, comparing each slice with the one
         before it, gives the report of the two-loop form byte for byte, at
         the default grid (t step 0.005). `wobble` adds 0.004 sin(1000 t)
         for t > 0 to the fixture: secants between neighbouring slices reach
         1.6, so its t-Lipschitz check fails, though no slice is more than
-        0.004 from the first one."""
+        0.004 from the first one. `steep` scales the fixture's DT by
+        1 + x^2 / 10, so its envelope ratio peaks at the grid's ends x = +-1."""
         if name == "wobble":
             def value(t, x):
                 return fam.value(t, x) + (0.004 * math.sin(1000.0 * t) if t > 0 else 0.0)
 
             family = dataclasses.replace(fam, value=value)
+        elif name == "steep":
+            def deriv(t, x):
+                return fam.deriv(t, x) * (1.0 + 0.1 * x * x)
+
+            family = dataclasses.replace(fam, deriv=deriv)
         else:
             family = request.getfixturevalue(name)
         report = mc.verify_conditions(family)

@@ -49,19 +49,28 @@ class TestIterate:
             orbit.iterate(fam, quiet_stream, 0.0, 3, 0.1)
 
 
+def depth(fam, t, x, delta):
+    """The return depth of the one point x, by `orbit.return_depths_array`."""
+    return int(orbit.return_depths_array(fam, t, np.array([x]), delta)[0])
+
+
 class TestReturnDepth:
     def test_zero_case(self, fam):
-        assert orbit.return_depth(fam, 0.0, 0.5, 0.1) == 0
+        assert depth(fam, 0.0, 0.5, 0.1) == 0
+
+    def test_undefined_at_the_singularity(self, fam):
+        # DT * |x| is 0 at +-0: the depth is -1, not a scan that never ends
+        assert depth(fam, 0.0, 0.0, 0.1) == depth(fam, 0.0, -0.0, 0.1) == -1
 
     def test_scan_example(self, fam):
         # DT * |x| = 0.04; first r with e^{-r} * 0.5 <= 0.04 is 3
-        assert orbit.return_depth(fam, 0.0, 0.1, 0.5) == 3
+        assert depth(fam, 0.0, 0.1, 0.5) == 3
 
     def test_boundary_of_definition(self, fam):
         # DT * |x| exactly delta gives r = 0
         x = 0.5
         delta = mc.derivative(fam, 0.0, x) * x
-        assert orbit.return_depth(fam, 0.0, x, delta) == 0
+        assert depth(fam, 0.0, x, delta) == 0
 
     @given(
         x=st.floats(min_value=1e-4, max_value=0.999),
@@ -73,15 +82,16 @@ class TestReturnDepth:
         r_scan = 0
         while prod < math.exp(-r_scan) * delta:
             r_scan += 1
-        assert orbit.return_depth(fam, 0.0, x, delta) == r_scan
+        assert depth(fam, 0.0, x, delta) == r_scan
 
     def test_vectorized_matches_scalar(self, fam):
+        """A row's depth does not depend on the other rows."""
         rng = np.random.default_rng(3)
         xs = rng.uniform(-1, 1, 500)
         xs = xs[xs != 0]
         ts = rng.uniform(-0.1, 0.1, xs.size)
         vec = orbit.return_depths_array(fam, ts, xs, 0.02)
-        scal = [orbit.return_depth(fam, t, x, 0.02) for t, x in zip(ts, xs)]
+        scal = [depth(fam, t, x, 0.02) for t, x in zip(ts, xs)]
         assert np.array_equal(vec, scal)
 
 
@@ -264,10 +274,13 @@ class TestStepKernel:
         x_next, dt, _ = orbit.step(fam, 0.0, xs)
         assert np.isnan(x_next[:2]).all() and np.isnan(dt[:2]).all()
         assert x_next[2] == mc.evaluate(fam, 0.0, 0.5)
-        with pytest.raises(DomainError):
-            orbit.return_depth(fam, 0.0, 1e-200, 0.01)
         with pytest.raises(SingularHit):
             orbit.iterate(fam, noise.stream(1, 0.0), 1e-200, 3, 0.01)
+
+    def test_step_values_kills_only_a_zero_image(self, fam):
+        """The other death rule: `step_values` reads no DT, so the point
+        that `orbit.step` kills above lives on to its image -1."""
+        assert orbit.step_values(fam, 0.0, np.array([1e-200])).tolist() == [-1.0]
 
     @pytest.mark.parametrize("family", ["fam", "table_fam"])
     def test_iterate_scalar_path_matches_reference_loop(self, family, request):
