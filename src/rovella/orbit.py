@@ -156,21 +156,31 @@ def iterate(
 
 
 def pull_back(
-    family: MapFamily, t_path: np.ndarray, sides: np.ndarray, y: np.ndarray
+    family: MapFamily,
+    t_path: np.ndarray,
+    sides: np.ndarray,
+    y: np.ndarray,
+    lengths: np.ndarray | None = None,
 ) -> np.ndarray:
     """Preimage of each target y under T_{t_path[k-1]} o ... o T_{t_path[0]}
     along a branch itinerary: sides[..., j] is the sign (+1 or -1) of the
     branch at step j, per row (shape (rows, k)) or shared (shape (k,)).
 
-    All rows share the noise path. Each step is one `map_core.invert_branch`
-    call for all rows, both sides included, so a target past a branch image
-    maps to that branch's domain endpoint. A row's result does not depend on
-    the others.
+    `lengths`, when given, is each row's own k (per-row sides only): row i
+    follows sides[i, :lengths[i]], and the columns past it are not read.
+
+    All rows share the noise path. Step j is one `map_core.invert_branch`
+    call for the rows whose itinerary reaches it, both sides included, so a
+    target past a branch image maps to that branch's domain endpoint. A
+    row's result does not depend on the others: it is the result of a call
+    on its own itinerary.
     """
     sides = np.asarray(sides)
-    x = np.asarray(y, dtype=float)
-    for j in range(sides.shape[-1] - 1, -1, -1):
-        x = invert_branch(family, float(t_path[j]), x, sides[..., j])
+    x = np.array(y, dtype=float)
+    k = sides.shape[-1] if lengths is None else int(np.max(lengths, initial=0))
+    for j in range(k - 1, -1, -1):
+        rows = ... if lengths is None else np.flatnonzero(lengths > j)
+        x[rows] = invert_branch(family, float(t_path[j]), x[rows], sides[rows, j])
     return x
 
 

@@ -135,29 +135,36 @@ class _Admitted:
     def __init__(self) -> None:
         self.elements: list[PartitionElement] = []
         self._lefts: list[float] = []
+        self._rights: list[float] = []
 
     def covered(self, x: np.ndarray) -> np.ndarray:
         # Position -1 reads the -inf sentinel, as in ReturnPartition.locate.
-        rights = np.array([*(e.right for e in self.elements), -np.inf])
+        rights = np.array([*self._rights, -np.inf])
         return x <= rights[np.searchsorted(self._lefts, x, side="right") - 1]
 
     def try_admit(self, e: PartitionElement) -> bool:
         pos = bisect.bisect_right(self._lefts, e.left)
-        if (pos > 0 and self.elements[pos - 1].right >= e.left) or (
-            pos < len(self.elements) and self.elements[pos].left <= e.right
+        if (pos > 0 and self._rights[pos - 1] >= e.left) or (
+            pos < len(self.elements) and self._lefts[pos] <= e.right
         ):
             return False
         self.elements.insert(pos, e)
         self._lefts.insert(pos, e.left)
+        self._rights.insert(pos, e.right)
         return True
 
-    def gaps(self, radius: float) -> list[tuple[float, float]]:
-        bounds = [-radius, *(v for e in self.elements for v in (e.left, e.right)), radius]
-        return [
-            (max(lo, -radius + BOUNDARY_MARGIN), min(hi, radius - BOUNDARY_MARGIN))
-            for lo, hi in zip(bounds[::2], bounds[1::2])
-            if hi - lo > 16 * BOUNDARY_MARGIN
-        ]
+    def gaps(self, radius: float) -> np.ndarray:
+        """(lo, hi) rows of the uncovered gaps wider than 16 BOUNDARY_MARGIN,
+        kept BOUNDARY_MARGIN inside the base."""
+        lo = np.array([-radius, *self._rights])
+        hi = np.array([*self._lefts, radius])
+        wide = hi - lo > 16 * BOUNDARY_MARGIN
+        return np.stack(
+            [
+                np.maximum(lo[wide], -radius + BOUNDARY_MARGIN),
+                np.minimum(hi[wide], radius - BOUNDARY_MARGIN),
+            ]
+        )
 
 
 def _candidate_scan(
@@ -170,29 +177,31 @@ def _candidate_scan(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Simulate seeds under the shared noise path.
 
-    Returns (signs, candidate, dead) where candidate[i, k-1] marks step k as
-    a hyperbolic time of seed i with the image inside the base. A seed that
+    Returns (signs, candidate, dead), step-major: signs[j, i] is the side of
+    seed i before step j + 1, and candidate[k-1, i] marks step k as a
+    hyperbolic time of seed i with the image inside the base. A seed that
     dies within the horizon (see `orbit.step`) yields no candidate; `dead`
     counts those seeds.
     """
     count = seeds.size
     x = seeds
-    signs = np.empty((count, n_max), dtype=np.int8)
-    in_base = np.empty((count, n_max), dtype=bool)
-    depths = np.empty((count, n_max), dtype=np.int64)
+    signs = np.empty((n_max, count), dtype=np.int8)
+    in_base = np.empty((n_max, count), dtype=bool)
+    depths = np.empty((n_max, count), dtype=np.int64)
     for k in range(n_max):
-        signs[:, k] = np.where(x > 0, 1, -1)
+        signs[k] = np.where(x > 0, 1, -1)
         x, _, prod = step(family, t_path[k], x)
-        depths[:, k] = _depths(prod, cfg.delta)
-        in_base[:, k] = np.abs(x) < radius
+        depths[k] = _depths(prod, cfg.delta)
+        in_base[k] = np.abs(x) < radius
     alive = ~np.isnan(x)
-    candidate = _hyperbolic_flags(depths, cfg.c_prime) & in_base & alive[:, None]
+    candidate = in_base & _hyperbolic_flags(depths.T, cfg.c_prime).T & alive
     return signs, candidate, int(count - alive.sum())
 
 
-def _admissible(lo: np.ndarray, hi: np.ndarray, radius: float, cap: float) -> np.ndarray:
+def _admissible(lo: np.ndarray, hi: np.ndarray, radius: float, cap: ArrayLike) -> np.ndarray:
     """Nonempty pullbacks [lo, hi] that clear the base boundary and 0 by
-    BOUNDARY_MARGIN, so lie on one side of 0, and fit the cap; NaN fails."""
+    BOUNDARY_MARGIN, so lie on one side of 0, and fit the cap (per row or
+    shared); NaN fails."""
     return (
         (lo < hi)
         & (lo >= -radius + BOUNDARY_MARGIN)
@@ -202,48 +211,69 @@ def _admissible(lo: np.ndarray, hi: np.ndarray, radius: float, cap: float) -> np
     )
 
 
-def _level_elements(
+def _levels(
+    signs: np.ndarray, candidate: np.ndarray
+) -> list[tuple[np.ndarray, list[bytes], np.ndarray, np.ndarray]]:
+    """Per return time k = 1..n_max, the candidate rows and their distinct
+    branches (sign itineraries up to step k): (rows, keys, label, reps). A
+    key is k in two bytes and then the packed itinerary; label is each row's
+    index into the keys, and reps holds each key's first row."""
+    levels = []
+    for k, marked in enumerate(candidate, start=1):
+        rows = np.flatnonzero(marked)
+        bits = np.ascontiguousarray(np.packbits(signs[:k, rows] > 0, axis=0).T)
+        packed = bits.view(f"V{bits.shape[1]}").ravel()
+        _, first, label = np.unique(packed, return_index=True, return_inverse=True)
+        keys = [k.to_bytes(2, "big") + key for key in packed[first].tolist()]
+        levels.append((rows, keys, label, rows[first]))
+    return levels
+
+
+def _pass_elements(
     family: MapFamily,
     cfg: HyperbolicConfig,
     radius: float,
     t_path: np.ndarray,
     signs: np.ndarray,
-    rows: np.ndarray,
-    k: int,
+    levels: list,
     known: set[bytes],
-) -> tuple[list[PartitionElement], int, int]:
-    """Pull back and verify the distinct branches among candidate rows at
-    return time k. Returns (verified elements, fresh branch count, rejects)."""
-    bits = np.packbits(signs[rows, :k] > 0, axis=1)
-    _, first_idx = np.unique(bits, axis=0, return_index=True)
-    fresh_rows = []
-    fresh_keys = []
-    for i in sorted(first_idx):
-        key = bits[i].tobytes()
-        full_key = k.to_bytes(2, "big") + key
-        if full_key in known:
-            continue
-        known.add(full_key)
-        fresh_rows.append(rows[i])
-        fresh_keys.append(key)
-    if not fresh_rows:
-        return [], 0, 0
-    fresh_rows = np.asarray(fresh_rows)
-
-    sides = signs[fresh_rows, :k]
+) -> dict[bytes, PartitionElement | None]:
+    """Pull back and verify every branch of a pass's `_levels` that is not in
+    `known`, all return times at once: one `pull_back` on per-row itinerary
+    lengths, one `_admissible` mask and one `_images` residual. Maps each
+    branch key to its verified element, or None when rejected. A branch's
+    pullback does not depend on which seed row stands for it."""
+    keys: list[bytes] = []
+    reps, taus = [], []
+    for k, (_, level_keys, _, level_reps) in enumerate(levels, start=1):
+        fresh = [i for i, key in enumerate(level_keys) if key not in known]
+        keys += [level_keys[i] for i in fresh]
+        reps.append(level_reps[fresh])
+        taus += [k] * len(fresh)
+    if not keys:
+        return {}
+    tau = np.array(taus, dtype=np.int64)
+    sides = signs[:, np.concatenate(reps)].T
     lo, hi = pull_back(
-        family, t_path, np.vstack([sides, sides]), np.repeat([-radius, radius], len(sides))
+        family,
+        t_path,
+        np.vstack([sides, sides]),
+        np.repeat([-radius, radius], len(keys)),
+        np.tile(tau, 2),
     ).reshape(2, -1)
-    ok = np.flatnonzero(_admissible(lo, hi, radius, cfg.radius_cap(k)))
+    caps = np.array([cfg.radius_cap(k) for k in range(len(levels) + 1)])
+    ok = np.flatnonzero(_admissible(lo, hi, radius, caps[tau]))
     # Forward residual of both endpoints.
-    w = _images(family, t_path, np.concatenate([lo[ok], hi[ok]]), k)
+    w = _images(family, t_path, np.concatenate([lo[ok], hi[ok]]), np.tile(tau[ok], 2))
     res = np.maximum(np.abs(w[: ok.size] + radius), np.abs(w[ok.size :] - radius))
-    verified = [
-        PartitionElement(float(lo[i]), float(hi[i]), k, f"{k}:{fresh_keys[i].hex()}", r)
-        for i, r in zip(ok.tolist(), res.tolist())
-        if r <= MARKOV_TOL  # a NaN residual (dead endpoint) fails too
-    ]
-    return verified, len(fresh_rows), len(fresh_rows) - len(verified)
+    out: dict[bytes, PartitionElement | None] = dict.fromkeys(keys)
+    for i, r in zip(ok.tolist(), res.tolist()):
+        if r <= MARKOV_TOL:  # a NaN residual (dead endpoint) fails too
+            k = taus[i]
+            out[keys[i]] = PartitionElement(
+                float(lo[i]), float(hi[i]), k, f"{k}:{keys[i][2:].hex()}", r
+            )
+    return out
 
 
 def build_return_partition(
@@ -272,6 +302,14 @@ def build_return_partition(
     the smallest distinct ones, at least four, up to the first coprime
     prefix, or all of them when no prefix is coprime.
 
+    Each pass verifies its branches in one sweep before the greedy visit
+    (`_pass_elements`): every branch of its candidate seeds that is not yet
+    a counted candidate is pulled back and checked at once, so a pass makes
+    at most n_max `invert_branch` calls and n_max `step_values` calls,
+    whatever the number of return times. The visit then only looks branches
+    up: a seed already covered at an earlier time still contributes nothing,
+    and a branch counts as a candidate once, when the visit first reaches it.
+
     A fixed grid misses branches thinner than its spacing, so up to
     `refine_passes` deterministic refinement rounds drop fresh seeds into
     every uncovered gap (about one per gap_resolution of width, between 3
@@ -295,32 +333,28 @@ def build_return_partition(
 
     for pass_no in range(refine_passes + 1):
         if pass_no > 0:
-            chunks = []
-            for lo, hi in admitted.gaps(radius):
-                m = int(np.clip((hi - lo) / gap_resolution, 3, 256))
-                pts = lo + (hi - lo) * (np.arange(1, m + 1) / (m + 1.0))
-                chunks.append(pts[pts != 0.0])
-            if not chunks:
-                break
-            seeds = np.concatenate(chunks)
+            lo, hi = admitted.gaps(radius)
+            m = np.clip((hi - lo) / gap_resolution, 3, 256).astype(np.int64)
+            gap = np.repeat(np.arange(m.size), m)
+            i = np.arange(1, m.sum() + 1) - np.repeat(np.cumsum(m) - m, m)  # 1..m in a gap
+            seeds = lo[gap] + (hi - lo)[gap] * (i / (m[gap] + 1.0))
+            seeds = seeds[seeds != 0.0]
             if seeds.size == 0:
                 break
         signs, candidate, dead = _candidate_scan(family, cfg, radius, t_path, seeds, n_max)
         dead_seeds += dead
+        levels = _levels(signs, candidate)
+        verified = _pass_elements(family, cfg, radius, t_path, signs, levels, known)
         added = 0
-        for k in range(1, n_max + 1):
-            rows = np.flatnonzero(candidate[:, k - 1])
-            if rows.size == 0:
-                continue
-            rows = rows[~admitted.covered(seeds[rows])]
-            if rows.size == 0:
-                continue
-            fresh, seen, rej = _level_elements(
-                family, cfg, radius, t_path, signs, rows, k, known
-            )
-            candidates_seen += seen
-            rejected += rej
-            for e in sorted(fresh, key=lambda e: e.left):
+        for rows, keys, label, _ in levels:
+            # The branches of the seeds not covered at earlier return times.
+            seen = np.unique(label[~admitted.covered(seeds[rows])])
+            fresh = [keys[i] for i in seen.tolist() if keys[i] not in known]
+            known.update(fresh)
+            candidates_seen += len(fresh)
+            found = [e for e in map(verified.get, fresh) if e is not None]
+            rejected += len(fresh) - len(found)
+            for e in sorted(found, key=lambda e: e.left):
                 if admitted.try_admit(e):
                     added += 1
                 else:

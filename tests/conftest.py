@@ -459,7 +459,7 @@ def reference_separation(family, stream, get, x, y, base_time, max_returns):
 
 
 def reference_admission(lo, hi, radius, cap):
-    """The two admission masks of `tower._level_elements`, one-sidedness
+    """The admission mask of `tower._admissible` as two masks, one-sidedness
     and clearance tested apart: `same_side & inside`."""
     from rovella.tower import BOUNDARY_MARGIN
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -472,6 +473,35 @@ class TestArtifacts:
         assert summary["elements"] == len(lines) - 1
         assert summary["max_markov_residual"] <= 1e-9
         assert summary["dead_seeds"] == 0
+
+    @pytest.mark.parametrize(
+        "family, digests",
+        [
+            ("fixture", (
+                "9c5d7af75cae01489e6e2502693a504f62340b4c46d9c82ef92fb9fb965cfc63",
+                "fd492b6e2f93e008b8e4b7d1445042ffa3fa1fb078c0f4314480015c7f44332e",
+            )),
+            ("table", (
+                "bd49d2674369fafb61bb190c6afe3bfae32b0db9b9347b98083b7bc66603aca0",
+                "3da9c1a33f8f49686ae7d286a21ce4c1d2f3339e1433c00130ab99a0a64f82a6",
+            )),
+        ],
+    )
+    def test_deep_partition_is_byte_identical(self, tmp_path, family, digests):
+        """The golden runs of `test_artifacts` build to n_max 10; these pin
+        partition.csv and partition_summary.json at n_max 20, where refinement
+        passes and Markov-residual rejections are many."""
+        from test_artifacts import FAMILIES, SETTINGS
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SETTINGS, **FAMILIES[family]}))
+        argv = ["build-partition", "--n-max", "20", "--config", str(cfg), "--out", str(tmp_path)]
+        assert run(argv) == 0
+        got = tuple(
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("partition.csv", "partition_summary.json")
+        )
+        assert got == digests
 
     def test_certify_tower_artifacts(self, tmp_path):
         assert run([

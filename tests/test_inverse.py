@@ -107,10 +107,10 @@ def _compare_pullbacks(fam, stream, cfg, n_max=16):
     slow = bisection_family(fam)
     compared = 0
     for k in range(1, n_max + 1):
-        rows = np.flatnonzero(candidate[:, k - 1])
+        rows = np.flatnonzero(candidate[k - 1])
         if rows.size == 0:
             continue
-        sides = signs[rows, :k]
+        sides = signs[:k, rows].T
         ends = {}
         for name, f in (("fast", fam), ("slow", slow)):
             lo = orbit.pull_back(f, t_path, sides, np.full(rows.size, -radius))
@@ -277,6 +277,22 @@ class TestTableInverse:
         for mat in (fast, slow):
             assert np.abs(np.asarray(mat.sum(axis=1)).ravel() - 1.0).max() <= 1e-12
 
+    @pytest.mark.parametrize("t", [-0.1, 0.0, 0.1])
+    def test_ulam_newton_work(self, table_fam, t, monkeypatch):
+        """Work-count guard: every row of the m = 2048 Ulam build is done
+        after 4 Newton iterations (the count measured when this guard was
+        written, at each t here), so the build's bytes with the cap at 4 are
+        those with the default cap. A change that slows convergence fails
+        here even when its converged roots keep every byte."""
+
+        def build():
+            mat = ms.ulam_row_operator(table_fam, t, ms.UniformGrid(2048))
+            return mat.data.tobytes(), mat.indices.tobytes(), mat.indptr.tobytes()
+
+        want = build()
+        monkeypatch.setattr(mc, "_NEWTON_CAP", 4)
+        assert build() == want
+
     @pytest.mark.parametrize("t", [-0.1, 0.0, 0.07])
     def test_below_first_node_matches_bisection(self, table_fam, t):
         """Targets in (T_t(+-1e-300), T_t(+-x_first)) fall on the end piece,
@@ -408,3 +424,18 @@ class TestOneInverse:
             for j in range(k - 1, -1, -1):
                 want = per_side(fam, float(t_path[j]), want, sides[..., j])
             assert_same_bytes(orbit.pull_back(fam, t_path, sides, ys), want)
+
+    def test_pull_back_per_row_lengths(self, any_family):
+        """Itinerary lengths 1..k mixed in one call: each row gets the bytes
+        of a call on its own itinerary alone."""
+        fam = any_family
+        k = 7
+        t_path = noise.stream(5, fam.eps_max).values(0, k)
+        rng = np.random.default_rng(14)
+        ys = np.concatenate([rng.uniform(-1.0, 1.0, 120), SPECIAL_Y])
+        sides = np.where(rng.random((ys.size, k)) < 0.5, 1, -1).astype(np.int8)
+        lengths = np.arange(ys.size) % k + 1
+        got = orbit.pull_back(fam, t_path, sides, ys, lengths)
+        for i, n in enumerate(lengths):
+            alone = orbit.pull_back(fam, t_path, sides[i, :n], ys[i : i + 1])
+            assert_same_bytes(got[i : i + 1], alone)

@@ -165,7 +165,7 @@ class TestBranchPartition:
         mp = pytest.importorskip("mpmath")
         ts = noise.stream(seed, 0.01).values(0, 9)
         seeds = np.linspace(-1.0, 1.0, 4096)
-        signs, _, _ = tower._candidate_scan(fam, hyp_cfg, 0.05, ts, seeds, 9)
+        signs = tower._candidate_scan(fam, hyp_cfg, 0.05, ts, seeds, 9)[0].T
         checked = 0
         with mp.workdps(40):
             for k in range(1, 9):

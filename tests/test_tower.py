@@ -11,7 +11,7 @@ from conftest import (
     zero_preimage,
 )
 from rovella import hyperbolic as hyp
-from rovella import noise, tower
+from rovella import noise, orbit, tower
 from rovella.errors import CapExceeded, InvalidState, SingularHit
 
 
@@ -82,13 +82,14 @@ class TestBuild:
         tested apart, on every ordered pair of edge values: NaN, signed
         zeros and subnormal-scale ends, the margins around 0 and the base
         boundary, equal and swapped ends; and a cap that one pair's width
-        meets exactly."""
+        meets exactly, shared or per row."""
         r, m = 0.05, tower.BOUNDARY_MARGIN
         edges = [math.nan, 0.0, -0.0, 1e-300, -1e-300, m, -m, 2 * m, -2 * m,
                  r - m, -(r - m), r - m / 2, -(r - m / 2), r / 3, -r / 3, r, -r]
         lo, hi = (a.ravel() for a in np.meshgrid(edges, edges, indexing="ij"))
+        caps = [math.inf, r / 2, 1e-3, (r - m) - r / 3, math.nan]
         admitted = 0
-        for cap in (math.inf, r / 2, 1e-3, (r - m) - r / 3, math.nan):
+        for cap in (*caps, np.resize(caps, lo.size)):
             got = tower._admissible(lo, hi, r, cap)
             assert np.array_equal(got, reference_admission(lo, hi, r, cap))
             admitted += int(got.sum())
@@ -161,22 +162,50 @@ class TestBuild:
         assert not mk["max_residual"] <= 1e-9
         assert mk["non_monotone"] >= 1
 
-    def test_level_elements_reject_dead_endpoints(self, fam, noisy_stream, hyp_cfg, monkeypatch):
+    def test_pass_elements_reject_dead_endpoints(self, fam, noisy_stream, hyp_cfg, monkeypatch):
         radius = hyp_cfg.delta0 / 2.0
         t_path = noisy_stream.values(0, 8)
         seeds = np.linspace(-radius, radius, 2001)[1:-1]
         seeds = seeds[seeds != 0.0]
         signs, candidate, _ = tower._candidate_scan(fam, hyp_cfg, radius, t_path, seeds, 8)
-        k = int(np.flatnonzero(candidate.any(axis=0))[0]) + 1
-        rows = np.flatnonzero(candidate[:, k - 1])
-        sound, seen, _ = tower._level_elements(fam, hyp_cfg, radius, t_path, signs, rows, k, set())
-        assert sound
+        levels = tower._levels(signs, candidate)
+        sound = tower._pass_elements(fam, hyp_cfg, radius, t_path, signs, levels, set())
+        assert any(sound.values())
+        assert tower._pass_elements(fam, hyp_cfg, radius, t_path, signs, levels, set(sound)) == {}
         # Every forward image dies: each residual is NaN and must fail.
         monkeypatch.setattr(tower, "step_values", lambda f, t, x: np.full_like(x, np.nan))
-        dead, seen_dead, rejects = tower._level_elements(
-            fam, hyp_cfg, radius, t_path, signs, rows, k, set()
+        dead = tower._pass_elements(fam, hyp_cfg, radius, t_path, signs, levels, set())
+        assert dead.keys() == sound.keys() and not any(dead.values())
+        # The build sees each such branch once and rejects it.
+        part = tower.build_return_partition(fam, noisy_stream, hyp_cfg, 8, seed_grid=512)
+        assert part.elements == [] and part.candidates_rejected == part.candidates_seen > 0
+
+    @pytest.mark.parametrize("family", ["fam", "table_fam"])
+    def test_invert_calls_per_pass(self, family, noisy_stream, hyp_cfg, request, monkeypatch):
+        """A refinement pass pulls all its branches back in one sweep: at
+        most as many `invert_branch` calls as its largest candidate return
+        time, however many return times have candidates."""
+        invert, scan, calls, passes = orbit.invert_branch, tower._candidate_scan, [], []
+
+        def counted(*args):
+            calls.append(args[1])
+            return invert(*args)
+
+        def scanned(*args):
+            out = scan(*args)
+            passes.append((len(calls), np.flatnonzero(out[1].any(axis=1)) + 1))
+            return out
+
+        monkeypatch.setattr(orbit, "invert_branch", counted)
+        monkeypatch.setattr(tower, "_candidate_scan", scanned)
+        tower.build_return_partition(
+            request.getfixturevalue(family), noisy_stream, hyp_cfg, 20, seed_grid=512,
+            refine_passes=3,
         )
-        assert dead == [] and seen_dead == seen and rejects == seen
+        ends = [start for start, _ in passes[1:]] + [len(calls)]
+        assert len(passes) >= 2 and passes[0][1].size >= 10  # return times with candidates
+        for (start, times), end in zip(passes, ends):
+            assert end - start <= times.max(initial=0)
 
     def test_locate(self, part):
         e = part.elements[len(part.elements) // 2]
