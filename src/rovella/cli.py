@@ -261,9 +261,12 @@ def config_hash(cfg: dict) -> str:
 
 
 # -- subcommands ---------------------------------------------------------------
+# Each returns ({file name: content}, exit code) and writes nothing: a `.csv`
+# name maps to a (header, rows) pair, a `.json` name to its payload, and
+# `_run` writes them in order into output.directory.
 
 
-def cmd_simulate_orbit(cfg: dict, args) -> tuple[list[str], int]:
+def cmd_simulate_orbit(cfg: dict, args) -> tuple[dict, int]:
     n = _at_least(args, "n", 1)
     x0 = getattr(args, "x0", None)
     if isinstance(x0, bool) or not isinstance(x0, (int, float)) or not 0 < abs(x0) <= 1:
@@ -275,19 +278,15 @@ def cmd_simulate_orbit(cfg: dict, args) -> tuple[list[str], int]:
         (i, trace.points[i], trace.log_der[i], int(trace.depths[i]), int(trace.visits[i]))
         for i in range(len(trace) + 1)
     ]
-    out = Path(cfg["output"]["directory"]) / "orbit.csv"
-    write_csv(out, ["i", "x_i", "log_der_i", "depth_i", "in_tilde_B"], rows)
-    return [out.name], EXIT_OK
+    return {"orbit.csv": (["i", "x_i", "log_der_i", "depth_i", "in_tilde_B"], rows)}, EXIT_OK
 
 
-def cmd_verify_family(cfg: dict, args) -> tuple[list[str], int]:
+def cmd_verify_family(cfg: dict, args) -> tuple[dict, int]:
     family = resolve_family(cfg)
     report = map_core.verify_conditions(family)
     payload = {k: getattr(report, k) for k in report.__dataclass_fields__}
     payload["required_ok"] = report.required_ok
-    out = Path(cfg["output"]["directory"]) / "family_report.json"
-    write_json(out, payload)
-    return [out.name], EXIT_OK
+    return {"family_report.json": payload}, EXIT_OK
 
 
 def _tail_fit(n: np.ndarray, counts: np.ndarray, total: int):
@@ -305,8 +304,8 @@ def _tail_table(cfg: dict, args, tables: tuple[str, ...]):
     """Shared run of `hyperbolic-tails` and `bad-set-tails`, computing only
     the `tables` of `hyperbolic.tail_statistics` that the command writes.
 
-    Returns (resolved constants, table, output directory, exit code); the
-    code is EXIT_NUMERIC when more than SINGULAR_EPIDEMIC of the orbits died.
+    Returns (resolved constants, table, exit code); the code is
+    EXIT_NUMERIC when more than SINGULAR_EPIDEMIC of the orbits died.
     """
     samples, n_max = _at_least(args, "samples", 1), _at_least(args, "n_max", 1)
     family = resolve_family(cfg)
@@ -323,77 +322,58 @@ def _tail_table(cfg: dict, args, tables: tuple[str, ...]):
     )
     simulated = table.total + table.singular_hits
     code = EXIT_NUMERIC if table.singular_hits > SINGULAR_EPIDEMIC * simulated else EXIT_OK
-    return hcfg, table, Path(cfg["output"]["directory"]), code
+    return hcfg, table, code
 
 
-def _write_survivors(path: Path, table: hyperbolic.TailTable, counts: np.ndarray) -> None:
-    write_csv(
-        path,
-        ["n", "survivors", "total", "fraction"],
-        [(int(n), int(c), table.total, c / table.total) for n, c in zip(table.n, counts)],
-    )
+def _survivors(table: hyperbolic.TailTable, counts: np.ndarray) -> tuple[list[str], list]:
+    return ["n", "survivors", "total", "fraction"], [
+        (int(n), int(c), table.total, c / table.total) for n, c in zip(table.n, counts)
+    ]
 
 
-def cmd_hyperbolic_tails(cfg: dict, args) -> tuple[list[str], int]:
-    hcfg, table, out_dir, code = _tail_table(cfg, args, ("hyperbolic",))
-    names = []
-    for stem, counts in (
-        ("hyperbolic_tails", table.h_survivors),
-        ("hyperbolic_return_tails", table.hstar_survivors),
-    ):
-        path = out_dir / f"{stem}.csv"
-        _write_survivors(path, table, counts)
-        names.append(path.name)
+def cmd_hyperbolic_tails(cfg: dict, args) -> tuple[dict, int]:
+    hcfg, table, code = _tail_table(cfg, args, ("hyperbolic",))
     fits = {
         "first_hyperbolic": _tail_fit(table.n, table.h_survivors, table.total),
         "first_hyperbolic_return": _tail_fit(table.n, table.hstar_survivors, table.total),
         "constants": {"delta": hcfg.delta, "c": hcfg.c, "c_prime": hcfg.c_prime,
                       "kappa": hcfg.kappa},
     }
-    fit_path = out_dir / "hyperbolic_tails_fits.json"
-    write_json(fit_path, fits)
-    names.append(fit_path.name)
-    return names, code
+    return {
+        "hyperbolic_tails.csv": _survivors(table, table.h_survivors),
+        "hyperbolic_return_tails.csv": _survivors(table, table.hstar_survivors),
+        "hyperbolic_tails_fits.json": fits,
+    }, code
 
 
-def cmd_bad_set_tails(cfg: dict, args) -> tuple[list[str], int]:
-    hcfg, table, out_dir, code = _tail_table(cfg, args, ("bad_set",))
-    path = out_dir / "bad_set_tails.csv"
-    _write_survivors(path, table, table.bad_members)
-    fit_path = out_dir / "bad_set_tails_fit.json"
-    write_json(
-        fit_path,
-        {
-            "bad_set": _tail_fit(table.n, table.bad_members, table.total),
-            "constants": {"delta": hcfg.delta, "c": hcfg.c, "c_prime": hcfg.c_prime},
-        },
-    )
-    return [path.name, fit_path.name], code
+def cmd_bad_set_tails(cfg: dict, args) -> tuple[dict, int]:
+    hcfg, table, code = _tail_table(cfg, args, ("bad_set",))
+    fit = {
+        "bad_set": _tail_fit(table.n, table.bad_members, table.total),
+        "constants": {"delta": hcfg.delta, "c": hcfg.c, "c_prime": hcfg.c_prime},
+    }
+    return {
+        "bad_set_tails.csv": _survivors(table, table.bad_members),
+        "bad_set_tails_fit.json": fit,
+    }, code
 
 
-def _build_partition(cfg: dict):
+def _build_partition(cfg: dict) -> tower.ReturnPartition:
     family = resolve_family(cfg)
-    hcfg = resolve_hyperbolic(cfg, family)
     strm = noise.stream(cfg["noise"]["seed"], cfg["noise"]["eps"])
-    part = tower.build_return_partition(
+    return tower.build_return_partition(
         family,
         strm,
-        hcfg,
+        resolve_hyperbolic(cfg, family),
         cfg["tower"]["n_max"],
         seed_grid=cfg["tower"]["seed_grid"],
     )
-    return family, hcfg, strm, part
 
 
-def cmd_build_partition(cfg: dict, args) -> tuple[list[str], int]:
-    _, hcfg, _, part = _build_partition(cfg)
-    out_dir = Path(cfg["output"]["directory"])
-    path = out_dir / "partition.csv"
-    write_csv(
-        path,
-        ["left", "right", "tau", "branch_id"],
-        [(e.left, e.right, e.tau, e.branch_id) for e in part.elements],
-    )
+def cmd_build_partition(cfg: dict, args) -> tuple[dict, int]:
+    part = _build_partition(cfg)
+    hcfg = part.cfg
+    rows = [(e.left, e.right, e.tau, e.branch_id) for e in part.elements]
     tails = [(n, tower.tail_measure(part, n)) for n in range(part.horizon + 1)]
     summary = {
         "elements": len(part.elements),
@@ -406,36 +386,28 @@ def cmd_build_partition(cfg: dict, args) -> tuple[list[str], int]:
         "constants": {"delta": hcfg.delta, "delta0": hcfg.delta0, "c": hcfg.c,
                       "c_prime": hcfg.c_prime, "kappa": hcfg.kappa},
     }
-    sum_path = out_dir / "partition_summary.json"
-    write_json(sum_path, summary)
-    return [path.name, sum_path.name], EXIT_OK
+    return {
+        "partition.csv": (["left", "right", "tau", "branch_id"], rows),
+        "partition_summary.json": summary,
+    }, EXIT_OK
 
 
-def cmd_certify_tower(cfg: dict, args) -> tuple[list[str], int]:
-    _, _, _, part = _build_partition(cfg)
-    report = tower.certify_axioms(part)
-    out_dir = Path(cfg["output"]["directory"])
-    path = out_dir / "axioms.json"
-    write_json(path, report.to_dict())
-    return [path.name], EXIT_OK
+def cmd_certify_tower(cfg: dict, args) -> tuple[dict, int]:
+    report = tower.certify_axioms(_build_partition(cfg))
+    return {"axioms.json": report.to_dict()}, EXIT_OK
 
 
-def cmd_density(cfg: dict, args) -> tuple[list[str], int]:
+def cmd_density(cfg: dict, args) -> tuple[dict, int]:
     family = resolve_family(cfg)
     strm = noise.stream(cfg["noise"]["seed"], cfg["noise"]["eps"])
     grid = measures.UniformGrid(cfg["measures"]["grid_m"])
     dens = measures.equivariant_density(family, strm, cfg["measures"]["m_past"], grid)
     edges = grid.edges
-    out = Path(cfg["output"]["directory"]) / "density.csv"
-    write_csv(
-        out,
-        ["cell_left", "cell_right", "weight"],
-        zip(edges[:-1].tolist(), edges[1:].tolist(), dens.tolist()),
-    )
-    return [out.name], EXIT_OK
+    rows = zip(edges[:-1].tolist(), edges[1:].tolist(), dens.tolist())
+    return {"density.csv": (["cell_left", "cell_right", "weight"], rows)}, EXIT_OK
 
 
-def cmd_correlation(cfg: dict, args) -> tuple[list[str], int]:
+def cmd_correlation(cfg: dict, args) -> tuple[dict, int]:
     family = resolve_family(cfg)
     strm = noise.stream(cfg["noise"]["seed"], cfg["noise"]["eps"])
     mcfg = cfg["measures"]
@@ -448,12 +420,10 @@ def cmd_correlation(cfg: dict, args) -> tuple[list[str], int]:
     )
     rows = [(n, c, d) for d, series in all_series.items() for n, c in enumerate(series.values)]
     fits = {d: _fit_entry(series) for d, series in all_series.items()}
-    out_dir = Path(cfg["output"]["directory"])
-    path = out_dir / "correlation.csv"
-    write_csv(path, ["n", "C_n", "direction"], rows)
-    fit_path = out_dir / "correlation_fit.json"
-    write_json(fit_path, {"fits": fits, "phi": mcfg["phi"], "psi": mcfg["psi"]})
-    return [path.name, fit_path.name], EXIT_OK
+    return {
+        "correlation.csv": (["n", "C_n", "direction"], rows),
+        "correlation_fit.json": {"fits": fits, "phi": mcfg["phi"], "psi": mcfg["psi"]},
+    }, EXIT_OK
 
 
 def _fit_entry(series: measures.CorrelationSeries) -> dict | None:
@@ -461,19 +431,20 @@ def _fit_entry(series: measures.CorrelationSeries) -> dict | None:
     return None if series.rate is None else fit
 
 
-def cmd_fit(cfg: dict, args) -> tuple[list[str], int]:
+def cmd_fit(cfg: dict, args) -> tuple[dict, int]:
     """An exponential fit of the column; where a `direction` column holds
     several directions, one fit per direction, as `correlation` writes it."""
     burn_in = _at_least(args, "burn_in", 0)
+    path, column = _text(args, "input"), _text(args, "column")
     columns: dict[str, list[float]] = {}
     try:
-        with open(args.input) as fh:
+        with open(path) as fh:
             for row in csv.DictReader(fh):
-                columns.setdefault(row.get("direction") or "", []).append(float(row[args.column]))
+                columns.setdefault(row.get("direction") or "", []).append(float(row[column]))
     except OSError as exc:
         raise ValidationError(f"fit --input: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:  # no such column, or a non-number in it
-        raise ValidationError(f"fit --column {args.column!r} of {args.input}: {exc!r}") from None
+        raise ValidationError(f"fit --column {column!r} of {path}: {exc!r}") from None
     if len(columns) > 1:
         series = (measures.CorrelationSeries.from_values(d, np.array(v), burn_in)
                   for d, v in columns.items())
@@ -482,9 +453,7 @@ def cmd_fit(cfg: dict, args) -> tuple[list[str], int]:
         values = np.array(next(iter(columns.values()), []))
         c, b, r2 = measures.fit_exponential(values, burn_in=burn_in)
         payload = {"prefactor": c, "rate": b, "r_squared": r2}
-    out = Path(cfg["output"]["directory"]) / "fit.json"
-    write_json(out, {**payload, "column": args.column})
-    return [out.name], EXIT_OK
+    return {"fit.json": {**payload, "column": column}}, EXIT_OK
 
 
 COMMANDS = {
@@ -583,6 +552,14 @@ def _at_least(args: argparse.Namespace, name: str, low: int) -> int:
     return value
 
 
+def _text(args: argparse.Namespace, name: str) -> str:
+    """String command argument `name`; a manifest's may be missing or mistyped."""
+    value = getattr(args, name, None)
+    if not isinstance(value, str):
+        raise ValidationError(f"{args.command} --{name} must be a string, got {json.dumps(value)}")
+    return value
+
+
 def _from_manifest(args: argparse.Namespace) -> tuple[dict, argparse.Namespace]:
     """Config and command arguments recorded in a manifest, under the rerun's
     flags; the config resolves like a config file, defaults included."""
@@ -602,6 +579,12 @@ def _run(cfg: dict, args: argparse.Namespace) -> int:
 
     started = time.time()
     artifacts, code = COMMANDS[args.command](cfg, args)
+    out_dir = Path(cfg["output"]["directory"])
+    for name, content in artifacts.items():
+        if name.endswith(".csv"):
+            write_csv(out_dir / name, *content)
+        else:
+            write_json(out_dir / name, content)
     manifest = {
         "command": args.command,
         "config": cfg,
@@ -615,14 +598,14 @@ def _run(cfg: dict, args: argparse.Namespace) -> int:
             "python": ".".join(map(str, sys.version_info[:3])),
         },
         "wall_time_s": time.time() - started,
-        "artifacts": artifacts,
+        "artifacts": list(artifacts),
         "command_args": {
             k: v
             for k, v in vars(args).items()
             if "." not in k and k not in ("config", "command") and v is not None
         },
     }
-    write_json(Path(cfg["output"]["directory"]) / f"manifest-{args.command}.json", manifest)
+    write_json(out_dir / f"manifest-{args.command}.json", manifest)
     return code
 
 

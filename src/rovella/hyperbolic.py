@@ -60,7 +60,6 @@ class HyperbolicConfig:
     c: float
     c_prime: float
     kappa: float
-    lambda_prime: float
     base: CriticalNeighborhoods
     prefactor: float = 1.0
 
@@ -69,6 +68,10 @@ class HyperbolicConfig:
             raise ParamError(f"need 0 < c < c_prime, got c={self.c}, c_prime={self.c_prime}")
         if self.delta <= 0 or self.delta0 <= 0:
             raise ParamError("delta and delta0 must be positive")
+
+    @property
+    def lambda_prime(self) -> float:
+        return self.kappa - self.c_prime
 
     def radius_cap(self, n: int) -> float:
         """Largest radius of an expanding neighborhood at hyperbolic time n."""
@@ -145,14 +148,12 @@ def config_for_family(
         kappa = fit_expansion_rate(family, master_seed, eps, delta)
     c = kappa / 4.0 if c is None else c
     c_prime = kappa / 2.0 if c_prime is None else c_prime
-    lambda_prime = kappa - c_prime
     return HyperbolicConfig(
         delta=delta,
         delta0=delta0,
         c=c,
         c_prime=c_prime,
         kappa=kappa,
-        lambda_prime=lambda_prime,
         base=critical_neighborhoods(family, 0.0, delta0 / 2.0),
         prefactor=prefactor,
     )

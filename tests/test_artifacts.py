@@ -158,3 +158,24 @@ def test_artifacts_are_byte_identical(tmp_path, family):
         "a declared correctness fix: say what changed and why in CHANGES.md, then update "
         f"GOLDEN. New digests: { {k: digests.get(k) for k in changed} }"
     )
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_commands_return_their_artifacts(tmp_path, name):
+    """Each command returns its artifacts, named as the files of its golden
+    run, and writes nothing itself: its output directory is never made."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SETTINGS))
+    if name == "fit":
+        source = tmp_path / "correlation"
+        assert cli.main(["correlation", "--config", str(config), "--out", str(source)]) == 0
+    args = cli.build_parser().parse_args([a.replace("@", f"{tmp_path}/") for a in RUNS[name]])
+    out = tmp_path / "unmade" / name
+    cfg = cli.load_config(str(config), {**cli._overrides(args), "output": {"directory": str(out)}})
+    artifacts, code = cli.COMMANDS[args.command](cfg, args)
+    assert code == cli.EXIT_OK
+    assert not (tmp_path / "unmade").exists()
+    golden = sorted(k.split("/")[1] for k in GOLDEN["fixture"] if k.startswith(f"{name}/"))
+    assert sorted(artifacts) == golden
+    for file_name, content in artifacts.items():  # (header, rows) for a CSV, a payload for JSON
+        assert isinstance(content, tuple if file_name.endswith(".csv") else dict), file_name

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rovella import cli, measures
+from rovella import cli, hyperbolic, measures
 
 
 def run(args):
@@ -253,6 +253,27 @@ class TestValidation:
         assert _in(tmp_path, message) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command_args, message", [
+        ({"column": "C_n"}, "fit --input must be a string, got null"),
+        ({"input": 999, "column": "C_n"}, "fit --input must be a string, got 999"),
+        ({"input": "@s.csv"}, "fit --column must be a string, got null"),
+    ], ids=["no-input", "integer-input", "no-column"])
+    def test_fit_manifest_arguments(self, tmp_path, capsys, command_args, message):
+        # A manifest's `fit` arguments are checked as strings: a missing one
+        # would be an AttributeError, and an integer `input` a file descriptor.
+        (tmp_path / "s.csv").write_text("n,C_n\n0,1.0\n")
+        command_args = {k: _in(tmp_path, v) if isinstance(v, str) else v
+                        for k, v in command_args.items()}
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "command": "fit", "config": {}, "command_args": {**command_args, "burn_in": 0},
+        }))
+        out = tmp_path / "o"
+        redo = ["rerun", "--manifest", str(manifest), "--out", str(out)]
+        assert run(redo) == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         code = run([
             "simulate-orbit", "--x0", "0.5", "--n", "5",
@@ -288,20 +309,36 @@ class TestDeterminism:
             ]) == 0
         assert (a / "orbit.csv").read_bytes() == (b / "orbit.csv").read_bytes()
 
-    def test_manifest_rerun_and_workers(self, tmp_path):
+    @pytest.mark.parametrize("command, names", [
+        ("hyperbolic-tails",
+         ["hyperbolic_tails.csv", "hyperbolic_return_tails.csv", "hyperbolic_tails_fits.json"]),
+        ("bad-set-tails", ["bad_set_tails.csv", "bad_set_tails_fit.json"]),
+    ])
+    def test_manifest_rerun_and_workers(self, tmp_path, monkeypatch, command, names):
+        # 20,001 orbits are two 20,000-row chunks, so the 2-worker rerun
+        # runs them on a pool of two threads and the serial run does not.
+        pools, pool = [], hyperbolic.ThreadPoolExecutor
+
+        def counted(workers):
+            pools.append(workers)
+            return pool(workers)
+
+        monkeypatch.setattr(hyperbolic, "ThreadPoolExecutor", counted)
         a = tmp_path / "a"
         assert run([
-            "hyperbolic-tails", "--samples", "4000", "--n-max", "25",
+            command, "--samples", "20001", "--n-max", "8",
             "--c", "0.35", "--c-prime", "0.45",
             "--out", str(a), "--workers", "1",
         ]) == 0
         b = tmp_path / "b"
         assert run([
-            "rerun", "--manifest", str(a / "manifest-hyperbolic-tails.json"),
+            "rerun", "--manifest", str(a / f"manifest-{command}.json"),
             "--out", str(b), "--workers", "2",
         ]) == 0
-        for name in ("hyperbolic_tails.csv", "hyperbolic_return_tails.csv",
-                     "hyperbolic_tails_fits.json"):
+        assert pools == [2]
+        for out in (a, b):
+            assert json.loads((out / f"manifest-{command}.json").read_text())["artifacts"] == names
+        for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_manifest_with_retired_keys_reruns(self, tmp_path):
@@ -622,7 +659,7 @@ class TestConfigMerge:
         if key == "output.directory":
             in_file, given = _in(tmp_path, in_file), _in(tmp_path, given)
         runs = "density" if command == "rerun" else command
-        monkeypatch.setitem(cli.COMMANDS, runs, lambda cfg, args: ([], cli.EXIT_OK))
+        monkeypatch.setitem(cli.COMMANDS, runs, lambda cfg, args: ({}, cli.EXIT_OK))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({section: {name: in_file}}))
         argv = [runs, *REQUIRED_ARGS.get(runs, []), "--config", str(cfg)]
