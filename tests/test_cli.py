@@ -309,12 +309,8 @@ class TestDeterminism:
             ]) == 0
         assert (a / "orbit.csv").read_bytes() == (b / "orbit.csv").read_bytes()
 
-    @pytest.mark.parametrize("command, names", [
-        ("hyperbolic-tails",
-         ["hyperbolic_tails.csv", "hyperbolic_return_tails.csv", "hyperbolic_tails_fits.json"]),
-        ("bad-set-tails", ["bad_set_tails.csv", "bad_set_tails_fit.json"]),
-    ])
-    def test_manifest_rerun_and_workers(self, tmp_path, monkeypatch, command, names):
+    @staticmethod
+    def _rerun_with_workers(tmp_path, monkeypatch, command, names):
         # 20,001 orbits are two 20,000-row chunks, so the 2-worker rerun
         # runs them on a pool of two threads and the serial run does not.
         pools, pool = [], hyperbolic.ThreadPoolExecutor
@@ -340,6 +336,16 @@ class TestDeterminism:
             assert json.loads((out / f"manifest-{command}.json").read_text())["artifacts"] == names
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_manifest_rerun_and_workers(self, tmp_path, monkeypatch):
+        self._rerun_with_workers(tmp_path, monkeypatch, "hyperbolic-tails", [
+            "hyperbolic_tails.csv", "hyperbolic_return_tails.csv", "hyperbolic_tails_fits.json",
+        ])
+
+    def test_bad_set_manifest_rerun_and_workers(self, tmp_path, monkeypatch):
+        self._rerun_with_workers(tmp_path, monkeypatch, "bad-set-tails", [
+            "bad_set_tails.csv", "bad_set_tails_fit.json",
+        ])
 
     def test_manifest_with_retired_keys_reruns(self, tmp_path):
         # `tower.delta_prime` and `output.formats` are no longer config keys;
