@@ -417,6 +417,8 @@ def _shear_spline_inverse(
     knots, nodes, first = fn.knots, fn.nodes, fn.first
     i = np.empty(p.shape, dtype=np.intp)
     for rows, lo, hi in ((~pos, 0, first), (pos, first, knots.size)):  # a branch's pieces
+        if not rows.any():  # the other branch of a shared side
+            continue
         found = np.searchsorted(nodes[lo:hi], p[rows], side="right")
         i[rows] = np.clip(found + (lo - 1), lo, hi - 2)
     c0, c1, c2, c3 = np.take(fn.c, i, axis=1)

@@ -704,9 +704,10 @@ def _python_with_src(code, *args):
 
 
 def test_cli_import_leaves_scipy_submodules_unloaded(tmp_path):
-    # scipy.sparse serves only Ulam operators, and the manifest imports
-    # scipy for its version when a command has run: importing the CLI and
-    # validating a table config load no scipy module at all.
+    # scipy.sparse serves only the backward Ulam block product and the
+    # scipy views of Ulam operators, and the manifest imports scipy for its
+    # version when a command has run: importing the CLI and validating a
+    # table config load no scipy module at all.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(table_config()))
     code = (
@@ -716,10 +717,12 @@ def test_cli_import_leaves_scipy_submodules_unloaded(tmp_path):
     assert _python_with_src(code, cfg) == "[]"
 
 
-def test_table_commands_load_scipy_sparse_for_ulam_only(tmp_path):
-    """A table family's spline is built without scipy: the commands with no
-    Ulam step load no scipy subpackage (scipy.interpolate and scipy.sparse
-    included), and correlation loads scipy.sparse only. `import scipy`
+def test_table_commands_load_scipy_sparse_for_backward_block_only(tmp_path):
+    """A table family's spline is built without scipy, and Ulam vectors are
+    pushed in numpy: `density` and forward `correlation`, like the commands
+    with no Ulam step, load no scipy subpackage (scipy.interpolate and
+    scipy.sparse included). Backward `correlation`, whose block of started
+    chains is a scipy product, loads scipy.sparse only. `import scipy`
     itself, which the manifest does, loads private modules and
     scipy.version."""
     cfg = tmp_path / "cfg.json"
@@ -738,7 +741,9 @@ def test_table_commands_load_scipy_sparse_for_ulam_only(tmp_path):
         run("verify-family")
         run("build-partition", "--n-max", "6")
         run("hyperbolic-tails", "--samples", "500", "--n-max", "10")
-        run("correlation")
+        run("density")
+        run("correlation", "--direction", "forward")
+        run("correlation", "--direction", "backward")
     """)
     loaded = [json.loads(line) for line in _python_with_src(code, cfg, tmp_path).splitlines()]
-    assert loaded == [[], [], [], ["sparse"]]
+    assert loaded == [[], [], [], [], [], ["sparse"]]

@@ -1,7 +1,9 @@
 """Import guard: importing rovella loads no scipy module, and no module of
 the package uses scipy.interpolate. scipy is imported inside the functions
-that need it (scipy.sparse for Ulam operators, scipy for the manifest's
-version), so a command that needs neither does not pay for it."""
+that need it (scipy.sparse for the backward Ulam block product and the
+scipy views `ulam_row_operator` and `OperatorCache.get`, scipy for the
+manifest's version), so a command that needs neither does not pay for it:
+Ulam vectors are pushed in numpy."""
 
 import ast
 from pathlib import Path

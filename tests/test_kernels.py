@@ -1,9 +1,10 @@
 """The array kernels of one orbit step, the noise draws, the Ulam operator
-build and the backward correlation's block push, against independent forms:
-the fixture's 0-d formulas, a per-row step rule, a depth scan, the scalar
-noise stream and the Ulam operator's definition as cell overlaps; and their
-allocation. `orbit.step` leaves the return depth and log DT to its callers;
-`step_outputs` takes both as `ensemble_orbits` does.
+build, its vector push and the backward correlation's block push, against
+independent forms: the fixture's 0-d formulas, a per-row step rule, a depth
+scan, the scalar noise stream, the Ulam operator's definition as cell
+overlaps and scipy's CSC product; and their allocation. `orbit.step` leaves
+the return depth and log DT to its callers; `step_outputs` takes both as
+`ensemble_orbits` does.
 
 Each step kernel allocates one fresh float64 array per output and works in
 place on arrays it allocated itself; the guard bounds each call's traced peak
@@ -379,22 +380,50 @@ class TestUlamInvariants:
         assert TestAllocation.peak_ratio(lambda: measures.ulam_row_operator(fam, t, grid), nbytes) < 4.5
 
 
+class TestVectorPush:
+    @pytest.mark.parametrize("m", [64, 2048, 2049])
+    @pytest.mark.parametrize("name", ["fixture", "table"])
+    def test_bytes_of_the_scipy_product(self, name, m, request):
+        """`measures._push` adds in `csc_matvec`'s order, from 0.0: its
+        vector push has the bytes of scipy's product on the same arrays,
+        for signed masses with exact 0.0 and -0.0 entries, a vector of
+        -0.0 alone and tiny and huge magnitudes. scipy is the reference
+        here only."""
+        import scipy.sparse as sp
+
+        fam = request.getfixturevalue("fam" if name == "fixture" else "table_fam")
+        rng = np.random.default_rng(m)
+        signed = rng.standard_normal(m) * 10.0 ** rng.integers(-300, 300, m)
+        signed[rng.choice(m, m // 4, replace=False)] = 0.0
+        signed[rng.choice(m, m // 4, replace=False)] = -0.0
+        vectors = [signed, np.full(m, -0.0), rng.dirichlet(np.ones(m)), rng.standard_normal(m)]
+        assert (signed == 0.0).any() and np.signbit(signed[signed == 0.0]).any()
+        for t in [0.0, fam.eps_max, -fam.eps_max]:
+            op = measures._ulam_arrays(fam, t, measures.UniformGrid(m))
+            mat = sp.csc_matrix(op, shape=(m, m))
+            for masses in vectors:
+                got, want = measures._push(op, masses), mat @ masses
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestBackwardBlockPush:
     @pytest.mark.parametrize("n_max", [0, 1, 12])
     def test_push_count(self, fam, noisy_stream, monkeypatch, n_max):
         """m_past + n_max single-vector pushes build the past measures, and
         one block product per operator -n_max..-1 pushes the chains."""
-        build, calls = measures._push_matrix, []
+        build, push, built, calls = measures._ulam_arrays, measures._push, [], []
 
-        class Counted:
-            def __init__(self, family, t, grid):
-                self.t, self.op = t, build(family, t, grid)
+        def counted_build(family, t, grid):
+            built.append((build(family, t, grid), t))
+            return built[-1][0]
 
-            def __matmul__(self, masses):
-                calls.append((masses.ndim, self.t))
-                return self.op @ masses
+        def counted_push(op, masses):
+            calls.append((masses.ndim, next(t for o, t in built if o is op)))
+            return push(op, masses)
 
-        monkeypatch.setattr(measures, "_push_matrix", Counted)
+        monkeypatch.setattr(measures, "_ulam_arrays", counted_build)
+        monkeypatch.setattr(measures, "_push", counted_push)
         measures.quenched_correlation(
             fam, noisy_stream, lambda x: x, np.sign, n_max, m_past=7, direction="backward",
             grid=measures.UniformGrid(64),
