@@ -201,8 +201,23 @@ def resolve_family(cfg: dict) -> map_core.MapFamily:
     return map_core.table_family(**_table_args(fam))
 
 
-def resolve_hyperbolic(cfg: dict, family: map_core.MapFamily) -> hyperbolic.HyperbolicConfig:
+def resolve_hyperbolic(
+    cfg: dict, family: map_core.MapFamily, needs_kappa: bool
+) -> hyperbolic.HyperbolicConfig:
+    """The config's hyperbolic constants. A null kappa is fitted
+    (`hyperbolic.fit_expansion_rate`) when the command needs it or c or
+    c_prime defaults from it; otherwise it stays None and no fit runs."""
     hy = cfg["hyperbolic"]
+    if not needs_kappa and hy["kappa"] is None and None not in (hy["c"], hy["c_prime"]):
+        return hyperbolic.HyperbolicConfig(
+            delta=hy["delta"],
+            delta0=hy["delta0"],
+            c=hy["c"],
+            c_prime=hy["c_prime"],
+            kappa=None,
+            base=map_core.critical_neighborhoods(family, 0.0, hy["delta0"] / 2.0),
+            prefactor=hy["prefactor"],
+        )
     return hyperbolic.config_for_family(
         family,
         cfg["noise"]["eps"],
@@ -305,11 +320,13 @@ def _tail_table(cfg: dict, args, tables: tuple[str, ...]):
     the `tables` of `hyperbolic.tail_statistics` that the command writes.
 
     Returns (resolved constants, table, exit code); the code is
-    EXIT_NUMERIC when more than SINGULAR_EPIDEMIC of the orbits died.
+    EXIT_NUMERIC when more than SINGULAR_EPIDEMIC of the orbits died. Only
+    `hyperbolic-tails` writes kappa, so `bad-set-tails` fits it only when c
+    or c_prime defaults from it.
     """
     samples, n_max = _at_least(args, "samples", 1), _at_least(args, "n_max", 1)
     family = resolve_family(cfg)
-    hcfg = resolve_hyperbolic(cfg, family)
+    hcfg = resolve_hyperbolic(cfg, family, needs_kappa="hyperbolic" in tables)
     table = hyperbolic.tail_statistics(
         family,
         cfg["noise"]["seed"],
@@ -364,7 +381,7 @@ def _build_partition(cfg: dict) -> tower.ReturnPartition:
     return tower.build_return_partition(
         family,
         strm,
-        resolve_hyperbolic(cfg, family),
+        resolve_hyperbolic(cfg, family, needs_kappa=True),
         cfg["tower"]["n_max"],
         seed_grid=cfg["tower"]["seed_grid"],
     )

@@ -51,6 +51,8 @@ class HyperbolicConfig:
     kappa is the empirical expansion exponent; the defaults c = kappa / 4 and
     c_prime = kappa / 2 follow the chain 0 < c < c_prime, and lambda_prime =
     kappa - c_prime is the certified expansion rate at hyperbolic times.
+    kappa is None when c and c_prime are given and nothing reads it (the
+    tail tables); lambda_prime, and so `radius_cap`, then raise ParamError.
     base is the critical-value preimage neighborhood at radius delta0 / 2,
     against which return times are tested (`base.contains`).
     """
@@ -59,7 +61,7 @@ class HyperbolicConfig:
     delta0: float
     c: float
     c_prime: float
-    kappa: float
+    kappa: float | None
     base: CriticalNeighborhoods
     prefactor: float = 1.0
 
@@ -71,6 +73,8 @@ class HyperbolicConfig:
 
     @property
     def lambda_prime(self) -> float:
+        if self.kappa is None:
+            raise ParamError("lambda_prime needs kappa, which this config leaves unset")
         return self.kappa - self.c_prime
 
     def radius_cap(self, n: int) -> float:
@@ -266,22 +270,24 @@ def _tail_chunk(
 
     The orbits are streamed: noise is drawn one step at a time and each row
     keeps only its point and the bookkeeping of the tables asked for. A step
-    takes no log DT, and return depths only on the rows with DT * |x| <
-    delta; every other row has depth 0. The bad set adds those depths into
-    the depth sums and keeps one flag row per step. The carried
-    hyperbolic-time reduction runs only on the open rows, those with no
-    first hyperbolic return yet, and base membership is tested only on the
-    open rows that are hyperbolic at that step; a row leaves the open set,
-    and its carried state, at its first return, when its first hyperbolic
-    time is set too. Every row is still stepped to n_max, because an orbit
-    that dies later leaves every count.
+    takes no log DT, and return depths only where a table reads them and
+    DT * |x| < delta; every other row has depth 0. The bad set takes the
+    depths of all such rows into its depth sums (integers, held in float64,
+    where they are exact) and keeps one flag row per step. The hyperbolic
+    table takes them only on its open rows, those with no first hyperbolic
+    return yet, and runs the carried hyperbolic-time reduction on those rows
+    alone; base membership is tested only on the open rows that are
+    hyperbolic at that step. A row leaves the open set, and its carried
+    state, at its first return, when its first hyperbolic time is set too,
+    and once no row is open the table does no work at all. Every row is
+    still stepped to n_max, because an orbit that dies later leaves every
+    count.
     """
     hyperbolic, bad_set = "hyperbolic" in tables, "bad_set" in tables
     keys = ensemble_keys(master_seed, index_hi - index_lo, index_lo)
     x = start_points(keys, eps)
     rows = x.size
-    depth = np.zeros(rows, dtype=np.int64)  # 0 off the near rows of a step
-    depth_sum = np.zeros(rows, dtype=np.int64)
+    depth_sum = np.zeros(rows)
     bad = np.empty((n_max if bad_set else 0, rows), dtype=bool)  # one row a step
     open_rows = np.arange(rows if hyperbolic else 0)
     state = np.zeros(open_rows.size), np.zeros(open_rows.size)
@@ -289,16 +295,17 @@ def _tail_chunk(
     first_ret = np.full(rows, n_max)
     for k in range(n_max):
         x, dt, prod = step(family, keyed_draws(keys, eps, k), x)
-        near = np.flatnonzero(prod < cfg.delta)
-        near_depth = _depths(prod[near], cfg.delta)
-        del dt, prod  # freed before the bookkeeping and the next step
+        del dt  # freed before the bookkeeping and the next step
         if bad_set:
-            depth_sum[near] += near_depth
+            near = np.flatnonzero(prod < cfg.delta)
+            depth_sum[near] += _depths(prod[near], cfg.delta)
             np.greater_equal(depth_sum, cfg.c * (k + 1), out=bad[k])
-        if hyperbolic:
-            depth[near] = near_depth
-            hyp = _hyperbolic_flags(depth[open_rows, None], cfg.c_prime, state)[:, 0]
-            depth[near] = 0
+        if open_rows.size:
+            prod = prod[open_rows]  # DT * |x| of the open rows
+            near = prod < cfg.delta
+            depth = np.zeros(prod.size)
+            depth[near] = _depths(prod[near], cfg.delta)
+            hyp = _hyperbolic_flags(depth[:, None], cfg.c_prime, state)[:, 0]
             now = open_rows[hyp]  # hyperbolic at time k + 1, no first return yet
             first_h[now[first_h[now] > k]] = k
             returned = cfg.base.contains(x[now])
@@ -335,7 +342,10 @@ def tail_statistics(
 
     A caller computes only the tables it reads: the hyperbolic bookkeeping
     and the bad-set flags are each skipped when not asked for, and the
-    table left out is None. Work is split into fixed-size chunks whose
+    table left out is None. The hyperbolic table takes return depths and
+    runs its reduction only on the orbits with no first hyperbolic return
+    yet, and stops once none is left; kappa is not read, so `cfg.kappa`
+    may be None. Work is split into fixed-size chunks whose
     results are summed in index order, so the table is independent of the
     worker count. With workers > 1 the chunks run on a pool of threads
     (numpy releases the GIL in its array loops); each chunk streams its

@@ -142,6 +142,55 @@ class TestValidation:
                                    "hyperbolic": {"kappa": 0.7}}))
         assert run([*args, "--out", str(tmp_path / "given")]) == 0
 
+    @pytest.mark.parametrize("command, code", [
+        ("bad-set-tails", cli.EXIT_OK),
+        ("hyperbolic-tails", cli.EXIT_NUMERIC),
+    ])
+    def test_s3_given_constants_fit_kappa_only_where_written(
+        self, tmp_path, capsys, command, code
+    ):
+        # With c and c' given, `bad-set-tails` writes no kappa and fits none,
+        # so the s = 3 fixture's negative escape rate does not stop it;
+        # `hyperbolic-tails` writes kappa and still fails on the fit.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": {"kind": "fixture", "s": 3.0, "eps_max": 0.1}}))
+        out = tmp_path / "o"
+        assert run([
+            command, "--samples", "2000", "--n-max", "20", "--c", "0.35", "--c-prime", "0.45",
+            "--config", str(cfg), "--out", str(out),
+        ]) == code
+        err = capsys.readouterr().err
+        if code == cli.EXIT_OK:
+            assert len((out / "bad_set_tails.csv").read_text().splitlines()) == 21
+            constants = json.loads((out / "bad_set_tails_fit.json").read_text())["constants"]
+            assert constants == {"delta": 0.01, "c": 0.35, "c_prime": 0.45}
+        else:
+            assert "fitted expansion exponent -0.1396886" in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("constants, fits", [
+        (("--c", "0.35", "--c-prime", "0.45"), 0),
+        (("--c", "0.1"), 1),
+        (("--c-prime", "0.45"), 1),
+        ((), 1),
+    ], ids=["both", "c-only", "c-prime-only", "neither"])
+    def test_bad_set_tails_fits_kappa_only_for_a_default(
+        self, tmp_path, monkeypatch, constants, fits
+    ):
+        calls = []
+        real = hyperbolic.fit_expansion_rate
+
+        def spy(*a, **kw):
+            calls.append(a)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(hyperbolic, "fit_expansion_rate", spy)
+        assert run([
+            "bad-set-tails", "--samples", "200", "--n-max", "10", *constants,
+            "--out", str(tmp_path),
+        ]) == 0
+        assert len(calls) == fits
+
     def test_too_few_escape_events_names_override(self, tmp_path, capsys):
         # At delta 1e-9 the 2 delta neighbourhood is too thin for 50 escape
         # events; the message names the config key that skips the fit.

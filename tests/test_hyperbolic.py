@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import tracemalloc
 
@@ -207,6 +208,11 @@ class TestConfig:
         hood = mc.critical_neighborhoods(fam, 0.0, 0.05)
         assert cfg.base.pos_hi == pytest.approx(hood.pos_hi, rel=1e-12)
 
+    def test_unset_kappa_has_no_expansion_rate(self, hyp_cfg):
+        cfg = dataclasses.replace(hyp_cfg, kappa=None)
+        with pytest.raises(ParamError, match="lambda_prime needs kappa"):
+            cfg.radius_cap(3)
+
     def test_kappa_fit_positive(self, kappa_fixture):
         assert 0.3 < kappa_fixture < 1.5
 
@@ -357,6 +363,32 @@ class TestTailStatistics:
             else:
                 assert a is None
 
+    @pytest.mark.parametrize("tables", [("hyperbolic",), hyp.TAIL_TABLES])
+    def test_matches_reference_after_the_open_set_empties(
+        self, tables, fam_lin, hyp_cfg, monkeypatch
+    ):
+        """On the doubling family every row has its first hyperbolic return
+        by step 15, after which the hyperbolic table does no bookkeeping;
+        rows that die later still leave every count. The planted row 0.5 +
+        2^-5 + 2^-45 returns at step 1 (its image 2^-4 + 2^-44 lies in the
+        base) and reaches exactly 0 at step 45; float doubling sends three
+        more rows to 0 at steps 47 and 48."""
+        samples, n_max = 30, 48
+        x0 = orbit.start_points(noise.ensemble_keys(1, samples), 0.01)
+        x0[0] = 0.5 + 2.0**-5 + 2.0**-45
+        expect = reference_tail_table(fam_lin, 1, 0.01, hyp_cfg, samples, n_max, x0)
+        assert expect[3:] == (26, 4)
+        assert expect[1][13] > 0 == expect[1][14]  # the last live return is at step 15
+        plant_start_points(monkeypatch, 1, x0)
+        rows = _flag_rows(fam_lin, hyp_cfg, monkeypatch, samples, n_max, tables)
+        assert len(rows) == 15
+        table = hyp.tail_statistics(fam_lin, 1, 0.01, hyp_cfg, samples, n_max, tables=tables)
+        got = (table.h_survivors, table.hstar_survivors, table.bad_members)
+        for a, b, name in zip(got, expect, ("hyperbolic", "hyperbolic", "bad_set")):
+            if name in tables:
+                assert_same_bytes(a, b)
+        assert (table.total, table.singular_hits) == expect[3:]
+
     @staticmethod
     def _check_reference(family, workers, tables, fam, hyp_cfg, monkeypatch, request):
         """Each table asked for equals `reference_tail_table` byte for byte,
@@ -408,13 +440,17 @@ class TestTailStatistics:
 
 def test_depths_only_where_read(fam, hyp_cfg, monkeypatch):
     """Work-count guard: the kappa fit, a caller of `orbit.step` that reads
-    log DT alone, takes no return depths, and the tail chunk takes one
-    `_depths` call a step, on exactly the rows with DT * |x| < delta: every
-    other row has depth 0."""
-    calls, near = [], []
-    real_depths, real_step = orbit._depths, hyp.step
+    log DT alone, takes no return depths. The bad-set table takes one
+    `_depths` call a step, on exactly the rows with DT * |x| < delta. The
+    hyperbolic table takes one a step while any row is open (no first
+    hyperbolic return yet), on exactly the open rows with DT * |x| < delta,
+    and none after the last open row returns (step 37 of 60 here): every
+    other row has depth 0, and near rows have depth >= 1."""
+    calls, near, open_near = [], [], []
+    real_depths, real_step, real_flags = orbit._depths, hyp.step, hyp._hyperbolic_flags
 
     def counting_depths(prod, delta):
+        assert np.all(prod < delta)
         calls.append(prod.size)
         return real_depths(prod, delta)
 
@@ -423,18 +459,27 @@ def test_depths_only_where_read(fam, hyp_cfg, monkeypatch):
         near.append(int(np.count_nonzero(out[2] < hyp_cfg.delta)))
         return out
 
+    def counting_flags(depths, c_prime, state=None):
+        open_near.append(int(np.count_nonzero(depths)))
+        return real_flags(depths, c_prime, state)
+
     for module in (orbit, hyp):
         monkeypatch.setattr(module, "_depths", counting_depths)
     hyp.fit_expansion_rate(fam, 1, 0.01, 0.01)
     assert calls == []
     monkeypatch.setattr(hyp, "step", counting_step)
+    monkeypatch.setattr(hyp, "_hyperbolic_flags", counting_flags)
     for tables in (hyp.TAIL_TABLES, ("hyperbolic",), ("bad_set",)):
-        calls.clear()
-        near.clear()
-        hyp.tail_statistics(fam, 1, 0.01, hyp_cfg, samples=300, n_max=20, tables=tables)
-        assert len(calls) == 20
-        assert calls == near
-        assert max(calls) < 300
+        for record in (calls, near, open_near):
+            record.clear()
+        hyp.tail_statistics(fam, 1, 0.01, hyp_cfg, samples=300, n_max=60, tables=tables)
+        assert len(near) == 60 and max(near) < 300
+        assert len(open_near) == (37 if "hyperbolic" in tables else 0)
+        expect = []  # per step: the bad set's call, then the open rows' call
+        for k, n in enumerate(near):
+            expect += [n] * ("bad_set" in tables) + open_near[k : k + 1]
+        assert calls == expect
+        assert sum(open_near) < sum(near) / 4
 
 
 def _flag_rows(fam, hyp_cfg, monkeypatch, samples, n_max, tables):
@@ -458,10 +503,15 @@ def test_bad_set_alone_runs_no_hyperbolic_bookkeeping(fam, hyp_cfg, monkeypatch)
 
 def test_hyperbolic_bookkeeping_only_on_open_rows(fam, hyp_cfg, monkeypatch):
     """Work-count guard: a row leaves the carried reduction at its first
-    hyperbolic return, so the hyperbolic table passes at most a fifth of the
-    samples * n_max rows to `_hyperbolic_flags` on the fixture (about 0.12
-    of them at 2,000 x 60), one call a step on shrinking row sets."""
+    hyperbolic return, so the hyperbolic table makes one `_hyperbolic_flags`
+    call a step, on the rows with no first return yet, while any row is
+    open, and none after. It passes at most a fifth of the samples * n_max
+    rows on the fixture (about 0.12 of them at 2,000 x 60, where the last
+    row returns at step 50)."""
+    table = hyp.tail_statistics(fam, 1, 0.01, hyp_cfg, 2000, 60, tables=("hyperbolic",))
     rows = _flag_rows(fam, hyp_cfg, monkeypatch, 2000, 60, ("hyperbolic",))
-    assert len(rows) == 60 and rows[0] == 2000
-    assert all(a >= b for a, b in zip(rows, rows[1:]))
+    assert (table.total, table.singular_hits) == (2000, 0)
+    last = int(np.argmax(table.hstar_survivors == 0))  # step last + 1 empties the open set
+    assert last == 49
+    assert rows == [2000, *table.hstar_survivors[:last]]
     assert sum(rows) <= 0.2 * 2000 * 60

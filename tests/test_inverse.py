@@ -293,6 +293,33 @@ class TestTableInverse:
         monkeypatch.setattr(mc, "_NEWTON_CAP", 4)
         assert build() == want
 
+    def test_ulam_newton_active_rows(self, table_fam, monkeypatch):
+        """Work-count guard on the Newton iterations of the m = 2048 Ulam
+        build at t = 0.003: all 4,094 rows enter the loop, most stop after
+        3 iterations and 40 after 4 (the counts measured when this guard
+        was written). The loop's active mask is the one `np.where`
+        condition that recurs in every iteration, so its row counts are
+        read there; a change that slows or speeds convergence changes them
+        even where the roots keep every byte."""
+        conds = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def where(cond, *args):
+                conds.append((cond, int(np.count_nonzero(cond))))
+                return np.where(cond, *args)
+
+        monkeypatch.setattr(mc, "np", CountingNumpy())
+        ms.ulam_row_operator(table_fam, 0.003, ms.UniformGrid(2048))
+        counts = {}
+        for cond, n in conds:  # `conds` keeps every mask alive, so ids are not reused
+            counts.setdefault(id(cond), []).append(n)
+        # Counted before the loop, then at the start of each iteration.
+        assert [c for c in counts.values() if len(c) > 2] == [[4094, 4094, 4094, 4085, 40]]
+
     @pytest.mark.parametrize("t", [-0.1, 0.0, 0.07])
     def test_below_first_node_matches_bisection(self, table_fam, t):
         """Targets in (T_t(+-1e-300), T_t(+-x_first)) fall on the end piece,
