@@ -3,7 +3,7 @@ CSV/JSON artifacts plus a rerunnable manifest.
 
 All randomness flows from the single master seed, and every reduction is
 deterministic, so any subcommand rerun from its manifest reproduces its
-artifacts byte for byte at any worker count.
+artifacts byte for byte, a tail command's at any `--workers` count.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
 SINGULAR_EPIDEMIC = 1e-3  # orbit fraction hitting the singularity -> exit 3
+TAIL_COMMANDS = ("hyperbolic-tails", "bad-set-tails")  # the commands that take --workers
 
 DEFAULT_CONFIG: dict = {
     "family": {"kind": "fixture", "s": 2.0, "eps_max": 0.1},
@@ -324,7 +325,7 @@ def _tail_table(cfg: dict, args, tables: tuple[str, ...]):
     `hyperbolic-tails` writes kappa, so `bad-set-tails` fits it only when c
     or c_prime defaults from it.
     """
-    samples, n_max = _at_least(args, "samples", 1), _at_least(args, "n_max", 1)
+    samples, n_max, workers = (_at_least(args, k, 1) for k in ("samples", "n_max", "workers"))
     family = resolve_family(cfg)
     hcfg = resolve_hyperbolic(cfg, family, needs_kappa="hyperbolic" in tables)
     table = hyperbolic.tail_statistics(
@@ -334,7 +335,7 @@ def _tail_table(cfg: dict, args, tables: tuple[str, ...]):
         hcfg,
         samples=samples,
         n_max=n_max,
-        workers=args.workers,
+        workers=workers,
         tables=tables,
     )
     simulated = table.total + table.singular_hits
@@ -506,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--c", dest="hyperbolic.c", type=float)
     common.add_argument("--c-prime", dest="hyperbolic.c_prime", type=float)
     common.add_argument("--out", dest="output.directory")
-    common.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("simulate-orbit", parents=[common],
                        help="one random orbit with bookkeeping")
@@ -531,8 +531,9 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("build-partition", "certify-tower"):
             p.add_argument("--n-max", dest="tower.n_max", type=int)
 
-    for name in ("hyperbolic-tails", "bad-set-tails"):
+    for name in TAIL_COMMANDS:
         p = sub.add_parser(name, parents=[common], help="ensemble survival tables and fits")
+        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--samples", type=int, default=10_000)
         p.add_argument("--n-max", type=int, default=60)
 
@@ -586,6 +587,8 @@ def _from_manifest(args: argparse.Namespace) -> tuple[dict, argparse.Namespace]:
             and isinstance(command_args, dict)):
         raise ValidationError(f"manifest {args.manifest} needs a config object, command_args "
                               f"object and known command, got command {json.dumps(command)}")
+    if args.workers is not None and command not in TAIL_COMMANDS:
+        raise ValidationError(f"rerun --workers: {command} takes no worker count")
     cfg = load_config(None, _merge(manifest["config"], _overrides(args)))
     workers = manifest.get("workers", 1) if args.workers is None else args.workers
     return cfg, argparse.Namespace(**{**command_args, "command": command, "workers": workers})
@@ -607,7 +610,6 @@ def _run(cfg: dict, args: argparse.Namespace) -> int:
         "config": cfg,
         "config_hash": config_hash(cfg),
         "seed": cfg["noise"]["seed"],
-        "workers": args.workers,
         "versions": {
             "rovella": __version__,
             "numpy": np.__version__,
@@ -619,9 +621,11 @@ def _run(cfg: dict, args: argparse.Namespace) -> int:
         "command_args": {
             k: v
             for k, v in vars(args).items()
-            if "." not in k and k not in ("config", "command") and v is not None
+            if "." not in k and k not in ("config", "command", "workers") and v is not None
         },
     }
+    if args.command in TAIL_COMMANDS:
+        manifest["workers"] = args.workers
     write_json(out_dir / f"manifest-{args.command}.json", manifest)
     return code
 
@@ -633,7 +637,6 @@ def main(argv: list[str] | None = None) -> int:
             cfg, args = _from_manifest(args)
         else:
             cfg = load_config(args.config, _overrides(args))
-        _at_least(args, "workers", 1)
         return _run(cfg, args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -71,7 +71,6 @@ class MapFamily:
     inverse: InverseFn
     k1: float
     k2: float
-    label: str = "custom"
     value_deriv: PairFn = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -213,7 +212,6 @@ def fixture_family(s: float = 2.0, eps_max: float = 0.1) -> MapFamily:
         inverse=_FixtureInverse(s),
         k1=k1,
         k2=k2,
-        label=f"fixture(s={s:g})",
     )
 
 
@@ -590,7 +588,6 @@ def table_family(
         inverse=inverse,
         k1=k1,
         k2=k2,
-        label="table",
     )
 
 

@@ -214,12 +214,11 @@ class CorrelationSeries:
 
     direction "forward" pairs observables at times 0 and n over the measure
     at the origin; "backward" starts the composition n steps in the past and
-    integrates against the measure there. The fit runs on n >= burn_in only.
+    integrates against the measure there. `from_values` fits n >= burn_in only.
     """
 
     direction: str
     values: np.ndarray
-    burn_in: int
     prefactor: float | None = None
     rate: float | None = None
     r_squared: float | None = None
@@ -231,7 +230,7 @@ class CorrelationSeries:
             c, b, r2 = fit_exponential(values, burn_in=burn_in)
         except InsufficientData:
             c = b = r2 = None
-        return cls(direction, values, burn_in, c, b, r2)
+        return cls(direction, values, c, b, r2)
 
     def fitted(self) -> tuple[float, float, float]:
         if self.rate is None:

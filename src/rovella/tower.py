@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -64,17 +64,19 @@ class ReturnPartition:
     family: MapFamily
     stream: NoiseStream
     cfg: HyperbolicConfig
-    base_radius: float
     horizon: int
     elements: list[PartitionElement]
-    uncovered: float
     seed_grid: int
     candidates_seen: int = 0
     candidates_rejected: int = 0
     dead_seeds: int = 0  # seed orbits that died within the horizon, all passes
     time_origin: int = 0  # absolute time of this partition's noise origin
+    base_radius: float = field(init=False)
+    uncovered: float = field(init=False)
 
     def __post_init__(self) -> None:
+        self.base_radius = self.cfg.delta0 / 2.0
+        self.uncovered = self.base_measure - sum(e.width for e in self.elements)
         # A trailing sentinel answers index -1: no right end, return time 0.
         self._lefts = np.array([e.left for e in self.elements])
         self._rights = np.array([*(e.right for e in self.elements), -np.inf])
@@ -362,16 +364,12 @@ def build_return_partition(
         if pass_no > 0 and added == 0:
             break
 
-    elements = admitted.elements
-    covered = sum(e.width for e in elements)
     return ReturnPartition(
         family=family,
         stream=stream,
         cfg=cfg,
-        base_radius=radius,
         horizon=n_max,
-        elements=elements,
-        uncovered=2.0 * radius - covered,
+        elements=admitted.elements,
         seed_grid=seed_grid,
         candidates_seen=candidates_seen,
         candidates_rejected=rejected,

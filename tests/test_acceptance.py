@@ -282,36 +282,40 @@ def test_criterion_09_numerics_hygiene(fam, noisy_stream):
 
 
 def test_criterion_10_reproducibility(tmp_path):
+    # Only the tail commands take a worker count; the orbit reruns as recorded.
     specs = [
         (
             "simulate-orbit",
             ["simulate-orbit", "--x0", "0.4", "--n", "200"],
             ["orbit.csv"],
+            [None],
         ),
         (
             "hyperbolic-tails",
             [
                 "hyperbolic-tails", "--samples", "20000", "--n-max", "40",
-                "--c", "0.35", "--c-prime", "0.45",
+                "--c", "0.35", "--c-prime", "0.45", "--workers", "1",
             ],
             ["hyperbolic_tails.csv", "hyperbolic_return_tails.csv", "hyperbolic_tails_fits.json"],
+            [1, 8],
         ),
     ]
     all_ok = True
     details = []
-    for name, args, artifacts in specs:
+    for name, args, artifacts, worker_counts in specs:
         base = tmp_path / f"{name}-base"
-        assert cli.main(args + ["--out", str(base), "--workers", "1"]) == 0
+        assert cli.main(args + ["--out", str(base)]) == 0
         manifest = base / f"manifest-{name}.json"
-        for workers in (1, 8):
+        for workers in worker_counts:
             redo = tmp_path / f"{name}-w{workers}"
+            flags = [] if workers is None else ["--workers", str(workers)]
             assert cli.main([
-                "rerun", "--manifest", str(manifest), "--out", str(redo),
-                "--workers", str(workers),
+                "rerun", "--manifest", str(manifest), "--out", str(redo), *flags,
             ]) == 0
             same = all(
                 (base / a).read_bytes() == (redo / a).read_bytes() for a in artifacts
             )
             all_ok &= same
-            details.append(f"{name}@w{workers}:{'ok' if same else 'DIFF'}")
+            label = name if workers is None else f"{name}@w{workers}"
+            details.append(f"{label}:{'ok' if same else 'DIFF'}")
     record("10 reproducibility", all_ok, ", ".join(details))

@@ -223,8 +223,8 @@ class TestValidation:
         assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
         assert not (tmp_path / "tails").exists()
 
-        assert run(["simulate-orbit", "--x0", "0.4", "--n", "5", "--out", str(tmp_path / "a")]) == 0
-        manifest = tmp_path / "a" / "manifest-simulate-orbit.json"
+        assert run([*TAILS, "--out", str(tmp_path / "a")]) == 0
+        manifest = tmp_path / "a" / "manifest-hyperbolic-tails.json"
         redo = ["rerun", "--manifest", str(manifest), "--out", str(tmp_path / "b")]
         assert run([*redo, "--workers", workers]) == cli.EXIT_VALIDATION
         assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
@@ -431,6 +431,52 @@ class TestDeterminism:
         run(["simulate-orbit", "--x0", "0.4", "--n", "30", "--seed", "1", "--out", str(a)])
         run(["simulate-orbit", "--x0", "0.4", "--n", "30", "--seed", "2", "--out", str(b)])
         assert (a / "orbit.csv").read_bytes() != (b / "orbit.csv").read_bytes()
+
+
+class TestWorkerCount:
+    """Only the tail commands take --workers, and only their manifests record it."""
+
+    @pytest.mark.parametrize("command", [
+        "simulate-orbit", "verify-family", "build-partition", "certify-tower", "density",
+        "correlation", "fit",
+    ])
+    def test_other_commands_refuse_workers(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run([command, *REQUIRED_ARGS.get(command, []), "--workers", "1", "--out", str(out)])
+        assert exc.value.code == cli.EXIT_VALIDATION
+        assert "unrecognized arguments: --workers 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rerun_refuses_workers_for_other_commands(self, tmp_path, capsys):
+        assert run([*ORBIT, "--out", str(tmp_path / "a")]) == 0
+        manifest = tmp_path / "a" / "manifest-simulate-orbit.json"
+        redo = ["rerun", "--manifest", str(manifest), "--out", str(tmp_path / "b")]
+        assert run([*redo, "--workers", "2"]) == cli.EXIT_VALIDATION
+        assert "simulate-orbit takes no worker count" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("argv, names", [
+        (ORBIT, ["orbit.csv"]),
+        ([*TAILS, "--c", "0.35", "--c-prime", "0.45"],
+         ["hyperbolic_tails.csv", "hyperbolic_return_tails.csv", "hyperbolic_tails_fits.json"]),
+    ])
+    def test_older_manifest_reruns_identically(self, tmp_path, argv, names):
+        # Manifests written while every command took --workers hold the count
+        # at the top level and again in command_args.
+        command, a, b = argv[0], tmp_path / "a", tmp_path / "b"
+        recorded = 1 if command == "hyperbolic-tails" else None
+        assert run([*argv, "--out", str(a)]) == 0
+        manifest = a / f"manifest-{command}.json"
+        payload = json.loads(manifest.read_text())
+        assert payload.get("workers") == recorded and "workers" not in payload["command_args"]
+        payload["workers"] = payload["command_args"]["workers"] = 1
+        manifest.write_text(json.dumps(payload))
+        assert run(["rerun", "--manifest", str(manifest), "--out", str(b)]) == 0
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        again = json.loads((b / f"manifest-{command}.json").read_text())
+        assert again.get("workers") == recorded and "workers" not in again["command_args"]
 
 
 class TestArtifacts:

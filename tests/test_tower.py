@@ -395,9 +395,9 @@ class TestBatchedWalk:
         x_dead = zero_preimage(fam, strm.get(0))
         cache = tower.PartitionCache(fam, strm, hyp_cfg, 8, seed_grid=256)
         dead = tower.PartitionElement(x_dead - 1e-3, x_dead, 1, "dead", 0.0)
-        pinned = tower.ReturnPartition(
-            fam, strm, hyp_cfg, hyp_cfg.delta0 / 2.0, 8, [dead], 0.0, seed_grid=1
-        )
+        pinned = tower.ReturnPartition(fam, strm, hyp_cfg, 8, [dead], seed_grid=1)
+        assert pinned.base_radius == hyp_cfg.delta0 / 2.0
+        assert pinned.uncovered == pytest.approx(pinned.base_measure - 1e-3, abs=1e-15)
         cache._cache[0] = pinned
         walks, used = tower._walks(cache, np.array([x_dead - 5e-4, x_dead]), 1, 2)
         assert used == 2 and all(w[0].x != x_dead for w in walks)
@@ -433,10 +433,8 @@ class TestCertifyAxioms:
             family=part.family,
             stream=part.stream,
             cfg=part.cfg,
-            base_radius=part.base_radius,
             horizon=part.horizon,
             elements=[e],
-            uncovered=part.base_measure - e.width,
             seed_grid=1,
         )
         rep = tower.certify_axioms(single, cache=tower.PartitionCache(
@@ -454,10 +452,8 @@ class TestCertifyAxioms:
             family=part.family,
             stream=part.stream,
             cfg=part.cfg,
-            base_radius=part.base_radius,
             horizon=part.horizon,
             elements=sorted(seeded, key=lambda e: e.left),
-            uncovered=part.base_measure - sum(e.width for e in seeded),
             seed_grid=1,
         )
         assert tower._gcd_all([e.tau for e in sub.elements]) == 1
