@@ -279,8 +279,8 @@ def _tail_chunk(
     alone; base membership is tested only on the open rows that are
     hyperbolic at that step. A row leaves the open set, and its carried
     state, at its first return, when its first hyperbolic time is set too,
-    or at its death, and once no row is open the table does no work at
-    all. Every row is still stepped to n_max, because an orbit that dies
+    or on the step after its death, when its product is NaN, and once no
+    row is open the table does no work at all. Every row is still stepped to n_max, because an orbit that dies
     later leaves every count.
     """
     hyperbolic, bad_set = "hyperbolic" in tables, "bad_set" in tables
@@ -309,11 +309,12 @@ def _tail_chunk(
             now = open_rows[hyp]  # hyperbolic at time k + 1, no first return yet
             first_h[now[first_h[now] > k]] = k
             returned = cfg.base.contains(x[now])
-            first_ret[now[returned]] = k
-            hyp[hyp] = returned  # now marks the rows that leave: returned or dead
-            hyp |= np.isnan(x[open_rows])
-            if hyp.any():
-                stay = np.logical_not(hyp, out=hyp)
+            leave = np.isnan(prod)  # dead: the product of a NaN point is NaN
+            if returned.any():
+                first_ret[now[returned]] = k
+                leave[hyp] |= returned
+            if leave.any():
+                stay = np.logical_not(leave, out=leave)
                 open_rows, state = open_rows[stay], (state[0][stay], state[1][stay])
     alive = ~np.isnan(x)
     live = int(alive.sum())
