@@ -279,8 +279,9 @@ def _tail_chunk(
     alone; base membership is tested only on the open rows that are
     hyperbolic at that step. A row leaves the open set, and its carried
     state, at its first return, when its first hyperbolic time is set too,
-    or on the step after its death, when its product is NaN, and once no
-    row is open the table does no work at all. Every row is still stepped to n_max, because an orbit that dies
+    or at its first hyperbolic step from its death on (a dead row has depth
+    0, so that step comes), and once no row is open the table does no work
+    at all. Every row is still stepped to n_max, because an orbit that dies
     later leaves every count.
     """
     hyperbolic, bad_set = "hyperbolic" in tables, "bad_set" in tables
@@ -308,13 +309,13 @@ def _tail_chunk(
             hyp = _hyperbolic_flags(depth[:, None], cfg.c_prime, state)[:, 0]
             now = open_rows[hyp]  # hyperbolic at time k + 1, no first return yet
             first_h[now[first_h[now] > k]] = k
-            returned = cfg.base.contains(x[now])
-            leave = np.isnan(prod)  # dead: the product of a NaN point is NaN
-            if returned.any():
-                first_ret[now[returned]] = k
-                leave[hyp] |= returned
+            x_now = x[now]
+            returned = cfg.base.contains(x_now)
+            leave = returned | np.isnan(x_now)  # returned, or dead at this step or before
             if leave.any():
-                stay = np.logical_not(leave, out=leave)
+                first_ret[now[returned]] = k
+                hyp[hyp] = leave  # now marks the rows that leave
+                stay = np.logical_not(hyp, out=hyp)
                 open_rows, state = open_rows[stay], (state[0][stay], state[1][stay])
     alive = ~np.isnan(x)
     live = int(alive.sum())
@@ -345,8 +346,8 @@ def tail_statistics(
     A caller computes only the tables it reads: the hyperbolic bookkeeping
     and the bad-set flags are each skipped when not asked for, and the
     table left out is None. The hyperbolic table takes return depths and
-    runs its reduction only on the live orbits with no first hyperbolic
-    return yet, and stops once none is left; kappa is not read, so `cfg.kappa`
+    runs its reduction only on the orbits with no first hyperbolic return
+    yet, and stops once none is left; kappa is not read, so `cfg.kappa`
     may be None. Work is split into fixed-size chunks whose
     results are summed in index order, so the table is independent of the
     worker count. With workers > 1 the chunks run on a pool of threads

@@ -391,11 +391,11 @@ class TestTailStatistics:
 
     def test_dead_rows_leave_the_open_set(self, fam_lin, hyp_cfg, monkeypatch):
         """Work-count guard: a row that dies before its first hyperbolic
-        return leaves the open set on the step after its death. The planted
-        row 1 - 2^-45 stays above 1/2, so it never enters the base, and
-        doubling takes it to exactly 0 at step 45; its product is NaN at step
-        46, and every other row has returned by step 15, so no
-        `_hyperbolic_flags` call follows step 46."""
+        return leaves the open set at its first hyperbolic step from its death
+        on. The planted row 1 - 2^-45 stays above 1/2, so it never enters the
+        base and has depth 0 at every step, and doubling takes it to exactly 0
+        at step 45; every other row has returned by step 15, so no
+        `_hyperbolic_flags` call follows step 45."""
         samples, n_max, tables = 30, 60, ("hyperbolic",)
         x0 = orbit.start_points(noise.ensemble_keys(1, samples), 0.01)
         x0[0] = 1.0 - 2.0**-45
@@ -403,7 +403,7 @@ class TestTailStatistics:
         assert expect[1][14] == 0 < expect[4]  # no live row open after step 15; one dies
         plant_start_points(monkeypatch, 1, x0)
         rows = _flag_rows(fam_lin, hyp_cfg, monkeypatch, samples, n_max, tables)
-        assert len(rows) == 46 and rows[15:] == [1] * 31
+        assert len(rows) == 45 and rows[15:] == [1] * 30
         table = hyp.tail_statistics(fam_lin, 1, 0.01, hyp_cfg, samples, n_max, tables=tables)
         assert_same_bytes(table.h_survivors, expect[0])
         assert_same_bytes(table.hstar_survivors, expect[1])
