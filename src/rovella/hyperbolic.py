@@ -279,10 +279,9 @@ def _tail_chunk(
     alone; base membership is tested only on the open rows that are
     hyperbolic at that step. A row leaves the open set, and its carried
     state, at its first return, when its first hyperbolic time is set too,
-    or at its first hyperbolic step from its death on (a dead row has depth
-    0, so that step comes), and once no row is open the table does no work
-    at all. Every row is still stepped to n_max, because an orbit that dies
-    later leaves every count.
+    or, once dead, at its next hyperbolic step; once no row is open the
+    table does no work at all. Every row is still stepped to n_max, because
+    an orbit that dies later leaves every count.
     """
     hyperbolic, bad_set = "hyperbolic" in tables, "bad_set" in tables
     keys = ensemble_keys(master_seed, index_hi - index_lo, index_lo)
