@@ -609,7 +609,6 @@ def _run(cfg: dict, args: argparse.Namespace) -> int:
         "command": args.command,
         "config": cfg,
         "config_hash": config_hash(cfg),
-        "seed": cfg["noise"]["seed"],
         "versions": {
             "rovella": __version__,
             "numpy": np.__version__,

@@ -68,7 +68,7 @@ class HyperbolicConfig:
     def __post_init__(self) -> None:
         if not (0 < self.c < self.c_prime):
             raise ParamError(f"need 0 < c < c_prime, got c={self.c}, c_prime={self.c_prime}")
-        if self.delta <= 0 or self.delta0 <= 0:
+        if not (self.delta > 0 and self.delta0 > 0):
             raise ParamError("delta and delta0 must be positive")
 
     @property

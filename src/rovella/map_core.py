@@ -74,9 +74,9 @@ class MapFamily:
     value_deriv: PairFn = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.s <= 1:
+        if not self.s > 1:
             raise ValueError("singularity order s must exceed 1")
-        if self.eps_max <= 0:
+        if not self.eps_max > 0:
             raise ValueError("eps_max must be positive")
         if not (0 < self.k1 <= self.k2):
             raise ValueError("need 0 < k1 <= k2")
@@ -116,7 +116,8 @@ class _FixtureBranchFn:
     calls on its parts (signed zeros included). An array call allocates its
     float64 output, holds the side as int8 and works in place on arrays it
     allocated, which keeps the temporaries few and lets threads share one
-    instance.
+    instance. A 0-d call of kind 1 or 2 runs on a one-element array; kind 0
+    keeps a scalar formula for the scalar orbit loops.
     """
 
     s: float
@@ -126,24 +127,23 @@ class _FixtureBranchFn:
         amp = 2.0 - np.abs(t)
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:
-            sign = 1.0 if x > 0 else -1.0
-            ax = sign * x
             if self.kind == 0:
                 # Builtin clamp: np.clip costs microseconds on a scalar.
-                return min(max(sign * (amp * np.power(ax, self.s) - 1.0), -1.0), 1.0)
-            if self.kind == 1:
-                return amp * self.s * np.power(ax, self.s - 1.0)
-            return sign * amp * self.s * (self.s - 1.0) * np.power(ax, self.s - 2.0)
+                sign = 1.0 if x > 0 else -1.0
+                return min(max(sign * (amp * np.power(sign * x, self.s) - 1.0), -1.0), 1.0)
+            return self(t, x.reshape(1))[0]
         sign, out = _side_and_abs(x)
         np.power(out, self.s - self.kind, out=out)
         return self._scaled(self.kind, amp, sign, out)
 
     def value_deriv(self, t: ArrayLike, x: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
         """(T_t(x), DT_t(x)) on a kind 1 callable: the bytes of the kind 0 and
-        kind 1 calls, with the side, |x| and 2 - |t| formed once for both."""
+        kind 1 calls, with the side, |x| and 2 - |t| formed once for both. A
+        0-d call runs on a one-element array."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:
-            return _FixtureBranchFn(self.s, 0)(t, x), self(t, x)
+            value, deriv = self.value_deriv(t, x.reshape(1))
+            return value[0], deriv[0]
         amp = 2.0 - np.abs(t)
         sign, ax = _side_and_abs(x)
         value = self._scaled(0, amp, sign, np.power(ax, self.s))
@@ -151,10 +151,10 @@ class _FixtureBranchFn:
         return value, self._scaled(1, amp, sign, ax)
 
     def _scaled(self, kind: int, amp: ArrayLike, sign: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The kind's array output from out = |x|^(s - kind), in place (the
-        0-d formulas, reordered only where multiplication commutes). amp =
-        2 - |t| is fresh; kinds 1 and 2 scale it in place, so a caller that
-        needs it unscaled takes kind 0 first."""
+        """The kind's array output from out = |x|^(s - kind), in place (for
+        kind 0 the scalar formula, reordered only where multiplication
+        commutes). amp = 2 - |t| is fresh; kinds 1 and 2 scale it in place,
+        so a caller that needs it unscaled takes kind 0 first."""
         if kind == 0:
             out *= amp
             out -= 1.0
@@ -594,11 +594,11 @@ def table_family(
 def _check_domain(family: MapFamily, t: ArrayLike, x: ArrayLike) -> None:
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
-    if np.any(np.abs(t) > family.eps_max):
+    if not np.all(np.abs(t) <= family.eps_max):
         raise DomainError(f"|t| exceeds eps_max={family.eps_max}")
     if np.any(x == 0.0):
         raise DomainError("x = 0 is the singular point")
-    if np.any(np.abs(x) > 1.0):
+    if not np.all(np.abs(x) <= 1.0):
         raise DomainError("x outside [-1, 1]")
 
 
@@ -610,7 +610,7 @@ def invert_branch(family: MapFamily, t: ArrayLike, y: ArrayLike, side: ArrayLike
 
 
 def evaluate(family: MapFamily, t: ArrayLike, x: ArrayLike) -> ArrayLike:
-    """T_t(x). Raises DomainError at x = 0 or when |t| > eps_max."""
+    """T_t(x). Raises DomainError unless 0 < |x| <= 1 and |t| <= eps_max."""
     _check_domain(family, t, x)
     out = family.value(t, x)
     return float(out) if np.ndim(out) == 0 else out
@@ -652,14 +652,12 @@ def schwarzian(family: MapFamily, t: ArrayLike, x: ArrayLike) -> ArrayLike:
 class CriticalNeighborhoods:
     """Preimage of the delta-neighborhoods of the critical values +-1.
 
-    Two components adjacent to the singularity: `neg` = [neg_lo, 0) and
-    `pos` = (0, pos_hi]. d_ratio = |B_delta(0)| / (total width) > 0.
+    Two components adjacent to the singularity: [neg_lo, 0) and
+    (0, pos_hi], of total `width`.
     """
 
-    delta: float
     neg_lo: float
     pos_hi: float
-    d_ratio: float
 
     @property
     def width(self) -> float:
@@ -684,7 +682,7 @@ def critical_neighborhoods(
     Raises DeltaTooLarge when the target value exits the branch image or the
     endpoint residual exceeds 1e-10.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     t = float(t)
     _check_domain(family, t, 1.0)
@@ -702,8 +700,7 @@ def critical_neighborhoods(
             f"endpoint residual {res:.3e} after root-finding; "
             "branch too flat for this delta"
         )
-    d_ratio = 2.0 * delta / (pos_hi - neg_lo)
-    return CriticalNeighborhoods(delta=delta, neg_lo=neg_lo, pos_hi=pos_hi, d_ratio=d_ratio)
+    return CriticalNeighborhoods(neg_lo=neg_lo, pos_hi=pos_hi)
 
 
 # Sampling plan of `verify_conditions`: CHECK_N_X points of x, log-spaced
@@ -784,9 +781,11 @@ def verify_conditions(family: MapFamily) -> ConditionReport:
     """Grid-sampled verification of the map conditions and the Rovella checks.
 
     Families are supplied as callables, so every check samples rather than
-    reasons symbolically. R1/R2 run along the critical orbits of the t = 0
-    map up to CHECK_HORIZON; the admissibility distortion constant is the
-    empirical sup over sampled pairs with 2|x - y| < |x|.
+    reasons symbolically. Both critical orbits of the t = 0 map are computed
+    to max(CHECK_HORIZON, 200) steps: R1 and R2 read their first
+    CHECK_HORIZON steps, and R3 all their points (201 each, fewer for an
+    orbit that lands on the singularity). The admissibility distortion
+    constant is the empirical sup over sampled pairs with 2|x - y| < |x|.
     """
     half = np.geomspace(CHECK_X_MIN, 1.0, CHECK_N_X // 2)
     xs = np.concatenate([-half[::-1], half])

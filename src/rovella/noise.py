@@ -72,7 +72,7 @@ class NoiseStream:
     key: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.eps < 0:
+        if not self.eps >= 0:
             raise ValueError("eps must be nonnegative")
         object.__setattr__(self, "key", _splitmix64((self.master_seed & _MASK) ^ _STREAM_SALT))
 

@@ -28,8 +28,6 @@ class OrbitTrace:
     point so suffix sums over any window are available.
     """
 
-    x0: float
-    delta: float
     points: np.ndarray
     log_der: np.ndarray
     depths: np.ndarray
@@ -132,7 +130,7 @@ def iterate(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if x0 == 0.0 or abs(x0) > 1.0:
+    if x0 == 0.0 or not abs(x0) <= 1.0:
         raise DomainError("x0 must lie in [-1, 1] minus the singularity")
     hood = critical_neighborhoods(family, 0.0, delta)
     ts = stream.values(0, n + 1)
@@ -146,8 +144,6 @@ def iterate(
     if dead.size:
         raise SingularHit(f"orbit died at point {dead[0]}: image 0 or DT * |x| not positive")
     return OrbitTrace(
-        x0=float(x0),
-        delta=float(delta),
         points=points,
         log_der=np.concatenate([[0.0], np.cumsum(np.log(dt[:-1]))]),
         depths=depths,
@@ -188,15 +184,13 @@ def pull_back(
 class EnsembleOrbits:
     """Vectorized ensemble of random orbits sharing a master seed.
 
-    Row i uses the stream seeded by derive_seed(master_seed, i); results are
-    independent of any worker partitioning of the rows. A dead row (see
-    `step`) is NaN in points and log_der from its death on, and counted in
-    `singular_hits`; `alive` masks it out of every statistic.
+    Row i uses the stream seeded by derive_seed(master_seed, i) and starts
+    at x0[i]; results are independent of any worker partitioning of the
+    rows. A dead row (see `step`) is NaN in points and log_der from its
+    death on, and counted in `singular_hits`; `alive` masks it out of every
+    statistic.
     """
 
-    master_seed: int
-    eps: float
-    delta: float
     x0: np.ndarray
     points: np.ndarray | None  # (samples, n+1) when kept
     log_der: np.ndarray  # (samples, n+1)
@@ -258,9 +252,6 @@ def ensemble_orbits(
     if keep_points:
         points[:, n] = x
     return EnsembleOrbits(
-        master_seed=master_seed,
-        eps=eps,
-        delta=delta,
         x0=x_start,
         points=points,
         log_der=log_der,

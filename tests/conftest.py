@@ -511,3 +511,27 @@ def reference_grid_checks(family):
         "range_ok": range_ok,
         "t_lipschitz_ok": t_lip_ok,
     }
+
+
+# Exact oracles of the fixture at s = 2 and eps = 0, where the map is
+# T_0(x) = sign(x)(2x^2 - 1): x = cos(pi theta) conjugates it to the doubling
+# map theta -> 2 theta mod 1 on [0, 1], whose invariant measure is Lebesgue.
+
+
+def arcsine_cell_averages(grid):
+    """Cell averages over `grid` (a `measures.UniformGrid`) of T_0's
+    invariant density 1 / (pi sqrt(1 - x^2)), the image of Lebesgue under
+    cos(pi theta)."""
+    e = grid.edges
+    return (np.arcsin(e[1:]) - np.arcsin(e[:-1])) / (np.pi * grid.h)
+
+
+def doubling_correlations(n_max):
+    """Exact C_n(x, sign) of T_0 under its invariant measure, n = 0..n_max.
+
+    sign(x) is +-1 by theta's first binary digit, and x o T_0^n depends only
+    on digits n + 1 onward, which are independent of it: C_n = 0 for n >= 1.
+    C_0 = E|x| = 2 / pi."""
+    out = np.zeros(n_max + 1)
+    out[0] = 2.0 / np.pi
+    return out

@@ -197,7 +197,7 @@ class TestConfig:
         with pytest.raises(ParamError):
             hyp.HyperbolicConfig(
                 delta=0.01, delta0=0.1, c=0.5, c_prime=0.4, kappa=1.0,
-                base=mc.CriticalNeighborhoods(delta=0.05, neg_lo=-0.1, pos_hi=0.1, d_ratio=0.5),
+                base=mc.CriticalNeighborhoods(neg_lo=-0.1, pos_hi=0.1),
             )
 
     def test_factory_defaults(self, fam, kappa_fixture):

@@ -13,8 +13,10 @@ from conftest import (
     reference_pchip,
     reference_table_arrays,
 )
+from rovella import hyperbolic as hyp
 from rovella import map_core as mc
-from rovella.errors import DeltaTooLarge, DomainError
+from rovella import noise, orbit
+from rovella.errors import DeltaTooLarge, DomainError, ParamError
 
 SQRT_005 = 0.22360679774997896  # solve 2x^2 - 1 = -0.9
 
@@ -52,6 +54,29 @@ class TestEvaluate:
         for t1, t2 in [(0.0, 0.1), (-0.05, 0.03), (0.01, 0.02)]:
             gap = np.abs(mc.evaluate(fam, t1, xs) - mc.evaluate(fam, t2, xs))
             assert gap.max() <= abs(t1 - t2) + 1e-15
+
+
+NAN = float("nan")
+HOOD = mc.CriticalNeighborhoods(neg_lo=-0.1, pos_hi=0.1)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda fam: mc.evaluate(fam, 0.0, NAN), DomainError, "outside"),
+    (lambda fam: mc.evaluate(fam, NAN, 0.3), DomainError, "eps_max"),
+    (lambda fam: orbit.iterate(fam, noise.stream(1, 0.01), NAN, 10, 0.01), DomainError, "x0"),
+    (lambda fam: mc.critical_neighborhoods(fam, 0.0, NAN), ValueError, "delta"),
+    (lambda fam: hyp.HyperbolicConfig(NAN, 0.1, 0.3, 0.4, 1.0, HOOD), ParamError, "delta"),
+    (lambda fam: hyp.HyperbolicConfig(0.01, NAN, 0.3, 0.4, 1.0, HOOD), ParamError, "delta"),
+    (lambda fam: noise.stream(1, NAN), ValueError, "eps"),
+    (lambda fam: mc.fixture_family(s=NAN), ValueError, "order s"),
+    (lambda fam: mc.fixture_family(eps_max=NAN), ValueError, "eps_max"),
+], ids=["evaluate-x", "evaluate-t", "iterate-x0", "neighborhoods-delta", "config-delta",
+        "config-delta0", "stream-eps", "family-s", "family-eps-max"])
+def test_nan_fails_input_checks(fam, call, error, match):
+    """NaN compares false with everything, so each library check is written
+    as `not (valid condition)` and NaN fails it with that check's error."""
+    with pytest.raises(error, match=match):
+        call(fam)
 
 
 class TestDerivative:
@@ -112,7 +137,6 @@ class TestCriticalNeighborhoods:
         assert cn.pos_hi == pytest.approx(SQRT_005, abs=1e-10)
         assert cn.neg_lo == pytest.approx(-SQRT_005, abs=1e-10)
         assert cn.width == pytest.approx(2 * SQRT_005, abs=1e-9)
-        assert cn.d_ratio == pytest.approx(0.2 / (2 * SQRT_005), rel=1e-8)
 
     def test_endpoint_residual(self, fam):
         for delta in (0.01, 0.1, 0.3):
