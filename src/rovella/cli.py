@@ -239,12 +239,14 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """Python numbers and strings go to `csv` as they are (a float as its
+    repr); a numpy scalar is written by `_fmt`, as the Python number it
+    holds."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([_fmt(v) if isinstance(v, np.generic) else v for v in r] for r in rows)
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -290,10 +292,10 @@ def cmd_simulate_orbit(cfg: dict, args) -> tuple[dict, int]:
     family = resolve_family(cfg)
     strm = noise.stream(cfg["noise"]["seed"], cfg["noise"]["eps"])
     trace = orbit.iterate(family, strm, x0, n, cfg["hyperbolic"]["delta"])
-    rows = [
-        (i, trace.points[i], trace.log_der[i], int(trace.depths[i]), int(trace.visits[i]))
-        for i in range(len(trace) + 1)
-    ]
+    rows = zip(
+        range(len(trace) + 1), trace.points.tolist(), trace.log_der.tolist(),
+        trace.depths.tolist(), trace.visits.astype(int).tolist(),
+    )
     return {"orbit.csv": (["i", "x_i", "log_der_i", "depth_i", "in_tilde_B"], rows)}, EXIT_OK
 
 
@@ -436,7 +438,10 @@ def cmd_correlation(cfg: dict, args) -> tuple[dict, int]:
         grid=measures.UniformGrid(mcfg["grid_m"]), m_past=mcfg["m_past"], burn_in=mcfg["burn_in"],
         directions=("forward", "backward") if mcfg["direction"] == "both" else (mcfg["direction"],),
     )
-    rows = [(n, c, d) for d, series in all_series.items() for n, c in enumerate(series.values)]
+    rows = [
+        (n, c, d) for d, series in all_series.items()
+        for n, c in enumerate(series.values.tolist())
+    ]
     fits = {d: _fit_entry(series) for d, series in all_series.items()}
     return {
         "correlation.csv": (["n", "C_n", "direction"], rows),

@@ -238,13 +238,15 @@ class _TableFn:
     x-derivative; the side comes from x as in `_FixtureBranchFn`.
 
     `knots` holds both branches' knots in order. Column j of `table` holds
-    the left knot of piece j, then the coefficients of T_0, T_0' and T_0''
-    on it (`_pchip_coefficients`, with the bytes of scipy's `PPoly.c` and
-    `derivative()`); the piece
+    the left knot of piece j, then the coefficients of T_0 on it
+    (`_pchip_coefficients`, with the bytes of scipy's `PPoly.c`); the piece
     between the branches repeats the negative branch's last piece, so that
     its last knot evaluates on that piece as `PPoly` does. `_pieces` finds
-    the piece of each x through the buckets of `_bucket_lookup`, and
-    `_power_sum` sums it, which gives `PPoly`'s bytes. A 0-d call runs on a
+    the piece of each x through the buckets of `_bucket_lookup`, the
+    derivatives' coefficients are formed from the gathered ones
+    (`_derivative`), and `_power_sum` sums each, which gives `PPoly`'s
+    bytes. x is broadcast against t first, so every array the kernel forms
+    has the output's shape and is worked on in place. A 0-d call runs on a
     one-element array.
     Immutable, so threads share one instance.
     """
@@ -253,7 +255,7 @@ class _TableFn:
     s: float
     widths: tuple[int, ...]
     knots: np.ndarray = field(repr=False)
-    table: np.ndarray = field(repr=False)  # (10, pieces): left knot, T_0, T_0', T_0''
+    table: np.ndarray = field(repr=False)  # (5, pieces): left knot, T_0's coefficients
     nxt: np.ndarray = field(repr=False)  # knots[i + 1] at piece i; NaN past the last piece
     start: np.ndarray = field(repr=False)
     scale: float = field(repr=False)  # buckets per unit of x
@@ -265,24 +267,30 @@ class _TableFn:
         for 1-d x (NaN goes to any piece)."""
         bucket = np.fmin(np.fmax((x - self.knots[0]) * self.scale, 0.0), self.start.size - 1.0)
         i = self.start[bucket.astype(np.intp)]
-        for w in self.widths:  # advance w pieces where knots[i + w] <= x
-            i += (self.nxt[i + (w - 1)] <= x) * w
+        for w in self.widths:  # advance w pieces where knots[i + w] = nxt[w - 1:][i] <= x
+            i += (self.nxt[w - 1:][i] <= x) * w
         return i
 
-    def _bases(self, x: ArrayLike) -> list[np.ndarray]:
-        """T_0 and its first `kind` x-derivatives at x, in x's shape."""
-        shape = np.shape(x)
-        x = np.asarray(x, dtype=float).ravel()
-        col = np.take(self.table[: (5, 8, 10)[self.kind]], self._pieces(x), axis=1)
-        h = x - col[0]
+    def _bases(self, t: np.ndarray, x: ArrayLike) -> tuple[tuple[int, ...], list[np.ndarray]]:
+        """(shape, bases): the shape of x broadcast against t, and T_0 and
+        its first `kind` x-derivatives at x as fresh arrays of that shape
+        (of one element for a 0-d shape, so that they are worked on in
+        place)."""
+        x = np.asarray(x, dtype=float)
+        if t.ndim and t.shape != x.shape:
+            x = np.broadcast_to(x, np.broadcast_shapes(t.shape, x.shape))
+        shape = x.shape
+        x = x.ravel()
+        col = np.take(self.table, self._pieces(x), axis=1)
+        h = np.subtract(x, col[0], out=col[0])
         h2 = h * h
         hs = (h, h2, h2 * h)
-        bases = [_power_sum(c, hs) for c in (col[1:5], col[5:8], col[8:10])[: self.kind + 1]]
+        bases = [_power_sum(_derivative(col[1:], k), hs) for k in range(self.kind + 1)]
         inner = (x > self.ends[0]) & (x < self.ends[1])
         if inner.any():
             for out, end in zip(bases, self._end_piece(x[inner])):
                 out[inner] = end
-        return [b.reshape(shape) for b in bases]
+        return shape, [b.reshape(shape or 1) for b in bases]
 
     def _end_piece(self, x: np.ndarray) -> list[np.ndarray]:
         """d^k/dx^k of sign (a |x|^s - 1), k = 0..kind, at 1-d x strictly
@@ -296,25 +304,51 @@ class _TableFn:
         return out
 
     def __call__(self, t: ArrayLike, x: ArrayLike) -> ArrayLike:
-        return _sheared(self.kind, np.asarray(t, dtype=float), self._bases(x))
+        t = np.asarray(t, dtype=float)
+        shape, bases = self._bases(t, x)
+        return _sheared(self.kind, t, bases).reshape(shape)[()]
 
     def value_deriv(self, t: ArrayLike, x: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
         """(T_t(x), DT_t(x)) from one piece lookup, on a kind >= 1 callable:
         the bytes of the kind 0 and kind 1 calls."""
         t = np.asarray(t, dtype=float)
-        bases = self._bases(x)
-        return _sheared(0, t, bases), _sheared(1, t, bases)
+        shape, bases = self._bases(t, x)
+        return tuple(_sheared(k, t, bases).reshape(shape)[()] for k in (0, 1))
 
 
-def _sheared(kind: int, t: np.ndarray, bases: list[np.ndarray]) -> ArrayLike:
+def _derivative(c, k: int):
+    """Coefficients, highest power first, of the k-th derivative (k <= 2) of
+    the cubic with coefficients c, by the products of scipy's
+    `PPoly.derivative`; PPoly sums from 0.0, so a -0.0 constant term is
+    made 0.0."""
+    if k == 0:
+        return c
+    if k == 1:
+        return 3.0 * c[0], 2.0 * c[1], c[2] + 0.0
+    return 6.0 * c[0], 2.0 * c[1] + 0.0
+
+
+def _sheared(kind: int, t: np.ndarray, bases: list[np.ndarray]) -> np.ndarray:
     """d^kind/dx^kind of the shear T_t = T_0 + t (1 - T_0^2), from T_0 and
-    its x-derivatives `bases` (value clipped to I)."""
+    its x-derivatives `bases`, fresh arrays into whose shape t broadcasts
+    (value clipped to I). Kinds 1 and 2 overwrite bases[kind]; T_0 is kept."""
     b0 = bases[0]
     if kind == 0:
-        return np.clip(b0 + t * (1.0 - b0**2), -1.0, 1.0)
-    if kind == 1:
-        return bases[1] * (1.0 - 2.0 * t * b0)
-    return bases[2] * (1.0 - 2.0 * t * b0) - 2.0 * t * bases[1] ** 2
+        out = np.square(b0)
+        np.subtract(1.0, out, out=out)
+        out *= t
+        out += b0
+        return np.clip(out, -1.0, 1.0, out=out)
+    t2 = 2.0 * t
+    scale = np.multiply(t2, b0)
+    np.subtract(1.0, scale, out=scale)
+    out = bases[kind]
+    out *= scale
+    if kind == 2:
+        sq = np.square(bases[1], out=scale)
+        sq *= t2
+        out -= sq
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,9 +429,12 @@ def _shear_spline_inverse(
     root of the cubic, plus a few roundings of the cubic's rise from its
     left knot over the slope, which only matter where the branch is nearly
     flat. A row stops once its step is at most 2 ulp or lands on its
-    bracket end, so its result does not depend on the other rows. The side
-    enters through exact multiplications by +-1: the negative branch's end
-    tests and clamp run on -p and -x.
+    bracket end, so its result does not depend on the other rows: the loop
+    runs on flat rows, forms the terms that do not change (c3 - y,
+    1 -+ c3, 2 c1, 3 c0, 2 t) once, and once 3/4 of its rows have stopped
+    iterates on the others only. The side enters through exact
+    multiplications by +-1: the negative branch's end tests and clamp run
+    on -p and -x.
     """
     y = np.asarray(y, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -408,9 +445,13 @@ def _shear_spline_inverse(
     pos = np.asarray(side) > 0
     if pos.shape != p.shape:
         p, pos = np.broadcast_arrays(p, pos)
+    shape = p.shape
+    p, pos = p.ravel(), pos.ravel()
+    # y and a per-row t as flat rows too; a 0-d one broadcasts as it is.
+    y, t = (np.broadcast_to(v, shape).ravel() if v.ndim else v for v in (y, t))
     sign, inner_lim, outer_lim = np.take(fn.lims[:3], pos, axis=1)
     q = sign * p
-    active = np.array((q >= inner_lim) & (q <= outer_lim))
+    active = (q >= inner_lim) & (q <= outer_lim)
     del sign, inner_lim, outer_lim  # taken again after the loop
     knots, nodes, first = fn.knots, fn.nodes, fn.first
     i = np.empty(p.shape, dtype=np.intp)
@@ -426,13 +467,17 @@ def _shear_spline_inverse(
     with np.errstate(invalid="ignore", divide="ignore"):
         x = np.where(active, a + (p - c3) / (nodes[i] - c3) * (b - a), np.nan)
         del i, p  # q stands for p from here on
-        # Each temporary is dropped once dead, so that the loop, which sets
-        # the call's peak memory, holds few rows' worth at a time.
+        terms = (left, c0, c1, c2, c3, c3 - y, 1.0 - c3, 1.0 + c3, 2.0 * c1, 3.0 * c0, t, 2.0 * t)
+        del y, left, c0, c1, c2, c3
+        rows = None  # once compacted, where the loop's rows sit in `full`, every row's iterate
         for _ in range(_NEWTON_CAP):
+            left, c0, c1, c2, c3, c3_y, one_m, one_p, c1_2, c0_3, t, t_2 = terms
+            # Each temporary is dropped once dead, so that the loop, which
+            # sets the call's peak memory, holds few rows' worth at a time.
             h = x - left
             d = h * (c2 + h * (c1 + h * c0))  # spline(x) - c3
-            f = ((c3 - y) + d) + t * (((1.0 - c3) - d) * ((1.0 + c3) + d))
-            slope = (c2 + h * (2.0 * c1 + 3.0 * c0 * h)) * (1.0 - 2.0 * t * (c3 + d))
+            f = (c3_y + d) + t * ((one_m - d) * (one_p + d))
+            slope = (c2 + h * (c1_2 + c0_3 * h)) * (1.0 - t_2 * (c3 + d))
             del h, d
             below = f < 0.0
             a = np.where(below, x, a)
@@ -447,18 +492,25 @@ def _shear_spline_inverse(
             x = np.where(active, step, x)
             del step
             active &= ~done
-            if not active.any():
+            going = np.count_nonzero(active)
+            if not going:
                 break
+            if 4 * going <= active.size:  # 3/4 have stopped: iterate on the rest
+                keep = np.flatnonzero(active)
+                if rows is None:
+                    full, rows = x, keep
+                else:
+                    full[rows] = x
+                    rows = rows[keep]
+                x, a, b, active = x[keep], a[keep], b[keep], active[keep]
+                terms = tuple(v[keep] if v.ndim else v for v in terms)
+        if rows is not None:
+            full[rows] = x
+            x = full
     sign, inner_lim, outer_lim, end_a = np.take(fn.lims, pos, axis=1)
     end = np.power(np.maximum(1.0 + q, 0.0) / end_a, 1.0 / fn.s)
     x = np.where(q < inner_lim, end, np.where(q > outer_lim, 1.0, sign * x))
-    return sign * np.clip(x, _BRANCH_EDGE, 1.0)
-
-
-# The rising factorials that scipy's `PPoly.derivative` multiplies the
-# leading coefficient rows by, for the first and the second derivative.
-_D1 = np.array([[3.0], [2.0], [1.0]])
-_D2 = np.array([[6.0], [2.0]])
+    return (sign * np.clip(x, _BRANCH_EDGE, 1.0)).reshape(shape)[()]
 
 
 def _pchip_coefficients(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -560,8 +612,8 @@ def table_family(
         c = _pchip_coefficients(xs, ys)
         x1 = float(xs[inner])
         a = float((1.0 + np.copysign(1.0, x1) * ys[inner]) / abs(x1) ** s)
-        cols = np.vstack([xs[:-1], c, c[:3] * _D1, c[:2] * _D2])
-        cols[(4, 7, 9), :] += 0.0  # PPoly sums from 0.0, so a -0.0 constant term gives 0.0
+        cols = np.vstack([xs[:-1], c])
+        cols[4] += 0.0  # PPoly sums from 0.0, so a -0.0 constant term gives 0.0
         h = xs[-1] - xs[-2]
         nodes = np.append(c[3], _power_sum(cols[1:5, -1], (h, h * h, h * h * h)))
         parts.append((xs, cols, c, nodes, x1, a))

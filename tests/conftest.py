@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rovella import map_core, noise
+
+# CI runs with `--hypothesis-profile ci`: the examples are derived from each
+# test's name rather than drawn at random, so a failure there reproduces
+# locally with the same flag, and the failing example is printed as a
+# reproduce blob. Each test keeps its own `max_examples`.
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 @pytest.fixture(scope="session")
@@ -226,9 +233,9 @@ def reference_table_arrays(pos_x, pos_y, neg_x, neg_y):
     knots, cols, cs, nodes = [], [], [], []
     for xs, ys in ((neg_x, neg_y), (pos_x, pos_y)):
         xs, ys = np.array(xs, dtype=float), np.array(ys, dtype=float)
-        c, d1, d2 = reference_pchip(xs, ys)
-        col = np.vstack([xs[:-1], c, d1, d2])
-        col[(4, 7, 9), :] += 0.0
+        c = reference_pchip(xs, ys)[0]
+        col = np.vstack([xs[:-1], c])
+        col[4] += 0.0
         h = xs[-1] - xs[-2]
         nodes.append(np.append(c[3], map_core._power_sum(col[1:5, -1], (h, h * h, h * h * h))))
         knots.append(xs)
@@ -237,6 +244,104 @@ def reference_table_arrays(pos_x, pos_y, neg_x, neg_y):
     table = np.hstack([cols[0], cols[0][:, -1:], cols[1]])
     c = np.hstack([cs[0], np.zeros((4, 1)), cs[1]])
     return np.concatenate(knots), table, c, np.concatenate(nodes)
+
+
+# The table kernels as they were when `_TableFn` gathered its derivative
+# coefficients from a (10, pieces) table and `_shear_spline_inverse` ran
+# every iteration on every row: byte references for the kernels that form
+# those coefficients at evaluation and compact the Newton loop.
+_OLD_D1 = np.array([[3.0], [2.0], [1.0]])
+_OLD_D2 = np.array([[6.0], [2.0]])
+
+
+def _reference_ten_rows(fn):
+    """The (10, pieces) table of a `_TableFn`: its left knots and T_0
+    coefficients, then T_0' and T_0'' as scipy's `PPoly.derivative` forms
+    them, with a -0.0 constant term made 0.0."""
+    ten = np.vstack([fn.table, fn.table[1:4] * _OLD_D1, fn.table[1:3] * _OLD_D2])
+    ten[(7, 9), :] += 0.0
+    return ten
+
+
+def reference_table_bases(fn, x):
+    """T_0 and its first `fn.kind` x-derivatives at x by an (8, rows)
+    gather of the ten-row table."""
+    shape = np.shape(x)
+    x = np.asarray(x, dtype=float).ravel()
+    col = np.take(_reference_ten_rows(fn)[: (5, 8, 10)[fn.kind]], fn._pieces(x), axis=1)
+    h = x - col[0]
+    h2 = h * h
+    hs = (h, h2, h2 * h)
+    bases = [map_core._power_sum(c, hs) for c in (col[1:5], col[5:8], col[8:10])[: fn.kind + 1]]
+    inner = (x > fn.ends[0]) & (x < fn.ends[1])
+    if inner.any():
+        for out, end in zip(bases, fn._end_piece(x[inner])):
+            out[inner] = end
+    return [b.reshape(shape) for b in bases]
+
+
+def reference_sheared(kind, t, bases):
+    """d^kind/dx^kind of T_0 + t (1 - T_0^2) from T_0 and its derivatives."""
+    b0 = bases[0]
+    if kind == 0:
+        return np.clip(b0 + t * (1.0 - b0**2), -1.0, 1.0)
+    if kind == 1:
+        return bases[1] * (1.0 - 2.0 * t * b0)
+    return bases[2] * (1.0 - 2.0 * t * b0) - 2.0 * t * bases[1] ** 2
+
+
+def reference_table_call(fn, t, x):
+    """fn(t, x) of a `_TableFn`."""
+    return reference_sheared(fn.kind, np.asarray(t, dtype=float), reference_table_bases(fn, x))
+
+
+def reference_shear_spline_inverse(fn, t, y, side):
+    """`fn(t, y, side)` of a `_TableInverse`: every Newton iteration on
+    every row, each term formed inside the loop."""
+    y = np.asarray(y, dtype=float)
+    t = np.asarray(t, dtype=float)
+    p = y - t
+    with np.errstate(invalid="ignore"):
+        p = 2.0 * p / (1.0 + np.sqrt(1.0 - 4.0 * t * p))
+    p = np.where(np.isnan(p) & ~np.isnan(y), np.copysign(np.inf, y), p)
+    pos = np.asarray(side) > 0
+    if pos.shape != p.shape:
+        p, pos = np.broadcast_arrays(p, pos)
+    sign, inner_lim, outer_lim = np.take(fn.lims[:3], pos, axis=1)
+    q = sign * p
+    active = np.array((q >= inner_lim) & (q <= outer_lim))
+    knots, nodes, first = fn.knots, fn.nodes, fn.first
+    i = np.empty(p.shape, dtype=np.intp)
+    for rows, lo, hi in ((~pos, 0, first), (pos, first, knots.size)):
+        if not rows.any():
+            continue
+        found = np.searchsorted(nodes[lo:hi], p[rows], side="right")
+        i[rows] = np.clip(found + (lo - 1), lo, hi - 2)
+    c0, c1, c2, c3 = np.take(fn.c, i, axis=1)
+    left = knots[i]
+    i += 1
+    a, b = left, knots[i]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        x = np.where(active, a + (p - c3) / (nodes[i] - c3) * (b - a), np.nan)
+        for _ in range(100):
+            h = x - left
+            d = h * (c2 + h * (c1 + h * c0))
+            f = ((c3 - y) + d) + t * (((1.0 - c3) - d) * ((1.0 + c3) + d))
+            slope = (c2 + h * (2.0 * c1 + 3.0 * c0 * h)) * (1.0 - 2.0 * t * (c3 + d))
+            below = f < 0.0
+            a = np.where(below, x, a)
+            b = np.where(below, b, x)
+            step = x - f / slope
+            step = np.where((slope > 0.0) & (step >= a) & (step <= b), step, 0.5 * (a + b))
+            done = (np.abs(step - x) <= 2.0 * np.abs(np.spacing(x))) | (step == a) | (step == b)
+            x = np.where(active, step, x)
+            active &= ~done
+            if not active.any():
+                break
+    sign, inner_lim, outer_lim, end_a = np.take(fn.lims, pos, axis=1)
+    end = np.power(np.maximum(1.0 + q, 0.0) / end_a, 1.0 / fn.s)
+    x = np.where(q < inner_lim, end, np.where(q > outer_lim, 1.0, sign * x))
+    return sign * np.clip(x, map_core._BRANCH_EDGE, 1.0)
 
 
 def zero_preimage(fam, t: float, span: int = 4000):

@@ -8,7 +8,8 @@ spline evaluation must also give the bytes of scipy's `PPoly`
 (`conftest.ppoly_family`), and its bucketed piece lookup those of
 `np.searchsorted`. `MapFamily.value_deriv`, which an orbit step calls,
 gives the bytes of the value and derivative calls; a table family's looks
-its pieces up once for both.
+its pieces up once for both. Every table callable gives the bytes of the
+kernel that gathered the derivatives' coefficients from a ten-row table.
 """
 
 import dataclasses
@@ -16,8 +17,11 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import TABLES, assert_same_bytes, ppoly_family
+from conftest import TABLES, assert_same_bytes, ppoly_family, reference_table_call
 from rovella import hyperbolic as hyp
 from rovella import map_core as mc
 from rovella import measures, noise, orbit
@@ -249,6 +253,43 @@ def test_table_matches_ppoly(any_table, part):
             assert_same_bytes(one, ref(t, np.float64(x)))
     # A 0-d x under per-row t broadcasts, as the reference does.
     assert_same_bytes(fn(t_rows[:5], 0.25), ref(t_rows[:5], 0.25))
+
+
+def _assert_matches_ten_row_kernel(fam, t, xs):
+    """Each part and the pair of the table family `fam` at (t, xs) give the
+    bytes of `conftest.reference_table_call`, the kernel that gathered the
+    derivatives' coefficients from a ten-row table."""
+    with np.errstate(invalid="ignore", over="ignore"):  # +-inf x: inf - inf in both
+        want = [reference_table_call(getattr(fam, part), t, xs) for part in PARTS]
+        for part, ref in zip(PARTS, want):
+            assert_same_bytes(getattr(fam, part)(t, xs), ref)
+        for got, ref in zip(fam.value_deriv(t, xs), want):
+            assert_same_bytes(got, ref)
+
+
+def test_table_matches_ten_row_kernel(any_table):
+    """Knots and bucket edges with their neighbours, end pieces, +-0, +-inf
+    and NaN on both sides, at per-row, shared and zero t, and 0-d x."""
+    xs = np.concatenate([_probe_points(any_table), [np.inf, -np.inf]])
+    t_rows = np.random.default_rng(10).uniform(-0.1, 0.1, xs.size)
+    for t in (t_rows, 0.0371, 0.0, -0.1):
+        _assert_matches_ten_row_kernel(any_table, t, xs)
+    for x in np.concatenate([xs[:: xs.size // 150], EDGES]):
+        _assert_matches_ten_row_kernel(any_table, 0.0371, np.float64(x))
+    _assert_matches_ten_row_kernel(any_table, t_rows[:5], 0.25)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    xs=hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(-1.0, 1.0)),
+    t=st.floats(-0.1, 0.1),
+    per_row=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_table_matches_ten_row_kernel_property(table_fam, xs, t, per_row, seed):
+    if per_row:
+        t = np.random.default_rng(seed).uniform(-0.1, 0.1, xs.size)
+    _assert_matches_ten_row_kernel(table_fam, t, xs)
 
 
 def test_table_family_runs_without_ppoly(table_fam, hyp_cfg, monkeypatch):

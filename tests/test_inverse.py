@@ -1,8 +1,9 @@
 """Branch inverses: the fixture's closed form, the tabulated family's
 spline and end-piece inverse and the hand-built family's closed form
 against bisection of the branch values, the spline inverse against
-30-digit roots, and the one inverse callable of each family, per row, against
-its calls with one shared side."""
+30-digit roots and, byte for byte, against the Newton loop it replaced,
+and the one inverse callable of each family, per row, against its calls
+with one shared side."""
 
 import dataclasses
 import functools
@@ -11,10 +12,15 @@ import pickle
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
 from conftest import (
     TABLES,
     assert_same_bytes,
     bisection_family,
+    reference_shear_spline_inverse,
     table_sides,
 )
 from rovella import hyperbolic as hyp
@@ -295,30 +301,27 @@ class TestTableInverse:
 
     def test_ulam_newton_active_rows(self, table_fam, monkeypatch):
         """Work-count guard on the Newton iterations of the m = 2048 Ulam
-        build at t = 0.003: all 4,094 rows enter the loop, most stop after
-        3 iterations and 40 after 4 (the counts measured when this guard
-        was written). The loop's active mask is the one `np.where`
-        condition that recurs in every iteration, so its row counts are
-        read there; a change that slows or speeds convergence changes them
-        even where the roots keep every byte."""
-        conds = []
+        build at t = 0.003: all 4,094 rows run 3 iterations and the 40 that
+        have not stopped a 4th, alone (the counts measured when this guard
+        was written). Each iteration takes `np.spacing` of its rows'
+        iterates once, so the iterations' row counts are read there; a
+        change that slows or speeds convergence, or that iterates on rows
+        that have stopped, changes them even where the roots keep every
+        byte."""
+        sizes = []
 
         class CountingNumpy:
             def __getattr__(self, name):
                 return getattr(np, name)
 
             @staticmethod
-            def where(cond, *args):
-                conds.append((cond, int(np.count_nonzero(cond))))
-                return np.where(cond, *args)
+            def spacing(x):
+                sizes.append(np.size(x))
+                return np.spacing(x)
 
         monkeypatch.setattr(mc, "np", CountingNumpy())
         ms.ulam_row_operator(table_fam, 0.003, ms.UniformGrid(2048))
-        counts = {}
-        for cond, n in conds:  # `conds` keeps every mask alive, so ids are not reused
-            counts.setdefault(id(cond), []).append(n)
-        # Counted before the loop, then at the start of each iteration.
-        assert [c for c in counts.values() if len(c) > 2] == [[4094, 4094, 4094, 4085, 40]]
+        assert sizes == [4094, 4094, 4094, 40]
 
     @pytest.mark.parametrize("t", [-0.1, 0.0, 0.07])
     def test_below_first_node_matches_bisection(self, table_fam, t):
@@ -466,3 +469,63 @@ class TestOneInverse:
         for i, n in enumerate(lengths):
             alone = orbit.pull_back(fam, t_path, sides[i, :n], ys[i : i + 1])
             assert_same_bytes(got[i : i + 1], alone)
+
+
+class TestPreviousNewtonKernel:
+    """`_shear_spline_inverse` gives the bytes of the kernel that formed
+    every term inside its Newton loop and iterated every row until the last
+    stopped (`conftest.reference_shear_spline_inverse`): rows are
+    independent, so dropping the stopped ones changes no root."""
+
+    @staticmethod
+    def assert_matches(fam, t, ys, side):
+        want = reference_shear_spline_inverse(fam.inverse, t, ys, side)
+        assert_same_bytes(mc.invert_branch(fam, t, ys, side), want)
+
+    def test_edges(self, any_table):
+        """Node values and the images of the knots with their neighbours,
+        end-piece targets, the image ends, +-0, +-inf and NaN: per-row,
+        shared and zero t, mixed and shared sides, and 0-d targets."""
+        fam, inv = any_table, any_table.inverse
+        images = fam.value(0.0371, inv.knots)
+        near_ends = np.geomspace(1e-12, 1.0, 60)
+        inner = fam.value(0.0371, np.concatenate([fam.value.ends[0] * near_ends,
+                                                  fam.value.ends[1] * near_ends]))
+        ys = np.concatenate([
+            _targets(fam), inner,
+            *(np.nextafter(v, d) for v in (inv.nodes, images) for d in (-np.inf, 0.0, np.inf)),
+        ])
+        rng = np.random.default_rng(14)
+        sides = np.where(rng.random(ys.size) < 0.5, 1.0, -1.0)
+        for t in (0.0, 0.0371, -0.1, rng.uniform(-0.1, 0.1, ys.size)):
+            for side in (sides, 1.0, -1.0):
+                self.assert_matches(fam, t, ys, side)
+        for y in np.concatenate([SPECIAL_Y, inv.nodes[::40]]):
+            for side in (1.0, -1.0):
+                got = mc.invert_branch(fam, 0.0371, np.float64(y), side)
+                assert np.ndim(got) == 0
+                assert_same_bytes(got, reference_shear_spline_inverse(inv, 0.0371, y, side))
+
+    def test_random_batches(self, table_fam):
+        """300 batches of 2,000 uniform targets, each row on a random side
+        and at its own t in [-0.1, 0.1]. A Newton slope summed as
+        c2 + 2 c1 h + 3 c0 h^2 instead of c2 + h (2 c1 + 3 c0 h) moves about
+        one root in 600,000 by 2 ulp; it moves three of these."""
+        rng = np.random.default_rng(15)
+        for _ in range(300):
+            ys = rng.uniform(-1.0, 1.0, 2000)
+            sides = np.where(rng.random(ys.size) < 0.5, 1.0, -1.0)
+            self.assert_matches(table_fam, rng.uniform(-0.1, 0.1, ys.size), ys, sides)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ys=hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(-1.2, 1.2)),
+        t=st.floats(-0.1, 0.1),
+        per_row=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property(self, table_fam, ys, t, per_row, seed):
+        rng = np.random.default_rng(seed)
+        if per_row:
+            t = rng.uniform(-0.1, 0.1, ys.size)
+        self.assert_matches(table_fam, t, ys, np.where(rng.random(ys.size) < 0.5, 1, -1))

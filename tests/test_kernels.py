@@ -14,6 +14,7 @@ COO matrix; its guard bounds the peak as a multiple of the output's bytes.
 """
 
 import dataclasses
+import functools
 import tracemalloc
 
 import mpmath
@@ -250,10 +251,32 @@ class TestAllocation:
         assert self.peak_ratio(lambda: orbit.step(fam, t, x), x.nbytes) < 4.5
 
     def test_table_step(self, table_fam, rows):
-        """The one-lookup step peaks where the separate derivative call did:
-        14.0 (its eight coefficient rows, the powers of h and the sums)."""
+        """The one-lookup step peaks at 13.0: the gathered left knots and
+        T_0 coefficients (five rows), the powers of h, the derivative's
+        coefficients and the sums. It was 14.0 when the derivative's
+        coefficients were gathered too (eight rows)."""
         _, x, t = rows
-        assert self.peak_ratio(lambda: orbit.step(table_fam, t, x), x.nbytes) < 14.01
+        assert self.peak_ratio(lambda: orbit.step(table_fam, t, x), x.nbytes) < 13.01
+
+    def test_table_ulam_inversion(self, table_fam, monkeypatch):
+        """The one inversion of an m = 2048 Ulam build on the table family
+        (4,094 targets, both sides) peaks at 22.1 times the targets' bytes:
+        the Newton loop's bracket, iterate and gathered coefficients, the
+        terms it forms once (c3 - y, 1 -+ c3, 2 c1, 3 c0) and its
+        temporaries. It was 17.4 when the loop formed those terms in each
+        iteration."""
+        calls = []
+
+        def recorded(family, t, y, side):
+            calls.append((t, y, side))
+            return map_core.invert_branch(family, t, y, side)
+
+        monkeypatch.setattr(measures, "invert_branch", recorded)
+        measures.ulam_row_operator(table_fam, 0.003, measures.UniformGrid(2048))
+        [(t, y, side)] = calls
+        assert y.size == 4094
+        invert = functools.partial(map_core.invert_branch, table_fam, t, y, side)
+        assert self.peak_ratio(invert, y.nbytes) < 22.15
 
     def test_keyed_draws(self, rows):
         keys, x, _ = rows

@@ -353,17 +353,22 @@ def node_sets(draw):
 
 
 class TestPchipCoefficients:
-    """`map_core._pchip_coefficients` and the derivative rows it implies
-    have the bytes of scipy's `PchipInterpolator`, and so do the arrays
-    `table_family` builds from them."""
+    """`map_core._pchip_coefficients` and the derivative rows that
+    `_TableFn` forms from them at evaluation (`_derivative`) have the bytes
+    of scipy's `PchipInterpolator`, the constant rows as PPoly sums them
+    (from 0.0, so -0.0 gives 0.0), and so do the arrays `table_family`
+    builds from them."""
 
     @staticmethod
     def assert_scipy_bytes(xs, ys):
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         c = mc._pchip_coefficients(xs, ys)
-        ours = (c, c[:3] * mc._D1, c[:2] * mc._D2)
-        for got, want in zip(ours, reference_pchip(xs, ys)):
-            assert_same_bytes(got, want)
+        want = reference_pchip(xs, ys)
+        assert_same_bytes(c, want[0])
+        for k in (1, 2):
+            summed = want[k].copy()
+            summed[-1] += 0.0
+            assert_same_bytes(np.array(mc._derivative(c, k)), summed)
         return c
 
     @pytest.mark.parametrize("name", BRANCHES)
@@ -376,6 +381,20 @@ class TestPchipCoefficients:
         m0, m1 = (ys[1] - ys[0]) / 0.1, (ys[2] - ys[1]) / 0.1
         assert (3 * m0 - m1) / 2 < 0  # the one-sided three-point slope
         assert c[2, 0] == 0.0
+
+    def test_negative_zero_constant_terms(self):
+        """PPoly sums each piece from 0.0, so a derivative whose constant
+        term is -0.0 evaluates to 0.0 at its left knot; the rows formed at
+        evaluation carry that 0.0."""
+        from scipy.interpolate import PPoly
+
+        c = np.full((4, 1), -0.0)
+        spline = PPoly(c, np.array([0.0, 1.0]))
+        h = np.zeros(1)
+        for k in (1, 2):
+            rows = mc._derivative(c, k)
+            assert_same_bytes(rows[-1], np.zeros(1))
+            assert_same_bytes(mc._power_sum(rows, (h, h * h, h * h * h)), spline(h, nu=k))
 
     @pytest.mark.parametrize("as_json", [False, True], ids=["table_fam", "workload"])
     def test_table_branches(self, as_json):
