@@ -655,6 +655,18 @@ class TestArtifacts:
         assert report["verdicts"]["aperiodicity"]
         assert report["min_return"] >= 1
 
+    def test_certify_tower_on_an_empty_partition(self, tmp_path):
+        # At n_max 2 no element returns: the tail fit has too few points and
+        # its prefactor, NaN, is written as strict-JSON null.
+        assert run([
+            "certify-tower", "--n-max", "2",
+            "--c", "0.35", "--c-prime", "0.45", "--out", str(tmp_path),
+        ]) == 0
+        report = json.loads((tmp_path / "axioms.json").read_text())
+        assert report["tail_prefactor"] is None
+        assert (report["tail_rate"], report["tail_r_squared"]) == (0.0, 0.0)
+        assert report["distortion_constant"] is None and report["distortion_gamma"] == 1.0
+
     def test_table_family_commands(self, tmp_path):
         # Every subcommand that builds a family, on a tabulated one.
         cfg = tmp_path / "cfg.json"

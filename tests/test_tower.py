@@ -458,6 +458,34 @@ class TestCertifyAxioms:
         )
         assert tower._gcd_all([e.tau for e in sub.elements]) == 1
 
+    def test_distortion_fit_through_bin_maxima(self, fam, noisy_stream, hyp_cfg, monkeypatch):
+        # Real image pairs all separate on their first return, so the
+        # least-squares line through the bin maxima is reached here only with
+        # separations spread over three bins.
+        part = tower.build_return_partition(fam, noisy_stream, hyp_cfg, 10, seed_grid=512)
+        separations = tower._separation_times
+
+        def spread(c, x, y, base_time, max_returns):
+            sep, exact = separations(c, x, y, base_time, max_returns)
+            return (np.arange(x.size) % 3 if max_returns == 3 else sep), exact
+
+        monkeypatch.setattr(tower, "_separation_times", spread)
+        rep = tower.certify_axioms(part)
+        assert rep.distortion_constant.hex() == "0x1.7e190b099d4d1p-8"
+        assert rep.distortion_gamma.hex() == "0x1.97bf85f59af6ep+0"
+
+    def test_empty_partition_fits(self, fam, noisy_stream, hyp_cfg):
+        # No element: no distortion pair and no tail point above the
+        # uncovered measure, so both fits take their no-data values.
+        empty = tower.build_return_partition(fam, noisy_stream, hyp_cfg, 2, seed_grid=256)
+        assert empty.elements == []
+        rep = tower.certify_axioms(empty)
+        assert rep.distortion_pairs == 0
+        assert rep.distortion_constant == math.inf and rep.distortion_gamma == 1.0
+        assert math.isnan(rep.tail_prefactor)
+        assert (rep.tail_rate, rep.tail_r_squared) == (0.0, 0.0)
+        assert not rep.verdicts()["return_time_asymptotics"]
+
     def test_distortion_constant_stable_across_seeds(self, fam, hyp_cfg):
         ds = []
         for seed in (1, 2):
