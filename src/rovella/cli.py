@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, hyperbolic, map_core, measures, noise, orbit, tower
-from .errors import RovellaError, ValidationError
-from .numerics import linear_fit
+from .errors import InsufficientData, RovellaError, ValidationError
+from .numerics import rate_fit
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -310,12 +310,11 @@ def cmd_verify_family(cfg: dict, args) -> tuple[dict, int]:
 def _tail_fit(n: np.ndarray, counts: np.ndarray, total: int):
     # A count below 100 has a Poisson relative error above 10%, which the
     # log of a thin tail would turn into fit noise, so those points are dropped.
-    mask = counts >= 100
-    if mask.sum() < 3:
+    try:
+        fit = rate_fit(n, counts / total, counts >= 100, 3)
+    except InsufficientData:
         return None
-    intercept, slope, r2 = linear_fit(n[mask].astype(float), np.log(counts[mask] / total))
-    return {"prefactor": float(np.exp(intercept)), "rate": -float(slope), "r_squared": r2,
-            "points": int(mask.sum())}
+    return dict(zip(("prefactor", "rate", "r_squared", "points"), fit))
 
 
 def _tail_table(cfg: dict, args, tables: tuple[str, ...]):

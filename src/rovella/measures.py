@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InsufficientData
 from .map_core import MapFamily, invert_branch
 from .noise import NoiseStream
-from .numerics import linear_fit
+from .numerics import rate_fit
 from .orbit import step_values
 
 if TYPE_CHECKING:
@@ -248,11 +248,7 @@ def fit_exponential(series: np.ndarray, burn_in: int = 0) -> tuple[float, float,
     """
     series = np.asarray(series, dtype=float)
     n = np.arange(series.size)
-    mask = (n >= burn_in) & (series > FIT_FLOOR)
-    if mask.sum() < 5:
-        raise InsufficientData(f"only {int(mask.sum())} usable points after burn-in/floor")
-    intercept, slope, r2 = linear_fit(n[mask].astype(float), np.log(series[mask]))
-    return float(np.exp(intercept)), -float(slope), float(r2)
+    return rate_fit(n, series, (n >= burn_in) & (series > FIT_FLOOR), 5)[:3]
 
 
 def quenched_correlation(

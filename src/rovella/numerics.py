@@ -1,11 +1,13 @@
-"""Shared numerical helpers: log-linear fits, and monotone bisection, which no
-library path calls (it is the tests' reference inverse and a benchmark probe)."""
+"""Shared numerical helpers: the one log-linear rate fit, and monotone bisection,
+which no library path calls (it is the tests' reference inverse and a benchmark probe)."""
 
 from __future__ import annotations
 
 from typing import Callable
 
 import numpy as np
+
+from .errors import InsufficientData
 
 
 def bisect_increasing(
@@ -75,3 +77,15 @@ def linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     resid = y - (intercept + slope * x)
     r2 = 1.0 - float(np.sum(resid**2) / syy)
     return float(intercept), float(slope), float(r2)
+
+
+def rate_fit(n, values, keep, min_points: int) -> tuple[float, float, float, int]:
+    """Least squares on (n, log values) over the rows where the mask `keep`
+    is true, for values ~ prefactor * exp(-rate n): returns (prefactor, rate,
+    r_squared, points) with rate = -slope, so a flat series has rate -0.0
+    and r_squared 0. Raises InsufficientData below `min_points` kept rows."""
+    points = int(keep.sum())
+    if points < min_points:
+        raise InsufficientData(f"{points} usable points, fewer than the {min_points} a fit needs")
+    intercept, slope, r2 = linear_fit(np.asarray(n)[keep], np.log(np.asarray(values)[keep]))
+    return float(np.exp(intercept)), -float(slope), float(r2), points

@@ -21,11 +21,11 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import CapExceeded, InvalidState, SingularHit
+from .errors import CapExceeded, InsufficientData, InvalidState, SingularHit
 from .hyperbolic import HyperbolicConfig, _hyperbolic_flags
 from .map_core import ArrayLike, MapFamily
 from .noise import NoiseStream, shift as shift_stream
-from .numerics import linear_fit
+from .numerics import rate_fit
 from .orbit import _depths, pull_back, step, step_values
 
 BOUNDARY_MARGIN = 1e-9
@@ -709,11 +709,9 @@ def certify_axioms(
         bins: dict[int, float] = {}
         for s_val, r in zip(seps, ratios):
             bins[s_val] = max(bins.get(s_val, 0.0), max(r, 1e-16))
-        xs = np.array(sorted(bins))
-        ys = np.log([bins[int(s_val)] for s_val in xs])
-        intercept, slope, _ = linear_fit(xs.astype(float), ys)
-        dist_d = float(np.exp(intercept))
-        dist_gamma = float(np.exp(slope))
+        xs = sorted(bins)
+        dist_d, rate, _, _ = rate_fit(xs, [bins[s_val] for s_val in xs], np.full(len(xs), True), 2)
+        dist_gamma = float(np.exp(-rate))
     elif ratios:
         dist_d = max(ratios)
         dist_gamma = 0.5
@@ -729,11 +727,9 @@ def certify_axioms(
     # C5: exponential fit of the return-time tail.
     ns = np.arange(0, partition.horizon + 1)
     tail = np.array([tail_measure(partition, int(n)) for n in ns])
-    pos = tail > partition.uncovered + 1e-15
-    if pos.sum() >= 3:
-        intercept, slope, r2 = linear_fit(ns[pos].astype(float), np.log(tail[pos]))
-        tail_b, tail_rate, tail_r2 = float(np.exp(intercept)), -float(slope), float(r2)
-    else:
+    try:
+        tail_b, tail_rate, tail_r2, _ = rate_fit(ns, tail, tail > partition.uncovered + 1e-15, 3)
+    except InsufficientData:
         tail_b, tail_rate, tail_r2 = math.nan, 0.0, 0.0
 
     return AxiomReport(

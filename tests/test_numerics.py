@@ -1,9 +1,15 @@
-"""`numerics.bisect_increasing`, the tests' reference inverse."""
+"""`numerics.bisect_increasing`, the tests' reference inverse, and
+`numerics.rate_fit`, the one log-linear rate fit."""
+
+import math
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rovella import map_core as mc
-from rovella.numerics import bisect_increasing
+from rovella.errors import InsufficientData
+from rovella.numerics import bisect_increasing, linear_fit, rate_fit
 
 
 def _width_only_bisection(f, target, lo, hi, xtol, max_iter=200):
@@ -54,3 +60,46 @@ def test_ftol_alone_stops_the_rows(fam):
     )
     assert len(early) < len(floor)
     assert np.abs(mc.evaluate(fam, 0.005, x) - TARGETS).max() <= 1e-13
+
+
+N = np.arange(10)
+DECAY = 0.8 * np.exp(-0.5 * N)
+
+
+def test_rate_fit_recovers_an_exact_series():
+    c, rate, r2, points = rate_fit(N, DECAY, np.full(N.size, True), 5)
+    assert c == pytest.approx(0.8, rel=1e-12)
+    assert rate == pytest.approx(0.5, rel=1e-12)
+    assert r2 == pytest.approx(1.0, abs=1e-12)
+    assert points == 10
+
+
+def test_rate_fit_reads_only_kept_rows():
+    # Rows outside `keep` may hold values with no log; they never reach it.
+    values = np.where(N % 3 == 0, 0.0, DECAY)
+    keep = N % 3 != 0
+    c, rate, r2, points = rate_fit(N, values, keep, 5)
+    intercept, slope, want_r2 = linear_fit(N[keep], np.log(DECAY[keep]))
+    assert (c, rate, r2, points) == (float(np.exp(intercept)), -slope, want_r2, 6)
+
+
+def test_rate_fit_minimum_points():
+    keep = N < 3
+    assert rate_fit(N, DECAY, keep, 3)[3] == 3
+    with pytest.raises(InsufficientData, match="3 usable points, fewer than the 4"):
+        rate_fit(N, DECAY, keep, 4)
+
+
+def test_rate_fit_flat_series_has_negative_zero_rate():
+    c, rate, r2, points = rate_fit(N, np.full(N.size, 0.3), np.full(N.size, True), 2)
+    assert (rate, r2, points) == (0.0, 0.0, 10)
+    assert math.copysign(1.0, rate) == -1.0
+    assert c == pytest.approx(0.3, rel=1e-15)
+
+
+def test_only_numerics_names_linear_fit():
+    """Every log-linear fit goes through `rate_fit`: no other module of the
+    package fits a line by hand."""
+    src = Path(mc.__file__).parent
+    users = [p.name for p in src.glob("*.py") if "linear_fit" in p.read_text()]
+    assert users == ["numerics.py"]
